@@ -13,6 +13,9 @@ The package has three layers:
 ``cli`` wires everything to deterministic CSV/JSON/SVG artifacts.
 """
 
+# The one version string: pyproject.toml and the run manifests read it.
+__version__ = "0.1.0"
+
 from flrwave.exponents import (
     FlrwParams,
     ModelParams,
@@ -57,5 +60,3 @@ from flrwave.kato import (
 )
 from flrwave.blowup_ode import OdeConfig, OdeResult, FitResult, integrate, sweep
 from flrwave.pde import PdeConfig, PdeResult, run as pde_run, lifespan_sweep
-
-__version__ = "0.1.0"

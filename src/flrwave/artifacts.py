@@ -17,7 +17,10 @@ import math
 import os
 from typing import Iterable, Optional, Sequence
 
-from flrwave.bounds import RegionMap
+import numpy as np
+
+from flrwave import __version__ as TOOL_VERSION
+from flrwave.bounds import LABELS, RegionMap
 
 __all__ = [
     "fmt",
@@ -31,8 +34,6 @@ __all__ = [
     "REGION_COLORS",
 ]
 
-TOOL_VERSION = "0.1.0"
-
 REGION_COLORS = {
     "A": "#4c72b0",
     "B": "#dd8452",
@@ -45,6 +46,8 @@ REGION_COLORS = {
 
 def fmt(value) -> str:
     """Shortest round-trip text for a cell value."""
+    if isinstance(value, str):
+        return value
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -73,10 +76,11 @@ def write_text(path: str, text: str) -> None:
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
-    write_text(path, "\n".join(lines) + "\n")
+    """Stream ``rows`` to ``path``, one line each; pre-formatted strings pass
+    through ``fmt`` unchanged."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(fmt, row)) + "\n" for row in rows)
 
 
 def write_json(path: str, payload) -> None:
@@ -164,15 +168,14 @@ def region_map_svg(
         _svg_text(left, top - 14.0, title, size=14),
     ]
 
+    names = [label.value for label in LABELS]
     present: list[str] = []
-    for i, a in enumerate(v1):
-        col = rm.labels[i]
+    for a, col in zip(v1, rm.codes):
+        # last index of each run of equal labels
+        ends = np.flatnonzero(col[1:] != col[:-1]).tolist() + [len(col) - 1]
         j = 0
-        while j < len(col):
-            k = j
-            while k + 1 < len(col) and col[k + 1] is col[j]:
-                k += 1
-            label = col[j].value
+        for k in ends:
+            label = names[col[j]]
             if label not in present:
                 present.append(label)
             x0 = sx(a - h1 / 2.0)

@@ -13,6 +13,15 @@ region label of the sharpest bound (smallest eps-exponent wins as eps -> 0;
 exponential bounds never beat an applicable power bound).  Threshold
 fractions with nonpositive denominators impose no constraint, i.e. they are
 treated as +infinity.
+
+All of it is computed in one place, the row kernel ``row_bounds``: at one
+parameter point it evaluates the row constants (Fujita-type exponent, p_c,
+the two crossing thresholds) once and then every bound, the region label
+and the best exponent over a whole array of powers p.  A phase map is one
+kernel call per axis1 row; the scalar functions (``classify``,
+``best_exponent``, ``power_bounds``, ...) are the kernel on a batch of one.
+The array code repeats the scalar formulas operation by operation, so each
+entry is bit-identical whatever the batch.
 """
 
 from __future__ import annotations
@@ -20,15 +29,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional
+
+import numpy as np
 
 from flrwave.exponents import (
     FlrwParams,
     ModelParams,
     flrw_to_model,
     fujita,
-    gamma,
-    p_c,
+    gamma_quadratic,
+    positive_root,
 )
 
 __all__ = [
@@ -36,9 +48,12 @@ __all__ = [
     "BoundForm",
     "LifespanBound",
     "RegionLabel",
+    "LABELS",
+    "RowBounds",
     "AxisSpec",
     "RegionMap",
     "CRITICAL_TOL",
+    "row_bounds",
     "heatlike_exponent",
     "wavelike_exponent",
     "intermediate_exponent",
@@ -95,35 +110,143 @@ class RegionLabel(Enum):
     UNCLASSIFIED = "unclassified"
 
 
+# Integer label codes of the row kernel index this tuple.
+LABELS = tuple(RegionLabel)
+_CODE = {label: np.int8(code) for code, label in enumerate(LABELS)}
+
+
+@dataclass(frozen=True)
+class RowBounds:
+    """Every bound at one parameter point, over an array of powers p.
+
+    ``power`` and ``critical`` hold one (kind, applicable, exponent) triple
+    per bound, in the order the scalar lists use; an exponent is NaN where
+    its bound does not apply.  ``label`` holds codes into ``LABELS``,
+    ``best`` the sharpest exponent (NaN where none applies).  ``fujita`` and
+    ``p_c`` (+inf without a positive root) are the row's critical exponents.
+    """
+
+    fujita: float
+    p_c: float
+    power: tuple
+    critical: tuple
+    label: np.ndarray
+    best: np.ndarray
+
+
+def _first_min(bounds, shape) -> tuple:
+    """Python's ``min`` over the applicable exponents, entry by entry: the
+    first applicable one is taken and replaced only by a strictly smaller
+    one.  Returns the minima (NaN where none applies) and where one does."""
+    best = np.full(shape, math.nan)
+    found = np.zeros(shape, dtype=bool)
+    for _, ok, value in bounds:
+        best = np.where(ok & (~found | (value < best)), value, best)
+        found = found | ok
+    return best, found
+
+
+def row_bounds(params: ModelParams, p, tol: float = CRITICAL_TOL) -> RowBounds:
+    """All bounds, the region label and the best exponent at ``params`` for
+    every entry of the array ``p``.
+
+    Labels: A where the intermediate bound is best
+    (p <= 2(1-alpha)/(n(1-alpha)+mu-1)); B where the wavelike one is (above
+    both crossing thresholds, below p_c); C where the heatlike one is
+    (p <= 2(1-alpha)/(n(1-alpha)-mu+1) and p below the Fujita-type
+    exponent).  Critical labels win on their curves; ties between A/B/C
+    resolve in enum order.  Points above every applicable bound are
+    UNCLASSIFIED.  Labels are not defined for p <= 1 (``classify`` and the
+    region maps reject such p).
+    """
+    p = np.asarray(p, dtype=float)
+    d = params.effective_dim
+    p_f = fujita(d)
+    q = gamma_quadratic(params)
+    pc = positive_root(q).root
+    pc = math.inf if pc is None else pc
+    pc_applies = math.isfinite(pc) and pc > p_f + tol
+    # A bound is excluded where its condition fails (p <= 1, gamma <= 0,
+    # bracket <= 0); written as ~(x <= 0) rather than x > 0, a NaN from a
+    # non-finite p excludes nothing.
+    with np.errstate(all="ignore"):
+        pm1 = p - 1.0
+        heat = pm1 / (2.0 - d * pm1)
+        g = q.c2 * p * p + q.c1 * p + q.c0
+        wave = 2.0 * p * pm1 / ((1.0 - params.alpha) * g)
+        k = d + params.mu - 1.0
+        inter_denom = 2.0 - k * pm1
+        inter = pm1 / inter_denom
+        above_one = ~(p <= 1.0)
+        on_fujita = np.abs(p - p_f) <= tol
+        on_pc = (np.abs(p - pc) <= tol) & pc_applies
+        if params.mu <= 1.0:
+            fujita_bound = (BoundKind.CRITICAL_FUJITA_MU_LOW, on_fujita, p * pm1 / (p + 1.0))
+        else:
+            fujita_bound = (BoundKind.CRITICAL_FUJITA_MU_HIGH, on_fujita, pm1)
+        power = tuple(
+            (kind, ok, np.where(ok, value, math.nan))
+            for kind, ok, value in (
+                (BoundKind.HEATLIKE_SUB, (1.0 < p) & (p < p_f), heat),
+                (BoundKind.WAVELIKE_SUB, above_one & ~(g <= 0.0), wave),
+                (BoundKind.INTERMEDIATE_SUB, above_one & ~(inter_denom <= 0.0), inter),
+            )
+        )
+        critical = tuple(
+            (kind, ok, np.where(ok, value, math.nan))
+            for kind, ok, value in (fujita_bound, (BoundKind.CRITICAL_PC, on_pc, p * pm1))
+        )
+        label = np.select(
+            [
+                on_fujita,
+                on_pc,
+                p <= intermediate_wavelike_threshold(params),
+                (p <= heatlike_wavelike_threshold(params)) & (p < p_f),
+                # p already exceeds both crossing thresholds here: the
+                # heatlike/wavelike threshold can reach p_f only at mu >= mu*,
+                # where p_c <= p_f rules out this branch (the three curves
+                # meet at mu*).
+                p < pc,
+            ],
+            [
+                _CODE[RegionLabel.CRITICAL_FUJITA],
+                _CODE[RegionLabel.CRITICAL_PC],
+                _CODE[RegionLabel.A],
+                _CODE[RegionLabel.C],
+                _CODE[RegionLabel.B],
+            ],
+            _CODE[RegionLabel.UNCLASSIFIED],
+        )
+    best, has_power = _first_min(power, p.shape)
+    best = np.where(has_power, best, _first_min(critical, p.shape)[0])
+    return RowBounds(p_f, pc, power, critical, label, best)
+
+
+def _at(params: ModelParams, p: float, tol: float = CRITICAL_TOL) -> RowBounds:
+    """The row kernel on a batch of one."""
+    return row_bounds(params, np.array([p], dtype=float), tol)
+
+
+def _power_exponent(params: ModelParams, p: float, index: int) -> Optional[float]:
+    _, ok, value = _at(params, p).power[index]
+    return float(value[0]) if ok[0] else None
+
+
 def heatlike_exponent(params: ModelParams, p: float) -> Optional[float]:
     """(p-1)/(2 - n(1-alpha)(p-1)) for 1 < p < fujita(n(1-alpha)), else None."""
-    d = params.effective_dim
-    if not 1.0 < p < fujita(d):
-        return None
-    return (p - 1.0) / (2.0 - d * (p - 1.0))
+    return _power_exponent(params, p, 0)
 
 
 def wavelike_exponent(params: ModelParams, p: float) -> Optional[float]:
     """2p(p-1)/((1-alpha) gamma) where gamma > 0 (i.e. p below its positive
     root, if any), else None."""
-    if p <= 1.0:
-        return None
-    g = gamma(params, p)
-    if g <= 0.0:
-        return None
-    return 2.0 * p * (p - 1.0) / ((1.0 - params.alpha) * g)
+    return _power_exponent(params, p, 1)
 
 
 def intermediate_exponent(params: ModelParams, p: float) -> Optional[float]:
     """(p-1)/(2 - (n(1-alpha)+mu-1)(p-1)); a nonpositive bracket imposes no
     restriction on p."""
-    if p <= 1.0:
-        return None
-    k = params.effective_dim + params.mu - 1.0
-    denom = 2.0 - k * (p - 1.0)
-    if denom <= 0.0:
-        return None
-    return (p - 1.0) / denom
+    return _power_exponent(params, p, 2)
 
 
 def intermediate_wavelike_threshold(params: ModelParams) -> float:
@@ -144,11 +267,6 @@ def heatlike_wavelike_threshold(params: ModelParams) -> float:
     return 2.0 * (1.0 - params.alpha) / k
 
 
-def _p_c_or_inf(params: ModelParams) -> float:
-    root = p_c(params).root
-    return root if root is not None else math.inf
-
-
 def critical_bounds(params: ModelParams, p: float, tol: float = CRITICAL_TOL) -> list[LifespanBound]:
     """Exponential-type bounds active when p sits on a critical curve.
 
@@ -156,47 +274,18 @@ def critical_bounds(params: ModelParams, p: float, tol: float = CRITICAL_TOL) ->
     mu > 1.  On p = p_c (only if p_c strictly exceeds the Fujita-type
     exponent): exponent p(p-1).  Away from both curves the list is empty.
     """
-    out: list[LifespanBound] = []
-    p_f = fujita(params.effective_dim)
-    if abs(p - p_f) <= tol:
-        if params.mu <= 1.0:
-            out.append(
-                LifespanBound(
-                    BoundKind.CRITICAL_FUJITA_MU_LOW,
-                    BoundForm.EXP_POWER,
-                    p * (p - 1.0) / (p + 1.0),
-                    True,
-                )
-            )
-        else:
-            out.append(
-                LifespanBound(
-                    BoundKind.CRITICAL_FUJITA_MU_HIGH,
-                    BoundForm.EXP_POWER,
-                    p - 1.0,
-                    True,
-                )
-            )
-    pc = _p_c_or_inf(params)
-    if math.isfinite(pc) and abs(p - pc) <= tol and pc > p_f + tol:
-        out.append(
-            LifespanBound(BoundKind.CRITICAL_PC, BoundForm.EXP_POWER, p * (p - 1.0), True)
-        )
-    return out
+    return [
+        LifespanBound(kind, BoundForm.EXP_POWER, float(value[0]), True)
+        for kind, ok, value in _at(params, p, tol).critical
+        if ok[0]
+    ]
 
 
 def power_bounds(params: ModelParams, p: float) -> list[LifespanBound]:
-    out = []
-    for kind, value in (
-        (BoundKind.HEATLIKE_SUB, heatlike_exponent(params, p)),
-        (BoundKind.WAVELIKE_SUB, wavelike_exponent(params, p)),
-        (BoundKind.INTERMEDIATE_SUB, intermediate_exponent(params, p)),
-    ):
-        if value is None:
-            out.append(LifespanBound(kind, BoundForm.POWER, math.nan, False))
-        else:
-            out.append(LifespanBound(kind, BoundForm.POWER, value, True))
-    return out
+    return [
+        LifespanBound(kind, BoundForm.POWER, float(value[0]), bool(ok[0]))
+        for kind, ok, value in _at(params, p).power
+    ]
 
 
 def all_bounds(params: ModelParams, p: float) -> list[LifespanBound]:
@@ -209,43 +298,18 @@ def best_exponent(params: ModelParams, p: float) -> float:
     Power bounds always beat exponential ones; among bounds of equal form
     the smallest exponent wins.  NaN when no bound applies.
     """
-    powers = [b.eps_exponent for b in power_bounds(params, p) if b.applicable]
-    if powers:
-        return min(powers)
-    crits = [b.eps_exponent for b in critical_bounds(params, p) if b.applicable]
-    if crits:
-        return min(crits)
-    return math.nan
+    return float(_at(params, p).best[0])
+
+
+def _require_p_above_one(p: float) -> None:
+    if p <= 1.0:
+        raise ValueError(f"classification requires p > 1, got {p}")
 
 
 def classify(params: ModelParams, p: float, tol: float = CRITICAL_TOL) -> RegionLabel:
-    """Region label of the sharpest bound at (params, p).
-
-    A: intermediate bound is best (p <= 2(1-alpha)/(n(1-alpha)+mu-1));
-    B: wavelike is best (above both crossing thresholds, below p_c);
-    C: heatlike is best (p <= 2(1-alpha)/(n(1-alpha)-mu+1) and p below the
-    Fujita-type exponent).  Critical labels win on their curves; ties between
-    A/B/C resolve in enum order.  Points above every applicable bound are
-    UNCLASSIFIED.
-    """
-    if p <= 1.0:
-        raise ValueError(f"classification requires p > 1, got {p}")
-    p_f = fujita(params.effective_dim)
-    pc = _p_c_or_inf(params)
-    if abs(p - p_f) <= tol:
-        return RegionLabel.CRITICAL_FUJITA
-    if math.isfinite(pc) and abs(p - pc) <= tol and pc > p_f + tol:
-        return RegionLabel.CRITICAL_PC
-    if p <= intermediate_wavelike_threshold(params):
-        return RegionLabel.A
-    if p <= heatlike_wavelike_threshold(params) and p < p_f:
-        return RegionLabel.C
-    if p < pc:
-        # p already exceeds both crossing thresholds here: the heatlike/
-        # wavelike threshold can reach p_f only at mu >= mu*, where p_c <= p_f
-        # rules out this branch (the three curves meet at mu*).
-        return RegionLabel.B
-    return RegionLabel.UNCLASSIFIED
+    """Region label of the sharpest bound at (params, p); see ``row_bounds``."""
+    _require_p_above_one(p)
+    return LABELS[_at(params, p, tol).label[0]]
 
 
 @dataclass(frozen=True)
@@ -272,29 +336,33 @@ class AxisSpec:
 class RegionMap:
     """Grid of region labels over (axis1, axis2) with the best exponent per cell.
 
-    ``labels[i][j]`` and ``best[i][j]`` correspond to axis1.values()[i],
-    axis2.values()[j].
+    ``codes[i, j]`` (an index into ``LABELS``), ``labels[i][j]`` and
+    ``best[i][j]`` correspond to axis1.values()[i], axis2.values()[j].
+    ``fujita[i]`` and ``p_c[i]`` are the critical exponents of row i, p_c
+    +inf where the gamma quadratic has no positive root.
     """
 
     axis1: AxisSpec
     axis2: AxisSpec
-    labels: list[list[RegionLabel]]
+    codes: np.ndarray
     best: list[list[float]]
+    fujita: list[float]
+    p_c: list[float]
+
+    @cached_property
+    def labels(self) -> list[list[RegionLabel]]:
+        return [[LABELS[code] for code in row] for row in self.codes.tolist()]
 
     def label_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {label.value: 0 for label in RegionLabel}
-        for row in self.labels:
-            for lab in row:
-                counts[lab.value] += 1
-        return counts
+        counts = np.bincount(self.codes.ravel(), minlength=len(LABELS))
+        return {label.value: int(count) for label, count in zip(LABELS, counts)}
 
     def rows(self):
         """Yield (axis1_value, axis2_value, label, best_exponent) in row-major order."""
-        v1 = self.axis1.values()
         v2 = self.axis2.values()
-        for i, a in enumerate(v1):
-            for j, b in enumerate(v2):
-                yield a, b, self.labels[i][j], self.best[i][j]
+        for a, codes, best in zip(self.axis1.values(), self.codes.tolist(), self.best):
+            for b, code, e in zip(v2, codes, best):
+                yield a, b, LABELS[code], e
 
 
 def _build_map(axis1: AxisSpec, axis2: AxisSpec, params_of) -> RegionMap:
@@ -302,13 +370,17 @@ def _build_map(axis1: AxisSpec, axis2: AxisSpec, params_of) -> RegionMap:
     v2 = axis2.values()
     if not v1 or not v2:
         raise ValueError("region map axes must contain at least one sample each")
-    labels = []
-    best = []
-    for a in v1:
-        params = params_of(a)
-        labels.append([classify(params, p) for p in v2])
-        best.append([best_exponent(params, p) for p in v2])
-    return RegionMap(axis1, axis2, labels, best)
+    _require_p_above_one(v2[0])  # the axis ascends
+    p = np.array(v2)
+    codes = np.empty((len(v1), len(v2)), dtype=np.int8)
+    best, fujita_row, pc_row = [], [], []
+    for i, a in enumerate(v1):
+        row = row_bounds(params_of(a), p)
+        codes[i] = row.label
+        best.append(row.best.tolist())
+        fujita_row.append(row.fujita)
+        pc_row.append(row.p_c)
+    return RegionMap(axis1, axis2, codes, best, fujita_row, pc_row)
 
 
 def region_map_model(n: int, alpha: float, mu_axis: AxisSpec, p_axis: AxisSpec) -> RegionMap:

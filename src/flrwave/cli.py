@@ -23,6 +23,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import repeat
 
 import numpy as np
 
@@ -56,13 +57,34 @@ def _load_config(path):
     return loaded
 
 
+def _coerce(key: str, value, kind):
+    """Read a config-file value as its flag would read the same text; an
+    integral float is accepted for an integer key."""
+    if value is None:
+        return None
+    if kind is int and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    try:
+        return kind(str(value))
+    except ValueError:
+        raise ValueError(
+            f"config key {key!r}: {value!r} is not a valid {kind.__name__}"
+        ) from None
+
+
 def _resolve(defaults: dict, config: dict, ns: argparse.Namespace) -> dict:
-    """defaults < config file < explicitly passed flags."""
+    """defaults < config file < explicitly passed flags.
+
+    Config values of typed flags are coerced to the flag's type, so a run
+    resolves (and hashes) the same whether set by flag or by config file.
+    """
     resolved = dict(defaults)
     unknown = set(config) - set(defaults)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    resolved.update(config)
+    types = getattr(ns, "flag_types", {})
+    for key, value in config.items():
+        resolved[key] = _coerce(key, value, types[key]) if key in types else value
     for key in defaults:
         value = getattr(ns, key, None)
         if value is not None:
@@ -192,6 +214,15 @@ MAP_PRESETS = {
 }
 
 
+def _map_csv_rows(rm: bounds.RegionMap):
+    """The cells of ``rm`` as rows of ready-made CSV fields: each axis value
+    and label name is formatted once, each best exponent once per cell."""
+    v2 = [repr(b) for b in rm.axis2.values()]
+    names = [label.value for label in bounds.LABELS]
+    for a, codes, best in zip(rm.axis1.values(), rm.codes.tolist(), rm.best):
+        yield from zip(repeat(repr(a)), v2, map(names.__getitem__, codes), map(repr, best))
+
+
 def _cmd_map(ns) -> int:
     defaults = {
         "preset": None,
@@ -221,14 +252,12 @@ def _cmd_map(ns) -> int:
             "mu", resolved["axis1_start"], resolved["axis1_stop"], resolved["axis1_step"]
         )
         rm = bounds.region_map_model(n, float(resolved["alpha"]), axis1, p_axis)
-        params_of = lambda a: ModelParams(n, float(resolved["alpha"]), a)
         title = f"blow-up regions: n={n}, alpha={resolved['alpha']}"
     elif resolved["mode"] == "flrw":
         axis1 = bounds.AxisSpec(
             "w", resolved["axis1_start"], resolved["axis1_stop"], resolved["axis1_step"]
         )
         rm = bounds.region_map_flrw(n, axis1, p_axis)
-        params_of = lambda a: flrw_to_model(FlrwParams(n, a))
         title = f"blow-up regions (cosmological parameters): n={n}"
     else:
         raise ValueError(f"unknown map mode {resolved['mode']!r}")
@@ -237,22 +266,15 @@ def _cmd_map(ns) -> int:
     if resolved["preset"] == "fig2" and counts["A"] != 0:
         raise RuntimeError(f"fig2 preset expects an empty A region, found {counts['A']} cells")
 
-    fujita_curve = []
-    pc_curve = []
-    for a in axis1.values():
-        params = params_of(a)
-        fujita_curve.append(fujita(params.effective_dim))
-        pc_curve.append(p_c(params).root)
-
     outdir = _outdir(ns)
     artifacts.write_csv(
         os.path.join(outdir, "map.csv"),
         ["axis1", "axis2", "label", "best_exponent"],
-        ((a, b, lab.value, best) for a, b, lab, best in rm.rows()),
+        _map_csv_rows(rm),
     )
     artifacts.write_text(
         os.path.join(outdir, "map.svg"),
-        artifacts.region_map_svg(rm, title, {"fujita": fujita_curve, "p_c": pc_curve}),
+        artifacts.region_map_svg(rm, title, {"fujita": rm.fujita, "p_c": rm.p_c}),
     )
     payload = {"label_counts": counts, "cells": len(axis1.values()) * len(p_axis.values())}
     _emit(outdir, "map", resolved, ["map.csv", "map.svg"], payload)
@@ -578,9 +600,14 @@ def _add_common(sp) -> None:
     sp.add_argument("--out", help=f"output directory (or ${OUT_ENV_VAR}; default .)")
 
 
-def _float_flags(sp, names) -> None:
+def _typed_flags(sp, kind, names) -> None:
+    """Add ``--name`` flags parsed by ``kind``; ``_resolve`` reads config
+    values for the same keys with the same type."""
+    types = sp.get_default("flag_types") or {}
     for name in names:
-        sp.add_argument(f"--{name}", type=float, default=None)
+        sp.add_argument(f"--{name}", type=kind, default=None)
+        types[name] = kind
+    sp.set_defaults(flag_types=types)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -589,24 +616,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("exponents", help="closed-form exponent report")
     _add_common(sp)
-    sp.add_argument("--n", type=int, default=None)
-    _float_flags(sp, ["alpha", "mu", "w", "p"])
+    _typed_flags(sp, int, ["n"])
+    _typed_flags(sp, float, ["alpha", "mu", "w", "p"])
     sp.add_argument("--flrw", action="store_true", default=None)
     sp.set_defaults(func=_cmd_exponents)
 
     sp = sub.add_parser("classify", help="region label at one parameter point")
     _add_common(sp)
-    sp.add_argument("--n", type=int, default=None)
-    _float_flags(sp, ["alpha", "mu", "p"])
+    _typed_flags(sp, int, ["n"])
+    _typed_flags(sp, float, ["alpha", "mu", "p"])
     sp.set_defaults(func=_cmd_classify)
 
     sp = sub.add_parser("map", help="region-map CSV + SVG")
     _add_common(sp)
     sp.add_argument("--preset", choices=sorted(MAP_PRESETS), default=None)
     sp.add_argument("--mode", choices=["model", "flrw"], default=None)
-    sp.add_argument("--n", type=int, default=None)
-    _float_flags(
+    _typed_flags(sp, int, ["n"])
+    _typed_flags(
         sp,
+        float,
         ["alpha", "axis1_start", "axis1_stop", "axis1_step",
          "axis2_start", "axis2_stop", "axis2_step"],
     )
@@ -616,51 +644,53 @@ def build_parser() -> argparse.ArgumentParser:
     ksub = sp.add_subparsers(dest="kato_cmd", required=True)
     kp = ksub.add_parser("threshold", help="subcritical threshold")
     _add_common(kp)
-    _float_flags(kp, ["p", "a", "b", "q", "mu", "A0", "A1", "R", "T0", "T1"])
+    _typed_flags(kp, float, ["p", "a", "b", "q", "mu", "A0", "A1", "R", "T0", "T1"])
     kp.set_defaults(func=_cmd_kato)
     kp = ksub.add_parser("sequences", help="critical iteration table")
     _add_common(kp)
-    _float_flags(kp, ["p", "b", "mu", "A0", "A1", "CR", "T0", "T1"])
-    kp.add_argument("--jmax", type=int, default=None)
+    _typed_flags(kp, float, ["p", "b", "mu", "A0", "A1", "CR", "T0", "T1"])
+    _typed_flags(kp, int, ["jmax"])
     kp.set_defaults(func=_cmd_kato)
     kp = ksub.add_parser("envelope", help="envelope divergence report")
     _add_common(kp)
-    _float_flags(kp, ["p", "b", "mu", "A0", "A1", "CR", "T0", "T1", "delta", "horizon"])
+    _typed_flags(kp, float, ["p", "b", "mu", "A0", "A1", "CR", "T0", "T1", "delta", "horizon"])
     kp.set_defaults(func=_cmd_kato)
 
     sp = sub.add_parser("ode", help="comparison-ODE runs and sweeps")
     osub = sp.add_subparsers(dest="ode_cmd", required=True)
     op = osub.add_parser("run", help="single blow-up run")
     _add_common(op)
-    _float_flags(op, ["eps", *(_ODE_KEYS)])
+    _typed_flags(op, float, ["eps", *(_ODE_KEYS)])
     op.set_defaults(func=_cmd_ode)
     op = osub.add_parser("sweep", help="eps sweep + log-log fit")
     _add_common(op)
     op.add_argument("--preset", choices=sorted(ODE_PRESETS), default=None)
-    _float_flags(op, ["eps_start", "eps_stop", *(_ODE_KEYS)])
-    op.add_argument("--eps_count", type=int, default=None)
+    _typed_flags(op, float, ["eps_start", "eps_stop", *(_ODE_KEYS)])
+    _typed_flags(op, int, ["eps_count"])
     op.set_defaults(func=_cmd_ode)
 
     sp = sub.add_parser("pde", help="radial solver runs and sweeps")
     psub = sp.add_subparsers(dest="pde_cmd", required=True)
     pp = psub.add_parser("run", help="single radial run")
     _add_common(pp)
-    pp.add_argument("--n", type=int, default=None)
-    _float_flags(
+    _typed_flags(pp, int, ["n"])
+    _typed_flags(
         pp,
+        float,
         ["alpha", "mu", "p", "eps", "R", "dr", "cfl", "blowup_threshold",
          "t_max", "domain_margin", "dt_cap", "sample_dt"],
     )
     pp.set_defaults(func=_cmd_pde)
     pp = psub.add_parser("sweep", help="eps sweep + log-log fit")
     _add_common(pp)
-    pp.add_argument("--n", type=int, default=None)
-    _float_flags(
+    _typed_flags(pp, int, ["n"])
+    _typed_flags(
         pp,
+        float,
         ["alpha", "mu", "p", "R", "dr", "cfl", "blowup_threshold", "t_max",
          "domain_margin", "dt_cap", "sample_dt", "eps_start", "eps_stop"],
     )
-    pp.add_argument("--eps_count", type=int, default=None)
+    _typed_flags(pp, int, ["eps_count"])
     pp.set_defaults(func=_cmd_pde)
 
     return parser

@@ -1,9 +1,13 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flrwave.bounds import (
+    LABELS,
     AxisSpec,
     BoundForm,
     BoundKind,
@@ -18,6 +22,7 @@ from flrwave.bounds import (
     power_bounds,
     region_map_flrw,
     region_map_model,
+    row_bounds,
     wavelike_exponent,
 )
 from flrwave.exponents import (
@@ -27,6 +32,7 @@ from flrwave.exponents import (
     fujita,
     gamma,
     gamma0,
+    gamma_quadratic,
     mu_star,
     p_c,
 )
@@ -271,3 +277,124 @@ class TestRegionMap:
             (0.01, 2.0),
             (0.01, 2.01),
         ]
+
+
+# ---------------------------------------------------------------------------
+# row kernel properties
+
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+params_st = st.builds(
+    ModelParams,
+    n=st.integers(2, 5),
+    alpha=st.floats(0.0, 0.95),
+    mu=st.floats(0.0, 4.0),
+)
+p_st = st.floats(1.0, 5.0, exclude_min=True)
+
+
+def same_bits(a: float, b: float) -> bool:
+    """Bit-for-bit equality, with every NaN equal to every NaN."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return struct.pack("<d", a) == struct.pack("<d", b)
+
+
+def reference_label_and_best(params: ModelParams, p: float):
+    """The bounds at one p > 1, one Python float operation at a time: the
+    row kernel must reproduce them bit for bit."""
+    d = params.effective_dim
+    p_f = 1.0 + 2.0 / d
+    pc = p_c(params).root
+    pc = math.inf if pc is None else pc
+    powers = []
+    if 1.0 < p < p_f:
+        powers.append((p - 1.0) / (2.0 - d * (p - 1.0)))
+    g = gamma_quadratic(params)(p)
+    if not g <= 0.0:
+        powers.append(2.0 * p * (p - 1.0) / ((1.0 - params.alpha) * g))
+    k = d + params.mu - 1.0
+    if not 2.0 - k * (p - 1.0) <= 0.0:
+        powers.append((p - 1.0) / (2.0 - k * (p - 1.0)))
+    on_fujita = abs(p - p_f) <= 1e-9
+    on_pc = math.isfinite(pc) and abs(p - pc) <= 1e-9 and pc > p_f + 1e-9
+    crits = []
+    if on_fujita:
+        crits.append(p * (p - 1.0) / (p + 1.0) if params.mu <= 1.0 else p - 1.0)
+    if on_pc:
+        crits.append(p * (p - 1.0))
+    best = min(powers) if powers else (min(crits) if crits else math.nan)
+    if on_fujita:
+        label = RegionLabel.CRITICAL_FUJITA
+    elif on_pc:
+        label = RegionLabel.CRITICAL_PC
+    elif p <= intermediate_wavelike_threshold(params):
+        label = RegionLabel.A
+    elif p <= heatlike_wavelike_threshold(params) and p < p_f:
+        label = RegionLabel.C
+    elif p < pc:
+        label = RegionLabel.B
+    else:
+        label = RegionLabel.UNCLASSIFIED
+    return label, best
+
+
+def assert_row_matches_scalars(params, ps):
+    row = row_bounds(params, np.array(ps))
+    for p, code, best in zip(ps, row.label.tolist(), row.best.tolist()):
+        label, ref_best = reference_label_and_best(params, p)
+        assert LABELS[code] is classify(params, p) is label, (params, p)
+        assert same_bits(best, best_exponent(params, p)), (params, p)
+        assert same_bits(best, ref_best), (params, p)
+
+
+class TestRowKernel:
+    @PROPERTY_SETTINGS
+    @given(params=params_st, ps=st.lists(p_st, min_size=1, max_size=25))
+    def test_row_equals_scalar_cells(self, params, ps):
+        assert_row_matches_scalars(params, ps)
+
+    @PROPERTY_SETTINGS
+    @given(params=params_st, ps=st.lists(p_st, max_size=5))
+    def test_row_equals_scalar_on_the_critical_curves(self, params, ps):
+        p_f = fujita(params.effective_dim)
+        on_curves = [p_f] + [r for r in (p_c(params).root,) if r is not None and r > 1.0]
+        assert_row_matches_scalars(params, on_curves + ps)
+        assert classify(params, p_f) is RegionLabel.CRITICAL_FUJITA
+
+    @PROPERTY_SETTINGS
+    @given(params=params_st, ps=st.lists(p_st, min_size=1, max_size=25))
+    def test_abc_label_is_argmin_of_power_exponents(self, params, ps):
+        # all three exponents meet at p = 1 as well as at the crossings
+        thresholds = [
+            1.0,
+            intermediate_wavelike_threshold(params),
+            heatlike_wavelike_threshold(params),
+            fujita(params.effective_dim),
+            p_c(params).root or math.inf,
+        ]
+        ps = [p for p in ps if all(abs(p - t) > 1e-6 for t in thresholds)]
+        row = row_bounds(params, np.array(ps))
+        exponents = np.array([value for _, _, value in row.power])  # NaN: not applicable
+        for j, code in enumerate(row.label.tolist()):
+            label = LABELS[code]
+            if label in LABEL_TO_KIND:
+                kinds = [kind for kind, _, _ in row.power]
+                assert kinds[int(np.nanargmin(exponents[:, j]))] is LABEL_TO_KIND[label]
+
+    @PROPERTY_SETTINGS
+    @given(
+        n=st.integers(2, 5),
+        alpha=st.floats(0.0, 0.95),
+        mu_stop=st.floats(0.0, 4.0),
+        p_start=st.floats(1.01, 3.0),
+        steps=st.tuples(st.floats(0.05, 1.0), st.floats(0.05, 1.0)),
+    )
+    def test_label_counts_sum_to_cells(self, n, alpha, mu_stop, p_start, steps):
+        rm = region_map_model(
+            n, alpha, AxisSpec("mu", 0.0, mu_stop, steps[0]),
+            AxisSpec("p", p_start, p_start + 2.0, steps[1]),
+        )
+        cells = len(rm.axis1.values()) * len(rm.axis2.values())
+        assert sum(rm.label_counts().values()) == cells
+        assert sum(1 for _ in rm.rows()) == cells

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -87,6 +88,27 @@ def test_map_byte_determinism(tmp_path):
     assert main(args + ["--out", str(out2)]) == 0
     for name in ("map.csv", "map.svg", "manifest.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+# sha256 of the preset maps as first recorded; the closed-form layer and the
+# emitters must keep these bytes.
+MAP_SHA256 = {
+    "fig1": {
+        "map.csv": "7aded50f7b93553b7caaf95e827f1fcc357d6282dd5fe17fb5101fc372e44296",
+        "map.svg": "ed704363bb1b49f4eafa42af7536f3bdffd47924df5b65bf78d1b6db52d4a28b",
+    },
+    "fig2": {
+        "map.csv": "8f7cf23fa18d5a669b66519a82973735fcc69a327527861f83648cc1d96720c3",
+        "map.svg": "767912298598c42e1994a76fcc86286b64f9a49dfe0efc41f967ae581c0500c1",
+    },
+}
+
+
+@pytest.mark.parametrize("preset", sorted(MAP_SHA256))
+def test_map_preset_bytes_pinned(tmp_path, preset):
+    assert main(["map", "--preset", preset, "--out", str(tmp_path)]) == 0
+    for name, want in MAP_SHA256[preset].items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
 
 
 def test_kato_threshold_value(tmp_path):
@@ -239,3 +261,50 @@ def test_out_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("FLRWAVE_OUT", str(tmp_path / "env_out"))
     assert main(["classify", "--n", "2", "--alpha", "0.6", "--mu", "2", "--p", "2"]) == 0
     assert (tmp_path / "env_out" / "classify.json").exists()
+
+
+def write_config(tmp_path, payload):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def test_config_strings_read_as_flag_types(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        {"axis1_stop": "1", "axis1_step": "0.5", "axis2_start": "1.5", "axis2_stop": "2"},
+    )
+    out = tmp_path / "m"
+    assert main(["map", "--config", cfg, "--out", str(out)]) == 0
+    assert read_json(out / "manifest.json")["config"]["axis1_step"] == 0.5
+    cfg = write_config(tmp_path, {"p": "2"})
+    assert main(["kato", "threshold", "--config", cfg, "--out", str(tmp_path / "k")]) == 0
+    assert main(["kato", "sequences", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (["map"], {"axis1_step": "fine"}),
+        (["classify"], {"n": 2.5}),
+        (["classify"], {"p": [2]}),
+        (["kato", "threshold"], {"p": True}),
+        (["kato", "sequences"], {"jmax": "many"}),
+        (["ode", "run"], {"p": "two"}),
+    ],
+)
+def test_uncoercible_config_value_exits_2(tmp_path, argv, payload):
+    cfg = write_config(tmp_path, payload)
+    assert main(argv + ["--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+def test_config_and_flags_give_equal_digests(tmp_path):
+    flags = ["classify", "--n", "2", "--alpha", "0.6", "--mu", "2", "--p", "2"]
+    assert main(flags + ["--out", str(tmp_path / "f")]) == 0
+    cfg = write_config(tmp_path, {"n": 2.0, "alpha": 0.6, "mu": 2, "p": 2})
+    assert main(["classify", "--config", cfg, "--out", str(tmp_path / "c")]) == 0
+    digests = [read_json(tmp_path / d / "manifest.json")["config_digest"] for d in "fc"]
+    assert digests[0] == digests[1]
+    assert (tmp_path / "f" / "classify.json").read_bytes() == (
+        tmp_path / "c" / "classify.json"
+    ).read_bytes()
