@@ -13,9 +13,8 @@ in 1/eps and log T is convex in log(1/eps).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -58,19 +57,22 @@ class OdeConfig:
     abs_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.p <= 1.0:
+        # comparisons are written so that NaN fails them
+        if not self.p > 1.0:
             raise ValueError(f"p must exceed 1, got {self.p}")
-        if self.mu < 0.0 or self.q < 0.0:
+        if not (self.mu >= 0.0 and self.q >= 0.0):
             raise ValueError("mu and q must be nonnegative")
-        if self.A1 <= 0.0 or self.R < 0.0:
+        if not (self.A1 > 0.0 and self.R >= 0.0):
             raise ValueError("require A1 > 0 and R >= 0")
-        if self.eps < 0.0 or self.F_init_scale < 0.0 or self.dF_init_scale < 0.0:
+        if not (self.eps >= 0.0 and self.F_init_scale >= 0.0 and self.dF_init_scale >= 0.0):
             raise ValueError("eps and initial-data scales must be nonnegative")
-        if self.blowup_threshold <= self.eps * self.F_init_scale:
+        if not self.blowup_threshold > self.eps * self.F_init_scale:
             raise ValueError("blow-up threshold must exceed the initial data")
-        if self.t_max <= 1.0:
-            raise ValueError(f"t_max must exceed the initial time 1, got {self.t_max}")
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
+        if not 1.0 < self.t_max < math.inf:
+            raise ValueError(
+                f"t_max must be finite and exceed the initial time 1, got {self.t_max}"
+            )
+        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise ValueError("integrator tolerances must be positive")
 
 
@@ -83,17 +85,17 @@ class OdeResult:
     t: np.ndarray
     F: np.ndarray
     dF: np.ndarray
-    termination: str  # "threshold" | "horizon" | "step_underflow"
+    termination: str  # "threshold" | "horizon" | "step_underflow" | "solver_failure"
 
 
 def integrate(cfg: OdeConfig) -> OdeResult:
     """Adaptive explicit integration from t = 1 until threshold crossing,
-    horizon, or step underflow.
+    horizon, or solver failure.
 
     The threshold crossing is bracketed by the accepted steps and refined by
     root-finding on the step interpolant, so T_num is resolved well below
-    the step size.  Step underflow before the crossing (the blow-up outruns
-    the error control) is reported as blow-up at the underflow point.
+    the step size.  A solver failure is a blow-up ("step_underflow") only
+    while F is within 1e-3 of the threshold and rising, else "solver_failure".
     """
 
     def rhs(t, y):
@@ -126,8 +128,9 @@ def integrate(cfg: OdeConfig) -> OdeResult:
         return OdeResult(True, float(sol.t_events[0][0]), t, F, dF, "threshold")
     if sol.status == 0:
         return OdeResult(False, cfg.t_max, t, F, dF, "horizon")
-    # solver gave up: step size underflow while F ramps into the singularity
-    return OdeResult(True, float(t[-1]), t, F, dF, "step_underflow")
+    ramping = bool(F[-1] >= 1e-3 * cfg.blowup_threshold and dF[-1] > 0.0)
+    termination = "step_underflow" if ramping else "solver_failure"
+    return OdeResult(ramping, float(t[-1]), t, F, dF, termination)
 
 
 def monotone_invariant_check(res: OdeResult, mu: float, slack: float = 1e-8) -> bool:
@@ -171,20 +174,14 @@ def fit_loglog(eps_values: Sequence[float], T_values: Sequence[float]) -> FitRes
     return FitResult(float(slope), float(intercept), r2, eps, T)
 
 
-def sweep(
-    cfg: OdeConfig, eps_grid: Sequence[float], workers: Optional[int] = None
-) -> FitResult:
+def sweep(cfg: OdeConfig, eps_grid: Sequence[float]) -> FitResult:
     """Run ``cfg`` across ``eps_grid`` and fit the lifespan scaling.
 
     Every run must blow up before the horizon; otherwise the offending eps
-    values are reported and no fit is produced.  Runs are independent and
-    execute concurrently; aggregation follows the input order.
+    values are reported and no fit is produced.
     """
     configs = [replace(cfg, eps=float(e)) for e in eps_grid]
-    if workers is None:
-        workers = min(8, max(1, len(configs)))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(integrate, configs))
+    results = [integrate(c) for c in configs]
     stalled = [c.eps for c, r in zip(configs, results) if not r.blew_up]
     if stalled:
         raise RuntimeError(

@@ -14,13 +14,15 @@ echoes the resolved config into manifest.json (keyed by a content digest),
 and writes byte-identical outputs for identical resolved configs.
 
 Exit codes: 0 success, 2 invalid configuration or parameters, 3 runtime
-failure (no blow-up before the horizon, preset assertion failure, overflow).
+failure (no blow-up before the horizon, ODE solver failure, preset assertion
+failure, overflow).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from itertools import repeat
@@ -55,6 +57,15 @@ def _load_config(path):
     if not isinstance(loaded, dict):
         raise ValueError(f"config file {path} must contain a JSON object")
     return loaded
+
+
+def finite_float(text: str) -> float:
+    """The type of every float flag and config value: NaN and infinities are
+    invalid input."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
 
 
 def _coerce(key: str, value, kind):
@@ -420,8 +431,8 @@ def _cmd_ode(ns) -> int:
         }
         artifacts.write_json(os.path.join(outdir, "ode_result.json"), payload)
         _emit(outdir, "ode run", resolved, ["ode_trace.csv", "ode_result.json"], payload)
-        if res.termination == "horizon":
-            print(f"runtime failure: no blow-up before t_max={cfg.t_max}", file=sys.stderr)
+        if not res.blew_up:
+            print(f"runtime failure: no blow-up, run ended by {res.termination}", file=sys.stderr)
             return 3
         return 0
 
@@ -617,14 +628,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("exponents", help="closed-form exponent report")
     _add_common(sp)
     _typed_flags(sp, int, ["n"])
-    _typed_flags(sp, float, ["alpha", "mu", "w", "p"])
+    _typed_flags(sp, finite_float, ["alpha", "mu", "w", "p"])
     sp.add_argument("--flrw", action="store_true", default=None)
     sp.set_defaults(func=_cmd_exponents)
 
     sp = sub.add_parser("classify", help="region label at one parameter point")
     _add_common(sp)
     _typed_flags(sp, int, ["n"])
-    _typed_flags(sp, float, ["alpha", "mu", "p"])
+    _typed_flags(sp, finite_float, ["alpha", "mu", "p"])
     sp.set_defaults(func=_cmd_classify)
 
     sp = sub.add_parser("map", help="region-map CSV + SVG")
@@ -634,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
     _typed_flags(sp, int, ["n"])
     _typed_flags(
         sp,
-        float,
+        finite_float,
         ["alpha", "axis1_start", "axis1_stop", "axis1_step",
          "axis2_start", "axis2_stop", "axis2_step"],
     )
@@ -644,28 +655,30 @@ def build_parser() -> argparse.ArgumentParser:
     ksub = sp.add_subparsers(dest="kato_cmd", required=True)
     kp = ksub.add_parser("threshold", help="subcritical threshold")
     _add_common(kp)
-    _typed_flags(kp, float, ["p", "a", "b", "q", "mu", "A0", "A1", "R", "T0", "T1"])
+    _typed_flags(kp, finite_float, ["p", "a", "b", "q", "mu", "A0", "A1", "R", "T0", "T1"])
     kp.set_defaults(func=_cmd_kato)
     kp = ksub.add_parser("sequences", help="critical iteration table")
     _add_common(kp)
-    _typed_flags(kp, float, ["p", "b", "mu", "A0", "A1", "CR", "T0", "T1"])
+    _typed_flags(kp, finite_float, ["p", "b", "mu", "A0", "A1", "CR", "T0", "T1"])
     _typed_flags(kp, int, ["jmax"])
     kp.set_defaults(func=_cmd_kato)
     kp = ksub.add_parser("envelope", help="envelope divergence report")
     _add_common(kp)
-    _typed_flags(kp, float, ["p", "b", "mu", "A0", "A1", "CR", "T0", "T1", "delta", "horizon"])
+    _typed_flags(
+        kp, finite_float, ["p", "b", "mu", "A0", "A1", "CR", "T0", "T1", "delta", "horizon"]
+    )
     kp.set_defaults(func=_cmd_kato)
 
     sp = sub.add_parser("ode", help="comparison-ODE runs and sweeps")
     osub = sp.add_subparsers(dest="ode_cmd", required=True)
     op = osub.add_parser("run", help="single blow-up run")
     _add_common(op)
-    _typed_flags(op, float, ["eps", *(_ODE_KEYS)])
+    _typed_flags(op, finite_float, ["eps", *(_ODE_KEYS)])
     op.set_defaults(func=_cmd_ode)
     op = osub.add_parser("sweep", help="eps sweep + log-log fit")
     _add_common(op)
     op.add_argument("--preset", choices=sorted(ODE_PRESETS), default=None)
-    _typed_flags(op, float, ["eps_start", "eps_stop", *(_ODE_KEYS)])
+    _typed_flags(op, finite_float, ["eps_start", "eps_stop", *(_ODE_KEYS)])
     _typed_flags(op, int, ["eps_count"])
     op.set_defaults(func=_cmd_ode)
 
@@ -676,7 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
     _typed_flags(pp, int, ["n"])
     _typed_flags(
         pp,
-        float,
+        finite_float,
         ["alpha", "mu", "p", "eps", "R", "dr", "cfl", "blowup_threshold",
          "t_max", "domain_margin", "dt_cap", "sample_dt"],
     )
@@ -686,7 +699,7 @@ def build_parser() -> argparse.ArgumentParser:
     _typed_flags(pp, int, ["n"])
     _typed_flags(
         pp,
-        float,
+        finite_float,
         ["alpha", "mu", "p", "R", "dr", "cfl", "blowup_threshold", "t_max",
          "domain_margin", "dt_cap", "sample_dt", "eps_start", "eps_stop"],
     )

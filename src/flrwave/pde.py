@@ -12,6 +12,11 @@ tracks the decaying wave speed, dt = cfl * dr * t^alpha (capped so the mu/t
 coefficient stays resolved), and the radial grid is extended lazily ahead of
 the light cone r = A(t) + R, A(t) = (t^(1-alpha) - 1)/(1-alpha).
 
+The time steps and the grid do not depend on eps, so one stepping loop
+advances runs as the rows of one (eps x r) array, in place, without threads:
+``lifespan_sweep`` is one batch and ``run`` a batch of one.  A row leaves at
+threshold, overflow or horizon, bit-identical to a run of its own.
+
 Diagnostics per sample time: sup|u|, the spatial average F = int u dx, the
 nonlinear mass int |u|^p dx, and the support radius.  The checks bundled
 here verify the structural facts a valid run must satisfy: support inside
@@ -22,7 +27,6 @@ the Hoelder bound between F and the nonlinear mass.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -33,7 +37,6 @@ from flrwave.exponents import ModelParams
 
 __all__ = [
     "PdeConfig",
-    "PdeState",
     "PdeResult",
     "EnvelopeDiagnostic",
     "bump3",
@@ -44,7 +47,6 @@ __all__ = [
     "integral_dx",
     "integral_abs_p",
     "support_radius",
-    "step",
     "run",
     "support_check",
     "holder_check",
@@ -55,6 +57,9 @@ __all__ = [
 ]
 
 SUPPORT_REL_TOL = 1e-12  # amplitudes below this fraction of sup|u| count as zero
+# Budget of rows x cells of the light cone at t_max (criterion 9 needs
+# ~12,000 cells a row); a larger run is refused before anything is allocated.
+MAX_GRID_CELLS = 2**22
 
 
 @dataclass(frozen=True)
@@ -81,38 +86,31 @@ class PdeConfig:
     sample_dt: float = 0.05
 
     def __post_init__(self):
-        if self.p <= 1.0:
+        # comparisons are written so that NaN fails them
+        if not self.p > 1.0:
             raise ValueError(f"p must exceed 1, got {self.p}")
-        if self.eps < 0.0:
-            raise ValueError(f"eps must be nonnegative, got {self.eps}")
-        if self.R <= 0.0 or self.dr <= 0.0:
+        if not 0.0 <= self.eps < math.inf:
+            raise ValueError(f"eps must be finite and nonnegative, got {self.eps}")
+        if not (self.R > 0.0 and self.dr > 0.0):
             raise ValueError("R and dr must be positive")
         if self.profile != "bump3":
             raise ValueError(f"unknown data profile {self.profile!r}")
         if not 0.0 < self.cfl < 1.0:
             raise ValueError(f"cfl must lie in (0, 1), got {self.cfl}")
-        if self.blowup_threshold <= 0.0:
+        if not self.blowup_threshold > 0.0:
             raise ValueError("blow-up threshold must be positive")
-        if self.t_max <= 1.0:
-            raise ValueError(f"t_max must exceed the initial time 1, got {self.t_max}")
-        if self.domain_margin is not None and self.domain_margin < 0.0:
+        if not 1.0 < self.t_max < math.inf:
+            raise ValueError(
+                f"t_max must be finite and exceed the initial time 1, got {self.t_max}"
+            )
+        if self.domain_margin is not None and not self.domain_margin >= 0.0:
             raise ValueError("domain margin must be nonnegative")
-        if self.dt_cap <= 0.0 or self.sample_dt <= 0.0:
+        if not (self.dt_cap > 0.0 and self.sample_dt > 0.0):
             raise ValueError("dt_cap and sample_dt must be positive")
 
     @property
     def margin(self) -> float:
         return 5.0 * self.dr if self.domain_margin is None else self.domain_margin
-
-
-@dataclass
-class PdeState:
-    """Two consecutive time levels; ``dt`` produced u_curr from u_prev."""
-
-    t: float
-    u_prev: np.ndarray
-    u_curr: np.ndarray
-    dt: float
 
 
 @dataclass
@@ -151,62 +149,97 @@ def ball_volume(n: int) -> float:
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
 
+def _laplacian_into(out, u, dr, n, coef, tmp) -> None:
+    """``radial_laplacian`` of the first m cells of ``u`` (cell m is the zero
+    ghost) into ``out``; ``coef`` is (n-1)/r and ``tmp`` m - 1 cells of scratch."""
+    inv_dr2 = 1.0 / (dr * dr)
+    left, center, right = u[..., :-2], u[..., 1:-1], u[..., 2:]
+    interior = out[..., 1:]
+    np.multiply(2.0, center, out=interior)
+    np.subtract(right, interior, out=interior)
+    np.add(interior, left, out=interior)
+    np.multiply(interior, inv_dr2, out=interior)
+    np.subtract(right, left, out=tmp)
+    np.multiply(coef, tmp, out=tmp)
+    np.divide(tmp, 2.0 * dr, out=tmp)
+    np.add(interior, tmp, out=interior)
+    out[..., 0] = 2.0 * n * (u[..., 1] - u[..., 0]) * inv_dr2
+
+
+def _radial_factors(cells: int, dr: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n-1)/r_i for the stencil (i >= 1) and the quadrature weight r_i^(n-1)."""
+    r = dr * np.arange(cells)
+    return (n - 1.0) / r[1:], r ** (n - 1.0)
+
+
+def _ghosted(u: np.ndarray, dr: float, n: int):
+    """``u`` with its zero ghost cell, an output array and the stencil's (n-1)/r."""
+    m = u.shape[-1]
+    if m < 3:
+        raise ValueError(f"grid must have at least 3 points, got {m}")
+    ghosted = np.append(u, np.zeros(u.shape[:-1] + (1,)), axis=-1)
+    return ghosted, np.empty(u.shape), _radial_factors(m, dr, n)[0]
+
+
 def radial_laplacian(u: np.ndarray, dr: float, n: int) -> np.ndarray:
-    """Second-order discrete u_rr + (n-1)/r u_r on the grid r_i = i*dr.
+    """Second-order discrete u_rr + (n-1)/r u_r on r_i = i*dr along the last axis.
 
     At the origin the symmetric limit n * u_rr applies (ghost point with
     u_r(0) = 0); past the last cell the field is taken to be zero.
     """
-    m = u.shape[0]
-    if m < 3:
-        raise ValueError(f"grid must have at least 3 points, got {m}")
-    out = np.empty_like(u)
-    left = u[:-1]
-    center = u[1:]
-    right = np.empty(m - 1, dtype=u.dtype)
-    right[:-1] = u[2:]
-    right[-1] = 0.0
-    r = dr * np.arange(1, m)
-    inv_dr2 = 1.0 / (dr * dr)
-    out[1:] = (right - 2.0 * center + left) * inv_dr2 + (n - 1.0) / r * (right - left) / (
-        2.0 * dr
-    )
-    out[0] = 2.0 * n * (u[1] - u[0]) * inv_dr2
+    ghosted, out, coef = _ghosted(u, dr, n)
+    _laplacian_into(out, ghosted, dr, n, coef, np.empty(out[..., 1:].shape))
     return out
+
+
+def _quadrature(weighted: np.ndarray, dr: float, n: int):
+    """Trapezoid rule for sigma_(n-1) int f r^(n-1) dr along the last axis."""
+    return sphere_area(n) * np.trapezoid(weighted, dx=dr, axis=-1)
 
 
 def integral_dx(u: np.ndarray, dr: float, n: int) -> float:
     """Trapezoid quadrature of int u dx = sigma_(n-1) int u r^(n-1) dr."""
-    r = dr * np.arange(u.shape[0])
-    return sphere_area(n) * float(np.trapezoid(u * r ** (n - 1.0), dx=dr))
+    return float(_quadrature(u * _radial_factors(u.shape[0], dr, n)[1], dr, n))
 
 
 def integral_abs_p(u: np.ndarray, dr: float, n: int, p: float) -> float:
-    r = dr * np.arange(u.shape[0])
-    return sphere_area(n) * float(np.trapezoid(np.abs(u) ** p * r ** (n - 1.0), dx=dr))
+    return float(_quadrature(np.abs(u) ** p * _radial_factors(u.shape[0], dr, n)[1], dr, n))
 
 
-def support_radius(u: np.ndarray, dr: float, rel_tol: float = SUPPORT_REL_TOL) -> float:
-    """Largest r with |u(r)| above rel_tol * sup|u|; 0 for the zero field."""
-    sup = float(np.max(np.abs(u)))
-    if sup == 0.0:
-        return 0.0
-    idx = np.nonzero(np.abs(u) > rel_tol * sup)[0]
-    return float(idx[-1]) * dr if idx.size else 0.0
+def support_radius(u: np.ndarray, dr: float, rel_tol: float = SUPPORT_REL_TOL):
+    """Largest r with |u(r)| above rel_tol * sup|u| along the last axis (a
+    float for one profile, an array for a batch); 0 for the zero field."""
+    a = np.abs(u)
+    above = a > rel_tol * a.max(axis=-1, keepdims=True)
+    last = above.shape[-1] - 1 - np.argmax(above[..., ::-1], axis=-1)
+    radius = np.where(above.any(axis=-1), last * dr, 0.0)
+    return float(radius) if radius.ndim == 0 else radius
 
 
-def _update(
-    u_prev: np.ndarray,
-    u_curr: np.ndarray,
-    t: float,
-    dt_old: float,
-    dt_new: float,
-    dr: float,
-    n: int,
-    alpha: float,
-    mu: float,
-    source: Optional[np.ndarray],
-) -> np.ndarray:
+def _update_into(out, u_prev, u_curr, source, t, dt_old, dt_new, dr, n, alpha, mu, coef, work):
+    """``_update`` into ``out`` (..., m), row by row in the same float order;
+    cell m of ``u_curr`` is the zero ghost, ``source`` may be ``out``."""
+    lap, tmp = work
+    _laplacian_into(lap, u_curr, dr, n, coef, tmp[..., 1:])
+    np.multiply(t ** (-2.0 * alpha), lap, out=lap)
+    np.add(lap, source, out=lap)
+    span = dt_old + dt_new
+    damp = mu / t
+    lhs_coef = 2.0 / (span * dt_new) + damp / span
+    u_curr = u_curr[..., :-1]
+    np.multiply(2.0, u_curr, out=tmp)
+    np.divide(tmp, span * dt_new, out=tmp)
+    np.add(lap, tmp, out=lap)
+    np.subtract(u_curr, u_prev, out=tmp)
+    np.multiply(2.0, tmp, out=tmp)
+    np.divide(tmp, span * dt_old, out=tmp)
+    np.add(lap, tmp, out=lap)
+    np.multiply(damp / span, u_prev, out=tmp)
+    np.add(lap, tmp, out=lap)
+    np.divide(lap, lhs_coef, out=out)
+
+
+def _update(u_prev, u_curr, t, dt_old, dt_new, dr, n, alpha, mu, source) -> np.ndarray:
     """One three-level update centered at time t (the u_curr level).
 
     Nonuniform steps use the standard divided-difference form of u_tt; the
@@ -214,31 +247,15 @@ def _update(
     closed form.  ``source`` is the nonlinearity evaluated at u_curr (or
     None for the linear equation).
     """
-    lap = radial_laplacian(u_curr, dr, n)
-    rhs = t ** (-2.0 * alpha) * lap
-    if source is not None:
-        rhs = rhs + source
-    span = dt_old + dt_new
-    damp = mu / t
-    lhs_coef = 2.0 / (span * dt_new) + damp / span
-    return (
-        rhs
-        + 2.0 * u_curr / (span * dt_new)
-        + 2.0 * (u_curr - u_prev) / (span * dt_old)
-        + (damp / span) * u_prev
-    ) / lhs_coef
+    ghosted, out, coef = _ghosted(u_curr, dr, n)
+    work = np.empty((2,) + out.shape)
+    source = 0.0 if source is None else source
+    _update_into(out, u_prev, ghosted, source, t, dt_old, dt_new, dr, n, alpha, mu, coef, work)
+    return out
 
 
 def _next_dt(t: float, cfg: PdeConfig) -> float:
     return min(cfg.cfl * cfg.dr * t**cfg.params.alpha, cfg.dt_cap)
-
-
-def _grown(u: np.ndarray, cells: int) -> np.ndarray:
-    if u.shape[0] >= cells:
-        return u
-    out = np.zeros(cells, dtype=u.dtype)
-    out[: u.shape[0]] = u
-    return out
 
 
 def _truncate_outside_cone(u: np.ndarray, t: float, cfg: PdeConfig) -> None:
@@ -248,34 +265,7 @@ def _truncate_outside_cone(u: np.ndarray, t: float, cfg: PdeConfig) -> None:
     # beyond the cone plus a one-cell buffer removes the spurious tail and
     # leaves the cone content untouched.
     cutoff = light_cone_radius(t, cfg.params.alpha, cfg.R) + cfg.dr
-    first = int(math.floor(cutoff / cfg.dr)) + 1
-    if first < u.shape[0]:
-        u[first:] = 0.0
-
-
-def step(state: PdeState, cfg: PdeConfig) -> PdeState:
-    """Advance one time step, extending the grid ahead of the light cone."""
-    alpha = cfg.params.alpha
-    dt_new = _next_dt(state.t, cfg)
-    reach = light_cone_radius(state.t + dt_new, alpha, cfg.R) + cfg.margin
-    cells = int(math.ceil(reach / cfg.dr)) + 1
-    u_prev = _grown(state.u_prev, cells)
-    u_curr = _grown(state.u_curr, cells)
-    source = np.abs(u_curr) ** cfg.p
-    u_next = _update(
-        u_prev,
-        u_curr,
-        state.t,
-        state.dt,
-        dt_new,
-        cfg.dr,
-        cfg.params.n,
-        alpha,
-        cfg.params.mu,
-        source,
-    )
-    _truncate_outside_cone(u_next, state.t + dt_new, cfg)
-    return PdeState(state.t + dt_new, u_curr, u_next, dt_new)
+    u[..., int(math.floor(cutoff / cfg.dr)) + 1 :] = 0.0
 
 
 def _taylor_first_step(
@@ -284,6 +274,112 @@ def _taylor_first_step(
     # second-order start from the equation at t = 1 (where t^(-2*alpha) = 1)
     acc = radial_laplacian(u0, dr, n) - mu * v0 + np.abs(u0) ** p
     return u0 + dt * v0 + 0.5 * dt * dt * acc
+
+
+def _check_grid_budget(cfg: PdeConfig, rows: int) -> None:
+    cells = (light_cone_radius(cfg.t_max, cfg.params.alpha, cfg.R) + cfg.margin) / cfg.dr
+    if math.isfinite(cells):
+        cells = math.ceil(cells) + 1
+    if rows * cells > MAX_GRID_CELLS:
+        raise ValueError(
+            f"{rows} run(s) x {cells:.4g} cells of the light cone at t_max={cfg.t_max} exceed "
+            f"the grid budget of {MAX_GRID_CELLS} cells; raise dr or lower t_max"
+        )
+
+
+def _run_batch(
+    cfg: PdeConfig, eps_values: Sequence[float], snapshot_times: Sequence[float] = ()
+) -> list[PdeResult]:
+    """Run ``replace(cfg, eps=e)`` for every e of ``eps_values`` as rows of
+    one (eps x r) array, in input order.  See ``run`` for the semantics."""
+    n, alpha, mu, p, dr = cfg.params.n, cfg.params.alpha, cfg.params.mu, cfg.p, cfg.dr
+    eps = [float(e) for e in eps_values]
+    _check_grid_budget(cfg, len(eps))
+    cells = int(math.ceil((cfg.R + cfg.margin) / dr)) + 1
+    u0 = np.multiply.outer(eps, bump3(dr * np.arange(cells), cfg.R))  # u1 = u0
+
+    ids = np.arange(len(eps))  # input position of each row still in the batch
+    series = [([], [], [], [], []) for _ in eps]  # t, sup, F, lp, support
+    snapshots: list[list] = [[] for _ in eps]
+    results: list = [None] * len(eps)
+    pending = sorted(float(s) for s in snapshot_times)
+
+    def record(t, u, a, sup, which):
+        """Append the diagnostics of the rows selected by the mask ``which``."""
+        if not which.all():
+            u, a, sup = u[which], a[which], sup[which]
+        w = weight[: u.shape[1]]
+        F, lp = _quadrature(u * w, dr, n), _quadrature(a**p * w, dr, n)
+        columns = (sup, F, lp, support_radius(a, dr))
+        for i, *values in zip(ids[which].tolist(), *(c.tolist() for c in columns)):
+            for column, value in zip(series[i], [t, *values]):
+                column.append(value)
+
+    def snapshot(t, u, which):
+        while pending and t >= pending[0]:
+            for i, profile in zip(ids[which].tolist(), u[which]):
+                snapshots[i].append((t, profile))
+            pending.pop(0)
+
+    # Three time levels and two scratch arrays of (rows, capacity) cells.
+    # Each step works on views of the first ``cells`` columns; the columns
+    # past them stay zero, and the capacity doubles when the grid outgrows it.
+    capacity = 2 * cells
+    levels = np.zeros((5, len(eps), capacity))
+    coef, weight = _radial_factors(capacity, dr, n)
+    every = np.ones(len(eps), dtype=bool)
+    record(1.0, u0, np.abs(u0), np.abs(u0).max(axis=1), every)
+    snapshot(1.0, u0, every)
+    dt = _next_dt(1.0, cfg)
+    levels[:2, :, :cells] = u0, _taylor_first_step(u0, u0, dt, dr, n, mu, p)
+    prev, curr, nxt = 0, 1, 2
+    t, next_sample = 1.0 + dt, 1.0 + cfg.sample_dt
+    while ids.size:
+        rows = ids.size
+        u = levels[curr, :rows, :cells]
+        a = np.abs(u, out=levels[nxt, :rows, :cells])  # becomes the source |u|^p
+        sup = a.max(axis=1)
+        finite = np.isfinite(sup)  # the max propagates inf and NaN
+        snapshot(t, u, finite)
+        leave = ~(sup < cfg.blowup_threshold) | (t >= cfg.t_max)  # inf and NaN leave too
+        if t >= next_sample:
+            record(t, u, a, sup, finite)
+            while next_sample <= t:
+                next_sample += cfg.sample_dt
+        elif leave.any():
+            record(t, u, a, sup, finite & leave)
+        if leave.any():
+            for i, s in zip(ids[leave].tolist(), sup[leave].tolist()):
+                end = "threshold" if s >= cfg.blowup_threshold else "horizon"
+                end = end if math.isfinite(s) else "overflow"
+                results[i] = PdeResult(
+                    end != "horizon", t, end, *map(np.asarray, series[i]),
+                    replace(cfg, eps=eps[i]), snapshots[i],
+                )
+            ids = ids[~leave]
+            if not ids.size:
+                break
+            levels[:3, : ids.size, :cells] = levels[:3, :rows, :cells][:, ~leave]
+            rows = ids.size
+
+        dt_new = _next_dt(t, cfg)
+        reach = light_cone_radius(t + dt_new, alpha, cfg.R) + cfg.margin
+        cells = max(cells, int(math.ceil(reach / dr)) + 1)
+        if cells >= capacity:  # the stencil reads one zero column past the grid
+            capacity = 2 * cells
+            levels = np.pad(levels[:, :rows], ((0, 0), (0, 0), (0, capacity - levels.shape[2])))
+            coef, weight = _radial_factors(capacity, dr, n)
+        out = levels[nxt, :rows, :cells]
+        out **= p
+        _update_into(
+            out, levels[prev, :rows, :cells], levels[curr, :rows, : cells + 1], out, t, dt,
+            dt_new, dr, n, alpha, mu, coef[: cells - 1], levels[3:, :rows, :cells],
+        )
+        _truncate_outside_cone(out, t + dt_new, cfg)
+        t, dt = t + dt_new, dt_new
+        prev, curr, nxt = curr, nxt, prev
+
+    return results
 
 
 def run(cfg: PdeConfig, snapshot_times: Sequence[float] = ()) -> PdeResult:
@@ -295,76 +391,9 @@ def run(cfg: PdeConfig, snapshot_times: Sequence[float] = ()) -> PdeResult:
     true lifespan).  Deterministic for a fixed config.  ``snapshot_times``
     requests (t, u) profile dumps at the first level reaching each time.
     """
-    n = cfg.params.n
-    alpha = cfg.params.alpha
-    mu = cfg.params.mu
-    cells0 = int(math.ceil((cfg.R + cfg.margin) / cfg.dr)) + 1
-    r = cfg.dr * np.arange(cells0)
-    profile = bump3(r, cfg.R)
-    u0 = cfg.eps * profile
-    v0 = cfg.eps * profile
+    return _run_batch(cfg, [cfg.eps], snapshot_times)[0]
 
-    t_samples: list[float] = []
-    sup_series: list[float] = []
-    F_series: list[float] = []
-    lp_series: list[float] = []
-    support_series: list[float] = []
-    snapshots: list[tuple[float, np.ndarray]] = []
-    pending = sorted(float(t) for t in snapshot_times)
 
-    def record(t: float, u: np.ndarray) -> None:
-        t_samples.append(t)
-        sup_series.append(float(np.max(np.abs(u))))
-        F_series.append(integral_dx(u, cfg.dr, n))
-        lp_series.append(integral_abs_p(u, cfg.dr, n, cfg.p))
-        support_series.append(support_radius(u, cfg.dr))
-
-    def snapshot(t: float, u: np.ndarray) -> None:
-        while pending and t >= pending[0]:
-            snapshots.append((t, u.copy()))
-            pending.pop(0)
-
-    record(1.0, u0)
-    snapshot(1.0, u0)
-
-    dt0 = _next_dt(1.0, cfg)
-    u1 = _taylor_first_step(u0, v0, dt0, cfg.dr, n, mu, cfg.p)
-    state = PdeState(1.0 + dt0, u0, u1, dt0)
-
-    next_sample = 1.0 + cfg.sample_dt
-    while True:
-        u = state.u_curr
-        if not np.all(np.isfinite(u)):
-            blew_up, T_num, termination = True, state.t, "overflow"
-            break
-        snapshot(state.t, u)
-        sup = float(np.max(np.abs(u)))
-        if sup >= cfg.blowup_threshold:
-            record(state.t, u)
-            blew_up, T_num, termination = True, state.t, "threshold"
-            break
-        if state.t >= cfg.t_max:
-            record(state.t, u)
-            blew_up, T_num, termination = False, state.t, "horizon"
-            break
-        if state.t >= next_sample:
-            record(state.t, u)
-            while next_sample <= state.t:
-                next_sample += cfg.sample_dt
-        state = step(state, cfg)
-
-    return PdeResult(
-        blew_up,
-        T_num,
-        termination,
-        np.asarray(t_samples),
-        np.asarray(sup_series),
-        np.asarray(F_series),
-        np.asarray(lp_series),
-        np.asarray(support_series),
-        cfg,
-        snapshots,
-    )
 
 
 def support_check(res: PdeResult, slack_cells: int = 2) -> bool:
@@ -442,20 +471,16 @@ def envelope_diagnostic(res: PdeResult, tol: float = 1e-9) -> EnvelopeDiagnostic
 
 
 def lifespan_sweep(
-    cfg: PdeConfig, eps_grid: Sequence[float], workers: Optional[int] = None
+    cfg: PdeConfig, eps_grid: Sequence[float]
 ) -> tuple[FitResult, list[EnvelopeDiagnostic]]:
-    """Sweep eps, fit log T against log eps, and report the per-run envelope
-    diagnostics.  Every run must blow up before the horizon."""
-    configs = [replace(cfg, eps=float(e)) for e in eps_grid]
-    if workers is None:
-        workers = min(4, max(1, len(configs)))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(run, configs))
-    stalled = [c.eps for c, r in zip(configs, results) if not r.blew_up]
+    """Sweep eps as one batch, fit log T against log eps, and report the
+    per-run envelope diagnostics.  Every run must blow up before the horizon."""
+    results = _run_batch(cfg, eps_grid)
+    stalled = [r.config.eps for r in results if not r.blew_up]
     if stalled:
         raise RuntimeError(
             f"no blow-up before t_max={cfg.t_max} for eps={stalled}; "
             "increase the horizon or the data size"
         )
-    fit = fit_loglog([c.eps for c in configs], [r.T_num for r in results])
+    fit = fit_loglog([r.config.eps for r in results], [r.T_num for r in results])
     return fit, [envelope_diagnostic(r) for r in results]

@@ -1,10 +1,12 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from flrwave import blowup_ode
 from flrwave.blowup_ode import (
     OdeConfig,
     convexity_margin,
@@ -155,3 +157,52 @@ class TestPredictedSlope:
     def test_critical_wiring_rejected(self):
         with pytest.raises(ValueError):
             predicted_slope(2.0, 2.0)
+
+
+def solver_giving_up_at(F_last, dF_last):
+    """A ``solve_ivp`` stand-in that stops with status -1 at t = 1.5."""
+
+    def solve_ivp(fun, t_span, y0, **kwargs):
+        y = np.array([[y0[0], F_last], [y0[1], dF_last]])
+        return SimpleNamespace(status=-1, t=np.array([1.0, 1.5]), y=y, t_events=[np.array([])])
+
+    return solve_ivp
+
+
+class TestSolverFailure:
+    # the default threshold is 1e12, so "near" means F >= 1e9
+    @pytest.mark.parametrize(
+        "F_last, dF_last, termination",
+        [
+            (1e10, 1e12, "step_underflow"),
+            (1e9, 1.0, "step_underflow"),
+            (1e10, -1.0, "solver_failure"),
+            (1e10, 0.0, "solver_failure"),
+            (1e8, 1e12, "solver_failure"),
+            (float("nan"), 1.0, "solver_failure"),
+        ],
+    )
+    def test_blowup_needs_evidence(self, monkeypatch, F_last, dF_last, termination):
+        monkeypatch.setattr(blowup_ode, "solve_ivp", solver_giving_up_at(F_last, dF_last))
+        res = integrate(OdeConfig(p=2.0, mu=1.0, q=1.0, eps=0.5))
+        assert res.termination == termination
+        assert res.blew_up is (termination == "step_underflow")
+        assert res.T_num == 1.5
+
+    def test_sweep_rejects_solver_failure(self, monkeypatch):
+        monkeypatch.setattr(blowup_ode, "solve_ivp", solver_giving_up_at(1.0, 1.0))
+        with pytest.raises(RuntimeError, match="no blow-up"):
+            sweep(OdeConfig(p=1.8, mu=2.0, q=0.8), np.geomspace(1e-2, 1e-1, 4))
+
+
+@pytest.mark.parametrize(
+    "field", ["p", "mu", "q", "A1", "R", "eps", "blowup_threshold", "t_max", "rel_tol"]
+)
+def test_config_rejects_nan(field):
+    with pytest.raises(ValueError):
+        OdeConfig(**{"p": 2.0, "mu": 1.0, "q": 1.0, field: float("nan")})
+
+
+def test_config_rejects_infinite_horizon():
+    with pytest.raises(ValueError, match="finite"):
+        OdeConfig(p=2.0, mu=1.0, q=1.0, t_max=math.inf)

@@ -1,8 +1,11 @@
 import hashlib
 import json
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from flrwave import blowup_ode
 from flrwave.cli import main
 
 
@@ -308,3 +311,64 @@ def test_config_and_flags_give_equal_digests(tmp_path):
     assert (tmp_path / "f" / "classify.json").read_bytes() == (
         tmp_path / "c" / "classify.json"
     ).read_bytes()
+
+
+def exit_code(argv):
+    """``main``'s exit code, including argparse's rejections (SystemExit)."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--p", "inf"],
+        ["pde", "run", "--p", "nan"],
+        ["pde", "run", "--eps", "nan"],
+        ["pde", "run", "--t_max", "nan"],
+        ["pde", "run", "--t_max", "inf"],
+        ["ode", "run", "--p", "nan"],
+    ],
+)
+def test_non_finite_flag_exits_2(tmp_path, argv):
+    assert exit_code(argv + ["--out", str(tmp_path)]) == 2
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_config_value_exits_2(tmp_path, value):
+    cfg = write_config(tmp_path, {"t_max": value})
+    assert main(["pde", "run", "--config", cfg, "--out", str(tmp_path / "p")]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pde", "run", "--dr", "1e-9"],
+        # 59,006 cells a row fit the budget; 400 rows of them do not
+        ["pde", "sweep", "--dr", "0.001", "--eps_count", "400"],
+    ],
+)
+def test_pde_grid_over_budget_exits_2(tmp_path, argv, capsys):
+    assert main(argv + ["--out", str(tmp_path / "p")]) == 2
+    assert "grid budget" in capsys.readouterr().err
+    assert not (tmp_path / "p" / "manifest.json").exists()
+
+
+def failing_solver(fun, t_span, y0, **kwargs):
+    """A ``solve_ivp`` stand-in that gives up after one step, far from blow-up."""
+    return SimpleNamespace(
+        status=-1, t=np.array([1.0, 1.5]), y=np.array([[y0[0], y0[0]], [y0[1], 0.0]]),
+        t_events=[np.array([])],
+    )
+
+
+def test_ode_solver_failure_is_a_runtime_failure(tmp_path, monkeypatch):
+    monkeypatch.setattr(blowup_ode, "solve_ivp", failing_solver)
+    out = tmp_path / "o"
+    assert main(["ode", "run", "--out", str(out)]) == 3
+    payload = read_json(out / "ode_result.json")
+    assert payload["termination"] == "solver_failure" and payload["blew_up"] is False
+    assert main(["ode", "sweep", "--preset", "heatlike-n2", "--out", str(tmp_path / "s")]) == 3

@@ -3,10 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flrwave.exponents import ModelParams
 from flrwave.pde import (
     PdeConfig,
+    _run_batch,
     _taylor_first_step,
     _update,
     ball_volume,
@@ -240,6 +243,10 @@ class TestSweep:
         with pytest.raises(ValueError):
             lifespan_sweep(BASE, [0.5])
 
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError):
+            lifespan_sweep(BASE, [])
+
     def test_horizon_failure(self):
         with pytest.raises(RuntimeError, match="no blow-up"):
             lifespan_sweep(replace(BASE, t_max=3.0), [0.05, 0.06, 0.07, 0.08])
@@ -248,3 +255,38 @@ class TestSweep:
         res = run(replace(BASE, t_max=1.5))
         diag = envelope_diagnostic(res)
         assert diag.holds is None and diag.c is None
+
+
+@pytest.mark.parametrize(
+    "field",
+    ["p", "eps", "R", "dr", "cfl", "blowup_threshold", "t_max", "domain_margin", "dt_cap",
+     "sample_dt"],
+)
+def test_config_rejects_nan(field):
+    with pytest.raises(ValueError):
+        replace(BASE, **{field: float("nan")})
+
+
+def test_config_rejects_infinite_horizon():
+    with pytest.raises(ValueError, match="finite"):
+        replace(BASE, t_max=math.inf)
+
+
+SERIES = ("t_samples", "sup_series", "F_series", "lp_series", "support_series")
+
+
+class TestBatch:
+    @settings(derandomize=True, database=None, max_examples=8, deadline=None)
+    @given(st.lists(st.floats(0.2, 0.8), min_size=1, max_size=3))
+    def test_row_is_bit_identical_to_its_own_run(self, eps_values):
+        # so a row never depends on which other eps share its batch
+        rows = _run_batch(BASE, eps_values)
+        assert len(rows) == len(eps_values)
+        for e, row in zip(eps_values, rows):
+            alone = run(replace(BASE, eps=e))
+            assert row.config == alone.config and row.config.eps == e
+            assert (row.blew_up, row.T_num, row.termination) == (
+                alone.blew_up, alone.T_num, alone.termination
+            )
+            for name in SERIES:
+                assert np.array_equal(getattr(row, name), getattr(alone, name)), name
