@@ -156,6 +156,9 @@ class FitResult:
     T_values: list
 
 
+MIN_FIT_POINTS = 4  # fewest sweep points fit_loglog accepts
+
+
 def fit_loglog(eps_values: Sequence[float], T_values: Sequence[float]) -> FitResult:
     eps = [float(e) for e in eps_values]
     T = [float(v) for v in T_values]
@@ -163,8 +166,8 @@ def fit_loglog(eps_values: Sequence[float], T_values: Sequence[float]) -> FitRes
         raise ValueError("eps and lifespan lists differ in length")
     if len(set(eps)) != len(eps):
         raise ValueError("duplicate eps values make the fit degenerate")
-    if len(eps) < 4:
-        raise ValueError(f"need at least 4 sweep points for a fit, got {len(eps)}")
+    if len(eps) < MIN_FIT_POINTS:
+        raise ValueError(f"need at least {MIN_FIT_POINTS} sweep points for a fit, got {len(eps)}")
     x = np.log(np.asarray(eps))
     y = np.log(np.asarray(T))
     slope, intercept = np.polyfit(x, y, 1)

@@ -157,9 +157,11 @@ def row_bounds(params: ModelParams, p, tol: float = CRITICAL_TOL) -> RowBounds:
     exponent).  Critical labels win on their curves; ties between A/B/C
     resolve in enum order.  Points above every applicable bound are
     UNCLASSIFIED.  Labels are not defined for p <= 1 (``classify`` and the
-    region maps reject such p).
+    region maps reject such p).  A non-finite p raises ValueError.
     """
     p = np.asarray(p, dtype=float)
+    if not np.isfinite(p).all():
+        raise ValueError(f"p must be finite, got {p[~np.isfinite(p)].tolist()}")
     d = params.effective_dim
     p_f = fujita(d)
     q = gamma_quadratic(params)
@@ -167,8 +169,8 @@ def row_bounds(params: ModelParams, p, tol: float = CRITICAL_TOL) -> RowBounds:
     pc = math.inf if pc is None else pc
     pc_applies = math.isfinite(pc) and pc > p_f + tol
     # A bound is excluded where its condition fails (p <= 1, gamma <= 0,
-    # bracket <= 0); written as ~(x <= 0) rather than x > 0, a NaN from a
-    # non-finite p excludes nothing.
+    # bracket <= 0); written as ~(x <= 0) rather than x > 0, a NaN from an
+    # overflow at huge p excludes nothing.
     with np.errstate(all="ignore"):
         pm1 = p - 1.0
         heat = pm1 / (2.0 - d * pm1)

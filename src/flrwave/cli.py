@@ -379,6 +379,17 @@ def _cmd_kato(ns) -> int:
     return 0
 
 
+def _eps_grid(resolved: dict) -> np.ndarray:
+    """The geometric eps grid of a sweep, refused before any run when it has
+    fewer points than the log-log fit needs."""
+    count = int(resolved["eps_count"])
+    if count < blowup_ode.MIN_FIT_POINTS:
+        raise ValueError(
+            f"eps_count must be at least {blowup_ode.MIN_FIT_POINTS} for the fit, got {count}"
+        )
+    return np.geomspace(resolved["eps_start"], resolved["eps_stop"], count)
+
+
 # ---------------------------------------------------------------------------
 # ode
 
@@ -449,9 +460,7 @@ def _cmd_ode(ns) -> int:
         config = {**ODE_PRESETS[ns.preset], **config, "preset": ns.preset}
     resolved = _resolve(defaults, config, ns)
 
-    eps_grid = np.geomspace(
-        resolved["eps_start"], resolved["eps_stop"], int(resolved["eps_count"])
-    )
+    eps_grid = _eps_grid(resolved)
     cfg = _ode_config(resolved, float(eps_grid[0]))
     fit = blowup_ode.sweep(cfg, eps_grid)
     payload = {
@@ -563,9 +572,7 @@ def _cmd_pde(ns) -> int:
     }
     del defaults["eps"]
     resolved = _resolve(defaults, _load_config(ns.config), ns)
-    eps_grid = np.geomspace(
-        resolved["eps_start"], resolved["eps_stop"], int(resolved["eps_count"])
-    )
+    eps_grid = _eps_grid(resolved)
     cfg = _pde_config(resolved, float(eps_grid[0]))
     fit, envelopes = pde.lifespan_sweep(cfg, eps_grid)
     d = cfg.params.effective_dim

@@ -7,10 +7,13 @@ with compactly supported nonnegative data u(1) = eps*u0, u_t(1) = eps*u1.
 Scheme: three-level central differences in time with the damping term
 time-centered (solved for the new level in closed form), second-order central
 differences for the radial Laplacian with a symmetry ghost point at the
-origin, and the nonlinearity evaluated at the current level.  The time step
-tracks the decaying wave speed, dt = cfl * dr * t^alpha (capped so the mu/t
-coefficient stays resolved), and the radial grid is extended lazily ahead of
-the light cone r = A(t) + R, A(t) = (t^(1-alpha) - 1)/(1-alpha).
+origin, and the nonlinearity evaluated at the current level.  The cached
+per-cell stencil weights fold with four scalars a step into the new level
+k (left u_(i-1) + right u_(i+1)) + c_curr u + c_prev u_prev + |u|^p/lhs (see
+``_step_into``).  The time step tracks the decaying wave speed,
+dt = cfl * dr * t^alpha (capped so the mu/t coefficient stays resolved), and
+the radial grid is extended lazily ahead of the light cone r = A(t) + R,
+A(t) = (t^(1-alpha) - 1)/(1-alpha).
 
 The time steps and the grid do not depend on eps, so one stepping loop
 advances runs as the rows of one (eps x r) array, in place, without threads:
@@ -18,10 +21,11 @@ advances runs as the rows of one (eps x r) array, in place, without threads:
 threshold, overflow or horizon, bit-identical to a run of its own.
 
 Diagnostics per sample time: sup|u|, the spatial average F = int u dx, the
-nonlinear mass int |u|^p dx, and the support radius.  The checks bundled
-here verify the structural facts a valid run must satisfy: support inside
-the light cone, F positive and nondecreasing, and the quadrature version of
-the Hoelder bound between F and the nonlinear mass.
+nonlinear mass int |u|^p dx, and the support radius.  They reuse the step's
+|u|, sup|u| and source |u|^p, and integrate with cached trapezoid weights.
+The checks bundled here verify the structural facts a valid run must satisfy:
+support inside the light cone, F positive and nondecreasing, and the
+quadrature version of the Hoelder bound between F and the nonlinear mass.
 """
 
 from __future__ import annotations
@@ -105,8 +109,10 @@ class PdeConfig:
             )
         if self.domain_margin is not None and not self.domain_margin >= 0.0:
             raise ValueError("domain margin must be nonnegative")
-        if not (self.dt_cap > 0.0 and self.sample_dt > 0.0):
-            raise ValueError("dt_cap and sample_dt must be positive")
+        # t + dt_cap and next_sample + sample_dt must not round back to t
+        t = self.t_max
+        if not (t + self.dt_cap > t and t + self.sample_dt > t):
+            raise ValueError(f"dt_cap and sample_dt must be positive and resolvable at t_max={t}")
 
     @property
     def margin(self) -> float:
@@ -149,36 +155,39 @@ def ball_volume(n: int) -> float:
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
 
-def _laplacian_into(out, u, dr, n, coef, tmp) -> None:
-    """``radial_laplacian`` of the first m cells of ``u`` (cell m is the zero
-    ghost) into ``out``; ``coef`` is (n-1)/r and ``tmp`` m - 1 cells of scratch."""
+def _weights(cells: int, dr: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-cell weights on r_i = i*dr.  Lap u_i = left_i u_(i-1) + right_i
+    u_(i+1) - (2/dr^2) u_i with left/right = 1/dr^2 -/+ (n-1)/(2 r_i dr); the
+    origin's symmetric limit n u_rr has left_0 = 0 and right_0 = 2n/dr^2, also
+    its centre weight.  quad = sigma_(n-1) dr r^(n-1) is the quadrature's."""
+    r = dr * np.arange(cells)  # built in place: at a grid growth these set the peak memory
+    quad = r ** (n - 1.0)
+    quad *= sphere_area(n) * dr
     inv_dr2 = 1.0 / (dr * dr)
-    left, center, right = u[..., :-2], u[..., 1:-1], u[..., 2:]
-    interior = out[..., 1:]
-    np.multiply(2.0, center, out=interior)
-    np.subtract(right, interior, out=interior)
-    np.add(interior, left, out=interior)
-    np.multiply(interior, inv_dr2, out=interior)
-    np.subtract(right, left, out=tmp)
-    np.multiply(coef, tmp, out=tmp)
-    np.divide(tmp, 2.0 * dr, out=tmp)
-    np.add(interior, tmp, out=interior)
-    out[..., 0] = 2.0 * n * (u[..., 1] - u[..., 0]) * inv_dr2
+    drift = np.divide(n - 1.0, np.multiply(r, 2.0 * dr, out=r), out=r, where=r > 0.0)
+    left = inv_dr2 - drift
+    right = np.add(drift, inv_dr2, out=drift)
+    left[0], right[0] = 0.0, 2.0 * n * inv_dr2
+    return left, right, quad
 
 
-def _radial_factors(cells: int, dr: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(n-1)/r_i for the stencil (i >= 1) and the quadrature weight r_i^(n-1)."""
-    r = dr * np.arange(cells)
-    return (n - 1.0) / r[1:], r ** (n - 1.0)
-
-
-def _ghosted(u: np.ndarray, dr: float, n: int):
-    """``u`` with its zero ghost cell, an output array and the stencil's (n-1)/r."""
+def _stencil_into(out, u, k, c, dr, weights, work) -> None:
+    """Add k Lap(u) + c u to ``out``, the field taken as zero past the last
+    cell; ``work`` is two scratch arrays shaped like ``u``."""
+    left, right, _ = weights
     m = u.shape[-1]
     if m < 3:
         raise ValueError(f"grid must have at least 3 points, got {m}")
-    ghosted = np.append(u, np.zeros(u.shape[:-1] + (1,)), axis=-1)
-    return ghosted, np.empty(u.shape), _radial_factors(m, dr, n)[0]
+    near, tmp = work
+    np.multiply(right[: m - 1], u[..., 1:], out=near[..., :-1])
+    near[..., -1] = 0.0
+    np.multiply(left[1:m], u[..., :-1], out=tmp[..., 1:])
+    np.add(near[..., 1:], tmp[..., 1:], out=near[..., 1:])
+    np.multiply(near, k, out=near)
+    np.add(out, near, out=out)
+    np.multiply(u, c - 2.0 * k / (dr * dr), out=near)
+    np.multiply(u[..., 0], c - k * right[0], out=near[..., 0])
+    np.add(out, near, out=out)
 
 
 def radial_laplacian(u: np.ndarray, dr: float, n: int) -> np.ndarray:
@@ -187,56 +196,52 @@ def radial_laplacian(u: np.ndarray, dr: float, n: int) -> np.ndarray:
     At the origin the symmetric limit n * u_rr applies (ghost point with
     u_r(0) = 0); past the last cell the field is taken to be zero.
     """
-    ghosted, out, coef = _ghosted(u, dr, n)
-    _laplacian_into(out, ghosted, dr, n, coef, np.empty(out[..., 1:].shape))
-    return out
+    lap = np.zeros(u.shape)
+    _stencil_into(lap, u, 1.0, 0.0, dr, _weights(u.shape[-1], dr, n), np.empty((2,) + u.shape))
+    return lap
 
 
-def _quadrature(weighted: np.ndarray, dr: float, n: int):
-    """Trapezoid rule for sigma_(n-1) int f r^(n-1) dr along the last axis."""
-    return sphere_area(n) * np.trapezoid(weighted, dx=dr, axis=-1)
+def _quadrature(y: np.ndarray, quad: np.ndarray, out=None):
+    """Trapezoid rule for int y dx along the last axis; ``out`` is scratch."""
+    weighted = np.multiply(y, quad[: y.shape[-1]], out=out)
+    return weighted.sum(axis=-1) - 0.5 * (weighted[..., 0] + weighted[..., -1])
 
 
 def integral_dx(u: np.ndarray, dr: float, n: int) -> float:
     """Trapezoid quadrature of int u dx = sigma_(n-1) int u r^(n-1) dr."""
-    return float(_quadrature(u * _radial_factors(u.shape[0], dr, n)[1], dr, n))
+    return float(_quadrature(u, _weights(u.shape[0], dr, n)[2]))
 
 
 def integral_abs_p(u: np.ndarray, dr: float, n: int, p: float) -> float:
-    return float(_quadrature(np.abs(u) ** p * _radial_factors(u.shape[0], dr, n)[1], dr, n))
+    return float(_quadrature(np.abs(u) ** p, _weights(u.shape[0], dr, n)[2]))
+
+
+def _last_above(a: np.ndarray, floor, dr: float) -> np.ndarray:
+    """Largest r_i with a_i > floor along the last axis, 0 where none is."""
+    above = a > floor
+    last = above.shape[-1] - 1 - np.argmax(above[..., ::-1], axis=-1)
+    return np.where(above.any(axis=-1), last * dr, 0.0)
 
 
 def support_radius(u: np.ndarray, dr: float, rel_tol: float = SUPPORT_REL_TOL):
     """Largest r with |u(r)| above rel_tol * sup|u| along the last axis (a
     float for one profile, an array for a batch); 0 for the zero field."""
     a = np.abs(u)
-    above = a > rel_tol * a.max(axis=-1, keepdims=True)
-    last = above.shape[-1] - 1 - np.argmax(above[..., ::-1], axis=-1)
-    radius = np.where(above.any(axis=-1), last * dr, 0.0)
+    radius = _last_above(a, rel_tol * a.max(axis=-1, keepdims=True), dr)
     return float(radius) if radius.ndim == 0 else radius
 
 
-def _update_into(out, u_prev, u_curr, source, t, dt_old, dt_new, dr, n, alpha, mu, coef, work):
-    """``_update`` into ``out`` (..., m), row by row in the same float order;
-    cell m of ``u_curr`` is the zero ghost, ``source`` may be ``out``."""
-    lap, tmp = work
-    _laplacian_into(lap, u_curr, dr, n, coef, tmp[..., 1:])
-    np.multiply(t ** (-2.0 * alpha), lap, out=lap)
-    np.add(lap, source, out=lap)
+def _step_into(out, u_prev, u_curr, t, dt_old, dt_new, dr, alpha, mu, weights, scratch) -> None:
+    """``_update`` over ``out``, which holds the source on entry.  ``u_prev``
+    is consumed: it serves as scratch, with ``scratch`` shaped like ``out``."""
     span = dt_old + dt_new
     damp = mu / t
-    lhs_coef = 2.0 / (span * dt_new) + damp / span
-    u_curr = u_curr[..., :-1]
-    np.multiply(2.0, u_curr, out=tmp)
-    np.divide(tmp, span * dt_new, out=tmp)
-    np.add(lap, tmp, out=lap)
-    np.subtract(u_curr, u_prev, out=tmp)
-    np.multiply(2.0, tmp, out=tmp)
-    np.divide(tmp, span * dt_old, out=tmp)
-    np.add(lap, tmp, out=lap)
-    np.multiply(damp / span, u_prev, out=tmp)
-    np.add(lap, tmp, out=lap)
-    np.divide(lap, lhs_coef, out=out)
+    lhs = 2.0 / (span * dt_new) + damp / span
+    np.multiply(out, 1.0 / lhs, out=out)
+    np.multiply(u_prev, (damp / span - 2.0 / (span * dt_old)) / lhs, out=u_prev)
+    np.add(out, u_prev, out=out)
+    c_curr = (2.0 / (span * dt_new) + 2.0 / (span * dt_old)) / lhs
+    _stencil_into(out, u_curr, t ** (-2.0 * alpha) / lhs, c_curr, dr, weights, (scratch, u_prev))
 
 
 def _update(u_prev, u_curr, t, dt_old, dt_new, dr, n, alpha, mu, source) -> np.ndarray:
@@ -244,13 +249,12 @@ def _update(u_prev, u_curr, t, dt_old, dt_new, dr, n, alpha, mu, source) -> np.n
 
     Nonuniform steps use the standard divided-difference form of u_tt; the
     damping term couples the outer levels only, so the new level solves in
-    closed form.  ``source`` is the nonlinearity evaluated at u_curr (or
-    None for the linear equation).
+    closed form; ``_step_into`` folds the coefficients.  ``source`` is the
+    nonlinearity evaluated at u_curr (or None for the linear equation).
     """
-    ghosted, out, coef = _ghosted(u_curr, dr, n)
-    work = np.empty((2,) + out.shape)
-    source = 0.0 if source is None else source
-    _update_into(out, u_prev, ghosted, source, t, dt_old, dt_new, dr, n, alpha, mu, coef, work)
+    out = np.zeros(u_curr.shape) + (0.0 if source is None else source)
+    _step_into(out, np.array(u_prev, dtype=float), u_curr, t, dt_old, dt_new, dr, alpha, mu,
+               _weights(u_curr.shape[-1], dr, n), np.empty(out.shape))
     return out
 
 
@@ -304,13 +308,17 @@ def _run_batch(
     results: list = [None] * len(eps)
     pending = sorted(float(s) for s in snapshot_times)
 
-    def record(t, u, a, sup, which):
-        """Append the diagnostics of the rows selected by the mask ``which``."""
+    def observe(t, u, a, sup, which):
+        """Raise ``a`` = |u| in place to the source |u|^p; append sup|u|, F,
+        int |u|^p dx and the support radius of the rows in the mask ``which``."""
+        radius = _last_above(a, SUPPORT_REL_TOL * sup[:, None], dr) if which.any() else None
+        a **= p
+        if radius is None:
+            return
         if not which.all():
-            u, a, sup = u[which], a[which], sup[which]
-        w = weight[: u.shape[1]]
-        F, lp = _quadrature(u * w, dr, n), _quadrature(a**p * w, dr, n)
-        columns = (sup, F, lp, support_radius(a, dr))
+            u, a, sup, radius = u[which], a[which], sup[which], radius[which]
+        quad, scratch = weights[2], levels[3, : u.shape[0], : u.shape[1]]
+        columns = (sup, _quadrature(u, quad, scratch), _quadrature(a, quad, scratch), radius)
         for i, *values in zip(ids[which].tolist(), *(c.tolist() for c in columns)):
             for column, value in zip(series[i], [t, *values]):
                 column.append(value)
@@ -321,14 +329,15 @@ def _run_batch(
                 snapshots[i].append((t, profile))
             pending.pop(0)
 
-    # Three time levels and two scratch arrays of (rows, capacity) cells.
+    # Three time levels and one scratch array of (rows, capacity) cells.
     # Each step works on views of the first ``cells`` columns; the columns
     # past them stay zero, and the capacity doubles when the grid outgrows it.
     capacity = 2 * cells
-    levels = np.zeros((5, len(eps), capacity))
-    coef, weight = _radial_factors(capacity, dr, n)
+    levels = np.zeros((4, len(eps), capacity))
+    weights = _weights(capacity, dr, n)
     every = np.ones(len(eps), dtype=bool)
-    record(1.0, u0, np.abs(u0), np.abs(u0).max(axis=1), every)
+    a = np.abs(u0)
+    observe(1.0, u0, a, a.max(axis=1), every)
     snapshot(1.0, u0, every)
     dt = _next_dt(1.0, cfg)
     levels[:2, :, :cells] = u0, _taylor_first_step(u0, u0, dt, dr, n, mu, p)
@@ -342,12 +351,9 @@ def _run_batch(
         finite = np.isfinite(sup)  # the max propagates inf and NaN
         snapshot(t, u, finite)
         leave = ~(sup < cfg.blowup_threshold) | (t >= cfg.t_max)  # inf and NaN leave too
-        if t >= next_sample:
-            record(t, u, a, sup, finite)
-            while next_sample <= t:
-                next_sample += cfg.sample_dt
-        elif leave.any():
-            record(t, u, a, sup, finite & leave)
+        observe(t, u, a, sup, finite if t >= next_sample else finite & leave)
+        while next_sample <= t:
+            next_sample += cfg.sample_dt
         if leave.any():
             for i, s in zip(ids[leave].tolist(), sup[leave].tolist()):
                 end = "threshold" if s >= cfg.blowup_threshold else "horizon"
@@ -365,16 +371,13 @@ def _run_batch(
         dt_new = _next_dt(t, cfg)
         reach = light_cone_radius(t + dt_new, alpha, cfg.R) + cfg.margin
         cells = max(cells, int(math.ceil(reach / dr)) + 1)
-        if cells >= capacity:  # the stencil reads one zero column past the grid
+        if cells > capacity:
             capacity = 2 * cells
             levels = np.pad(levels[:, :rows], ((0, 0), (0, 0), (0, capacity - levels.shape[2])))
-            coef, weight = _radial_factors(capacity, dr, n)
+            weights = _weights(capacity, dr, n)
         out = levels[nxt, :rows, :cells]
-        out **= p
-        _update_into(
-            out, levels[prev, :rows, :cells], levels[curr, :rows, : cells + 1], out, t, dt,
-            dt_new, dr, n, alpha, mu, coef[: cells - 1], levels[3:, :rows, :cells],
-        )
+        _step_into(out, levels[prev, :rows, :cells], levels[curr, :rows, :cells], t, dt, dt_new,
+                   dr, alpha, mu, weights, levels[3, :rows, :cells])
         _truncate_outside_cone(out, t + dt_new, cfg)
         t, dt = t + dt_new, dt_new
         prev, curr, nxt = curr, nxt, prev
@@ -392,8 +395,6 @@ def run(cfg: PdeConfig, snapshot_times: Sequence[float] = ()) -> PdeResult:
     requests (t, u) profile dumps at the first level reaching each time.
     """
     return _run_batch(cfg, [cfg.eps], snapshot_times)[0]
-
-
 
 
 def support_check(res: PdeResult, slack_cells: int = 2) -> bool:

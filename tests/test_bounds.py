@@ -398,3 +398,12 @@ class TestRowKernel:
         cells = len(rm.axis1.values()) * len(rm.axis2.values())
         assert sum(rm.label_counts().values()) == cells
         assert sum(1 for _ in rm.rows()) == cells
+
+
+@pytest.mark.parametrize("p", [math.inf, -math.inf, math.nan])
+def test_non_finite_p_rejected(p):
+    params = ModelParams(2, 0.6, 0.0)
+    with pytest.raises(ValueError):
+        classify(params, p)
+    with pytest.raises(ValueError):
+        row_bounds(params, np.array([2.0, p]))

@@ -372,3 +372,13 @@ def test_ode_solver_failure_is_a_runtime_failure(tmp_path, monkeypatch):
     payload = read_json(out / "ode_result.json")
     assert payload["termination"] == "solver_failure" and payload["blew_up"] is False
     assert main(["ode", "sweep", "--preset", "heatlike-n2", "--out", str(tmp_path / "s")]) == 3
+
+
+@pytest.mark.parametrize("command", ["pde", "ode"])
+def test_sweep_with_too_few_eps_exits_2(tmp_path, command, capsys):
+    # the log-log fit needs 4 points; fewer are refused before any run
+    for count in ("0", "3"):
+        out = tmp_path / count
+        assert main([command, "sweep", "--eps_count", count, "--out", str(out)]) == 2
+        assert "eps_count" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()

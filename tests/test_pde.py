@@ -290,3 +290,88 @@ class TestBatch:
             )
             for name in SERIES:
                 assert np.array_equal(getattr(row, name), getattr(alone, name)), name
+
+
+def test_config_rejects_steps_lost_at_t_max():
+    # below half the float spacing at t_max, t + x == t and time stops
+    for field in ("sample_dt", "dt_cap"):
+        for value in (1e-300, 1e-15):
+            with pytest.raises(ValueError, match="resolvable"):
+                replace(BASE, **{field: value})
+
+
+def textbook_laplacian(u, dr, n):
+    """Unfolded central differences in long double, zero past the last cell."""
+    g = np.append(np.asarray(u, dtype=np.longdouble), np.longdouble(0))
+    dr = np.longdouble(dr)
+    r = dr * np.arange(1, g.size - 1, dtype=np.longdouble)
+    lap = np.empty(g.size - 1, dtype=np.longdouble)
+    lap[1:] = (g[2:] - 2 * g[1:-1] + g[:-2]) / dr**2 + (n - 1) / r * (g[2:] - g[:-2]) / (2 * dr)
+    lap[0] = 2 * n * (g[1] - g[0]) / dr**2
+    return lap
+
+
+def textbook_update(u_prev, u_curr, t, dt_old, dt_new, dr, n, alpha, mu, source):
+    """2(u+ - u)/(span dt_new) - 2(u - u-)/(span dt_old) + (mu/t)(u+ - u-)/span
+    = t^(-2 alpha) Lap u + source, solved for u+ in long double."""
+    L = np.longdouble
+    t, dt_old, dt_new, mu = L(t), L(dt_old), L(dt_new), L(mu)
+    u_prev, u_curr = np.asarray(u_prev, dtype=L), np.asarray(u_curr, dtype=L)
+    span = dt_old + dt_new
+    rhs = (
+        t ** (-2 * L(alpha)) * textbook_laplacian(u_curr, dr, n) + np.asarray(source, dtype=L)
+        + 2 * u_curr / (span * dt_new) + 2 * (u_curr - u_prev) / (span * dt_old)
+        + mu / t * u_prev / span
+    )
+    return rhs / (2 / (span * dt_new) + mu / t / span)
+
+
+class TestFoldedStencil:
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 5),
+        alpha=st.floats(0.0, 0.9),
+        mu=st.floats(0.0, 4.0),
+        t=st.floats(1.0, 50.0),
+        dr=st.floats(0.005, 0.2),
+        cfl_old=st.floats(0.05, 0.95),
+        cfl_new=st.floats(0.05, 0.95),
+        cells=st.integers(3, 60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_unfolded_long_double_reference(
+        self, n, alpha, mu, t, dr, cfl_old, cfl_new, cells, seed
+    ):
+        # CFL-sized steps, as the solver takes them; the fields are random
+        rng = np.random.default_rng(seed)
+        u_prev, u_curr = rng.uniform(-1.0, 1.0, (2, cells))
+        source = np.abs(u_curr) ** 2
+        dt_old, dt_new = cfl_old * dr * t**alpha, cfl_new * dr * t**alpha
+        scale = float(np.max(np.abs([u_prev, u_curr])))
+
+        lap = radial_laplacian(u_curr, dr, n)
+        want = textbook_laplacian(u_curr, dr, n)
+        assert np.max(np.abs(lap - want)) <= 1e-12 * scale / dr**2
+
+        got = _update(u_prev, u_curr, t, dt_old, dt_new, dr, n, alpha, mu, source)
+        want = textbook_update(u_prev, u_curr, t, dt_old, dt_new, dr, n, alpha, mu, source)
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+class TestLifespanPins:
+    """T, termination and sample count as the unfolded stencil gave them:
+    T is a grid time, so rounding in the stencil must not move it."""
+
+    def test_single_run(self):
+        res = run(BASE)
+        assert (res.T_num, res.termination, res.t_samples.size) == (
+            37.25185883014535, "threshold", 720
+        )
+
+    def test_batch_of_three(self):
+        rows = _run_batch(BASE, [0.25, 0.5, 1.0])
+        assert [(r.T_num, r.termination, r.t_samples.size) for r in rows] == [
+            (50.05700738018666, "horizon", 936),
+            (37.25185883014535, "threshold", 720),
+            (17.873922834224697, "threshold", 338),
+        ]
