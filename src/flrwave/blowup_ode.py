@@ -8,6 +8,13 @@ eps, and fit log T against log eps.  For the heatlike wiring
 q = n(1-alpha)(p-1) the fitted slope is expected near
 -(p-1)/(2 - n(1-alpha)(p-1)); at q = 2 the lifespan grows superpolynomially
 in 1/eps and log T is convex in log(1/eps).
+
+scipy is imported lazily: ``integrate`` binds the module attribute
+``solve_ivp`` from ``scipy.integrate`` on its first call.  Importing scipy
+costs more than half a second and about 45 MB, and only the ``ode`` commands
+integrate; ``pde`` needs only ``fit_loglog`` and the other commands nothing
+from here, so they start without it.  Tests replace ``solve_ivp`` through
+the same attribute.
 """
 
 from __future__ import annotations
@@ -17,7 +24,8 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
+
+solve_ivp = None  # scipy.integrate.solve_ivp, bound by the first ``integrate``
 
 __all__ = [
     "OdeConfig",
@@ -97,6 +105,9 @@ def integrate(cfg: OdeConfig) -> OdeResult:
     the step size.  A solver failure is a blow-up ("step_underflow") only
     while F is within 1e-3 of the threshold and rising, else "solver_failure".
     """
+    global solve_ivp
+    if solve_ivp is None:
+        from scipy.integrate import solve_ivp
 
     def rhs(t, y):
         f, df = y

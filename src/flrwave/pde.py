@@ -61,9 +61,13 @@ __all__ = [
 ]
 
 SUPPORT_REL_TOL = 1e-12  # amplitudes below this fraction of sup|u| count as zero
-# Budget of rows x cells of the light cone at t_max (criterion 9 needs
-# ~12,000 cells a row); a larger run is refused before anything is allocated.
+# Budgets of rows x cells of the light cone at t_max, of time steps and of
+# samples; criterion 9's sweep (t_max 900, dr 1/200) needs ~12,000 cells a row
+# and at most ~4.0e5 steps and ~1.8e4 samples.  A run over any of them is
+# refused before anything is allocated.
 MAX_GRID_CELLS = 2**22
+MAX_STEPS = 2**24
+MAX_SAMPLES = 2**20
 
 
 @dataclass(frozen=True)
@@ -208,11 +212,16 @@ def _quadrature(y: np.ndarray, quad: np.ndarray, out=None):
 
 
 def integral_dx(u: np.ndarray, dr: float, n: int) -> float:
-    """Trapezoid quadrature of int u dx = sigma_(n-1) int u r^(n-1) dr."""
+    """Trapezoid quadrature of int u dx = sigma_(n-1) int u r^(n-1) dr; 0 on
+    an empty grid."""
+    if u.size == 0:
+        return 0.0
     return float(_quadrature(u, _weights(u.shape[0], dr, n)[2]))
 
 
 def integral_abs_p(u: np.ndarray, dr: float, n: int, p: float) -> float:
+    if u.size == 0:
+        return 0.0
     return float(_quadrature(np.abs(u) ** p, _weights(u.shape[0], dr, n)[2]))
 
 
@@ -280,7 +289,7 @@ def _taylor_first_step(
     return u0 + dt * v0 + 0.5 * dt * dt * acc
 
 
-def _check_grid_budget(cfg: PdeConfig, rows: int) -> None:
+def _check_budget(cfg: PdeConfig, rows: int) -> None:
     cells = (light_cone_radius(cfg.t_max, cfg.params.alpha, cfg.R) + cfg.margin) / cfg.dr
     if math.isfinite(cells):
         cells = math.ceil(cells) + 1
@@ -288,6 +297,19 @@ def _check_grid_budget(cfg: PdeConfig, rows: int) -> None:
         raise ValueError(
             f"{rows} run(s) x {cells:.4g} cells of the light cone at t_max={cfg.t_max} exceed "
             f"the grid budget of {MAX_GRID_CELLS} cells; raise dr or lower t_max"
+        )
+    # dt >= min(cfl dr, dt_cap) for t >= 1 and alpha >= 0, so this bounds the steps
+    steps = (cfg.t_max - 1.0) / min(cfg.cfl * cfg.dr, cfg.dt_cap)
+    if steps > MAX_STEPS:
+        raise ValueError(
+            f"up to {steps:.4g} time steps to t_max={cfg.t_max} exceed the step budget of "
+            f"{MAX_STEPS}; raise dr or dt_cap, or lower t_max"
+        )
+    samples = (cfg.t_max - 1.0) / cfg.sample_dt
+    if samples > MAX_SAMPLES:
+        raise ValueError(
+            f"{samples:.4g} samples to t_max={cfg.t_max} exceed the sample budget of "
+            f"{MAX_SAMPLES}; raise sample_dt or lower t_max"
         )
 
 
@@ -298,7 +320,7 @@ def _run_batch(
     one (eps x r) array, in input order.  See ``run`` for the semantics."""
     n, alpha, mu, p, dr = cfg.params.n, cfg.params.alpha, cfg.params.mu, cfg.p, cfg.dr
     eps = [float(e) for e in eps_values]
-    _check_grid_budget(cfg, len(eps))
+    _check_budget(cfg, len(eps))
     cells = int(math.ceil((cfg.R + cfg.margin) / dr)) + 1
     u0 = np.multiply.outer(eps, bump3(dr * np.arange(cells), cfg.R))  # u1 = u0
 

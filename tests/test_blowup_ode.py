@@ -169,6 +169,17 @@ def solver_giving_up_at(F_last, dF_last):
     return solve_ivp
 
 
+def test_solve_ivp_is_bound_on_first_integrate(monkeypatch):
+    import scipy.integrate
+
+    cfg = OdeConfig(p=2.0, mu=1.0, q=1.0, eps=0.5, t_max=2.0)
+    monkeypatch.setattr(blowup_ode, "solve_ivp", None)  # as after a fresh import
+    assert integrate(cfg).termination == "horizon"
+    assert blowup_ode.solve_ivp is scipy.integrate.solve_ivp
+    monkeypatch.setattr(blowup_ode, "solve_ivp", solver_giving_up_at(1.0, 1.0))
+    assert integrate(cfg).termination == "solver_failure"
+
+
 class TestSolverFailure:
     # the default threshold is 1e12, so "near" means F >= 1e9
     @pytest.mark.parametrize(

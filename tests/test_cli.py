@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -355,6 +359,46 @@ def test_pde_grid_over_budget_exits_2(tmp_path, argv, capsys):
     assert main(argv + ["--out", str(tmp_path / "p")]) == 2
     assert "grid budget" in capsys.readouterr().err
     assert not (tmp_path / "p" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, budget",
+    # t = 1 to 2 in steps of at least 1e-12: 1e12 samples, or 1e12 steps
+    [("--sample_dt", "sample budget"), ("--dt_cap", "step budget")],
+)
+def test_pde_run_over_step_or_sample_budget_exits_2(tmp_path, flag, budget, capsys):
+    argv = ["pde", "run", flag, "1e-12", "--t_max", "2", "--dr", "0.05"]
+    assert main(argv + ["--out", str(tmp_path / "p")]) == 2
+    err = capsys.readouterr().err
+    assert budget in err and "Traceback" not in err
+    assert not (tmp_path / "p" / "manifest.json").exists()
+
+
+COLD_START = """
+import json, sys
+import flrwave, flrwave.cli
+from flrwave.cli import main
+
+def scipy_loaded():
+    return any(name == "scipy" or name.startswith("scipy.") for name in sys.modules)
+
+stages = {"import": scipy_loaded()}
+stages["map"] = (main(["map", "--preset", "fig1", "--out", "m"]), scipy_loaded())
+stages["pde"] = (main(["pde", "run", "--dr", "0.05", "--out", "p"]), scipy_loaded())
+stages["ode"] = (main(["ode", "run", "--out", "o"]), scipy_loaded())
+print(json.dumps(stages))
+"""
+
+
+def test_only_ode_commands_load_scipy(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", COLD_START],
+        cwd=tmp_path, env=env, capture_output=True, text=True, check=True,
+    )
+    stages = json.loads(done.stdout.splitlines()[-1])
+    assert stages == {"import": False, "map": [0, False], "pde": [0, False], "ode": [0, True]}
 
 
 def failing_solver(fun, t_span, y0, **kwargs):

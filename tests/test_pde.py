@@ -81,6 +81,12 @@ class TestQuadrature:
     def test_zero_field(self):
         assert integral_dx(np.zeros(10), 0.1, 2) == 0.0
 
+    def test_empty_grid_dx(self):
+        assert integral_dx(np.array([]), 0.1, 2) == 0.0
+
+    def test_empty_grid_abs_p(self):
+        assert integral_abs_p(np.array([]), 0.1, 2, 2.0) == 0.0
+
     def test_linearity_in_eps(self):
         dr = 1.0 / 100.0
         u = bump3(dr * np.arange(150), 1.0)
