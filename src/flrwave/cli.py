@@ -9,9 +9,19 @@ Commands
     ode         run | sweep  (sweep presets: heatlike-n2, critical-n2)
     pde         run | sweep
 
-Every command resolves its configuration as defaults < config file < flags,
-echoes the resolved config into manifest.json (keyed by a content digest),
-and writes byte-identical outputs for identical resolved configs.
+Each command's config keys are the fields of the library dataclasses it
+builds, plus a few of its own; every flag, default and config-file type comes
+from that one table.  A command resolves its configuration as
+defaults < preset < config file < flags, where a config file may name a
+``preset`` just as ``--preset`` does.  A config-file value is read by the
+type of its key's default: a JSON boolean for a boolean key, an integer (or
+integral float) for an integer key, a finite number for a float key, one of
+the choices for a string key, and a list of finite numbers for
+``snapshot_times``; ``null`` only where the default is null.  Preset values
+are taken as they stand.  The resolved config is echoed into manifest.json
+(keyed by a content digest), and identical resolved configs give
+byte-identical outputs.  The output directory is created by the first
+artifact written, so a refused run leaves nothing behind.
 
 Exit codes: 0 success, 2 invalid configuration or parameters, 3 runtime
 failure (no blow-up before the horizon, ODE solver failure, preset assertion
@@ -25,7 +35,9 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 from itertools import repeat
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,9 +57,39 @@ from flrwave.exponents import (
 
 OUT_ENV_VAR = "FLRWAVE_OUT"
 
+# how a run may end short of the blow-up threshold: a runtime failure (exit 3)
+RUN_FAILURES = ("horizon", "overflow", "solver_failure")
+
 
 # ---------------------------------------------------------------------------
 # config plumbing
+
+class Leaf(NamedTuple):
+    """One command: ``handler(resolved, outdir) -> (files, payload)`` and its
+    config keys with their defaults; a key in ``choices`` takes one of its
+    names (a preset's choices map each name to its values)."""
+
+    name: str
+    help: str
+    handler: Callable
+    keys: dict
+    choices: dict = {}
+
+
+def _keys(*classes, drop=(), **defaults) -> dict:
+    """The fields of ``classes`` with their defaults, less ``drop``;
+    ``defaults`` adds a command's own keys and sets each default that a field
+    lacks or that the command changes."""
+    keys = {f.name: f.default for cls in classes for f in fields(cls) if f.name not in drop}
+    return {**keys, **defaults}
+
+
+def _build(cls, resolved: dict, **extra):
+    """A library object from its fields in ``resolved``; ``extra`` sets the
+    rest.  A field missing from both keeps its dataclass default."""
+    values = {f.name: resolved[f.name] for f in fields(cls) if f.name in resolved}
+    return cls(**{**values, **extra})
+
 
 def _load_config(path):
     if path is None:
@@ -68,52 +110,59 @@ def finite_float(text: str) -> float:
     return value
 
 
-def _coerce(key: str, value, kind):
-    """Read a config-file value as its flag would read the same text; an
-    integral float is accepted for an integer key."""
-    if value is None:
+_KINDS = {bool: "a JSON boolean", int: "an integer", list: "a list of finite numbers"}
+
+
+def _coerce(key: str, value, default, choices):
+    """Read a config-file value as its key's flag would read the same text,
+    by the type of the key's default (see the module docstring)."""
+    if value is None and default is None:
         return None
-    if kind is int and isinstance(value, float) and value.is_integer():
-        value = int(value)
     try:
-        return kind(str(value))
+        if choices is not None:
+            if isinstance(value, str) and value in choices:
+                return value
+        elif isinstance(default, bool):
+            if isinstance(value, bool):
+                return value
+        elif isinstance(default, list):
+            if isinstance(value, list):
+                return [finite_float(str(v)) for v in value]
+        elif isinstance(default, int):
+            integral = isinstance(value, float) and value.is_integer()
+            return int(str(int(value) if integral else value))
+        else:
+            return finite_float(str(value))
     except ValueError:
-        raise ValueError(
-            f"config key {key!r}: {value!r} is not a valid {kind.__name__}"
-        ) from None
+        pass
+    if choices is not None:
+        expected = f"one of {list(choices)}"
+    else:
+        expected = _KINDS.get(type(default), "a finite number")
+    raise ValueError(f"config key {key!r}: {value!r} is not {expected}")
 
 
-def _resolve(defaults: dict, config: dict, ns: argparse.Namespace) -> dict:
-    """defaults < config file < explicitly passed flags.
+def _resolve(leaf: Leaf, config: dict, ns: argparse.Namespace) -> dict:
+    """defaults < preset < config file < explicitly passed flags.
 
-    Config values of typed flags are coerced to the flag's type, so a run
-    resolves (and hashes) the same whether set by flag or by config file.
+    Config values are read by their key's type, so a run resolves (and
+    hashes) the same whether set by flag or by config file; a preset named
+    by either applies its values as defaults.
     """
-    resolved = dict(defaults)
-    unknown = set(config) - set(defaults)
+    unknown = set(config) - set(leaf.keys)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    types = getattr(ns, "flag_types", {})
-    for key, value in config.items():
-        resolved[key] = _coerce(key, value, types[key]) if key in types else value
-    for key in defaults:
-        value = getattr(ns, key, None)
-        if value is not None:
-            resolved[key] = value
-    return resolved
+    config = {k: _coerce(k, v, leaf.keys[k], leaf.choices.get(k)) for k, v in config.items()}
+    flags = {k: getattr(ns, k) for k in leaf.keys if getattr(ns, k, None) is not None}
+    preset = flags.get("preset", config.get("preset"))
+    values = leaf.choices["preset"][preset] if preset is not None else {}
+    return {**leaf.keys, **values, **config, **flags}
 
 
-def _outdir(ns: argparse.Namespace) -> str:
-    out = ns.out or os.environ.get(OUT_ENV_VAR) or "."
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _emit(outdir: str, command: str, resolved: dict, files: list, payload: dict) -> None:
-    digest = artifacts.write_manifest(outdir, command, resolved, files + ["manifest.json"])
-    payload = dict(payload)
-    payload["config_digest"] = digest
-    print(json.dumps(artifacts.clean_for_json(payload), sort_keys=True, indent=2))
+def _path(outdir: str, name: str) -> str:
+    """``outdir/name``; the first artifact written creates ``outdir``."""
+    os.makedirs(outdir, exist_ok=True)
+    return os.path.join(outdir, name)
 
 
 def _bound_dicts(params: ModelParams, p: float) -> list:
@@ -129,18 +178,16 @@ def _bound_dicts(params: ModelParams, p: float) -> list:
 
 
 # ---------------------------------------------------------------------------
-# exponents
+# exponents, classify
 
-def _cmd_exponents(ns) -> int:
-    defaults = {"n": 3, "alpha": 0.0, "mu": 0.0, "flrw": False, "w": None, "p": None}
-    resolved = _resolve(defaults, _load_config(ns.config), ns)
-    if resolved["flrw"]:
-        if resolved["w"] is None:
+def _cmd_exponents(r, outdir):
+    if r["flrw"]:
+        if r["w"] is None:
             raise ValueError("--flrw mode requires --w")
-        f = FlrwParams(int(resolved["n"]), float(resolved["w"]))
+        f = _build(FlrwParams, r)
         params = flrw_to_model(f)
     else:
-        params = ModelParams(int(resolved["n"]), float(resolved["alpha"]), float(resolved["mu"]))
+        params = _build(ModelParams, r)
 
     gq = gamma_quadratic(params)
     pc = p_c(params)
@@ -157,32 +204,22 @@ def _cmd_exponents(ns) -> int:
             "heatlike_wavelike": bounds.heatlike_wavelike_threshold(params),
         },
     }
-    if resolved["flrw"]:
+    if r["flrw"]:
         g0 = gamma0_quadratic(f.n, f.w)
         payload["flrw"] = {
             "w": f.w,
             "w_star": w_star(f.n),
             "gamma0_coefficients": [g0.c2, g0.c1, g0.c0],
         }
-    if resolved["p"] is not None:
-        p = float(resolved["p"])
-        payload["p"] = p
-        payload["bounds"] = _bound_dicts(params, p)
-
-    outdir = _outdir(ns)
-    artifacts.write_json(os.path.join(outdir, "exponents.json"), payload)
-    _emit(outdir, "exponents", resolved, ["exponents.json"], payload)
-    return 0
+    if r["p"] is not None:
+        payload["p"] = r["p"]
+        payload["bounds"] = _bound_dicts(params, r["p"])
+    artifacts.write_json(_path(outdir, "exponents.json"), payload)
+    return ["exponents.json"], payload
 
 
-# ---------------------------------------------------------------------------
-# classify
-
-def _cmd_classify(ns) -> int:
-    defaults = {"n": 2, "alpha": 0.0, "mu": 0.0, "p": 2.0}
-    resolved = _resolve(defaults, _load_config(ns.config), ns)
-    params = ModelParams(int(resolved["n"]), float(resolved["alpha"]), float(resolved["mu"]))
-    p = float(resolved["p"])
+def _cmd_classify(r, outdir):
+    params, p = _build(ModelParams, r), r["p"]
     payload = {
         "params": {"n": params.n, "alpha": params.alpha, "mu": params.mu},
         "p": p,
@@ -190,10 +227,8 @@ def _cmd_classify(ns) -> int:
         "best_exponent": bounds.best_exponent(params, p),
         "bounds": _bound_dicts(params, p),
     }
-    outdir = _outdir(ns)
-    artifacts.write_json(os.path.join(outdir, "classify.json"), payload)
-    _emit(outdir, "classify", resolved, ["classify.json"], payload)
-    return 0
+    artifacts.write_json(_path(outdir, "classify.json"), payload)
+    return ["classify.json"], payload
 
 
 # ---------------------------------------------------------------------------
@@ -234,135 +269,74 @@ def _map_csv_rows(rm: bounds.RegionMap):
         yield from zip(repeat(repr(a)), v2, map(names.__getitem__, codes), map(repr, best))
 
 
-def _cmd_map(ns) -> int:
-    defaults = {
-        "preset": None,
-        "mode": "model",
-        "n": 2,
-        "alpha": 0.6,
-        "axis1_start": 0.0,
-        "axis1_stop": 3.0,
-        "axis1_step": 0.01,
-        "axis2_start": 1.01,
-        "axis2_stop": 4.0,
-        "axis2_step": 0.01,
-    }
-    config = _load_config(ns.config)
-    if ns.preset is not None:
-        if ns.preset not in MAP_PRESETS:
-            raise ValueError(f"unknown map preset {ns.preset!r}")
-        config = {**MAP_PRESETS[ns.preset], **config, "preset": ns.preset}
-    resolved = _resolve(defaults, config, ns)
-
-    n = int(resolved["n"])
-    p_axis = bounds.AxisSpec(
-        "p", resolved["axis2_start"], resolved["axis2_stop"], resolved["axis2_step"]
-    )
-    if resolved["mode"] == "model":
-        axis1 = bounds.AxisSpec(
-            "mu", resolved["axis1_start"], resolved["axis1_stop"], resolved["axis1_step"]
-        )
-        rm = bounds.region_map_model(n, float(resolved["alpha"]), axis1, p_axis)
-        title = f"blow-up regions: n={n}, alpha={resolved['alpha']}"
-    elif resolved["mode"] == "flrw":
-        axis1 = bounds.AxisSpec(
-            "w", resolved["axis1_start"], resolved["axis1_stop"], resolved["axis1_step"]
-        )
+def _cmd_map(r, outdir):
+    n = r["n"]
+    p_axis = bounds.AxisSpec("p", r["axis2_start"], r["axis2_stop"], r["axis2_step"])
+    if r["mode"] == "model":
+        if r["alpha"] is None:
+            raise ValueError("model mode requires --alpha")
+        axis1 = bounds.AxisSpec("mu", r["axis1_start"], r["axis1_stop"], r["axis1_step"])
+        rm = bounds.region_map_model(n, r["alpha"], axis1, p_axis)
+        title = f"blow-up regions: n={n}, alpha={r['alpha']}"
+    else:
+        axis1 = bounds.AxisSpec("w", r["axis1_start"], r["axis1_stop"], r["axis1_step"])
         rm = bounds.region_map_flrw(n, axis1, p_axis)
         title = f"blow-up regions (cosmological parameters): n={n}"
-    else:
-        raise ValueError(f"unknown map mode {resolved['mode']!r}")
 
     counts = rm.label_counts()
-    if resolved["preset"] == "fig2" and counts["A"] != 0:
+    if r["preset"] == "fig2" and counts["A"] != 0:
         raise RuntimeError(f"fig2 preset expects an empty A region, found {counts['A']} cells")
 
-    outdir = _outdir(ns)
     artifacts.write_csv(
-        os.path.join(outdir, "map.csv"),
-        ["axis1", "axis2", "label", "best_exponent"],
-        _map_csv_rows(rm),
+        _path(outdir, "map.csv"), ["axis1", "axis2", "label", "best_exponent"], _map_csv_rows(rm)
     )
     artifacts.write_text(
-        os.path.join(outdir, "map.svg"),
+        _path(outdir, "map.svg"),
         artifacts.region_map_svg(rm, title, {"fujita": rm.fujita, "p_c": rm.p_c}),
     )
     payload = {"label_counts": counts, "cells": len(axis1.values()) * len(p_axis.values())}
-    _emit(outdir, "map", resolved, ["map.csv", "map.svg"], payload)
-    return 0
+    return ["map.csv", "map.svg"], payload
 
 
 # ---------------------------------------------------------------------------
 # kato
 
-def _cmd_kato(ns) -> int:
-    outdir = _outdir(ns)
-    if ns.kato_cmd == "threshold":
-        defaults = {
-            "p": 2.0, "a": 0.0, "b": 1.0, "q": 1.0, "mu": 0.0,
-            "A0": 1.0, "A1": 1.0, "R": 1.0, "T0": 1.0, "T1": 2.0,
-        }
-        resolved = _resolve(defaults, _load_config(ns.config), ns)
-        kp = kato.KatoSubcriticalParams(
-            p=resolved["p"], a=resolved["a"], b=resolved["b"], q=resolved["q"],
-            mu=resolved["mu"], A0=resolved["A0"], A1=resolved["A1"], R=resolved["R"],
-            T0=resolved["T0"], T1=resolved["T1"],
-        )
-        payload = {
-            "M": kp.M,
-            "a0_exponent": -(kp.p - 1.0) / kp.M,
-            "threshold": kato.subcritical_threshold(kp),
-            "normalized": False,
-        }
-        artifacts.write_json(os.path.join(outdir, "kato_threshold.json"), payload)
-        _emit(outdir, "kato threshold", resolved, ["kato_threshold.json"], payload)
-        return 0
-
-    if ns.kato_cmd == "sequences":
-        defaults = {
-            "p": 2.0, "b": 1.0, "mu": 0.0, "A0": 1.0, "A1": 1.0,
-            "CR": 1.0, "T0": 1.0, "T1": 2.0, "jmax": 20,
-        }
-        resolved = _resolve(defaults, _load_config(ns.config), ns)
-        kc = kato.KatoCriticalParams(
-            p=resolved["p"], b=resolved["b"], mu=resolved["mu"], A0=resolved["A0"],
-            A1=resolved["A1"], T0=resolved["T0"], T1=resolved["T1"],
-        )
-        seqs = kato.iterate_sequences(kc, int(resolved["jmax"]), C_R=resolved["CR"])
-        B, E = kato.envelope_constants(kc, C_R=resolved["CR"])
-        artifacts.write_csv(
-            os.path.join(outdir, "kato_sequences.csv"),
-            ["j", "b_j", "log_C_j", "a_j"],
-            ((s.j, s.b_j, s.log_C_j, s.a_j) for s in seqs.states),
-        )
-        payload = {
-            "mu_case": kc.mu_case,
-            "B": B,
-            "E": E,
-            "envelope_onset_j": kato.detect_envelope_onset(seqs, kc.p, E),
-            "truncated": seqs.truncated,
-            "states": len(seqs.states),
-        }
-        artifacts.write_json(os.path.join(outdir, "kato_sequences.json"), payload)
-        _emit(
-            outdir, "kato sequences", resolved,
-            ["kato_sequences.csv", "kato_sequences.json"], payload,
-        )
-        return 0
-
-    # envelope
-    defaults = {
-        "p": 2.0, "b": 1.0, "mu": 0.0, "A0": 1.0, "A1": 1.0, "CR": 1.0,
-        "T0": 1.0, "T1": 2.0, "delta": 1e-3, "horizon": 1e12,
+def _cmd_kato_threshold(r, outdir):
+    kp = _build(kato.KatoSubcriticalParams, r)
+    payload = {
+        "M": kp.M,
+        "a0_exponent": -(kp.p - 1.0) / kp.M,
+        "threshold": kato.subcritical_threshold(kp),
+        "normalized": False,
     }
-    resolved = _resolve(defaults, _load_config(ns.config), ns)
-    kc = kato.KatoCriticalParams(
-        p=resolved["p"], b=resolved["b"], mu=resolved["mu"], A0=resolved["A0"],
-        A1=resolved["A1"], T0=resolved["T0"], T1=resolved["T1"],
+    artifacts.write_json(_path(outdir, "kato_threshold.json"), payload)
+    return ["kato_threshold.json"], payload
+
+
+def _cmd_kato_sequences(r, outdir):
+    kc = _build(kato.KatoCriticalParams, r)
+    seqs = kato.iterate_sequences(kc, r["jmax"], C_R=r["CR"])
+    B, E = kato.envelope_constants(kc, C_R=r["CR"])
+    artifacts.write_csv(
+        _path(outdir, "kato_sequences.csv"),
+        ["j", "b_j", "log_C_j", "a_j"],
+        ((s.j, s.b_j, s.log_C_j, s.a_j) for s in seqs.states),
     )
-    rep = kato.envelope_divergence(
-        kc, C_R=resolved["CR"], delta=resolved["delta"], horizon=resolved["horizon"]
-    )
+    payload = {
+        "mu_case": kc.mu_case,
+        "B": B,
+        "E": E,
+        "envelope_onset_j": kato.detect_envelope_onset(seqs, kc.p, E),
+        "truncated": seqs.truncated,
+        "states": len(seqs.states),
+    }
+    artifacts.write_json(_path(outdir, "kato_sequences.json"), payload)
+    return ["kato_sequences.csv", "kato_sequences.json"], payload
+
+
+def _cmd_kato_envelope(r, outdir):
+    kc = _build(kato.KatoCriticalParams, r)
+    rep = kato.envelope_divergence(kc, C_R=r["CR"], delta=r["delta"], horizon=r["horizon"])
     ct = kato.critical_threshold(kc)
     payload = {
         "t_star": rep.t_star,
@@ -374,15 +348,14 @@ def _cmd_kato(ns) -> int:
         "a0_exponent": ct.a0_exponent,
         "threshold": ct.threshold,
     }
-    artifacts.write_json(os.path.join(outdir, "kato_envelope.json"), payload)
-    _emit(outdir, "kato envelope", resolved, ["kato_envelope.json"], payload)
-    return 0
+    artifacts.write_json(_path(outdir, "kato_envelope.json"), payload)
+    return ["kato_envelope.json"], payload
 
 
 def _eps_grid(resolved: dict) -> np.ndarray:
     """The geometric eps grid of a sweep, refused before any run when it has
     fewer points than the log-log fit needs."""
-    count = int(resolved["eps_count"])
+    count = resolved["eps_count"]
     if count < blowup_ode.MIN_FIT_POINTS:
         raise ValueError(
             f"eps_count must be at least {blowup_ode.MIN_FIT_POINTS} for the fit, got {count}"
@@ -393,76 +366,41 @@ def _eps_grid(resolved: dict) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # ode
 
+# n=2, alpha=0.5, mu=2 wiring: q = n(1-alpha)(p-1)
+_HEATLIKE_N2 = {"p": 1.8, "mu": 2.0, "q": 0.8}
+
 ODE_PRESETS = {
-    "heatlike-n2": {
-        # n=2, alpha=0.5, mu=2 wiring: q = n(1-alpha)(p-1)
-        "p": 1.8, "mu": 2.0, "q": 0.8, "A1": 1.0, "R": 1.0,
-        "F_init_scale": 1.0, "dF_init_scale": 1.0, "blowup_threshold": 1e12,
-        "t_max": 1e6, "rel_tol": 1e-9, "abs_tol": 1e-12,
-        "eps_start": 1e-3, "eps_stop": 1e-1, "eps_count": 8,
-    },
+    "heatlike-n2": {**_HEATLIKE_N2, "eps_start": 1e-3, "eps_stop": 1e-1, "eps_count": 8},
+    # n=2, alpha=0, mu=2 at the critical power p = 2: q = 2
     "critical-n2": {
-        # n=2, alpha=0, mu=2 at the critical power p = 2: q = 2
-        "p": 2.0, "mu": 2.0, "q": 2.0, "A1": 1.0, "R": 1.0,
-        "F_init_scale": 1.0, "dF_init_scale": 1.0, "blowup_threshold": 1e12,
-        "t_max": 1e8, "rel_tol": 1e-9, "abs_tol": 1e-12,
+        "p": 2.0, "mu": 2.0, "q": 2.0, "t_max": 1e8,
         "eps_start": 0.3, "eps_stop": 1.2, "eps_count": 6,
     },
 }
 
-_ODE_KEYS = (
-    "p", "mu", "q", "A1", "R", "F_init_scale", "dF_init_scale",
-    "blowup_threshold", "t_max", "rel_tol", "abs_tol",
-)
 
-
-def _ode_config(resolved: dict, eps: float) -> blowup_ode.OdeConfig:
-    kwargs = {k: resolved[k] for k in _ODE_KEYS}
-    return blowup_ode.OdeConfig(eps=eps, **kwargs)
-
-
-def _cmd_ode(ns) -> int:
-    outdir = _outdir(ns)
-    if ns.ode_cmd == "run":
-        defaults = {"eps": 1.0, **{k: ODE_PRESETS["heatlike-n2"][k] for k in _ODE_KEYS}}
-        resolved = _resolve(defaults, _load_config(ns.config), ns)
-        cfg = _ode_config(resolved, float(resolved["eps"]))
-        res = blowup_ode.integrate(cfg)
-        artifacts.write_csv(
-            os.path.join(outdir, "ode_trace.csv"),
-            ["t", "F", "dF"],
-            zip(res.t.tolist(), res.F.tolist(), res.dF.tolist()),
-        )
-        payload = {
-            "blew_up": res.blew_up,
-            "T_num": res.T_num,
-            "termination": res.termination,
-            "steps": int(res.t.size),
-            "monotone_invariant": blowup_ode.monotone_invariant_check(res, cfg.mu),
-        }
-        artifacts.write_json(os.path.join(outdir, "ode_result.json"), payload)
-        _emit(outdir, "ode run", resolved, ["ode_trace.csv", "ode_result.json"], payload)
-        if not res.blew_up:
-            print(f"runtime failure: no blow-up, run ended by {res.termination}", file=sys.stderr)
-            return 3
-        return 0
-
-    # sweep
-    defaults = {
-        "preset": None,
-        "eps_start": 1e-3, "eps_stop": 1e-1, "eps_count": 8,
-        **{k: ODE_PRESETS["heatlike-n2"][k] for k in _ODE_KEYS},
+def _cmd_ode_run(r, outdir):
+    cfg = _build(blowup_ode.OdeConfig, r)
+    res = blowup_ode.integrate(cfg)
+    artifacts.write_csv(
+        _path(outdir, "ode_trace.csv"),
+        ["t", "F", "dF"],
+        zip(res.t.tolist(), res.F.tolist(), res.dF.tolist()),
+    )
+    payload = {
+        "blew_up": res.blew_up,
+        "T_num": res.T_num,
+        "termination": res.termination,
+        "steps": int(res.t.size),
+        "monotone_invariant": blowup_ode.monotone_invariant_check(res, cfg.mu),
     }
-    config = _load_config(ns.config)
-    if ns.preset is not None:
-        if ns.preset not in ODE_PRESETS:
-            raise ValueError(f"unknown ode sweep preset {ns.preset!r}")
-        config = {**ODE_PRESETS[ns.preset], **config, "preset": ns.preset}
-    resolved = _resolve(defaults, config, ns)
+    artifacts.write_json(_path(outdir, "ode_result.json"), payload)
+    return ["ode_trace.csv", "ode_result.json"], payload
 
-    eps_grid = _eps_grid(resolved)
-    cfg = _ode_config(resolved, float(eps_grid[0]))
-    fit = blowup_ode.sweep(cfg, eps_grid)
+
+def _cmd_ode_sweep(r, outdir):
+    eps_grid = _eps_grid(r)
+    fit = blowup_ode.sweep(_build(blowup_ode.OdeConfig, r, eps=float(eps_grid[0])), eps_grid)
     payload = {
         "slope": fit.slope,
         "intercept": fit.intercept,
@@ -470,9 +408,9 @@ def _cmd_ode(ns) -> int:
         "eps_values": fit.eps_values,
         "T_values": fit.T_values,
     }
-    if resolved["q"] < 2.0:
-        predicted = blowup_ode.predicted_slope(resolved["p"], resolved["q"])
-        ok, margins = blowup_ode.kato_consistency_check(fit, resolved["p"], resolved["q"])
+    if r["q"] < 2.0:
+        predicted = blowup_ode.predicted_slope(r["p"], r["q"])
+        ok, margins = blowup_ode.kato_consistency_check(fit, r["p"], r["q"])
         payload["predicted_slope"] = predicted
         payload["relative_deviation"] = abs(fit.slope - predicted) / abs(predicted)
         payload["kato_envelope_ok"] = ok
@@ -483,97 +421,54 @@ def _cmd_ode(ns) -> int:
             fit.eps_values, fit.T_values
         )
     artifacts.write_csv(
-        os.path.join(outdir, "ode_sweep.csv"),
-        ["eps", "T_num"],
-        zip(fit.eps_values, fit.T_values),
+        _path(outdir, "ode_sweep.csv"), ["eps", "T_num"], zip(fit.eps_values, fit.T_values)
     )
-    artifacts.write_json(os.path.join(outdir, "ode_fit.json"), payload)
-    _emit(outdir, "ode sweep", resolved, ["ode_sweep.csv", "ode_fit.json"], payload)
-    return 0
+    artifacts.write_json(_path(outdir, "ode_fit.json"), payload)
+    return ["ode_sweep.csv", "ode_fit.json"], payload
 
 
 # ---------------------------------------------------------------------------
 # pde
 
-_PDE_DEFAULTS = {
-    "n": 2, "alpha": 0.5, "mu": 2.0, "p": 2.0, "eps": 0.5, "R": 1.0,
-    "dr": 0.005, "cfl": 0.45, "blowup_threshold": 1e8, "t_max": 50.0,
-    "domain_margin": None, "dt_cap": 0.1, "sample_dt": 0.05,
-}
-
-
-def _pde_config(resolved: dict, eps: float) -> pde.PdeConfig:
-    params = ModelParams(int(resolved["n"]), float(resolved["alpha"]), float(resolved["mu"]))
-    return pde.PdeConfig(
-        params=params,
-        p=float(resolved["p"]),
-        eps=eps,
-        R=float(resolved["R"]),
-        dr=float(resolved["dr"]),
-        cfl=float(resolved["cfl"]),
-        blowup_threshold=float(resolved["blowup_threshold"]),
-        t_max=float(resolved["t_max"]),
-        domain_margin=resolved["domain_margin"],
-        dt_cap=float(resolved["dt_cap"]),
-        sample_dt=float(resolved["sample_dt"]),
+def _cmd_pde_run(r, outdir):
+    cfg = _build(pde.PdeConfig, r, params=_build(ModelParams, r))
+    res = pde.run(cfg, snapshot_times=r["snapshot_times"])
+    artifacts.write_csv(
+        _path(outdir, "pde_diagnostics.csv"),
+        ["t", "sup_abs_u", "F", "lp_integral", "support_radius"],
+        zip(
+            res.t_samples.tolist(),
+            res.sup_series.tolist(),
+            res.F_series.tolist(),
+            res.lp_series.tolist(),
+            res.support_series.tolist(),
+        ),
     )
-
-
-def _cmd_pde(ns) -> int:
-    outdir = _outdir(ns)
-    if ns.pde_cmd == "run":
-        defaults = {**_PDE_DEFAULTS, "snapshot_times": []}
-        resolved = _resolve(defaults, _load_config(ns.config), ns)
-        cfg = _pde_config(resolved, float(resolved["eps"]))
-        res = pde.run(cfg, snapshot_times=resolved["snapshot_times"])
-        artifacts.write_csv(
-            os.path.join(outdir, "pde_diagnostics.csv"),
-            ["t", "sup_abs_u", "F", "lp_integral", "support_radius"],
-            zip(
-                res.t_samples.tolist(),
-                res.sup_series.tolist(),
-                res.F_series.tolist(),
-                res.lp_series.tolist(),
-                res.support_series.tolist(),
-            ),
-        )
-        files = ["pde_diagnostics.csv", "pde_result.json"]
-        for idx, (t_snap, u) in enumerate(res.snapshots):
-            name = f"snapshot_{idx:02d}.csv"
-            r = cfg.dr * np.arange(u.size)
-            artifacts.write_csv(
-                os.path.join(outdir, name), ["r", "u"], zip(r.tolist(), u.tolist())
-            )
-            files.append(name)
-        payload = {
-            "blew_up": res.blew_up,
-            "T_num": res.T_num,
-            "termination": res.termination,
-            "samples": int(res.t_samples.size),
-            "snapshot_times": [t for t, _ in res.snapshots],
-            "checks": {
-                "support": pde.support_check(res),
-                "holder": pde.holder_check(res),
-                "f_monotone": pde.f_monotone_check(res),
-            },
-        }
-        artifacts.write_json(os.path.join(outdir, "pde_result.json"), payload)
-        _emit(outdir, "pde run", resolved, files, payload)
-        if res.termination in ("horizon", "overflow"):
-            print(f"runtime failure: run ended by {res.termination}", file=sys.stderr)
-            return 3
-        return 0
-
-    # sweep
-    defaults = {
-        **_PDE_DEFAULTS,
-        "t_max": 900.0,
-        "eps_start": 0.05, "eps_stop": 0.8, "eps_count": 6,
+    files = ["pde_diagnostics.csv", "pde_result.json"]
+    for idx, (t_snap, u) in enumerate(res.snapshots):
+        name = f"snapshot_{idx:02d}.csv"
+        radius = cfg.dr * np.arange(u.size)
+        artifacts.write_csv(_path(outdir, name), ["r", "u"], zip(radius.tolist(), u.tolist()))
+        files.append(name)
+    payload = {
+        "blew_up": res.blew_up,
+        "T_num": res.T_num,
+        "termination": res.termination,
+        "samples": int(res.t_samples.size),
+        "snapshot_times": [t for t, _ in res.snapshots],
+        "checks": {
+            "support": pde.support_check(res),
+            "holder": pde.holder_check(res),
+            "f_monotone": pde.f_monotone_check(res),
+        },
     }
-    del defaults["eps"]
-    resolved = _resolve(defaults, _load_config(ns.config), ns)
-    eps_grid = _eps_grid(resolved)
-    cfg = _pde_config(resolved, float(eps_grid[0]))
+    artifacts.write_json(_path(outdir, "pde_result.json"), payload)
+    return files, payload
+
+
+def _cmd_pde_sweep(r, outdir):
+    eps_grid = _eps_grid(r)
+    cfg = _build(pde.PdeConfig, r, params=_build(ModelParams, r), eps=float(eps_grid[0]))
     fit, envelopes = pde.lifespan_sweep(cfg, eps_grid)
     d = cfg.params.effective_dim
     predicted = None
@@ -601,132 +496,122 @@ def _cmd_pde(ns) -> int:
         ],
     }
     artifacts.write_csv(
-        os.path.join(outdir, "pde_sweep.csv"),
-        ["eps", "T_num"],
-        zip(fit.eps_values, fit.T_values),
+        _path(outdir, "pde_sweep.csv"), ["eps", "T_num"], zip(fit.eps_values, fit.T_values)
     )
-    artifacts.write_json(os.path.join(outdir, "pde_fit.json"), payload)
-    _emit(outdir, "pde sweep", resolved, ["pde_sweep.csv", "pde_fit.json"], payload)
-    return 0
+    artifacts.write_json(_path(outdir, "pde_fit.json"), payload)
+    return ["pde_sweep.csv", "pde_fit.json"], payload
 
 
 # ---------------------------------------------------------------------------
-# parser
+# the command table and its parser
 
-def _add_common(sp) -> None:
-    sp.add_argument("--config", help="JSON config file; flags override its values")
-    sp.add_argument("--out", help=f"output directory (or ${OUT_ENV_VAR}; default .)")
+_KATO_CRITICAL = {"p": 2.0, "b": 1.0, "mu": 0.0, "A0": 1.0, "CR": 1.0}
+_PDE_MODEL = {"n": 2, "alpha": 0.5, "mu": 2.0, "p": 2.0}
 
+LEAVES = (
+    Leaf(
+        "exponents", "closed-form exponent report", _cmd_exponents,
+        _keys(ModelParams, FlrwParams, n=3, alpha=0.0, mu=0.0, w=None, flrw=False, p=None),
+    ),
+    Leaf(
+        "classify", "region label at one parameter point", _cmd_classify,
+        _keys(ModelParams, n=2, alpha=0.0, mu=0.0, p=2.0),
+    ),
+    Leaf(
+        "map", "region-map CSV + SVG", _cmd_map,
+        {"preset": None, **MAP_PRESETS["fig1"]},
+        {"preset": MAP_PRESETS, "mode": ("model", "flrw")},
+    ),
+    Leaf(
+        "kato threshold", "subcritical threshold", _cmd_kato_threshold,
+        _keys(kato.KatoSubcriticalParams, p=2.0, a=0.0, b=1.0, q=1.0, mu=0.0, A0=1.0),
+    ),
+    Leaf(
+        "kato sequences", "critical iteration table", _cmd_kato_sequences,
+        _keys(kato.KatoCriticalParams, drop=("R",), jmax=20, **_KATO_CRITICAL),
+    ),
+    Leaf(
+        "kato envelope", "envelope divergence report", _cmd_kato_envelope,
+        _keys(kato.KatoCriticalParams, drop=("R",), delta=1e-3, horizon=1e12, **_KATO_CRITICAL),
+    ),
+    Leaf(
+        "ode run", "single blow-up run", _cmd_ode_run,
+        _keys(blowup_ode.OdeConfig, **_HEATLIKE_N2),
+    ),
+    Leaf(
+        "ode sweep", "eps sweep + log-log fit", _cmd_ode_sweep,
+        _keys(blowup_ode.OdeConfig, drop=("eps",), preset=None, **ODE_PRESETS["heatlike-n2"]),
+        {"preset": ODE_PRESETS},
+    ),
+    Leaf(
+        "pde run", "single radial run", _cmd_pde_run,
+        _keys(
+            ModelParams, pde.PdeConfig, drop=("params",), eps=0.5, snapshot_times=[],
+            **_PDE_MODEL,
+        ),
+    ),
+    Leaf(
+        "pde sweep", "eps sweep + log-log fit", _cmd_pde_sweep,
+        _keys(
+            ModelParams, pde.PdeConfig, drop=("params", "eps"), t_max=900.0,
+            eps_start=0.05, eps_stop=0.8, eps_count=6, **_PDE_MODEL,
+        ),
+    ),
+)
 
-def _typed_flags(sp, kind, names) -> None:
-    """Add ``--name`` flags parsed by ``kind``; ``_resolve`` reads config
-    values for the same keys with the same type."""
-    types = sp.get_default("flag_types") or {}
-    for name in names:
-        sp.add_argument(f"--{name}", type=kind, default=None)
-        types[name] = kind
-    sp.set_defaults(flag_types=types)
+GROUPS = {
+    "kato": "comparison-lemma machinery",
+    "ode": "comparison-ODE runs and sweeps",
+    "pde": "radial solver runs and sweeps",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per leaf, one flag per config key typed by its default:
+    a bool is a switch, an int an int, a float or null a finite float, a key
+    with choices one of them; a list (``snapshot_times``) is config-only."""
     parser = argparse.ArgumentParser(prog="flrwave", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("exponents", help="closed-form exponent report")
-    _add_common(sp)
-    _typed_flags(sp, int, ["n"])
-    _typed_flags(sp, finite_float, ["alpha", "mu", "w", "p"])
-    sp.add_argument("--flrw", action="store_true", default=None)
-    sp.set_defaults(func=_cmd_exponents)
-
-    sp = sub.add_parser("classify", help="region label at one parameter point")
-    _add_common(sp)
-    _typed_flags(sp, int, ["n"])
-    _typed_flags(sp, finite_float, ["alpha", "mu", "p"])
-    sp.set_defaults(func=_cmd_classify)
-
-    sp = sub.add_parser("map", help="region-map CSV + SVG")
-    _add_common(sp)
-    sp.add_argument("--preset", choices=sorted(MAP_PRESETS), default=None)
-    sp.add_argument("--mode", choices=["model", "flrw"], default=None)
-    _typed_flags(sp, int, ["n"])
-    _typed_flags(
-        sp,
-        finite_float,
-        ["alpha", "axis1_start", "axis1_stop", "axis1_step",
-         "axis2_start", "axis2_stop", "axis2_step"],
-    )
-    sp.set_defaults(func=_cmd_map)
-
-    sp = sub.add_parser("kato", help="comparison-lemma machinery")
-    ksub = sp.add_subparsers(dest="kato_cmd", required=True)
-    kp = ksub.add_parser("threshold", help="subcritical threshold")
-    _add_common(kp)
-    _typed_flags(kp, finite_float, ["p", "a", "b", "q", "mu", "A0", "A1", "R", "T0", "T1"])
-    kp.set_defaults(func=_cmd_kato)
-    kp = ksub.add_parser("sequences", help="critical iteration table")
-    _add_common(kp)
-    _typed_flags(kp, finite_float, ["p", "b", "mu", "A0", "A1", "CR", "T0", "T1"])
-    _typed_flags(kp, int, ["jmax"])
-    kp.set_defaults(func=_cmd_kato)
-    kp = ksub.add_parser("envelope", help="envelope divergence report")
-    _add_common(kp)
-    _typed_flags(
-        kp, finite_float, ["p", "b", "mu", "A0", "A1", "CR", "T0", "T1", "delta", "horizon"]
-    )
-    kp.set_defaults(func=_cmd_kato)
-
-    sp = sub.add_parser("ode", help="comparison-ODE runs and sweeps")
-    osub = sp.add_subparsers(dest="ode_cmd", required=True)
-    op = osub.add_parser("run", help="single blow-up run")
-    _add_common(op)
-    _typed_flags(op, finite_float, ["eps", *(_ODE_KEYS)])
-    op.set_defaults(func=_cmd_ode)
-    op = osub.add_parser("sweep", help="eps sweep + log-log fit")
-    _add_common(op)
-    op.add_argument("--preset", choices=sorted(ODE_PRESETS), default=None)
-    _typed_flags(op, finite_float, ["eps_start", "eps_stop", *(_ODE_KEYS)])
-    _typed_flags(op, int, ["eps_count"])
-    op.set_defaults(func=_cmd_ode)
-
-    sp = sub.add_parser("pde", help="radial solver runs and sweeps")
-    psub = sp.add_subparsers(dest="pde_cmd", required=True)
-    pp = psub.add_parser("run", help="single radial run")
-    _add_common(pp)
-    _typed_flags(pp, int, ["n"])
-    _typed_flags(
-        pp,
-        finite_float,
-        ["alpha", "mu", "p", "eps", "R", "dr", "cfl", "blowup_threshold",
-         "t_max", "domain_margin", "dt_cap", "sample_dt"],
-    )
-    pp.set_defaults(func=_cmd_pde)
-    pp = psub.add_parser("sweep", help="eps sweep + log-log fit")
-    _add_common(pp)
-    _typed_flags(pp, int, ["n"])
-    _typed_flags(
-        pp,
-        finite_float,
-        ["alpha", "mu", "p", "R", "dr", "cfl", "blowup_threshold", "t_max",
-         "domain_margin", "dt_cap", "sample_dt", "eps_start", "eps_stop"],
-    )
-    _typed_flags(pp, int, ["eps_count"])
-    pp.set_defaults(func=_cmd_pde)
-
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for leaf in LEAVES:
+        group, _, name = leaf.name.rpartition(" ")
+        if group not in groups:
+            gp = groups[""].add_parser(group, help=GROUPS[group])
+            groups[group] = gp.add_subparsers(dest=f"{group}_cmd", required=True)
+        sp = groups[group].add_parser(name, help=leaf.help)
+        sp.add_argument("--config", help="JSON config file; flags override its values")
+        sp.add_argument("--out", help=f"output directory (or ${OUT_ENV_VAR}; default .)")
+        for key, default in leaf.keys.items():
+            if key in leaf.choices:
+                sp.add_argument(f"--{key}", choices=list(leaf.choices[key]))
+            elif isinstance(default, bool):
+                sp.add_argument(f"--{key}", action="store_true", default=None)
+            elif isinstance(default, int):
+                sp.add_argument(f"--{key}", type=int)
+            elif default is None or isinstance(default, float):
+                sp.add_argument(f"--{key}", type=finite_float)
+        sp.set_defaults(leaf=leaf)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
+    leaf, outdir = ns.leaf, ns.out or os.environ.get(OUT_ENV_VAR) or "."
     try:
-        return ns.func(ns)
+        resolved = _resolve(leaf, _load_config(ns.config), ns)
+        files, payload = leaf.handler(resolved, outdir)
+        digest = artifacts.write_manifest(outdir, leaf.name, resolved, files + ["manifest.json"])
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, ArithmeticError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 3
+    payload = artifacts.clean_for_json({**payload, "config_digest": digest})
+    print(json.dumps(payload, sort_keys=True, indent=2))
+    if payload.get("termination") in RUN_FAILURES:
+        print(f"runtime failure: run ended by {payload['termination']}", file=sys.stderr)
+        return 3
+    return 0
 
 
 def entrypoint() -> None:

@@ -63,7 +63,7 @@ class ModelParams:
             raise ValueError(f"spatial dimension must be an integer >= 2, got {self.n}")
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError(f"alpha must satisfy 0 <= alpha < 1, got {self.alpha}")
-        if self.mu < 0.0:
+        if not self.mu >= 0.0:  # NaN fails it
             raise ValueError(f"mu must be nonnegative, got {self.mu}")
 
     @property

@@ -73,14 +73,15 @@ class KatoSubcriticalParams:
     T1: float = 2.0
 
     def __post_init__(self):
-        if self.p <= 1.0:
+        # comparisons are written so that NaN fails them
+        if not self.p > 1.0:
             raise ValueError(f"p must exceed 1, got {self.p}")
-        if self.a < 0.0 or self.b <= 0.0 or self.q <= 0.0 or self.mu < 0.0:
+        if not (self.a >= 0.0 and self.b > 0.0 and self.q > 0.0 and self.mu >= 0.0):
             raise ValueError("require a >= 0, b > 0, q > 0, mu >= 0")
-        if self.A0 <= 0.0 or self.A1 <= 0.0 or self.R <= 0.0:
+        if not (self.A0 > 0.0 and self.A1 > 0.0 and self.R > 0.0):
             raise ValueError("A0, A1, R must be positive")
         _check_windows(self.T0, self.T1)
-        if self.M <= 0.0:
+        if not self.M > 0.0:
             raise ValueError(f"lemma inapplicable: M = (p-1)(b-a)-q+2 = {self.M} <= 0")
 
     @property
@@ -102,11 +103,12 @@ class KatoCriticalParams:
     T1: float = 2.0
 
     def __post_init__(self):
-        if self.p <= 1.0:
+        # comparisons are written so that NaN fails them
+        if not self.p > 1.0:
             raise ValueError(f"p must exceed 1, got {self.p}")
-        if self.b <= 0.0 or self.mu < 0.0:
+        if not (self.b > 0.0 and self.mu >= 0.0):
             raise ValueError("require b > 0, mu >= 0")
-        if self.A0 <= 0.0 or self.A1 <= 0.0 or self.R <= 0.0:
+        if not (self.A0 > 0.0 and self.A1 > 0.0 and self.R > 0.0):
             raise ValueError("A0, A1, R must be positive")
         _check_windows(self.T0, self.T1)
 

@@ -84,7 +84,6 @@ class PdeConfig:
     p: float
     eps: float
     R: float = 1.0
-    profile: str = "bump3"
     dr: float = 0.005
     cfl: float = 0.45
     blowup_threshold: float = 1e8
@@ -101,8 +100,6 @@ class PdeConfig:
             raise ValueError(f"eps must be finite and nonnegative, got {self.eps}")
         if not (self.R > 0.0 and self.dr > 0.0):
             raise ValueError("R and dr must be positive")
-        if self.profile != "bump3":
-            raise ValueError(f"unknown data profile {self.profile!r}")
         if not 0.0 < self.cfl < 1.0:
             raise ValueError(f"cfl must lie in (0, 1), got {self.cfl}")
         if not self.blowup_threshold > 0.0:

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from flrwave import blowup_ode
-from flrwave.cli import main
+from flrwave.cli import build_parser, main
 
 
 def read_json(path):
@@ -298,11 +299,64 @@ def test_config_strings_read_as_flag_types(tmp_path):
         (["kato", "threshold"], {"p": True}),
         (["kato", "sequences"], {"jmax": "many"}),
         (["ode", "run"], {"p": "two"}),
+        # a bool key takes only a JSON boolean
+        (["exponents"], {"flrw": "false", "w": 0.3}),
+        (["exponents"], {"flrw": 1, "w": 0.3}),
+        # null only where the default is null
+        (["classify"], {"n": None}),
+        (["pde", "run"], {"dr": None}),
+        (["kato", "sequences"], {"jmax": None}),
+        (["map"], {"alpha": None}),
+        # a string key takes one of its choices
+        (["map"], {"mode": "polar"}),
+        (["map"], {"preset": "nope"}),
+        (["ode", "sweep"], {"preset": ["critical-n2"]}),
+        # snapshot_times is a list of finite numbers
+        (["pde", "run"], {"snapshot_times": 2.0}),
+        (["pde", "run"], {"snapshot_times": ["soon"]}),
+        (["pde", "run"], {"snapshot_times": [1.0, float("nan")]}),
     ],
 )
-def test_uncoercible_config_value_exits_2(tmp_path, argv, payload):
+def test_uncoercible_config_value_exits_2(tmp_path, argv, payload, capsys):
     cfg = write_config(tmp_path, payload)
-    assert main(argv + ["--config", cfg, "--out", str(tmp_path)]) == 2
+    out = tmp_path / "out"
+    assert main(argv + ["--config", cfg, "--out", str(out)]) == 2
+    assert "config key" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_null_config_values_where_the_default_is_null(tmp_path):
+    cfg = write_config(tmp_path, {"w": None, "p": None, "flrw": False})
+    assert main(["exponents", "--config", cfg, "--out", str(tmp_path / "e")]) == 0
+    cfg = write_config(tmp_path, {"preset": None, "axis1_step": 1, "axis2_step": 1})
+    assert main(["map", "--config", cfg, "--out", str(tmp_path / "m")]) == 0
+    cfg = write_config(tmp_path, {"domain_margin": None, "dr": 0.05, "snapshot_times": [2, 3.5]})
+    assert main(["pde", "run", "--config", cfg, "--out", str(tmp_path / "p")]) == 0
+    config = read_json(tmp_path / "p" / "manifest.json")["config"]
+    assert config["domain_margin"] is None
+    # snapshot times are read as floats, so [2, 3.5] resolves as [2.0, 3.5]
+    assert [type(t) for t in config["snapshot_times"]] == [float, float]
+
+
+@pytest.mark.parametrize(
+    "argv, preset",
+    [(["ode", "sweep"], "critical-n2"), (["map"], "fig2")],
+)
+def test_config_file_preset_applies_as_the_flag(tmp_path, argv, preset):
+    assert main(argv + ["--preset", preset, "--out", str(tmp_path / "flag")]) == 0
+    cfg = write_config(tmp_path, {"preset": preset})
+    assert main(argv + ["--config", cfg, "--out", str(tmp_path / "file")]) == 0
+    for name in os.listdir(tmp_path / "flag"):
+        assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
+
+
+def test_config_file_preset_below_file_values_and_flags(tmp_path):
+    cfg = write_config(tmp_path, {"preset": "fig2", "axis1_step": 0.4})
+    argv = ["map", "--config", cfg, "--axis2_step", "0.5", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    config = read_json(tmp_path / "manifest.json")["config"]
+    assert (config["mode"], config["n"], config["alpha"]) == ("flrw", 3, None)
+    assert (config["axis1_step"], config["axis2_step"]) == (0.4, 0.5)
 
 
 def test_config_and_flags_give_equal_digests(tmp_path):
@@ -359,6 +413,21 @@ def test_pde_grid_over_budget_exits_2(tmp_path, argv, capsys):
     assert main(argv + ["--out", str(tmp_path / "p")]) == 2
     assert "grid budget" in capsys.readouterr().err
     assert not (tmp_path / "p" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pde", "run", "--dt_cap", "1e-12", "--t_max", "2", "--dr", "0.05"],
+        ["kato", "threshold", "--p", "0.5"],
+        ["exponents", "--flrw"],
+        # fig2 leaves alpha unset, which model mode needs
+        ["map", "--preset", "fig2", "--mode", "model"],
+    ],
+)
+def test_refused_run_creates_no_output_directory(tmp_path, argv):
+    assert main(argv + ["--out", str(tmp_path / "new_dir")]) == 2
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(
@@ -426,3 +495,93 @@ def test_sweep_with_too_few_eps_exits_2(tmp_path, command, capsys):
         assert main([command, "sweep", "--eps_count", count, "--out", str(out)]) == 2
         assert "eps_count" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
+
+
+def cli_flags(ints="", floats="", **other):
+    """The flags of one leaf command: name -> type name, "store_true" or its
+    sorted choices."""
+    flags = {"--config": "str", "--out": "str", **{f"--{k}": v for k, v in other.items()}}
+    flags.update({f"--{k}": "int" for k in ints.split()})
+    flags.update({f"--{k}": "finite_float" for k in floats.split()})
+    return flags
+
+
+ODE_FLOATS = "p mu q A1 R F_init_scale dF_init_scale blowup_threshold t_max rel_tol abs_tol"
+PDE_FLOATS = "alpha mu p R dr cfl blowup_threshold t_max domain_margin dt_cap sample_dt"
+
+# the flags of every leaf command as first recorded
+CLI_SCHEMA = {
+    "exponents": cli_flags("n", "alpha mu w p", flrw="store_true"),
+    "classify": cli_flags("n", "alpha mu p"),
+    "map": cli_flags(
+        "n", "alpha axis1_start axis1_stop axis1_step axis2_start axis2_stop axis2_step",
+        preset=["fig1", "fig2"], mode=["flrw", "model"],
+    ),
+    "kato threshold": cli_flags(floats="p a b q mu A0 A1 R T0 T1"),
+    "kato sequences": cli_flags("jmax", "p b mu A0 A1 CR T0 T1"),
+    "kato envelope": cli_flags(floats="p b mu A0 A1 CR T0 T1 delta horizon"),
+    "ode run": cli_flags(floats="eps " + ODE_FLOATS),
+    "ode sweep": cli_flags(
+        "eps_count", "eps_start eps_stop " + ODE_FLOATS, preset=["critical-n2", "heatlike-n2"]
+    ),
+    "pde run": cli_flags("n", "eps " + PDE_FLOATS),
+    "pde sweep": cli_flags("n eps_count", "eps_start eps_stop " + PDE_FLOATS),
+}
+
+
+def parser_leaves(parser, prefix=()):
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(prefix), parser
+        return
+    for name, sub in subs[0].choices.items():
+        yield from parser_leaves(sub, prefix + (name,))
+
+
+def flag_kind(action):
+    if isinstance(action, argparse._StoreTrueAction):
+        return "store_true"
+    if action.choices is not None:
+        return sorted(action.choices)
+    return action.type.__name__ if action.type else "str"
+
+
+def test_parser_schema_pinned():
+    schema = {
+        name: {
+            a.option_strings[0]: flag_kind(a)
+            for a in leaf._actions
+            if a.option_strings and a.dest != "help"
+        }
+        for name, leaf in parser_leaves(build_parser())
+    }
+    assert schema == CLI_SCHEMA
+
+
+# config_digest of flag-only and preset invocations as first recorded: the
+# schema must resolve each to the same config
+CONFIG_DIGESTS = {
+    "exponents": "29a60ee9c6ae758fbca3bec74b9a8cc4efb82ae516767270fc259940f23199be",
+    "classify": "dd4b7b5b724b4216e0e699a6fa4ea9ed9c9ccbbba8e23cc6919ede31a4f26bad",
+    "map --axis1_step 0.5 --axis2_step 0.5":
+        "8465b051fc3b1192c32219b336d9f1be48b85191349672841b83c406711776f5",
+    "map --preset fig1": "d21644533c2c7c513c383d201172c3e6e6013b084a7ea8679ba0900354ab26c3",
+    "map --preset fig2": "f80bbf3bd9d4fc4852c75353ec1cba7996a506a673f64ac79edbfbaa3580f404",
+    "kato threshold": "972cd368d9ea368353470f0421011350d13d271334f1c27dbcc6ac4ec0227808",
+    "kato sequences": "8f380ffddffa0ba98af8a407af668342eacfc936393f6b294f89f1b967f8f860",
+    "kato envelope": "4c92edf79ebdf3cdaeab9d8e1073128687b399d87ca55eb7f0a7958028b820ca",
+    "ode run": "544e6f834fe1644b0913470a9aa85c96b159af55cb4028230cdfacd4ec5f9e13",
+    "ode sweep --preset heatlike-n2":
+        "f30b2c9f0306c3549921f4d157ddcd66a51c2aa860e1829c80d7840d042714d0",
+    "ode sweep --preset critical-n2":
+        "7b28929a77924dedeae5a642decfea7a8859aa6433ec7308ff70ff87706a2ff5",
+    "pde run --dr 0.05": "14d5913c032ca4b6abac761e9de4a2794115ab7bad31cb96ee040e509dc739d6",
+    "pde sweep --dr 0.05 --eps_start 0.3":
+        "173df21771bbc9afc77d95b9b03cb4527583901d66ac6a9a58860c492908b87d",
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_DIGESTS))
+def test_config_digest_pinned(tmp_path, command):
+    assert main(command.split() + ["--out", str(tmp_path)]) == 0
+    assert read_json(tmp_path / "manifest.json")["config_digest"] == CONFIG_DIGESTS[command]

@@ -48,6 +48,10 @@ class TestParams:
             ModelParams(2, -0.1, 0.0)
         with pytest.raises(ValueError):
             ModelParams(2, 0.0, -1.0)
+        with pytest.raises(ValueError):
+            ModelParams(2, 0.5, float("nan"))
+        with pytest.raises(ValueError):
+            ModelParams(2, float("nan"), 0.0)
 
     def test_flrw_params_validation(self):
         FlrwParams(2, 1.0)

@@ -34,6 +34,16 @@ class TestSubcritical:
             KatoSubcriticalParams(p=1.0, a=0.0, b=1.0, q=0.5, mu=0.0, A0=1.0)
         with pytest.raises(ValueError):
             KatoSubcriticalParams(p=2.0, a=0.0, b=1.0, q=0.5, mu=0.0, A0=1.0, T0=2.0, T1=1.5)
+        # NaN fails every bound
+        nan = float("nan")
+        with pytest.raises(ValueError):
+            KatoSubcriticalParams(p=nan, a=0.0, b=1.0, q=0.5, mu=0.0, A0=1.0)
+        with pytest.raises(ValueError):
+            KatoSubcriticalParams(p=2.0, a=0.0, b=1.0, q=nan, mu=0.0, A0=1.0)
+        with pytest.raises(ValueError):
+            KatoCriticalParams(p=2.0, b=nan, mu=0.0, A0=1.0)
+        with pytest.raises(ValueError):
+            KatoCriticalParams(p=2.0, b=1.0, mu=0.0, A0=nan)
 
     def test_wiring_collapses_m(self):
         # q = n(1-alpha)(p-1), a = mu + q, b = mu + 2 gives M = p(2 - q)

@@ -226,8 +226,6 @@ class TestRun:
             PdeConfig(params=ModelParams(2, 0.5, 2.0), p=1.0, eps=0.5)
         with pytest.raises(ValueError):
             PdeConfig(params=ModelParams(2, 0.5, 2.0), p=2.0, eps=0.5, cfl=1.5)
-        with pytest.raises(ValueError):
-            PdeConfig(params=ModelParams(2, 0.5, 2.0), p=2.0, eps=0.5, profile="gauss")
 
 
 class TestSweep:
