@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import os
+from enum import Enum
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -28,6 +29,7 @@ __all__ = [
     "write_text",
     "write_csv",
     "write_json",
+    "write_files",
     "config_digest",
     "write_manifest",
     "region_map_svg",
@@ -60,9 +62,11 @@ def fmt(value) -> str:
 
 
 def clean_for_json(obj):
-    """Recursively replace non-finite floats by None (strict-JSON safety)."""
+    """Recursively map non-finite floats to None (strict JSON) and an Enum to its value."""
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else None
+    if isinstance(obj, Enum):
+        return obj.value
     if isinstance(obj, dict):
         return {k: clean_for_json(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -85,6 +89,20 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> Non
 
 def write_json(path: str, payload) -> None:
     write_text(path, json.dumps(clean_for_json(payload), sort_keys=True, indent=2) + "\n")
+
+
+def write_files(outdir: str, files: dict) -> None:
+    """Create ``outdir`` and write ``files`` by extension: a ``.csv`` name maps
+    to ``(header, rows)``, a ``.json`` name to a payload, any other to text."""
+    os.makedirs(outdir, exist_ok=True)
+    for name, content in files.items():
+        path = os.path.join(outdir, name)
+        if name.endswith(".csv"):
+            write_csv(path, *content)
+        elif name.endswith(".json"):
+            write_json(path, content)
+        else:
+            write_text(path, content)
 
 
 def config_digest(resolved_config: dict) -> str:

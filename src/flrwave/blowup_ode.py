@@ -34,6 +34,7 @@ __all__ = [
     "integrate",
     "monotone_invariant_check",
     "fit_loglog",
+    "fit_lifespans",
     "sweep",
     "predicted_slope",
     "kato_consistency_check",
@@ -144,16 +145,16 @@ def integrate(cfg: OdeConfig) -> OdeResult:
     return OdeResult(ramping, float(t[-1]), t, F, dF, termination)
 
 
-def monotone_invariant_check(res: OdeResult, mu: float, slack: float = 1e-8) -> bool:
+def monotone_invariant_check(res: OdeResult, mu: float) -> bool:
     """Verify that t^mu F'(t) is nondecreasing along the trace.
 
-    The ODE gives (t^mu F')' = t^mu * RHS >= 0, so any decrease beyond the
-    per-step relative slack indicates an integration artifact.
+    The ODE gives (t^mu F')' = t^mu * RHS >= 0, so any decrease beyond a
+    relative 1e-8 per step indicates an integration artifact.
     """
     if res.t.size == 0:
         raise ValueError("empty trace")
     g = res.t**mu * res.dF
-    return bool(np.all(g[1:] >= g[:-1] - slack * np.abs(g[:-1])))
+    return bool(np.all(g[1:] >= g[:-1] - 1e-8 * np.abs(g[:-1])))
 
 
 @dataclass
@@ -188,21 +189,23 @@ def fit_loglog(eps_values: Sequence[float], T_values: Sequence[float]) -> FitRes
     return FitResult(float(slope), float(intercept), r2, eps, T)
 
 
-def sweep(cfg: OdeConfig, eps_grid: Sequence[float]) -> FitResult:
-    """Run ``cfg`` across ``eps_grid`` and fit the lifespan scaling.
-
-    Every run must blow up before the horizon; otherwise the offending eps
-    values are reported and no fit is produced.
-    """
-    configs = [replace(cfg, eps=float(e)) for e in eps_grid]
-    results = [integrate(c) for c in configs]
-    stalled = [c.eps for c, r in zip(configs, results) if not r.blew_up]
+def fit_lifespans(t_max: float, eps: Sequence[float], results: Sequence) -> FitResult:
+    """Fit the lifespans ``T_num`` of ``results``, the runs of ``eps``, against
+    eps.  Every run must have blown up before ``t_max``; otherwise the
+    offending eps values are reported and no fit is produced."""
+    stalled = [e for e, r in zip(eps, results) if not r.blew_up]
     if stalled:
         raise RuntimeError(
-            f"no blow-up before t_max={cfg.t_max} for eps={stalled}; "
+            f"no blow-up before t_max={t_max} for eps={stalled}; "
             "increase the horizon or the data size"
         )
-    return fit_loglog([c.eps for c in configs], [r.T_num for r in results])
+    return fit_loglog(eps, [r.T_num for r in results])
+
+
+def sweep(cfg: OdeConfig, eps_grid: Sequence[float]) -> FitResult:
+    """Run ``cfg`` across ``eps_grid`` and fit the lifespans (``fit_lifespans``)."""
+    eps = [float(e) for e in eps_grid]
+    return fit_lifespans(cfg.t_max, eps, [integrate(replace(cfg, eps=e)) for e in eps])
 
 
 def predicted_slope(p: float, q: float) -> float:
@@ -213,22 +216,20 @@ def predicted_slope(p: float, q: float) -> float:
     return -(p - 1.0) / (2.0 - q)
 
 
-def kato_consistency_check(
-    fit: FitResult, p: float, q: float, slack: float = 1e-9
-) -> tuple[bool, list[float]]:
+def kato_consistency_check(fit: FitResult, p: float, q: float) -> tuple[bool, list[float]]:
     """Upper-envelope check T(eps) <= K eps^(-s), s = (p-1)/(2-q).
 
     K is calibrated on the largest-eps run (where the inequality is tight by
     construction); the lemma's upper-bound character requires every smaller
-    eps to stay below the envelope.  Returns (ok, margins) with
-    margin = K eps^(-s) / T - 1 per run.
+    eps to stay below the envelope, up to a margin of -1e-9.  Returns
+    (ok, margins) with margin = K eps^(-s) / T - 1 per run.
     """
     s = -predicted_slope(p, q)
     pairs = sorted(zip(fit.eps_values, fit.T_values))
     e_max, T_anchor = pairs[-1]
     K = T_anchor * e_max**s
     margins = [K * e ** (-s) / T - 1.0 for e, T in pairs]
-    return all(m >= -slack for m in margins), margins
+    return all(m >= -1e-9 for m in margins), margins
 
 
 def convexity_margin(eps_values: Sequence[float], T_values: Sequence[float]) -> float:

@@ -146,7 +146,7 @@ def _first_min(bounds, shape) -> tuple:
     return best, found
 
 
-def row_bounds(params: ModelParams, p, tol: float = CRITICAL_TOL) -> RowBounds:
+def row_bounds(params: ModelParams, p) -> RowBounds:
     """All bounds, the region label and the best exponent at ``params`` for
     every entry of the array ``p``.
 
@@ -167,7 +167,7 @@ def row_bounds(params: ModelParams, p, tol: float = CRITICAL_TOL) -> RowBounds:
     q = gamma_quadratic(params)
     pc = positive_root(q).root
     pc = math.inf if pc is None else pc
-    pc_applies = math.isfinite(pc) and pc > p_f + tol
+    pc_applies = math.isfinite(pc) and pc > p_f + CRITICAL_TOL
     # A bound is excluded where its condition fails (p <= 1, gamma <= 0,
     # bracket <= 0); written as ~(x <= 0) rather than x > 0, a NaN from an
     # overflow at huge p excludes nothing.
@@ -180,8 +180,8 @@ def row_bounds(params: ModelParams, p, tol: float = CRITICAL_TOL) -> RowBounds:
         inter_denom = 2.0 - k * pm1
         inter = pm1 / inter_denom
         above_one = ~(p <= 1.0)
-        on_fujita = np.abs(p - p_f) <= tol
-        on_pc = (np.abs(p - pc) <= tol) & pc_applies
+        on_fujita = np.abs(p - p_f) <= CRITICAL_TOL
+        on_pc = (np.abs(p - pc) <= CRITICAL_TOL) & pc_applies
         if params.mu <= 1.0:
             fujita_bound = (BoundKind.CRITICAL_FUJITA_MU_LOW, on_fujita, p * pm1 / (p + 1.0))
         else:
@@ -224,9 +224,9 @@ def row_bounds(params: ModelParams, p, tol: float = CRITICAL_TOL) -> RowBounds:
     return RowBounds(p_f, pc, power, critical, label, best)
 
 
-def _at(params: ModelParams, p: float, tol: float = CRITICAL_TOL) -> RowBounds:
+def _at(params: ModelParams, p: float) -> RowBounds:
     """The row kernel on a batch of one."""
-    return row_bounds(params, np.array([p], dtype=float), tol)
+    return row_bounds(params, np.array([p], dtype=float))
 
 
 def _power_exponent(params: ModelParams, p: float, index: int) -> Optional[float]:
@@ -269,7 +269,7 @@ def heatlike_wavelike_threshold(params: ModelParams) -> float:
     return 2.0 * (1.0 - params.alpha) / k
 
 
-def critical_bounds(params: ModelParams, p: float, tol: float = CRITICAL_TOL) -> list[LifespanBound]:
+def critical_bounds(params: ModelParams, p: float) -> list[LifespanBound]:
     """Exponential-type bounds active when p sits on a critical curve.
 
     On p = fujita(n(1-alpha)): exponent p(p-1)/(p+1) for mu <= 1, p-1 for
@@ -278,7 +278,7 @@ def critical_bounds(params: ModelParams, p: float, tol: float = CRITICAL_TOL) ->
     """
     return [
         LifespanBound(kind, BoundForm.EXP_POWER, float(value[0]), True)
-        for kind, ok, value in _at(params, p, tol).critical
+        for kind, ok, value in _at(params, p).critical
         if ok[0]
     ]
 
@@ -308,10 +308,10 @@ def _require_p_above_one(p: float) -> None:
         raise ValueError(f"classification requires p > 1, got {p}")
 
 
-def classify(params: ModelParams, p: float, tol: float = CRITICAL_TOL) -> RegionLabel:
+def classify(params: ModelParams, p: float) -> RegionLabel:
     """Region label of the sharpest bound at (params, p); see ``row_bounds``."""
     _require_p_above_one(p)
-    return LABELS[_at(params, p, tol).label[0]]
+    return LABELS[_at(params, p).label[0]]
 
 
 @dataclass(frozen=True)
@@ -330,7 +330,8 @@ class AxisSpec:
             raise ValueError(f"axis stop {self.stop} below start {self.start}")
 
     def values(self) -> list[float]:
-        count = int(math.floor((self.stop - self.start) / self.step + 0.5)) + 1
+        # + 1e-9 absorbs the quotient's rounding: stop is kept, never passed
+        count = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
         return [round(self.start + k * self.step, 12) for k in range(count)]
 
 

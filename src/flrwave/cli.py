@@ -20,12 +20,17 @@ the choices for a string key, and a list of finite numbers for
 ``snapshot_times``; ``null`` only where the default is null.  Preset values
 are taken as they stand.  The resolved config is echoed into manifest.json
 (keyed by a content digest), and identical resolved configs give
-byte-identical outputs.  The output directory is created by the first
-artifact written, so a refused run leaves nothing behind.
+byte-identical outputs.
+
+Each command's handler is pure: it maps the resolved config to its stdout
+payload and its files, an ordered ``{name: content}`` dict.  ``main`` alone
+writes: once the handler has returned, it creates the output directory and
+writes the files and then manifest.json, so a refused run (exit 2), or one
+whose handler failed (exit 3), leaves nothing behind.
 
 Exit codes: 0 success, 2 invalid configuration or parameters, 3 runtime
 failure (no blow-up before the horizon, ODE solver failure, preset assertion
-failure, overflow).
+failure, overflow, a closed stdout).
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, astuple, fields
 from itertools import repeat
 from typing import Callable, NamedTuple
 
@@ -65,9 +70,11 @@ RUN_FAILURES = ("horizon", "overflow", "solver_failure")
 # config plumbing
 
 class Leaf(NamedTuple):
-    """One command: ``handler(resolved, outdir) -> (files, payload)`` and its
-    config keys with their defaults; a key in ``choices`` takes one of its
-    names (a preset's choices map each name to its values)."""
+    """One command: ``handler(resolved) -> (payload, files)`` and its config
+    keys with their defaults; a key in ``choices`` takes one of its names (a
+    preset's choices map each name to its values).  A handler writes
+    nothing: ``files`` maps each artifact's name to its content, which
+    ``main`` writes (see ``artifacts.write_files``)."""
 
     name: str
     help: str
@@ -159,28 +166,10 @@ def _resolve(leaf: Leaf, config: dict, ns: argparse.Namespace) -> dict:
     return {**leaf.keys, **values, **config, **flags}
 
 
-def _path(outdir: str, name: str) -> str:
-    """``outdir/name``; the first artifact written creates ``outdir``."""
-    os.makedirs(outdir, exist_ok=True)
-    return os.path.join(outdir, name)
-
-
-def _bound_dicts(params: ModelParams, p: float) -> list:
-    return [
-        {
-            "kind": b.kind.value,
-            "form": b.form.value,
-            "eps_exponent": b.eps_exponent,
-            "applicable": b.applicable,
-        }
-        for b in bounds.all_bounds(params, p)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # exponents, classify
 
-def _cmd_exponents(r, outdir):
+def _cmd_exponents(r):
     if r["flrw"]:
         if r["w"] is None:
             raise ValueError("--flrw mode requires --w")
@@ -189,15 +178,14 @@ def _cmd_exponents(r, outdir):
     else:
         params = _build(ModelParams, r)
 
-    gq = gamma_quadratic(params)
     pc = p_c(params)
     payload = {
-        "params": {"n": params.n, "alpha": params.alpha, "mu": params.mu},
+        "params": asdict(params),
         "fujita_effective": fujita(params.effective_dim),
         "strauss": strauss_exponent(params.n),
-        "gamma_coefficients": [gq.c2, gq.c1, gq.c0],
+        "gamma_coefficients": astuple(gamma_quadratic(params)),
         "p_c": pc.root,
-        "p_c_note": pc.note.value,
+        "p_c_note": pc.note,
         "mu_star": mu_star(params.n, params.alpha),
         "thresholds": {
             "intermediate_wavelike": bounds.intermediate_wavelike_threshold(params),
@@ -205,30 +193,27 @@ def _cmd_exponents(r, outdir):
         },
     }
     if r["flrw"]:
-        g0 = gamma0_quadratic(f.n, f.w)
         payload["flrw"] = {
             "w": f.w,
             "w_star": w_star(f.n),
-            "gamma0_coefficients": [g0.c2, g0.c1, g0.c0],
+            "gamma0_coefficients": astuple(gamma0_quadratic(f.n, f.w)),
         }
     if r["p"] is not None:
         payload["p"] = r["p"]
-        payload["bounds"] = _bound_dicts(params, r["p"])
-    artifacts.write_json(_path(outdir, "exponents.json"), payload)
-    return ["exponents.json"], payload
+        payload["bounds"] = list(map(asdict, bounds.all_bounds(params, r["p"])))
+    return payload, {"exponents.json": payload}
 
 
-def _cmd_classify(r, outdir):
+def _cmd_classify(r):
     params, p = _build(ModelParams, r), r["p"]
     payload = {
-        "params": {"n": params.n, "alpha": params.alpha, "mu": params.mu},
+        "params": asdict(params),
         "p": p,
-        "label": bounds.classify(params, p).value,
+        "label": bounds.classify(params, p),
         "best_exponent": bounds.best_exponent(params, p),
-        "bounds": _bound_dicts(params, p),
+        "bounds": list(map(asdict, bounds.all_bounds(params, p))),
     }
-    artifacts.write_json(_path(outdir, "classify.json"), payload)
-    return ["classify.json"], payload
+    return payload, {"classify.json": payload}
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +254,7 @@ def _map_csv_rows(rm: bounds.RegionMap):
         yield from zip(repeat(repr(a)), v2, map(names.__getitem__, codes), map(repr, best))
 
 
-def _cmd_map(r, outdir):
+def _cmd_map(r):
     n = r["n"]
     p_axis = bounds.AxisSpec("p", r["axis2_start"], r["axis2_stop"], r["axis2_step"])
     if r["mode"] == "model":
@@ -287,21 +272,17 @@ def _cmd_map(r, outdir):
     if r["preset"] == "fig2" and counts["A"] != 0:
         raise RuntimeError(f"fig2 preset expects an empty A region, found {counts['A']} cells")
 
-    artifacts.write_csv(
-        _path(outdir, "map.csv"), ["axis1", "axis2", "label", "best_exponent"], _map_csv_rows(rm)
-    )
-    artifacts.write_text(
-        _path(outdir, "map.svg"),
-        artifacts.region_map_svg(rm, title, {"fujita": rm.fujita, "p_c": rm.p_c}),
-    )
     payload = {"label_counts": counts, "cells": len(axis1.values()) * len(p_axis.values())}
-    return ["map.csv", "map.svg"], payload
+    return payload, {
+        "map.csv": (["axis1", "axis2", "label", "best_exponent"], _map_csv_rows(rm)),
+        "map.svg": artifacts.region_map_svg(rm, title, {"fujita": rm.fujita, "p_c": rm.p_c}),
+    }
 
 
 # ---------------------------------------------------------------------------
 # kato
 
-def _cmd_kato_threshold(r, outdir):
+def _cmd_kato_threshold(r):
     kp = _build(kato.KatoSubcriticalParams, r)
     payload = {
         "M": kp.M,
@@ -309,19 +290,13 @@ def _cmd_kato_threshold(r, outdir):
         "threshold": kato.subcritical_threshold(kp),
         "normalized": False,
     }
-    artifacts.write_json(_path(outdir, "kato_threshold.json"), payload)
-    return ["kato_threshold.json"], payload
+    return payload, {"kato_threshold.json": payload}
 
 
-def _cmd_kato_sequences(r, outdir):
+def _cmd_kato_sequences(r):
     kc = _build(kato.KatoCriticalParams, r)
     seqs = kato.iterate_sequences(kc, r["jmax"], C_R=r["CR"])
     B, E = kato.envelope_constants(kc, C_R=r["CR"])
-    artifacts.write_csv(
-        _path(outdir, "kato_sequences.csv"),
-        ["j", "b_j", "log_C_j", "a_j"],
-        ((s.j, s.b_j, s.log_C_j, s.a_j) for s in seqs.states),
-    )
     payload = {
         "mu_case": kc.mu_case,
         "B": B,
@@ -330,27 +305,21 @@ def _cmd_kato_sequences(r, outdir):
         "truncated": seqs.truncated,
         "states": len(seqs.states),
     }
-    artifacts.write_json(_path(outdir, "kato_sequences.json"), payload)
-    return ["kato_sequences.csv", "kato_sequences.json"], payload
+    return payload, {
+        "kato_sequences.csv": (["j", "b_j", "log_C_j", "a_j"], map(astuple, seqs.states)),
+        "kato_sequences.json": payload,
+    }
 
 
-def _cmd_kato_envelope(r, outdir):
+def _cmd_kato_envelope(r):
     kc = _build(kato.KatoCriticalParams, r)
     rep = kato.envelope_divergence(kc, C_R=r["CR"], delta=r["delta"], horizon=r["horizon"])
-    ct = kato.critical_threshold(kc)
-    payload = {
-        "t_star": rep.t_star,
-        "E": rep.E,
-        "B": rep.B,
-        "delta_margin": rep.delta_margin,
-        "delta": rep.delta,
-        "horizon": rep.horizon,
-        "a0_exponent": ct.a0_exponent,
-        "threshold": ct.threshold,
-    }
-    artifacts.write_json(_path(outdir, "kato_envelope.json"), payload)
-    return ["kato_envelope.json"], payload
+    payload = {**asdict(rep), **kato.critical_threshold(kc)._asdict()}
+    return payload, {"kato_envelope.json": payload}
 
+
+# ---------------------------------------------------------------------------
+# ode, and the eps sweeps of ode and pde
 
 def _eps_grid(resolved: dict) -> np.ndarray:
     """The geometric eps grid of a sweep, refused before any run when it has
@@ -363,8 +332,20 @@ def _eps_grid(resolved: dict) -> np.ndarray:
     return np.geomspace(resolved["eps_start"], resolved["eps_stop"], count)
 
 
-# ---------------------------------------------------------------------------
-# ode
+def _sweep(kind: str, fit: blowup_ode.FitResult, p: float, q: float, **extra):
+    """The payload and files of an ``ode`` or ``pde`` sweep: the fit, ``extra``,
+    and where q < 2 the heatlike slope -(p-1)/(2-q) and the fit's relative
+    deviation from it."""
+    payload = {**asdict(fit), "predicted_slope": None, **extra}
+    if q < 2.0:
+        predicted = blowup_ode.predicted_slope(p, q)
+        payload["predicted_slope"] = predicted
+        payload["relative_deviation"] = abs(fit.slope - predicted) / abs(predicted)
+    return payload, {
+        f"{kind}_sweep.csv": (["eps", "T_num"], zip(fit.eps_values, fit.T_values)),
+        f"{kind}_fit.json": payload,
+    }
+
 
 # n=2, alpha=0.5, mu=2 wiring: q = n(1-alpha)(p-1)
 _HEATLIKE_N2 = {"p": 1.8, "mu": 2.0, "q": 0.8}
@@ -379,14 +360,9 @@ ODE_PRESETS = {
 }
 
 
-def _cmd_ode_run(r, outdir):
+def _cmd_ode_run(r):
     cfg = _build(blowup_ode.OdeConfig, r)
     res = blowup_ode.integrate(cfg)
-    artifacts.write_csv(
-        _path(outdir, "ode_trace.csv"),
-        ["t", "F", "dF"],
-        zip(res.t.tolist(), res.F.tolist(), res.dF.tolist()),
-    )
     payload = {
         "blew_up": res.blew_up,
         "T_num": res.T_num,
@@ -394,62 +370,35 @@ def _cmd_ode_run(r, outdir):
         "steps": int(res.t.size),
         "monotone_invariant": blowup_ode.monotone_invariant_check(res, cfg.mu),
     }
-    artifacts.write_json(_path(outdir, "ode_result.json"), payload)
-    return ["ode_trace.csv", "ode_result.json"], payload
+    return payload, {
+        "ode_trace.csv": (["t", "F", "dF"], zip(res.t.tolist(), res.F.tolist(), res.dF.tolist())),
+        "ode_result.json": payload,
+    }
 
 
-def _cmd_ode_sweep(r, outdir):
+def _cmd_ode_sweep(r):
     eps_grid = _eps_grid(r)
     fit = blowup_ode.sweep(_build(blowup_ode.OdeConfig, r, eps=float(eps_grid[0])), eps_grid)
-    payload = {
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "r_squared": fit.r_squared,
-        "eps_values": fit.eps_values,
-        "T_values": fit.T_values,
-    }
-    if r["q"] < 2.0:
-        predicted = blowup_ode.predicted_slope(r["p"], r["q"])
-        ok, margins = blowup_ode.kato_consistency_check(fit, r["p"], r["q"])
-        payload["predicted_slope"] = predicted
-        payload["relative_deviation"] = abs(fit.slope - predicted) / abs(predicted)
-        payload["kato_envelope_ok"] = ok
-        payload["kato_envelope_min_margin"] = min(margins)
-    else:
-        payload["predicted_slope"] = None
-        payload["log_lifespan_convexity_margin"] = blowup_ode.convexity_margin(
-            fit.eps_values, fit.T_values
-        )
-    artifacts.write_csv(
-        _path(outdir, "ode_sweep.csv"), ["eps", "T_num"], zip(fit.eps_values, fit.T_values)
-    )
-    artifacts.write_json(_path(outdir, "ode_fit.json"), payload)
-    return ["ode_sweep.csv", "ode_fit.json"], payload
+    p, q = r["p"], r["q"]
+    if q < 2.0:
+        ok, margins = blowup_ode.kato_consistency_check(fit, p, q)
+        return _sweep("ode", fit, p, q, kato_envelope_ok=ok, kato_envelope_min_margin=min(margins))
+    margin = blowup_ode.convexity_margin(fit.eps_values, fit.T_values)
+    return _sweep("ode", fit, p, q, log_lifespan_convexity_margin=margin)
 
 
 # ---------------------------------------------------------------------------
 # pde
 
-def _cmd_pde_run(r, outdir):
+def _cmd_pde_run(r):
     cfg = _build(pde.PdeConfig, r, params=_build(ModelParams, r))
     res = pde.run(cfg, snapshot_times=r["snapshot_times"])
-    artifacts.write_csv(
-        _path(outdir, "pde_diagnostics.csv"),
-        ["t", "sup_abs_u", "F", "lp_integral", "support_radius"],
-        zip(
-            res.t_samples.tolist(),
-            res.sup_series.tolist(),
-            res.F_series.tolist(),
-            res.lp_series.tolist(),
-            res.support_series.tolist(),
-        ),
-    )
-    files = ["pde_diagnostics.csv", "pde_result.json"]
-    for idx, (t_snap, u) in enumerate(res.snapshots):
-        name = f"snapshot_{idx:02d}.csv"
+    header = ["t", "sup_abs_u", "F", "lp_integral", "support_radius"]
+    series = (res.t_samples, res.sup_series, res.F_series, res.lp_series, res.support_series)
+    files = {"pde_diagnostics.csv": (header, zip(*(column.tolist() for column in series)))}
+    for idx, (_, u) in enumerate(res.snapshots):
         radius = cfg.dr * np.arange(u.size)
-        artifacts.write_csv(_path(outdir, name), ["r", "u"], zip(radius.tolist(), u.tolist()))
-        files.append(name)
+        files[f"snapshot_{idx:02d}.csv"] = (["r", "u"], zip(radius.tolist(), u.tolist()))
     payload = {
         "blew_up": res.blew_up,
         "T_num": res.T_num,
@@ -462,44 +411,17 @@ def _cmd_pde_run(r, outdir):
             "f_monotone": pde.f_monotone_check(res),
         },
     }
-    artifacts.write_json(_path(outdir, "pde_result.json"), payload)
-    return files, payload
+    files["pde_result.json"] = payload
+    return payload, files
 
 
-def _cmd_pde_sweep(r, outdir):
+def _cmd_pde_sweep(r):
     eps_grid = _eps_grid(r)
     cfg = _build(pde.PdeConfig, r, params=_build(ModelParams, r), eps=float(eps_grid[0]))
     fit, envelopes = pde.lifespan_sweep(cfg, eps_grid)
-    d = cfg.params.effective_dim
-    predicted = None
-    if d * (cfg.p - 1.0) < 2.0:
-        predicted = -(cfg.p - 1.0) / (2.0 - d * (cfg.p - 1.0))
-    payload = {
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "r_squared": fit.r_squared,
-        "eps_values": fit.eps_values,
-        "T_values": fit.T_values,
-        "predicted_slope": predicted,
-        "relative_deviation": (
-            abs(fit.slope - predicted) / abs(predicted) if predicted is not None else None
-        ),
-        "envelope_diagnostics": [
-            {
-                "eps": e.eps,
-                "t_calibration": e.t_calibration,
-                "c": e.c,
-                "min_ratio": e.min_ratio,
-                "holds": e.holds,
-            }
-            for e in envelopes
-        ],
-    }
-    artifacts.write_csv(
-        _path(outdir, "pde_sweep.csv"), ["eps", "T_num"], zip(fit.eps_values, fit.T_values)
-    )
-    artifacts.write_json(_path(outdir, "pde_fit.json"), payload)
-    return ["pde_sweep.csv", "pde_fit.json"], payload
+    envelopes = list(map(asdict, envelopes))
+    q = cfg.params.effective_dim * (cfg.p - 1.0)  # the heatlike wiring n(1-alpha)(p-1)
+    return _sweep("pde", fit, cfg.p, q, relative_deviation=None, envelope_diagnostics=envelopes)
 
 
 # ---------------------------------------------------------------------------
@@ -598,8 +520,9 @@ def main(argv=None) -> int:
     leaf, outdir = ns.leaf, ns.out or os.environ.get(OUT_ENV_VAR) or "."
     try:
         resolved = _resolve(leaf, _load_config(ns.config), ns)
-        files, payload = leaf.handler(resolved, outdir)
-        digest = artifacts.write_manifest(outdir, leaf.name, resolved, files + ["manifest.json"])
+        payload, files = leaf.handler(resolved)
+        artifacts.write_files(outdir, files)
+        digest = artifacts.write_manifest(outdir, leaf.name, resolved, [*files, "manifest.json"])
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -615,7 +538,16 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    """``main`` as a process; a closed stdout is a runtime failure, and stdout
+    then goes to the null device so that the flush at shutdown succeeds."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("runtime failure: stdout was closed", file=sys.stderr)
+        code = 3
+    sys.exit(code)
 
 
 if __name__ == "__main__":

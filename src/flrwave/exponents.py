@@ -45,6 +45,11 @@ __all__ = [
 ]
 
 
+def _require_dimension(n, name: str = "n") -> None:
+    if int(n) != n or n < 2:
+        raise ValueError(f"{name} must be an integer >= 2, got {n}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Parameter triple (n, alpha, mu) of the damped wave model.
@@ -59,8 +64,7 @@ class ModelParams:
     mu: float
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 2:
-            raise ValueError(f"spatial dimension must be an integer >= 2, got {self.n}")
+        _require_dimension(self.n, "spatial dimension")
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError(f"alpha must satisfy 0 <= alpha < 1, got {self.alpha}")
         if not self.mu >= 0.0:  # NaN fails it
@@ -84,8 +88,7 @@ class FlrwParams:
     w: float
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 2:
-            raise ValueError(f"spatial dimension must be an integer >= 2, got {self.n}")
+        _require_dimension(self.n, "spatial dimension")
         lo = 2.0 / self.n - 1.0
         if not lo < self.w <= 1.0:
             raise ValueError(f"w must satisfy 2/n - 1 < w <= 1, got w={self.w} for n={self.n}")
@@ -135,8 +138,7 @@ def fujita(d: float) -> float:
 def strauss_quadratic(n: int) -> Quadratic:
     """Quadratic -(n-1)p^2 + (n+1)p + 2 whose positive root is the classical
     wave-equation critical exponent in dimension n."""
-    if int(n) != n or n < 2:
-        raise ValueError(f"n must be an integer >= 2, got {n}")
+    _require_dimension(n)
     return Quadratic(-(n - 1.0), n + 1.0, 2.0)
 
 
@@ -225,8 +227,7 @@ def gamma0_quadratic(n: int, w: float) -> Quadratic:
 
     which equals (1 - 2/(n(1+w))) * gamma(n, p, 2/(n(1+w)), 2/(1+w)).
     """
-    if int(n) != n or n < 2:
-        raise ValueError(f"n must be an integer >= 2, got {n}")
+    _require_dimension(n)
     if w <= -1.0:
         raise ValueError(f"w must exceed -1, got {w}")
     k = 4.0 / (n * (1.0 + w))
@@ -248,8 +249,7 @@ def mu_star(n: int, alpha: float) -> float:
     At mu = mu*, the positive root of gamma equals the Fujita-type exponent
     of dimension n(1 - alpha).  The value always exceeds 1.
     """
-    if int(n) != n or n < 2:
-        raise ValueError(f"n must be an integer >= 2, got {n}")
+    _require_dimension(n)
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must satisfy 0 <= alpha < 1, got {alpha}")
     s = 1.0 - alpha
@@ -264,8 +264,7 @@ def w_star(n: int) -> Optional[float]:
 
     Returns None if the quadratic has no real root (no crossing).
     """
-    if int(n) != n or n < 2:
-        raise ValueError(f"n must be an integer >= 2, got {n}")
+    _require_dimension(n)
     q = Quadratic(
         n * (n * n + n + 2.0),
         2.0 * n * (n - 1.0) ** 2,

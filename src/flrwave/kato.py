@@ -279,22 +279,16 @@ def critical_threshold(kc: KatoCriticalParams) -> CriticalThreshold:
 
 
 def envelope_divergence(
-    kc: KatoCriticalParams,
-    C_R: float = 1.0,
-    delta: float = 1e-3,
-    horizon: float = 1e12,
-    points_per_decade: int = 64,
+    kc: KatoCriticalParams, C_R: float = 1.0, delta: float = 1e-3, horizon: float = 1e12
 ) -> EnvelopeReport:
     """Scan a logarithmic t-grid for the first time the envelope bracket
     exceeds ``delta`` (from there the envelope diverges as j grows).
 
     The grid starts just above T1 (mu <= 1) or 2*T1 (mu > 1), with
-    ``points_per_decade`` samples per decade, and stops at ``horizon``.
+    64 samples per decade, and stops at ``horizon``.
     """
     if delta <= 0.0:
         raise ValueError(f"divergence margin must be positive, got {delta}")
-    if points_per_decade < 1:
-        raise ValueError("need at least one grid point per decade")
     B, E = envelope_constants(kc, C_R)
     if kc.mu <= 1.0:
         t_base = kc.T1
@@ -302,7 +296,7 @@ def envelope_divergence(
     else:
         t_base = 2.0 * kc.T1
         slope = kc.b + 1.0 / (kc.p - 1.0)
-    ratio = 10.0 ** (1.0 / points_per_decade)
+    ratio = 10.0 ** (1.0 / 64)
     t = t_base * ratio
     while t <= horizon:
         bracket = E + slope * math.log(math.log(t / t_base))
@@ -312,17 +306,15 @@ def envelope_divergence(
     return EnvelopeReport(None, E, B, None, delta, horizon)
 
 
-def detect_envelope_onset(
-    seqs: KatoSequences, p: float, E: float, slack: float = 1e-9
-) -> Optional[int]:
-    """Smallest j0 such that log C_j >= (E - slack) p^j for every j >= j0,
+def detect_envelope_onset(seqs: KatoSequences, p: float, E: float) -> Optional[int]:
+    """Smallest j0 such that log C_j >= (E - 1e-9) p^j for every j >= j0,
     judged over the available states; None if the tail never settles."""
     states = seqs.states
     if not states:
         return None
     onset = 0
     for st in states:
-        if st.log_C_j < (E - slack) * p**st.j:
+        if st.log_C_j < (E - 1e-9) * p**st.j:
             onset = st.j + 1
     if onset >= len(states):
         return None

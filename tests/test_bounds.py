@@ -220,6 +220,32 @@ class TestAxisSpec:
         assert values[157] == 1.57
         assert values[-1] == 3.0
 
+    @pytest.mark.parametrize(
+        "start, stop, step, count",
+        # (0.3 - 0)/0.1 is 2.9999999999999996: truncating it drops the stop
+        [(0.0, 1.0, 0.1, 11), (0.0, 0.3, 0.1, 4), (0.1, 0.7, 0.1, 7)],
+    )
+    def test_stop_is_kept(self, start, stop, step, count):
+        values = AxisSpec("mu", start, stop, step).values()
+        assert len(values) == count
+        assert values[-1] == stop
+
+    def test_values_never_pass_stop(self):
+        # rounding the point count to nearest used to add w = 1.17
+        assert AxisSpec("w", -0.33, 1.0, 0.5).values() == [-0.33, 0.17, 0.67]
+
+    @given(
+        st.floats(-5.0, 5.0),
+        st.floats(0.0, 10.0),
+        st.sampled_from([0.001, 0.005, 0.01, 0.05, 0.1, 0.25, 0.5, 1.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_last_value_within_one_step_below_stop(self, start, length, step):
+        start, stop = round(start, 3), round(start + length, 3)
+        values = AxisSpec("x", start, stop, step).values()
+        assert values[-1] <= stop + 1e-9
+        assert stop - values[-1] < step + 1e-9
+
     def test_validation(self):
         with pytest.raises(ValueError):
             AxisSpec("p", 1.0, 0.5, 0.1)

@@ -10,8 +10,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from flrwave import blowup_ode
-from flrwave.cli import build_parser, main
+from flrwave import artifacts, blowup_ode
+from flrwave.cli import LEAVES, build_parser, main
 
 
 def read_json(path):
@@ -585,3 +585,249 @@ CONFIG_DIGESTS = {
 def test_config_digest_pinned(tmp_path, command):
     assert main(command.split() + ["--out", str(tmp_path)]) == 0
     assert read_json(tmp_path / "manifest.json")["config_digest"] == CONFIG_DIGESTS[command]
+
+
+# A pde run config that asks for profile dumps.
+SNAPSHOT_CONFIG = {"snapshot_times": [1.0, 2.0, 5.5]}
+
+
+def run_digests(tmp_path, capsys, command):
+    """Exit code, sha256 of stdout and stderr, and sha256 of every file that
+    ``command`` writes (``CONFIG`` names a file holding SNAPSHOT_CONFIG)."""
+    config = write_config(tmp_path, SNAPSHOT_CONFIG)
+    out = tmp_path / "out"
+    argv = [config if word == "CONFIG" else word for word in command.split()]
+    capsys.readouterr()
+    code = main(argv + ["--out", str(out)])
+    stdout, stderr = capsys.readouterr()
+    files = sorted(out.iterdir()) if out.exists() else []
+    return {
+        "exit": code,
+        "stdout": hashlib.sha256(stdout.encode()).hexdigest(),
+        "stderr": hashlib.sha256(stderr.encode()).hexdigest(),
+        **{f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in files},
+    }
+
+
+# Every artifact, the summary, the error line and the exit code of cheap
+# invocations of all ten commands, as first recorded: one per leaf, plus a
+# failed run (exit 3) and a stalled sweep of each integrator, sweeps on both
+# sides of q = 2, and the Kato branch with mu > 1.
+EMPTY_SHA256 = hashlib.sha256(b"").hexdigest()
+ARTIFACT_SHA256 = {
+    "exponents": {
+        "exit": 0,
+        "stdout": "ccc12e0e84200344f838f2d53f82859c87a3ac409cac6a135381d6171d162048",
+        "stderr": EMPTY_SHA256,
+        "exponents.json": "dab98134aa1c22523a8be64761e552223498edd90b5892584418659315b70dbb",
+        "manifest.json": "17716aea2ad2e6dfff1fc2349df9ed05aea23c3a034800f4019f3bb5ad42f7ac",
+    },
+    "exponents --flrw --w 0.3": {
+        "exit": 0,
+        "stdout": "7ef53ae16d1cc3aabf0ecf6096bcc98873bd3fcd37ffe78430e3e77003e88776",
+        "stderr": EMPTY_SHA256,
+        "exponents.json": "ee6507822a9036528dbdc7cd83604e7d26326d0a07039737cd5188b7f0d312f6",
+        "manifest.json": "eaac439ac06506cf41c6382b8eef7d7b393bc6f8ee885bdc6870434a694baffd",
+    },
+    "exponents --p 1.5": {
+        "exit": 0,
+        "stdout": "c6b73cd74ece6b8bf6aaffdcf808949ef9a75079134f16e51390604a3fff5838",
+        "stderr": EMPTY_SHA256,
+        "exponents.json": "cf7d150dca4fdb58fe9c7aa6f944322c130500256df66133b2b661f0d7552419",
+        "manifest.json": "dd27a24369d812fce23df7ec42eadcdaa2fc37a4451c96a07a37828fd20602aa",
+    },
+    "classify": {
+        "exit": 0,
+        "stdout": "3fc22ab5a3bf6290b52df57337f6ab96f5ef92b063271b0f70593e5b950404f7",
+        "stderr": EMPTY_SHA256,
+        "classify.json": "28fb0514cc959e1c9148b7448e7db093dee4a7854ae5fac7572ab238ee59af8c",
+        "manifest.json": "5ebfe62bc34d7177f288c84c371bf8e879766bb6075eb64fe9125a5c522625c8",
+    },
+    "classify --alpha 0.5 --p 3": {
+        "exit": 0,
+        "stdout": "c87edae4a0c3d685b6be7d9868dd7e6f9b72701319319d214137754be88ea259",
+        "stderr": EMPTY_SHA256,
+        "classify.json": "bc09ac4050b0c827ad1c61d10fd9094dded8c0b0c1bf3b217ce430ec318797fb",
+        "manifest.json": "bcbc31ef7062fe9b3d2784b48b5001b70ed4c48502768da15e0eeedc730f960a",
+    },
+    "map --axis1_step 0.5 --axis2_start 1.5 --axis2_step 0.5": {
+        "exit": 0,
+        "stdout": "35f6a158f2eab71a2d9ae9ac141a8b797158562ada9d645d42ae52c7f7b446c9",
+        "stderr": EMPTY_SHA256,
+        "manifest.json": "1652fecccdf7c2c0c9f9e0eacb2075ad1442b95bcdcda0b7a9c9c76a3d9adf22",
+        "map.csv": "7f4df5aa021b01be39a4e8fd50ad93b6ededecfac38744ed8591fa138ecbd724",
+        "map.svg": "91917cf65c7588934f99f3c1cb7b4c80b1f008680814d2cd402409e5c38d2a62",
+    },
+    "kato threshold": {
+        "exit": 0,
+        "stdout": "053a07be33a09092f0119c93e7a9eca03d521c30c16a5a58f62d0add2695871d",
+        "stderr": EMPTY_SHA256,
+        "kato_threshold.json": "97690b5f2db0280a3507bee4e0d68aac2dde1778076c7aebc22e0b2395fd8a61",
+        "manifest.json": "69409b76e7aa459f05e36593e40d388e7713c49aa5b3709c197f79db89a4e938",
+    },
+    "kato sequences": {
+        "exit": 0,
+        "stdout": "04900af502b9eb2b9fcbb9293f3e25a85d939afc6fbf74ca075644464188075d",
+        "stderr": EMPTY_SHA256,
+        "kato_sequences.csv": "481a556cdcce4f94fef6ec18840f13f91ba9d3417c9aabc82ed269e635161c9a",
+        "kato_sequences.json": "f0f012dec6344cee9b1eeb736da46dcaadcb4d9f1965a8cfe36c8b41984f9259",
+        "manifest.json": "ab74348ee231653630ad700c0abf527977f0ad19c9f8a88abe5428495ad7bdf5",
+    },
+    "kato sequences --mu 2": {
+        "exit": 0,
+        "stdout": "4097671de8749899bd5848afea2125259cdf5b455daf002c5350a9b6c314d502",
+        "stderr": EMPTY_SHA256,
+        "kato_sequences.csv": "22de0fd49b09670d11c5a201286fbe3cfecaf8f7dad0efd9877e60b869a55e8c",
+        "kato_sequences.json": "c12c95e8e3672d9b3ab41c976374b8db5485e36b08cf9aaeb4fca8ee187f1ba4",
+        "manifest.json": "7b560685e8c8f3ac98ba02e7c03aa72a368eac70892f6eb7e8246aebef17ab9f",
+    },
+    "kato envelope": {
+        "exit": 0,
+        "stdout": "dff1c9e6a44c4b1ba684eefe8f04f86da7d11ccdb9603f176afc2bc21bf75dd7",
+        "stderr": EMPTY_SHA256,
+        "kato_envelope.json": "fc402747cf696a99561499fd207cc840eb3851ef80519950368554a9d6dd6d8e",
+        "manifest.json": "2cc901a4fa7024ab982309dd78bd33370d719c3da0b90ff288c812e8111024dc",
+    },
+    "kato envelope --mu 2": {
+        "exit": 0,
+        "stdout": "300bc99d548e169021890f567f00c8c155126eb1d0e8474814152be31021f7c5",
+        "stderr": EMPTY_SHA256,
+        "kato_envelope.json": "62bdada490b5b216210da6eaca43ac6a91d4b3cb39abf3d1fa48e1282507d676",
+        "manifest.json": "c59ede9d26eaa91f0cec79b2d5938d68b4da6399e297ec41ad71f2f5cec1371e",
+    },
+    "ode run": {
+        "exit": 0,
+        "stdout": "a0f3fd4f08c30cd19a24ab13fec41d1bbc8a61484e4e433d45ffd8b2ac24e3ad",
+        "stderr": EMPTY_SHA256,
+        "manifest.json": "9c7682b4d6cd24aeea8a0a7a8eba70a179ef4354fecfeedb25b5b6267d81353c",
+        "ode_result.json": "3eb190a4606197c8852d0f3c895dbc64899cac7aa5aa039a74a5c9370f8628c9",
+        "ode_trace.csv": "3b96f804b4864c5ffb60a66a1871161e8a5a987a8156bbd10b7cb00742121401",
+    },
+    "ode run --eps 0 --t_max 10": {
+        "exit": 3,
+        "stdout": "e62fb32ce07b0ff7b814467a3b2c3f20ebd0f291e9ac72ac3a82d382948633a8",
+        "stderr": "2394a506f380ebacdcb851c95786835ecc561fde7947819467cad89f117b91c9",
+        "manifest.json": "8392d2e7e622d5ac82ad8ba7626964bea7822a2ad56516b4447d6c4a3db22009",
+        "ode_result.json": "86037e05d66d9e063603652a797de7a665d6521cbbb9d541e18dac58c1a0e7bb",
+        "ode_trace.csv": "691e53431190fc63ce4a8988813ea36a92ffa1d0d6767b08f2fbc1a1b7ffada0",
+    },
+    "ode sweep --preset critical-n2": {
+        "exit": 0,
+        "stdout": "bc7c01f4f81d3c89cb4ab1dd20d7a1c7d05a40561a52a6e6fb26cd5f0b1d7032",
+        "stderr": EMPTY_SHA256,
+        "manifest.json": "7a539c7beae9992d228005ab7974276c9b1960c527d98474e8b04fa5dd12196d",
+        "ode_fit.json": "031a6f24d79b0af2f3190bc6b2d036ae5b66e0b2fb8b0ff183a293e25dd1e24c",
+        "ode_sweep.csv": "88a95a001f00fb5df952f4249b03122abe191801ac99adde5d6b32070eefbcba",
+    },
+    "ode sweep --eps_start 0.05 --eps_stop 0.1 --eps_count 4": {
+        "exit": 0,
+        "stdout": "c28ee3b58ecf35757ae6275f870e3f6fac6c29ba275746b601c238ece66fdd78",
+        "stderr": EMPTY_SHA256,
+        "manifest.json": "6acf8c782220956a5e84d90c96cf076ceaad15bb04a40665074f7f473bbe95e5",
+        "ode_fit.json": "f99fc052bcfb0f9c5249ceb0e5a551144b4749164cd451672595676132bd0868",
+        "ode_sweep.csv": "442a70f45dc21d90084b516cbe877f6443bc9bd0519382e85540bca9a4b00153",
+    },
+    "ode sweep --t_max 5 --eps_start 0.001 --eps_stop 0.01 --eps_count 4": {
+        "exit": 3,
+        "stdout": EMPTY_SHA256,
+        "stderr": "1dc57346cdd301b94408122297c3e5e3093d90cdb5a130936103f80d674a44bb",
+    },
+    "pde run --dr 0.02 --config CONFIG": {
+        "exit": 0,
+        "stdout": "08820fee563bc558105829c95d28daec19a5e8a9cc84762f062c432a23f8ee00",
+        "stderr": EMPTY_SHA256,
+        "manifest.json": "e1be90b02ca5dcaca0c805435ce953b5376ea97c923235aa811ed8b43584d98f",
+        "pde_diagnostics.csv": "fabb73108f8352399ce7bfe0fd9a53338d5915dc178866563423416f4198a35a",
+        "pde_result.json": "30466860c3b969e1179041f1e0da366382933faffe64f4bb564f65a14f6b656b",
+        "snapshot_00.csv": "9c5cf37e9ad527732f805bb930646ca5bafec67319638674bfbb22221cc1bdb6",
+        "snapshot_01.csv": "05728b46f61300b9897866792d9304312362188b832d004054463c6f2641b7b0",
+        "snapshot_02.csv": "650c44dadbaf02cc42551dc3db5d7d02be11ef6fe973a549c1fa1c64384d2cbb",
+    },
+    "pde sweep --dr 0.02 --t_max 300 --eps_start 0.1": {
+        "exit": 0,
+        "stdout": "a8296f65b6c7191bf0db5a799c512b824e5b74681253f1496aa838db6e1d7c4b",
+        "stderr": EMPTY_SHA256,
+        "manifest.json": "ff1b58253834c3c6540ae1e2e50cc35bf41cb38c31f4c375bdbc51df123ec4e0",
+        "pde_fit.json": "2380eef9e233ec1f3e8f38792ebc758630c98e577a0502cdeb497eef49d67e71",
+        "pde_sweep.csv": "2a5edf3574ffc42c822bbb5240d4ccd36c34a40cb6e91b64642a44556ada737e",
+    },
+    "pde sweep --dr 0.05 --t_max 60 --alpha 0 --eps_start 2 --eps_stop 8": {
+        "exit": 0,
+        "stdout": "9453b9b1bc8c1fef066c10a2ce7cbc63a8fa004ac20e6663f5478971422df666",
+        "stderr": EMPTY_SHA256,
+        "manifest.json": "a4868f4bc199636c58b3893c5f1d59c85c1cb397b498d4339aed16c9c755aaa4",
+        "pde_fit.json": "2170088272891c58eedf5e26067269f46aff392dc45aa09fa392c6004f914433",
+        "pde_sweep.csv": "64e5ad5fb4246573f5b5287f87e933b07613d5dab8a3222d3f5952acd14d64d3",
+    },
+    "pde sweep --dr 0.05 --t_max 20": {
+        "exit": 3,
+        "stdout": EMPTY_SHA256,
+        "stderr": "a304521f30f1479afcf5336f2044d7e7c4deedb2005df92b1eec8713d00b0c90",
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(ARTIFACT_SHA256))
+def test_artifact_bytes_pinned(tmp_path, capsys, command):
+    assert run_digests(tmp_path, capsys, command) == ARTIFACT_SHA256[command]
+
+
+# cheap overrides of the leaves whose defaults take long
+CHEAP = {
+    "exponents": {"p": 2.0},
+    "map": {"axis1_step": 0.5, "axis2_step": 0.5},
+    "ode sweep": {"eps_start": 0.05, "eps_stop": 0.1, "eps_count": 4},
+    "pde run": {"dr": 0.05, "snapshot_times": [2.0]},
+    "pde sweep": {"dr": 0.05, "eps_start": 0.3},
+}
+
+
+def refuse_writes(*args, **kwargs):
+    raise AssertionError("a handler wrote an artifact")
+
+
+@pytest.mark.parametrize("leaf", LEAVES, ids=lambda leaf: leaf.name)
+def test_handlers_are_pure_and_main_writes_their_files(tmp_path, monkeypatch, capsys, leaf):
+    overrides = CHEAP.get(leaf.name, {})
+    config = write_config(tmp_path, overrides)
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    with monkeypatch.context() as patch:
+        for name in ("write_text", "write_csv", "write_json", "write_files", "write_manifest"):
+            patch.setattr(artifacts, name, refuse_writes)
+        payload, files = leaf.handler({**leaf.keys, **overrides})
+    assert not any(cwd.iterdir())
+
+    capsys.readouterr()
+    assert main(leaf.name.split() + ["--config", config, "--out", "out"]) == 0
+    assert sorted(os.listdir("out")) == sorted([*files, "manifest.json"])
+    summary = json.loads(capsys.readouterr().out)
+    assert summary.pop("config_digest") == read_json("out/manifest.json")["config_digest"]
+    assert summary == artifacts.clean_for_json(payload)
+
+
+def test_map_axis_stops_at_its_stop(tmp_path):
+    # the w axis -0.33..1.0 at step 0.5 used to reach w = 1.17 and exit 2
+    argv = ["map", "--preset", "fig2", "--axis1_step", "0.5", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    rows = (tmp_path / "map.csv").read_text().splitlines()[1:]
+    assert sorted({row.split(",")[0] for row in rows}) == ["-0.33", "0.17", "0.67"]
+
+
+def test_closed_stdout_exits_3_without_traceback(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", "from flrwave.cli import entrypoint; entrypoint()",
+             "classify", "--out", str(tmp_path)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 3
+    assert done.stderr.splitlines() == ["runtime failure: stdout was closed"]
+    assert (tmp_path / "classify.json").exists()
