@@ -10,53 +10,9 @@ The package has three layers:
 * empirical layer: ``blowup_ode`` (comparison ODE integrator + scaling fits)
   and ``pde`` (radial finite-difference solver).
 
-``cli`` wires everything to deterministic CSV/JSON/SVG artifacts.
+``cli`` wires everything to deterministic CSV/JSON/SVG artifacts.  The
+package itself exports only ``__version__``; import from the submodules.
 """
 
 # The one version string: pyproject.toml and the run manifests read it.
 __version__ = "0.1.0"
-
-from flrwave.exponents import (
-    FlrwParams,
-    ModelParams,
-    Quadratic,
-    RootNote,
-    RootReport,
-    flrw_to_model,
-    fujita,
-    gamma,
-    gamma0,
-    gamma0_quadratic,
-    gamma_quadratic,
-    mu_star,
-    p_c,
-    p_c_flrw,
-    positive_root,
-    strauss_exponent,
-    strauss_quadratic,
-    w_star,
-)
-from flrwave.bounds import (
-    BoundForm,
-    BoundKind,
-    LifespanBound,
-    RegionLabel,
-    classify,
-    critical_bounds,
-    heatlike_exponent,
-    intermediate_exponent,
-    region_map_flrw,
-    region_map_model,
-    wavelike_exponent,
-)
-from flrwave.kato import (
-    KatoCriticalParams,
-    KatoSubcriticalParams,
-    critical_threshold,
-    envelope_constants,
-    envelope_divergence,
-    iterate_sequences,
-    subcritical_threshold,
-)
-from flrwave.blowup_ode import OdeConfig, OdeResult, FitResult, integrate, sweep
-from flrwave.pde import PdeConfig, PdeResult, run as pde_run, lifespan_sweep

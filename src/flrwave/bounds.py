@@ -174,7 +174,7 @@ def row_bounds(params: ModelParams, p) -> RowBounds:
     with np.errstate(all="ignore"):
         pm1 = p - 1.0
         heat = pm1 / (2.0 - d * pm1)
-        g = q.c2 * p * p + q.c1 * p + q.c0
+        g = q(p)
         wave = 2.0 * p * pm1 / ((1.0 - params.alpha) * g)
         k = d + params.mu - 1.0
         inter_denom = 2.0 - k * pm1
@@ -251,22 +251,21 @@ def intermediate_exponent(params: ModelParams, p: float) -> Optional[float]:
     return _power_exponent(params, p, 2)
 
 
+def _crossing(params: ModelParams, k: float) -> float:
+    """2(1-alpha)/k, or +inf for a nonpositive denominator k."""
+    return math.inf if k <= 0.0 else 2.0 * (1.0 - params.alpha) / k
+
+
 def intermediate_wavelike_threshold(params: ModelParams) -> float:
     """p where the intermediate and wavelike exponents cross:
     2(1-alpha)/(n(1-alpha)+mu-1), or +inf for a nonpositive denominator."""
-    k = params.effective_dim + params.mu - 1.0
-    if k <= 0.0:
-        return math.inf
-    return 2.0 * (1.0 - params.alpha) / k
+    return _crossing(params, params.effective_dim + params.mu - 1.0)
 
 
 def heatlike_wavelike_threshold(params: ModelParams) -> float:
     """p where the heatlike and wavelike exponents cross:
     2(1-alpha)/(n(1-alpha)-mu+1), or +inf for a nonpositive denominator."""
-    k = params.effective_dim - params.mu + 1.0
-    if k <= 0.0:
-        return math.inf
-    return 2.0 * (1.0 - params.alpha) / k
+    return _crossing(params, params.effective_dim - params.mu + 1.0)
 
 
 def critical_bounds(params: ModelParams, p: float) -> list[LifespanBound]:

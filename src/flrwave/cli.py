@@ -29,8 +29,9 @@ writes the files and then manifest.json, so a refused run (exit 2), or one
 whose handler failed (exit 3), leaves nothing behind.
 
 Exit codes: 0 success, 2 invalid configuration or parameters, 3 runtime
-failure (no blow-up before the horizon, ODE solver failure, preset assertion
-failure, overflow, a closed stdout).
+failure: a run whose ``blew_up`` is false (it reached the horizon, its ODE
+solver failed, or its PDE field overflowed; the artifacts are written), a
+sweep with such a run, a preset assertion failure, a closed stdout.
 """
 
 from __future__ import annotations
@@ -61,9 +62,6 @@ from flrwave.exponents import (
 )
 
 OUT_ENV_VAR = "FLRWAVE_OUT"
-
-# how a run may end short of the blow-up threshold: a runtime failure (exit 3)
-RUN_FAILURES = ("horizon", "overflow", "solver_failure")
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +332,9 @@ def _eps_grid(resolved: dict) -> np.ndarray:
 
 def _sweep(kind: str, fit: blowup_ode.FitResult, p: float, q: float, **extra):
     """The payload and files of an ``ode`` or ``pde`` sweep: the fit, ``extra``,
-    and where q < 2 the heatlike slope -(p-1)/(2-q) and the fit's relative
-    deviation from it."""
-    payload = {**asdict(fit), "predicted_slope": None, **extra}
+    the heatlike slope -(p-1)/(2-q) and the fit's relative deviation from
+    it, both null where q >= 2."""
+    payload = {**asdict(fit), "predicted_slope": None, "relative_deviation": None, **extra}
     if q < 2.0:
         predicted = blowup_ode.predicted_slope(p, q)
         payload["predicted_slope"] = predicted
@@ -421,7 +419,7 @@ def _cmd_pde_sweep(r):
     fit, envelopes = pde.lifespan_sweep(cfg, eps_grid)
     envelopes = list(map(asdict, envelopes))
     q = cfg.params.effective_dim * (cfg.p - 1.0)  # the heatlike wiring n(1-alpha)(p-1)
-    return _sweep("pde", fit, cfg.p, q, relative_deviation=None, envelope_diagnostics=envelopes)
+    return _sweep("pde", fit, cfg.p, q, envelope_diagnostics=envelopes)
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +529,7 @@ def main(argv=None) -> int:
         return 3
     payload = artifacts.clean_for_json({**payload, "config_digest": digest})
     print(json.dumps(payload, sort_keys=True, indent=2))
-    if payload.get("termination") in RUN_FAILURES:
+    if payload.get("blew_up") is False:
         print(f"runtime failure: run ended by {payload['termination']}", file=sys.stderr)
         return 3
     return 0

@@ -149,7 +149,8 @@ def strauss_exponent(n: int) -> float:
 
 
 def _real_roots(q: Quadratic) -> list[float]:
-    """Real roots in increasing order, empty if none.
+    """Real roots in increasing order, empty if none; the one root -c0/c1
+    of a linear ``q`` (c2 = 0).
 
     Uses the cancellation-safe quadratic formula: the larger-magnitude root
     comes from the formula branch that adds quantities of equal sign, the
@@ -180,17 +181,11 @@ def positive_root(q: Quadratic) -> RootReport:
     """
     if q.c2 == 0.0 and q.c1 == 0.0 and q.c0 == 0.0:
         raise ValueError("degenerate quadratic: all coefficients are zero")
-    if q.c2 == 0.0:
-        if q.c1 == 0.0:
-            return RootReport(None, RootNote.NO_POSITIVE_ROOT)
-        r = -q.c0 / q.c1
-        if r > 0.0:
-            return RootReport(r, RootNote.DEGENERATE_LINEAR)
-        return RootReport(None, RootNote.NO_POSITIVE_ROOT)
     positives = [r for r in _real_roots(q) if r > 0.0]
     if not positives:
         return RootReport(None, RootNote.NO_POSITIVE_ROOT)
-    return RootReport(min(positives), RootNote.TWO_REAL_ONE_POSITIVE)
+    note = RootNote.DEGENERATE_LINEAR if q.c2 == 0.0 else RootNote.TWO_REAL_ONE_POSITIVE
+    return RootReport(min(positives), note)
 
 
 def gamma_quadratic(params: ModelParams) -> Quadratic:

@@ -310,8 +310,6 @@ def detect_envelope_onset(seqs: KatoSequences, p: float, E: float) -> Optional[i
     """Smallest j0 such that log C_j >= (E - 1e-9) p^j for every j >= j0,
     judged over the available states; None if the tail never settles."""
     states = seqs.states
-    if not states:
-        return None
     onset = 0
     for st in states:
         if st.log_C_j < (E - 1e-9) * p**st.j:

@@ -18,7 +18,9 @@ A(t) = (t^(1-alpha) - 1)/(1-alpha).
 The time steps and the grid do not depend on eps, so one stepping loop
 advances runs as the rows of one (eps x r) array, in place, without threads:
 ``lifespan_sweep`` is one batch and ``run`` a batch of one.  A row leaves at
-threshold, overflow or horizon, bit-identical to a run of its own.
+threshold, overflow or horizon, bit-identical to a run of its own.  Only the
+threshold is a blow-up; an overflow (non-finite sup|u|) fails like the
+horizon.  n > 5 is refused: there refining dr brings the "blow-up" forward.
 
 Diagnostics per sample time: sup|u|, the spatial average F = int u dx, the
 nonlinear mass int |u|^p dx, and the support radius.  They reuse the step's
@@ -108,6 +110,8 @@ class PdeConfig:
             raise ValueError(
                 f"t_max must be finite and exceed the initial time 1, got {self.t_max}"
             )
+        if not self.params.n <= 5:
+            raise ValueError(f"the radial scheme supports n <= 5, got n={self.params.n}")
         if self.domain_margin is not None and not self.domain_margin >= 0.0:
             raise ValueError("domain margin must be nonnegative")
         # t + dt_cap and next_sample + sample_dt must not round back to t
@@ -122,9 +126,9 @@ class PdeConfig:
 
 @dataclass
 class PdeResult:
-    blew_up: bool
+    blew_up: bool  # True exactly for a "threshold" ending
     T_num: float
-    termination: str  # "threshold" | "horizon" | "overflow"
+    termination: str  # "threshold" | "horizon" | "overflow" (a non-finite sup|u|)
     t_samples: np.ndarray
     sup_series: np.ndarray
     F_series: np.ndarray
@@ -268,6 +272,13 @@ def _next_dt(t: float, cfg: PdeConfig) -> float:
     return min(cfg.cfl * cfg.dr * t**cfg.params.alpha, cfg.dt_cap)
 
 
+def _cells(t: float, cfg: PdeConfig):
+    """Grid points r_i = i*dr that cover the light cone at t plus the margin;
+    a non-finite count passes through for ``_check_budget`` to refuse."""
+    cells = (light_cone_radius(t, cfg.params.alpha, cfg.R) + cfg.margin) / cfg.dr
+    return math.ceil(cells) + 1 if math.isfinite(cells) else cells
+
+
 def _truncate_outside_cone(u: np.ndarray, t: float, cfg: PdeConfig) -> None:
     # Domain-of-dependence enforcement: the exact solution vanishes beyond
     # A(t) + R, while the explicit stencil transports ~1e-4-relative tails at
@@ -287,16 +298,14 @@ def _taylor_first_step(
 
 
 def _check_budget(cfg: PdeConfig, rows: int) -> None:
-    cells = (light_cone_radius(cfg.t_max, cfg.params.alpha, cfg.R) + cfg.margin) / cfg.dr
-    if math.isfinite(cells):
-        cells = math.ceil(cells) + 1
+    cells = _cells(cfg.t_max, cfg)
     if rows * cells > MAX_GRID_CELLS:
         raise ValueError(
             f"{rows} run(s) x {cells:.4g} cells of the light cone at t_max={cfg.t_max} exceed "
             f"the grid budget of {MAX_GRID_CELLS} cells; raise dr or lower t_max"
         )
-    # dt >= min(cfl dr, dt_cap) for t >= 1 and alpha >= 0, so this bounds the steps
-    steps = (cfg.t_max - 1.0) / min(cfg.cfl * cfg.dr, cfg.dt_cap)
+    # dt is smallest at t = 1 for alpha >= 0, so this bounds the steps
+    steps = (cfg.t_max - 1.0) / _next_dt(1.0, cfg)
     if steps > MAX_STEPS:
         raise ValueError(
             f"up to {steps:.4g} time steps to t_max={cfg.t_max} exceed the step budget of "
@@ -318,7 +327,7 @@ def _run_batch(
     n, alpha, mu, p, dr = cfg.params.n, cfg.params.alpha, cfg.params.mu, cfg.p, cfg.dr
     eps = [float(e) for e in eps_values]
     _check_budget(cfg, len(eps))
-    cells = int(math.ceil((cfg.R + cfg.margin) / dr)) + 1
+    cells = _cells(1.0, cfg)
     u0 = np.multiply.outer(eps, bump3(dr * np.arange(cells), cfg.R))  # u1 = u0
 
     ids = np.arange(len(eps))  # input position of each row still in the batch
@@ -378,7 +387,7 @@ def _run_batch(
                 end = "threshold" if s >= cfg.blowup_threshold else "horizon"
                 end = end if math.isfinite(s) else "overflow"
                 results[i] = PdeResult(
-                    end != "horizon", t, end, *map(np.asarray, series[i]),
+                    end == "threshold", t, end, *map(np.asarray, series[i]),
                     replace(cfg, eps=eps[i]), snapshots[i],
                 )
             ids = ids[~leave]
@@ -388,8 +397,7 @@ def _run_batch(
             rows = ids.size
 
         dt_new = _next_dt(t, cfg)
-        reach = light_cone_radius(t + dt_new, alpha, cfg.R) + cfg.margin
-        cells = max(cells, int(math.ceil(reach / dr)) + 1)
+        cells = max(cells, _cells(t + dt_new, cfg))
         if cells > capacity:
             capacity = 2 * cells
             levels = np.pad(levels[:, :rows], ((0, 0), (0, 0), (0, capacity - levels.shape[2])))
@@ -405,7 +413,7 @@ def _run_batch(
 
 
 def run(cfg: PdeConfig, snapshot_times: Sequence[float] = ()) -> PdeResult:
-    """Step until blow-up threshold, horizon, or overflow.
+    """Step until the blow-up threshold (a blow-up), the horizon or an overflow.
 
     The reported T_num for a blow-up run is the time of the first level whose
     sup-norm clears the threshold (the spatial resolution of the focusing
@@ -471,11 +479,10 @@ class EnvelopeDiagnostic:
 
 def envelope_diagnostic(res: PdeResult) -> EnvelopeDiagnostic:
     cfg = res.config
-    n, alpha, mu = cfg.params.n, cfg.params.alpha, cfg.params.mu
-    decay = mu + n * (1.0 - alpha) * (cfg.p - 1.0)
+    decay = cfg.params.mu + cfg.params.effective_dim * (cfg.p - 1.0)
 
     def env(t: float) -> float:
-        return cfg.eps**cfg.p * t ** (-decay) * (t - 1.0) ** (mu + 2.0)
+        return cfg.eps**cfg.p * t ** (-decay) * (t - 1.0) ** (cfg.params.mu + 2.0)
 
     idx = int(np.searchsorted(res.t_samples, 2.0, side="right"))
     if idx >= res.t_samples.size:

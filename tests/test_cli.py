@@ -249,6 +249,35 @@ def test_pde_flag_overrides_config_and_horizon_exit(tmp_path):
     assert read_json(out / "pde_result.json")["termination"] == "horizon"
 
 
+def test_pde_overflow_is_a_failed_run(tmp_path, capsys):
+    # exit 3 as before, and the result no longer claims a blow-up
+    out = tmp_path / "p"
+    argv = ["pde", "run", "--eps", "1e200", "--p", "3", "--dr", "0.05", "--t_max", "2"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(argv + ["--out", str(out)]) == 3
+    payload = read_json(out / "pde_result.json")
+    assert payload["termination"] == "overflow" and payload["blew_up"] is False
+    assert "runtime failure: run ended by overflow" in capsys.readouterr().err
+
+
+def test_pde_sweep_of_overflows_is_not_fitted(tmp_path, capsys):
+    # every row overflows at t = 1.0225; they once gave a fit of slope ~0
+    out = tmp_path / "p"
+    argv = ["pde", "sweep", "--eps_start", "1e150", "--eps_stop", "1e200", "--p", "3",
+            "--dr", "0.05", "--t_max", "3"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(argv + ["--out", str(out)]) == 3
+    assert "no blow-up" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pde_run_refuses_n_above_five(tmp_path, capsys):
+    out = tmp_path / "p"
+    assert main(["pde", "run", "--n", "6", "--out", str(out)]) == 2
+    assert "n <= 5" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_file(tmp_path):
     assert main(["ode", "run", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -713,10 +742,10 @@ ARTIFACT_SHA256 = {
     },
     "ode sweep --preset critical-n2": {
         "exit": 0,
-        "stdout": "bc7c01f4f81d3c89cb4ab1dd20d7a1c7d05a40561a52a6e6fb26cd5f0b1d7032",
+        "stdout": "3bf9484cab526800bffaae1c160d449b099ade4054ddff14def3cf336b4a02d3",
         "stderr": EMPTY_SHA256,
         "manifest.json": "7a539c7beae9992d228005ab7974276c9b1960c527d98474e8b04fa5dd12196d",
-        "ode_fit.json": "031a6f24d79b0af2f3190bc6b2d036ae5b66e0b2fb8b0ff183a293e25dd1e24c",
+        "ode_fit.json": "364c14aa1374f284148ee7179b26c6c46155c465f047298c82a3b937f8d94717",
         "ode_sweep.csv": "88a95a001f00fb5df952f4249b03122abe191801ac99adde5d6b32070eefbcba",
     },
     "ode sweep --eps_start 0.05 --eps_stop 0.1 --eps_count 4": {

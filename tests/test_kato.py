@@ -4,6 +4,8 @@ import pytest
 
 from flrwave.kato import (
     KatoCriticalParams,
+    KatoSequences,
+    KatoState,
     KatoSubcriticalParams,
     a_value,
     closed_form_b,
@@ -226,3 +228,22 @@ class TestEnvelopeDivergence:
         seqs = iterate_sequences(kc, 700)
         assert seqs.truncated
         assert len(seqs.states) < 701
+
+
+def states(log_C):
+    return KatoSequences([KatoState(j, 1.0, c, None) for j, c in enumerate(log_C)], False)
+
+
+class TestEnvelopeOnsetStates:
+    # with E = -1 and p = 2, state j violates the envelope below -(1 + 1e-9) 2^j
+
+    def test_onset_follows_the_last_violating_state(self):
+        assert detect_envelope_onset(states([-1.5, -3.0, 0.0, 0.0]), 2.0, -1.0) == 2
+        assert detect_envelope_onset(states([-1.5, 0.0, -5.0, 0.0]), 2.0, -1.0) == 3
+        assert detect_envelope_onset(states([-1.0, -2.0, -4.0]), 2.0, -1.0) == 0
+
+    def test_violating_last_state_gives_none(self):
+        assert detect_envelope_onset(states([0.0, 0.0, -5.0]), 2.0, -1.0) is None
+
+    def test_no_states_give_none(self):
+        assert detect_envelope_onset(states([]), 2.0, -1.0) is None

@@ -379,3 +379,67 @@ class TestLifespanPins:
             (37.25185883014535, "threshold", 720),
             (17.873922834224697, "threshold", 338),
         ]
+
+
+class TestRunOutcome:
+    def test_overflow_is_not_a_blowup(self):
+        cfg = replace(BASE, p=3.0, eps=1e200, dr=0.05, t_max=2.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = run(cfg)
+        assert res.termination == "overflow" and res.blew_up is False
+
+    def test_config_refuses_n_above_five(self):
+        # at n = 6 the scheme "blows up" sooner the finer dr is
+        with pytest.raises(ValueError, match="n <= 5"):
+            replace(BASE, params=ModelParams(6, 0.5, 2.0))
+        res = run(replace(BASE, params=ModelParams(5, 0.5, 2.0), t_max=1.5))
+        assert res.termination == "horizon"
+
+
+class TestStructuralChecksCanFail:
+    """Each check on a copy of a run whose checks hold, with one series
+    perturbed just past (or just inside) the check's tolerance."""
+
+    @pytest.fixture(scope="class")
+    def res(self):
+        res = run(replace(BASE, t_max=3.0))
+        assert support_check(res) and holder_check(res) and f_monotone_check(res)
+        return res
+
+    @pytest.mark.parametrize("cells, holds", [(2.5, False), (1.5, True)])
+    def test_support_past_the_light_cone(self, res, cells, holds):
+        cfg, k = res.config, 10
+        support = res.support_series.copy()
+        cone = light_cone_radius(res.t_samples[k], cfg.params.alpha, cfg.R)
+        support[k] = cone + cells * cfg.dr
+        assert support_check(replace(res, support_series=support)) is holds
+
+    @pytest.mark.parametrize("ratio, holds", [(1.0 - 1e-5, False), (1.0 - 1e-7, True)])
+    def test_lp_below_the_holder_bound(self, res, ratio, holds):
+        cfg, k = res.config, 10
+        vol = ball_volume(cfg.params.n) * light_cone_radius(
+            res.t_samples[k], cfg.params.alpha, cfg.R
+        ) ** cfg.params.n
+        lp = res.lp_series.copy()
+        lp[k] *= ratio / holder_ratio(res.F_series[k], lp[k], vol, cfg.p)
+        assert holder_check(replace(res, lp_series=lp)) is holds
+
+    @pytest.mark.parametrize("dip, holds", [(2e-8, False), (0.5e-8, True)])
+    def test_f_dip(self, res, dip, holds):
+        # a dip from a level above F(1), so only the per-step rule can fail
+        F = res.F_series.copy()
+        F[10] = F[9] - dip * F[0]
+        assert f_monotone_check(replace(res, F_series=F)) is holds
+
+    def test_f_nonpositive_at_start(self, res):
+        F = res.F_series.copy()
+        F[0] = 0.0
+        assert not f_monotone_check(replace(res, F_series=F))
+
+    def test_f_below_its_start(self, res):
+        # steps of 0.9e-8 F(1) pass the per-step rule, 2.7e-6 F(1) in all does not
+        F = 1.0 - 0.9e-8 * np.arange(300)
+        assert not f_monotone_check(replace(res, F_series=F))
+
+    def test_holder_ratio_of_zero_mass(self):
+        assert holder_ratio(0.0, 1.0, 1.0, 2.0) == math.inf
