@@ -70,6 +70,9 @@ SUPPORT_REL_TOL = 1e-12  # amplitudes below this fraction of sup|u| count as zer
 MAX_GRID_CELLS = 2**22
 MAX_STEPS = 2**24
 MAX_SAMPLES = 2**20
+# A run detects an overflowing field itself (termination "overflow"), so
+# the stepping, its start and the checks silence numpy's overflow warnings.
+_QUIET = np.errstate(over="ignore", invalid="ignore")
 
 
 @dataclass(frozen=True)
@@ -319,6 +322,7 @@ def _check_budget(cfg: PdeConfig, rows: int) -> None:
         )
 
 
+@_QUIET
 def _run_batch(
     cfg: PdeConfig, eps_values: Sequence[float], snapshot_times: Sequence[float] = ()
 ) -> list[PdeResult]:
@@ -429,8 +433,8 @@ def support_check(res: PdeResult) -> bool:
     at every sample."""
     cfg = res.config
     for t, radius in zip(res.t_samples, res.support_series):
-        if radius > light_cone_radius(t, cfg.params.alpha, cfg.R) + 2 * cfg.dr:
-            return False
+        if not radius <= light_cone_radius(t, cfg.params.alpha, cfg.R) + 2 * cfg.dr:
+            return False  # NaN fails too
     return True
 
 
@@ -442,22 +446,26 @@ def holder_ratio(F_val: float, lp_val: float, volume: float, p: float) -> float:
     return lp_val * volume ** (p - 1.0) / abs(F_val) ** p
 
 
+@_QUIET
 def holder_check(res: PdeResult) -> bool:
-    """Quadrature Hoelder bound, to 1e-6, with the light-cone volume at each sample."""
+    """Quadrature Hoelder bound, to 1e-6, with the light-cone volume at each
+    sample; a non-finite F or nonlinear mass fails it."""
     cfg = res.config
     n = cfg.params.n
     for t, F_val, lp_val in zip(res.t_samples, res.F_series, res.lp_series):
         vol = ball_volume(n) * light_cone_radius(t, cfg.params.alpha, cfg.R) ** n
-        if holder_ratio(F_val, lp_val, vol, cfg.p) < 1.0 - 1e-6:
+        if not (math.isfinite(F_val) and math.isfinite(lp_val)):
+            return False
+        if not holder_ratio(F_val, lp_val, vol, cfg.p) >= 1.0 - 1e-6:
             return False
     return True
 
 
 def f_monotone_check(res: PdeResult) -> bool:
-    """F stays positive, nondecreasing up to 1e-8 F(1) per step, and never
-    drops below F(1)."""
+    """F stays finite and positive, nondecreasing up to 1e-8 F(1) per step,
+    and never drops below F(1)."""
     F = res.F_series
-    if F.size == 0 or F[0] <= 0.0:
+    if F.size == 0 or not np.all(np.isfinite(F)) or F[0] <= 0.0:
         return False
     if np.any(np.diff(F) < -1e-8 * F[0]):
         return False

@@ -443,3 +443,15 @@ class TestStructuralChecksCanFail:
 
     def test_holder_ratio_of_zero_mass(self):
         assert holder_ratio(0.0, 1.0, 1.0, 2.0) == math.inf
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "series, check",
+        [("support_series", support_check), ("F_series", f_monotone_check),
+         ("F_series", holder_check), ("lp_series", holder_check)],
+    )
+    def test_non_finite_sample_fails(self, res, series, check, value):
+        # an overflowed run (pde run --eps 1e200 --p 3) has a NaN nonlinear mass
+        bad = getattr(res, series).copy()
+        bad[10] = value
+        assert not check(replace(res, **{series: bad}))
