@@ -74,9 +74,13 @@ def clean_for_json(obj):
     return obj
 
 
-def write_text(path: str, text: str) -> None:
+def write_text(path: str, text: str | Iterable[str]) -> None:
+    """Write ``text``: a str, or an iterable of str written one at a time."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        if isinstance(text, str):
+            fh.write(text)
+        else:
+            fh.writelines(text)
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -92,12 +96,13 @@ def write_json(path: str, payload) -> None:
 
 
 def write_files(outdir: str, files: dict) -> None:
-    """Create ``outdir`` and write ``files`` by extension: a ``.csv`` name maps
-    to ``(header, rows)``, a ``.json`` name to a payload, any other to text."""
+    """Create ``outdir`` and write ``files`` by content: a ``(header, rows)``
+    tuple as CSV, a ``.json`` name's payload as JSON, anything else as text
+    (a str, or an iterable of str streamed one at a time)."""
     os.makedirs(outdir, exist_ok=True)
     for name, content in files.items():
         path = os.path.join(outdir, name)
-        if name.endswith(".csv"):
+        if isinstance(content, tuple):
             write_csv(path, *content)
         elif name.endswith(".json"):
             write_json(path, content)

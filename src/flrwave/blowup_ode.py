@@ -17,8 +17,8 @@ accepted steps and end the same way:
 * the Dormand-Prince tableau, error weights and quartic dense output;
 * the Hairer-Norsett-Wanner starting step for an order-4 error estimate;
 * the step controller: RMS error norm with scale
-  ``abs_tol + max(|y|, |y_new|) * rel_tol`` (``rel_tol`` raised to at
-  least 100 eps), step factor
+  ``abs_tol + max(|y|, |y_new|) * rel_tol`` (``OdeConfig`` refuses a
+  ``rel_tol`` below RK45's floor of 100 eps), step factor
   ``0.9 * err^(-1/5)`` clamped to [0.2, 10], no growth right after a
   rejection, a NaN error counted as a rejection, and a step collapse once
   the step falls below 10 ulp(t);
@@ -54,6 +54,9 @@ __all__ = [
     "kato_consistency_check",
     "convexity_margin",
 ]
+
+# RK45's floor for the relative tolerance; a smaller rel_tol is refused.
+MIN_REL_TOL = 100 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -95,8 +98,11 @@ class OdeConfig:
             raise ValueError(
                 f"t_max must be finite and exceed the initial time 1, got {self.t_max}"
             )
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ValueError("integrator tolerances must be positive")
+        if not (self.rel_tol >= MIN_REL_TOL and self.abs_tol > 0.0):
+            raise ValueError(
+                f"rel_tol must be at least {MIN_REL_TOL!r} (100 eps) and abs_tol positive, "
+                f"got rel_tol={self.rel_tol!r}, abs_tol={self.abs_tol!r}"
+            )
 
 
 @dataclass
@@ -148,8 +154,7 @@ def _dopri45(cfg: OdeConfig) -> tuple[str, list[tuple[float, float, float]]]:
     (v, a) and stage 7 the new one.  Zero tableau entries are skipped.
     """
     A1, R, mq, p, mu = cfg.A1, cfg.R, -cfg.q, cfg.p, cfg.mu
-    rtol = max(cfg.rel_tol, 100 * sys.float_info.epsilon)  # RK45's floor
-    atol, t_max, thr = cfg.abs_tol, cfg.t_max, cfg.blowup_threshold
+    rtol, atol, t_max, thr = cfg.rel_tol, cfg.abs_tol, cfg.t_max, cfg.blowup_threshold
     _, c2, c3, c4, c5, _ = DP_C
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = DP_A
     b1, _, b3, b4, b5, b6 = DP_B

@@ -14,14 +14,17 @@ exponential bounds never beat an applicable power bound).  Threshold
 fractions with nonpositive denominators impose no constraint, i.e. they are
 treated as +infinity.
 
-All of it is computed in one place, the row kernel ``row_bounds``: at one
-parameter point it evaluates the row constants (Fujita-type exponent, p_c,
-the two crossing thresholds) once and then every bound, the region label
-and the best exponent over a whole array of powers p.  A phase map is one
-kernel call per axis1 row; the scalar functions (``classify``,
-``best_exponent``, ``power_bounds``, ...) are the kernel on a batch of one.
-The array code repeats the scalar formulas operation by operation, so each
-entry is bit-identical whatever the batch.
+All of it is computed in one place, the kernel ``_bounds``: it takes each
+parameter point's constants (effective dimension, Fujita-type exponent,
+gamma coefficients, p_c, the two crossing thresholds, alpha, mu), evaluated
+once by the scalar functions, and broadcasts every bound, the region label
+and the best exponent against a whole array of powers p.  ``block_bounds``
+stacks the constants of a block of points as columns (a phase map is one
+call per block of ``MAP_BLOCK_ROWS`` axis1 rows), ``row_bounds`` passes one
+point's as scalars, and the scalar functions (``classify``,
+``best_exponent``, ``power_bounds``, ...) are ``row_bounds`` at one p.  The
+array code repeats the scalar formulas operation by operation, so each entry
+is bit-identical whatever the batch.
 """
 
 from __future__ import annotations
@@ -30,13 +33,14 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from flrwave.exponents import (
     FlrwParams,
     ModelParams,
+    Quadratic,
     flrw_to_model,
     fujita,
     gamma_quadratic,
@@ -53,6 +57,9 @@ __all__ = [
     "AxisSpec",
     "RegionMap",
     "CRITICAL_TOL",
+    "MAP_BLOCK_ROWS",
+    "MAX_MAP_CELLS",
+    "block_bounds",
     "row_bounds",
     "heatlike_exponent",
     "wavelike_exponent",
@@ -70,6 +77,11 @@ __all__ = [
 
 # Absolute tolerance for "p sits on a critical curve".
 CRITICAL_TOL = 1e-9
+# Rows per kernel call of a phase map: at 400 powers its temporaries peak
+# near 1.6 MB.
+MAP_BLOCK_ROWS = 32
+# Largest phase map, in cells; a larger one is refused before any axis is built.
+MAX_MAP_CELLS = 2**22
 
 
 class BoundKind(Enum):
@@ -117,17 +129,19 @@ _CODE = {label: np.int8(code) for code, label in enumerate(LABELS)}
 
 @dataclass(frozen=True)
 class RowBounds:
-    """Every bound at one parameter point, over an array of powers p.
+    """Every bound over a block of parameter points (rows) and an array of
+    powers p (columns).
 
     ``power`` and ``critical`` hold one (kind, applicable, exponent) triple
     per bound, in the order the scalar lists use; an exponent is NaN where
     its bound does not apply.  ``label`` holds codes into ``LABELS``,
     ``best`` the sharpest exponent (NaN where none applies).  ``fujita`` and
-    ``p_c`` (+inf without a positive root) are the row's critical exponents.
+    ``p_c`` (+inf without a positive root) are the rows' critical exponents.
+    The shapes follow the caller, ``block_bounds`` or ``row_bounds``.
     """
 
-    fujita: float
-    p_c: float
+    fujita: np.ndarray
+    p_c: np.ndarray
     power: tuple
     critical: tuple
     label: np.ndarray
@@ -146,9 +160,43 @@ def _first_min(bounds, shape) -> tuple:
     return best, found
 
 
+def _masked(*bounds) -> tuple:
+    """(kind, applicable, exponent) triples with the exponent NaN where its
+    bound does not apply."""
+    return tuple((kind, ok, np.where(ok, value, math.nan)) for kind, ok, value in bounds)
+
+
+def _row_constants(params: ModelParams) -> tuple:
+    """The constants of one row, by the scalar functions: d = n(1-alpha),
+    the Fujita-type exponent, the gamma coefficients, p_c (+inf without a
+    positive root), both crossing thresholds, alpha and mu."""
+    d = params.effective_dim
+    q = gamma_quadratic(params)
+    pc = positive_root(q).root
+    return (
+        d, fujita(d), q.c2, q.c1, q.c0, math.inf if pc is None else pc,
+        intermediate_wavelike_threshold(params), heatlike_wavelike_threshold(params),
+        params.alpha, params.mu,
+    )
+
+
+def block_bounds(rows: Sequence[ModelParams], p) -> RowBounds:
+    """The kernel at every parameter point of ``rows`` for every entry of the
+    1-d array ``p``: its cell arrays are (rows, p), its row values (rows, 1)
+    columns."""
+    return _bounds(np.array([_row_constants(params) for params in rows]).T[:, :, None], p)
+
+
 def row_bounds(params: ModelParams, p) -> RowBounds:
-    """All bounds, the region label and the best exponent at ``params`` for
-    every entry of the array ``p``.
+    """The kernel at the one parameter point ``params``: its arrays have the
+    shape of ``p`` and its row values are floats."""
+    return _bounds(np.array(_row_constants(params)), p)
+
+
+def _bounds(constants: np.ndarray, p) -> RowBounds:
+    """All bounds, the region label and the best exponent for the row
+    ``constants`` (as ``_row_constants`` orders them, each a scalar or a
+    column) and every entry of ``p``, broadcast against each other.
 
     Labels: A where the intermediate bound is best
     (p <= 2(1-alpha)/(n(1-alpha)+mu-1)); B where the wavelike one is (above
@@ -162,12 +210,9 @@ def row_bounds(params: ModelParams, p) -> RowBounds:
     p = np.asarray(p, dtype=float)
     if not np.isfinite(p).all():
         raise ValueError(f"p must be finite, got {p[~np.isfinite(p)].tolist()}")
-    d = params.effective_dim
-    p_f = fujita(d)
-    q = gamma_quadratic(params)
-    pc = positive_root(q).root
-    pc = math.inf if pc is None else pc
-    pc_applies = math.isfinite(pc) and pc > p_f + CRITICAL_TOL
+    d, p_f, c2, c1, c0, pc, iw_threshold, hw_threshold, alpha, mu = constants
+    q = Quadratic(c2, c1, c0)
+    pc_applies = np.isfinite(pc) & (pc > p_f + CRITICAL_TOL)
     # A bound is excluded where its condition fails (p <= 1, gamma <= 0,
     # bracket <= 0); written as ~(x <= 0) rather than x > 0, a NaN from an
     # overflow at huge p excludes nothing.
@@ -175,35 +220,31 @@ def row_bounds(params: ModelParams, p) -> RowBounds:
         pm1 = p - 1.0
         heat = pm1 / (2.0 - d * pm1)
         g = q(p)
-        wave = 2.0 * p * pm1 / ((1.0 - params.alpha) * g)
-        k = d + params.mu - 1.0
+        wave = 2.0 * p * pm1 / ((1.0 - alpha) * g)
+        k = d + mu - 1.0
         inter_denom = 2.0 - k * pm1
         inter = pm1 / inter_denom
         above_one = ~(p <= 1.0)
         on_fujita = np.abs(p - p_f) <= CRITICAL_TOL
         on_pc = (np.abs(p - pc) <= CRITICAL_TOL) & pc_applies
-        if params.mu <= 1.0:
-            fujita_bound = (BoundKind.CRITICAL_FUJITA_MU_LOW, on_fujita, p * pm1 / (p + 1.0))
-        else:
-            fujita_bound = (BoundKind.CRITICAL_FUJITA_MU_HIGH, on_fujita, pm1)
-        power = tuple(
-            (kind, ok, np.where(ok, value, math.nan))
-            for kind, ok, value in (
-                (BoundKind.HEATLIKE_SUB, (1.0 < p) & (p < p_f), heat),
-                (BoundKind.WAVELIKE_SUB, above_one & ~(g <= 0.0), wave),
-                (BoundKind.INTERMEDIATE_SUB, above_one & ~(inter_denom <= 0.0), inter),
-            )
+        mu_low = mu <= 1.0
+        power = _masked(
+            (BoundKind.HEATLIKE_SUB, (1.0 < p) & (p < p_f), heat),
+            (BoundKind.WAVELIKE_SUB, above_one & ~(g <= 0.0), wave),
+            (BoundKind.INTERMEDIATE_SUB, above_one & ~(inter_denom <= 0.0), inter),
         )
-        critical = tuple(
-            (kind, ok, np.where(ok, value, math.nan))
-            for kind, ok, value in (fujita_bound, (BoundKind.CRITICAL_PC, on_pc, p * pm1))
+        # the Fujita bound's kind follows mu, so it is two exclusive entries
+        critical = _masked(
+            (BoundKind.CRITICAL_FUJITA_MU_LOW, on_fujita & mu_low, p * pm1 / (p + 1.0)),
+            (BoundKind.CRITICAL_FUJITA_MU_HIGH, on_fujita & ~mu_low, pm1),
+            (BoundKind.CRITICAL_PC, on_pc, p * pm1),
         )
         label = np.select(
             [
                 on_fujita,
                 on_pc,
-                p <= intermediate_wavelike_threshold(params),
-                (p <= heatlike_wavelike_threshold(params)) & (p < p_f),
+                p <= iw_threshold,
+                (p <= hw_threshold) & (p < p_f),
                 # p already exceeds both crossing thresholds here: the
                 # heatlike/wavelike threshold can reach p_f only at mu >= mu*,
                 # where p_c <= p_f rules out this branch (the three curves
@@ -219,13 +260,13 @@ def row_bounds(params: ModelParams, p) -> RowBounds:
             ],
             _CODE[RegionLabel.UNCLASSIFIED],
         )
-    best, has_power = _first_min(power, p.shape)
-    best = np.where(has_power, best, _first_min(critical, p.shape)[0])
+    best, has_power = _first_min(power, label.shape)
+    best = np.where(has_power, best, _first_min(critical, label.shape)[0])
     return RowBounds(p_f, pc, power, critical, label, best)
 
 
 def _at(params: ModelParams, p: float) -> RowBounds:
-    """The row kernel on a batch of one."""
+    """The kernel at one parameter point and one power."""
     return row_bounds(params, np.array([p], dtype=float))
 
 
@@ -327,11 +368,20 @@ class AxisSpec:
             raise ValueError(f"axis step must be positive, got {self.step}")
         if self.stop < self.start:
             raise ValueError(f"axis stop {self.stop} below start {self.start}")
+        if not math.isfinite((self.stop - self.start) / self.step):
+            raise ValueError(
+                f"axis {self.name} from {self.start} to {self.stop} by {self.step} "
+                "has too many values to count"
+            )
+
+    @property
+    def count(self) -> int:
+        """The number of values, from the axis arithmetic alone."""
+        # + 1e-9 absorbs the quotient's rounding: stop is kept, never passed
+        return int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
 
     def values(self) -> list[float]:
-        # + 1e-9 absorbs the quotient's rounding: stop is kept, never passed
-        count = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
-        return [round(self.start + k * self.step, 12) for k in range(count)]
+        return [round(self.start + k * self.step, 12) for k in range(self.count)]
 
 
 @dataclass
@@ -339,7 +389,7 @@ class RegionMap:
     """Grid of region labels over (axis1, axis2) with the best exponent per cell.
 
     ``codes[i, j]`` (an index into ``LABELS``), ``labels[i][j]`` and
-    ``best[i][j]`` correspond to axis1.values()[i], axis2.values()[j].
+    ``best[i, j]`` correspond to axis1.values()[i], axis2.values()[j].
     ``fujita[i]`` and ``p_c[i]`` are the critical exponents of row i, p_c
     +inf where the gamma quadratic has no positive root.
     """
@@ -347,7 +397,7 @@ class RegionMap:
     axis1: AxisSpec
     axis2: AxisSpec
     codes: np.ndarray
-    best: list[list[float]]
+    best: np.ndarray
     fujita: list[float]
     p_c: list[float]
 
@@ -362,26 +412,30 @@ class RegionMap:
     def rows(self):
         """Yield (axis1_value, axis2_value, label, best_exponent) in row-major order."""
         v2 = self.axis2.values()
-        for a, codes, best in zip(self.axis1.values(), self.codes.tolist(), self.best):
-            for b, code, e in zip(v2, codes, best):
+        for a, codes, best in zip(self.axis1.values(), self.codes, self.best):
+            for b, code, e in zip(v2, codes.tolist(), best.tolist()):
                 yield a, b, LABELS[code], e
 
 
 def _build_map(axis1: AxisSpec, axis2: AxisSpec, params_of) -> RegionMap:
-    v1 = axis1.values()
-    v2 = axis2.values()
-    if not v1 or not v2:
-        raise ValueError("region map axes must contain at least one sample each")
+    cells = axis1.count * axis2.count
+    if cells > MAX_MAP_CELLS:
+        raise ValueError(
+            f"region map of {axis1.count} x {axis2.count} = {cells} cells exceeds "
+            f"the budget of {MAX_MAP_CELLS}"
+        )
+    v1, v2 = axis1.values(), axis2.values()
     _require_p_above_one(v2[0])  # the axis ascends
     p = np.array(v2)
-    codes = np.empty((len(v1), len(v2)), dtype=np.int8)
-    best, fujita_row, pc_row = [], [], []
-    for i, a in enumerate(v1):
-        row = row_bounds(params_of(a), p)
-        codes[i] = row.label
-        best.append(row.best.tolist())
-        fujita_row.append(row.fujita)
-        pc_row.append(row.p_c)
+    codes = np.empty((len(v1), p.size), dtype=np.int8)
+    best = np.empty(codes.shape)
+    fujita_row, pc_row = [], []
+    for start in range(0, len(v1), MAP_BLOCK_ROWS):
+        block = block_bounds([params_of(a) for a in v1[start:start + MAP_BLOCK_ROWS]], p)
+        codes[start:start + MAP_BLOCK_ROWS] = block.label
+        best[start:start + MAP_BLOCK_ROWS] = block.best
+        fujita_row += block.fujita[:, 0].tolist()
+        pc_row += block.p_c[:, 0].tolist()
     return RegionMap(axis1, axis2, codes, best, fujita_row, pc_row)
 
 

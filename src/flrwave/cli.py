@@ -42,7 +42,6 @@ import math
 import os
 import sys
 from dataclasses import asdict, astuple, fields
-from itertools import repeat
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -243,13 +242,20 @@ MAP_PRESETS = {
 }
 
 
-def _map_csv_rows(rm: bounds.RegionMap):
-    """The cells of ``rm`` as rows of ready-made CSV fields: each axis value
-    and label name is formatted once, each best exponent once per cell."""
+def _map_csv(rm: bounds.RegionMap):
+    """map.csv as lazy text blocks: the header line, then one block per axis1
+    row.  Each axis2 value and label name is formatted once a map, each
+    axis1 value once a row, each best exponent once a cell (``repr``, as
+    ``artifacts.fmt`` would)."""
     v2 = [repr(b) for b in rm.axis2.values()]
     names = [label.value for label in bounds.LABELS]
-    for a, codes, best in zip(rm.axis1.values(), rm.codes.tolist(), rm.best):
-        yield from zip(repeat(repr(a)), v2, map(names.__getitem__, codes), map(repr, best))
+    yield "axis1,axis2,label,best_exponent\n"
+    for a, codes, best in zip(rm.axis1.values(), rm.codes, rm.best):
+        a = repr(a)
+        yield "".join([
+            f"{a},{b},{names[code]},{e!r}\n"
+            for b, code, e in zip(v2, codes.tolist(), best.tolist())
+        ])
 
 
 def _cmd_map(r):
@@ -270,9 +276,9 @@ def _cmd_map(r):
     if r["preset"] == "fig2" and counts["A"] != 0:
         raise RuntimeError(f"fig2 preset expects an empty A region, found {counts['A']} cells")
 
-    payload = {"label_counts": counts, "cells": len(axis1.values()) * len(p_axis.values())}
+    payload = {"label_counts": counts, "cells": rm.codes.size}
     return payload, {
-        "map.csv": (["axis1", "axis2", "label", "best_exponent"], _map_csv_rows(rm)),
+        "map.csv": _map_csv(rm),
         "map.svg": artifacts.region_map_svg(rm, title, {"fujita": rm.fujita, "p_c": rm.p_c}),
     }
 

@@ -32,6 +32,23 @@ def test_csv_bytes_stable(tmp_path):
     assert b"\r" not in data
 
 
+def test_write_files_by_content(tmp_path):
+    lines = ["a,b\n", "1.5,x\n", "nan,y\n"]
+    artifacts.write_files(str(tmp_path), {
+        "table.csv": (["a", "b"], [(1.5, "x"), (float("nan"), "y")]),
+        "whole.csv": "".join(lines),
+        "blocks.csv": (line for line in lines),
+        "payload.json": {"b": 1},
+        "picture.svg": "<svg/>\n",
+    })
+    text = (tmp_path / "table.csv").read_bytes()
+    assert text == "".join(lines).encode()
+    assert (tmp_path / "whole.csv").read_bytes() == text
+    assert (tmp_path / "blocks.csv").read_bytes() == text
+    assert json.loads((tmp_path / "payload.json").read_text()) == {"b": 1}
+    assert (tmp_path / "picture.svg").read_text() == "<svg/>\n"
+
+
 def test_json_bytes_stable_and_sorted(tmp_path):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     artifacts.write_json(p1, {"b": 2.0, "a": [1, 2]})

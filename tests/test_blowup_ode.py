@@ -269,6 +269,13 @@ def test_config_rejects_nan(field):
         OdeConfig(**{"p": 2.0, "mu": 1.0, "q": 1.0, field: float("nan")})
 
 
+def test_config_rel_tol_floor():
+    floor = OdeConfig(p=2.0, mu=1.0, q=1.0, rel_tol=blowup_ode.MIN_REL_TOL)
+    assert floor.rel_tol == 100 * 2.0**-52
+    with pytest.raises(ValueError, match="rel_tol must be at least"):
+        OdeConfig(p=2.0, mu=1.0, q=1.0, rel_tol=math.nextafter(blowup_ode.MIN_REL_TOL, 0.0))
+
+
 def test_config_rejects_infinite_horizon():
     with pytest.raises(ValueError, match="finite"):
         OdeConfig(p=2.0, mu=1.0, q=1.0, t_max=math.inf)

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from flrwave.bounds import (
     LABELS,
+    MAX_MAP_CELLS,
     AxisSpec,
     BoundForm,
     BoundKind,
     RegionLabel,
     best_exponent,
+    block_bounds,
     classify,
     critical_bounds,
     heatlike_exponent,
@@ -251,6 +253,12 @@ class TestAxisSpec:
             AxisSpec("p", 1.0, 0.5, 0.1)
         with pytest.raises(ValueError):
             AxisSpec("p", 0.0, 1.0, 0.0)
+        with pytest.raises(ValueError, match="too many values"):
+            AxisSpec("p", 0.0, 1.0, 5e-324)
+
+    def test_count_is_the_length_of_values(self):
+        for axis in (AxisSpec("mu", 0.0, 3.0, 0.01), AxisSpec("w", -0.33, 1.0, 0.5)):
+            assert axis.count == len(axis.values())
 
 
 class TestRegionMap:
@@ -291,6 +299,19 @@ class TestRegionMap:
             3, AxisSpec("w", -0.3, 1.0, 0.05), AxisSpec("p", 1.05, 3.0, 0.05)
         )
         assert rm.label_counts()["A"] == 0
+
+    def test_cell_budget_is_checked_before_any_axis_is_built(self, monkeypatch):
+        def refuse(axis):
+            raise AssertionError("axis built")
+
+        monkeypatch.setattr(AxisSpec, "values", refuse)
+        p_axis = AxisSpec("p", 2.0, 2049.0, 1.0)
+        at_budget = AxisSpec("mu", 0.0, 2047.0, 1.0)
+        assert at_budget.count * p_axis.count == MAX_MAP_CELLS
+        with pytest.raises(AssertionError, match="axis built"):  # within budget: it builds
+            region_map_model(2, 0.6, at_budget, p_axis)
+        with pytest.raises(ValueError, match="2049 x 2048 = 4196352 cells"):
+            region_map_model(2, 0.6, AxisSpec("mu", 0.0, 2048.0, 1.0), p_axis)
 
     def test_row_order(self):
         rm = region_map_model(
@@ -407,6 +428,26 @@ class TestRowKernel:
             if label in LABEL_TO_KIND:
                 kinds = [kind for kind, _, _ in row.power]
                 assert kinds[int(np.nanargmin(exponents[:, j]))] is LABEL_TO_KIND[label]
+
+    @PROPERTY_SETTINGS
+    @given(
+        rows=st.lists(params_st, min_size=1, max_size=6),
+        ps=st.lists(p_st, min_size=1, max_size=8),
+    )
+    def test_block_equals_its_rows(self, rows, ps):
+        p_f = [fujita(params.effective_dim) for params in rows]
+        block = block_bounds(rows, np.array(ps + p_f))
+        for i, params in enumerate(rows):
+            row = row_bounds(params, np.array(ps + p_f))
+            assert block.fujita[i, 0] == row.fujita and block.p_c[i, 0] == row.p_c
+            assert block.label[i].tolist() == row.label.tolist()
+            assert block.best[i].tobytes() == row.best.tobytes()
+            for (kind, ok, value), (row_kind, row_ok, row_value) in zip(
+                block.power + block.critical, row.power + row.critical
+            ):
+                assert kind is row_kind
+                assert ok[i].tolist() == row_ok.tolist()
+                assert value[i].tobytes() == row_value.tobytes()
 
     @PROPERTY_SETTINGS
     @given(

@@ -1,16 +1,22 @@
 import argparse
 import ast
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from flrwave import artifacts, blowup_ode
+from flrwave import artifacts, blowup_ode, bounds
 from flrwave.cli import LEAVES, build_parser, main
+from flrwave.exponents import FlrwParams, ModelParams, flrw_to_model
 
 
 def read_json(path):
@@ -95,6 +101,84 @@ def test_map_byte_determinism(tmp_path):
     assert main(args + ["--out", str(out2)]) == 0
     for name in ("map.csv", "map.svg", "manifest.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def reference_map_csv(rm):
+    """map.csv as ``write_csv`` formats ``RegionMap.rows()``."""
+    cells = ((a, b, label.value, e) for a, b, label, e in rm.rows())
+    return "axis1,axis2,label,best_exponent\n" + "".join(
+        ",".join(map(artifacts.fmt, cell)) + "\n" for cell in cells
+    )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(2, 5),
+    flrw=st.booleans(),
+    alpha=st.sampled_from([0.0, 0.5, 0.6]) | st.floats(0.0, 0.8),
+    # axis1 and p steps whose grids land on the critical curves of the fixed
+    # alphas, and ones that miss them
+    step1=st.sampled_from([0.05, 0.1, 0.25, 0.37]),
+    rows=st.integers(1, 70),
+    p_start=st.sampled_from([1.01, 1.25, 1.5]) | st.floats(1.01, 1.6),
+    step2=st.sampled_from([0.01, 0.05, 0.25, 0.5, 0.43]),
+    cols=st.integers(1, 14),
+)
+@example(n=2, flrw=False, alpha=0.6, step1=0.1, rows=1, p_start=1.5, step2=0.5, cols=1)
+@example(n=3, flrw=False, alpha=0.0, step1=0.1, rows=33, p_start=1.5, step2=0.5, cols=10)
+@example(n=2, flrw=False, alpha=0.6, step1=0.05, rows=64, p_start=1.5, step2=0.25, cols=12)
+@example(n=3, flrw=True, alpha=0.0, step1=0.05, rows=27, p_start=1.01, step2=0.5, cols=12)
+def test_map_csv_equals_its_cells(n, flrw, alpha, step1, rows, p_start, step2, cols):
+    """map.csv, streamed in row blocks, holds the bytes ``write_csv`` gives
+    the map's cells, and every cell is the scalar classification bit for
+    bit; the axes cross p_F and p_c, so some cells have no bound (NaN)."""
+    if flrw:
+        # w runs up to 1 from just above its lower limit 2/n - 1
+        w_start = round(2.0 / n - 1.0 + 0.01, 6)
+        rows = min(rows, int((1.0 - w_start) / step1) + 1)
+        axis = ["--mode", "flrw", "--axis1_start", repr(w_start)]
+        params_of = lambda w: flrw_to_model(FlrwParams(n, w))
+        axis1 = bounds.AxisSpec("w", w_start, w_start + (rows - 1) * step1, step1)
+    else:
+        axis = ["--mode", "model", "--alpha", repr(alpha), "--axis1_start", "0.0"]
+        params_of = lambda mu: ModelParams(n, alpha, mu)
+        axis1 = bounds.AxisSpec("mu", 0.0, (rows - 1) * step1, step1)
+    axis2 = bounds.AxisSpec("p", p_start, p_start + (cols - 1) * step2, step2)
+    argv = ["map", "--n", str(n), *axis, "--axis1_stop", repr(axis1.stop),
+            "--axis1_step", repr(step1), "--axis2_start", repr(p_start),
+            "--axis2_stop", repr(axis2.stop), "--axis2_step", repr(step2)]
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv + ["--out", out]) == 0
+        with open(os.path.join(out, "map.csv"), encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    rm = (bounds.region_map_flrw(n, axis1, axis2) if flrw
+          else bounds.region_map_model(n, alpha, axis1, axis2))
+    assert text == reference_map_csv(rm)
+    for a, p, label, best in rm.rows():
+        params = params_of(a)
+        assert label is bounds.classify(params, p), (a, p)
+        assert repr(best) == repr(bounds.best_exponent(params, p)), (a, p)
+
+
+def refuse_axis_values(axis):
+    raise AssertionError("an axis list was built")
+
+
+def test_map_over_cell_budget_exits_2_before_building_an_axis(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bounds.AxisSpec, "values", refuse_axis_values)
+    assert main(["map", "--axis1_step", "1e-9", "--out", str(tmp_path / "m")]) == 2
+    err = capsys.readouterr().err
+    assert "3000000001 x 300 = 900000000300 cells" in err and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [["--rel_tol", "1e-300", "--abs_tol", "1e-300"],
+                                  ["--rel_tol", "2.2e-14"]])
+def test_ode_rel_tol_below_floor_exits_2(tmp_path, capsys, argv):
+    assert main(["ode", "run", *argv, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "rel_tol must be at least" in err and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
 
 
 # sha256 of the preset maps as first recorded; the closed-form layer and the
