@@ -17,7 +17,9 @@ A(t) = (t^(1-alpha) - 1)/(1-alpha).
 
 The time steps and the grid do not depend on eps, so one stepping loop
 advances runs as the rows of one (eps x r) array, in place, without threads:
-``lifespan_sweep`` is one batch and ``run`` a batch of one.  A row leaves at
+``lifespan_sweep`` is one batch and ``run`` a batch of one.  The rows lie end
+to end with a zero-padded pitch a little wider than the grid, so that each
+pass of a step is one loop over a contiguous array.  A row leaves at
 threshold, overflow or horizon, bit-identical to a run of its own.  Only the
 threshold is a blow-up; an overflow (non-finite sup|u|) fails like the
 horizon.  n > 5 is refused: there refining dr brings the "blow-up" forward.
@@ -50,8 +52,6 @@ __all__ = [
     "sphere_area",
     "ball_volume",
     "radial_laplacian",
-    "integral_dx",
-    "integral_abs_p",
     "support_radius",
     "run",
     "support_check",
@@ -179,22 +179,34 @@ def _weights(cells: int, dr: float, n: int) -> tuple[np.ndarray, np.ndarray, np.
     return left, right, quad
 
 
-def _stencil_into(out, u, k, c, dr, weights, work) -> None:
-    """Add k Lap(u) + c u to ``out``, the field taken as zero past the last
-    cell; ``work`` is two scratch arrays shaped like ``u``."""
-    left, right, _ = weights
-    m = u.shape[-1]
-    if m < 3:
-        raise ValueError(f"grid must have at least 3 points, got {m}")
+def _tiled(weights, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The neighbour weights of one row, repeated for ``rows`` rows laid end to end."""
+    return np.tile(weights[0], rows), np.tile(weights[1], rows)
+
+
+def _stencil_into(out, u, k, c, stride, dr, weights, work) -> None:
+    """Add k Lap(u) + c u to ``out``.  The flat ``u`` holds rows of ``stride``
+    cells end to end, each row's field taken as zero past its last cell: the
+    neighbour terms that would cross a row's ends are dropped, so no value of
+    one row, not even inf or NaN, reaches another.  ``weights`` are ``_tiled``
+    neighbour weights at least as long as ``u``, and ``work`` is two scratch
+    arrays shaped like ``u``."""
+    left, right = weights
+    size = u.size
+    if stride < 3:
+        raise ValueError(f"grid must have at least 3 points, got {stride}")
+    if not size:
+        return  # no rows
     near, tmp = work
-    np.multiply(right[: m - 1], u[..., 1:], out=near[..., :-1])
-    near[..., -1] = 0.0
-    np.multiply(left[1:m], u[..., :-1], out=tmp[..., 1:])
-    np.add(near[..., 1:], tmp[..., 1:], out=near[..., 1:])
+    np.multiply(right[: size - 1], u[1:], out=near[:-1])
+    near[stride - 1 :: stride] = 0.0
+    np.multiply(left[1:size], u[:-1], out=tmp[1:])
+    tmp[::stride] = 0.0
+    np.add(near, tmp, out=near)
     np.multiply(near, k, out=near)
     np.add(out, near, out=out)
     np.multiply(u, c - 2.0 * k / (dr * dr), out=near)
-    np.multiply(u[..., 0], c - k * right[0], out=near[..., 0])
+    np.multiply(u[::stride], c - k * right[0], out=near[::stride])
     np.add(out, near, out=out)
 
 
@@ -204,8 +216,11 @@ def radial_laplacian(u: np.ndarray, dr: float, n: int) -> np.ndarray:
     At the origin the symmetric limit n * u_rr applies (ghost point with
     u_r(0) = 0); past the last cell the field is taken to be zero.
     """
+    m = u.shape[-1]
+    flat = np.ravel(u)
     lap = np.zeros(u.shape)
-    _stencil_into(lap, u, 1.0, 0.0, dr, _weights(u.shape[-1], dr, n), np.empty((2,) + u.shape))
+    _stencil_into(lap.reshape(-1), flat, 1.0, 0.0, m, dr,
+                  _tiled(_weights(m, dr, n), flat.size // m), np.empty((2, flat.size)))
     return lap
 
 
@@ -213,20 +228,6 @@ def _quadrature(y: np.ndarray, quad: np.ndarray, out=None):
     """Trapezoid rule for int y dx along the last axis; ``out`` is scratch."""
     weighted = np.multiply(y, quad[: y.shape[-1]], out=out)
     return weighted.sum(axis=-1) - 0.5 * (weighted[..., 0] + weighted[..., -1])
-
-
-def integral_dx(u: np.ndarray, dr: float, n: int) -> float:
-    """Trapezoid quadrature of int u dx = sigma_(n-1) int u r^(n-1) dr; 0 on
-    an empty grid."""
-    if u.size == 0:
-        return 0.0
-    return float(_quadrature(u, _weights(u.shape[0], dr, n)[2]))
-
-
-def integral_abs_p(u: np.ndarray, dr: float, n: int, p: float) -> float:
-    if u.size == 0:
-        return 0.0
-    return float(_quadrature(np.abs(u) ** p, _weights(u.shape[0], dr, n)[2]))
 
 
 def _last_above(a: np.ndarray, floor, dr: float) -> np.ndarray:
@@ -244,9 +245,11 @@ def support_radius(u: np.ndarray, dr: float):
     return float(radius) if radius.ndim == 0 else radius
 
 
-def _step_into(out, u_prev, u_curr, t, dt_old, dt_new, dr, alpha, mu, weights, scratch) -> None:
-    """``_update`` over ``out``, which holds the source on entry.  ``u_prev``
-    is consumed: it serves as scratch, with ``scratch`` shaped like ``out``."""
+def _step_into(out, u_prev, u_curr, t, dt_old, dt_new, dr, alpha, mu, stride, weights,
+               scratch) -> None:
+    """``_update`` over the flat rows of ``out``, which holds the source on
+    entry.  ``u_prev`` is consumed: it serves as scratch, with ``scratch``
+    shaped like ``out``."""
     span = dt_old + dt_new
     damp = mu / t
     lhs = 2.0 / (span * dt_new) + damp / span
@@ -254,7 +257,8 @@ def _step_into(out, u_prev, u_curr, t, dt_old, dt_new, dr, alpha, mu, weights, s
     np.multiply(u_prev, (damp / span - 2.0 / (span * dt_old)) / lhs, out=u_prev)
     np.add(out, u_prev, out=out)
     c_curr = (2.0 / (span * dt_new) + 2.0 / (span * dt_old)) / lhs
-    _stencil_into(out, u_curr, t ** (-2.0 * alpha) / lhs, c_curr, dr, weights, (scratch, u_prev))
+    _stencil_into(out, u_curr, t ** (-2.0 * alpha) / lhs, c_curr, stride, dr, weights,
+                  (scratch, u_prev))
 
 
 def _update(u_prev, u_curr, t, dt_old, dt_new, dr, n, alpha, mu, source) -> np.ndarray:
@@ -265,9 +269,11 @@ def _update(u_prev, u_curr, t, dt_old, dt_new, dr, n, alpha, mu, source) -> np.n
     closed form; ``_step_into`` folds the coefficients.  ``source`` is the
     nonlinearity evaluated at u_curr (or None for the linear equation).
     """
+    m = u_curr.shape[-1]
     out = np.zeros(u_curr.shape) + (0.0 if source is None else source)
-    _step_into(out, np.array(u_prev, dtype=float), u_curr, t, dt_old, dt_new, dr, alpha, mu,
-               _weights(u_curr.shape[-1], dr, n), np.empty(out.shape))
+    _step_into(out.reshape(-1), np.array(u_prev, dtype=float).reshape(-1), np.ravel(u_curr), t,
+               dt_old, dt_new, dr, alpha, mu, m, _tiled(_weights(m, dr, n), out.size // m),
+               np.empty(out.size))
     return out
 
 
@@ -282,14 +288,15 @@ def _cells(t: float, cfg: PdeConfig):
     return math.ceil(cells) + 1 if math.isfinite(cells) else cells
 
 
-def _truncate_outside_cone(u: np.ndarray, t: float, cfg: PdeConfig) -> None:
+def _truncate_outside_cone(u: np.ndarray, t: float, cfg: PdeConfig, cells: int) -> None:
     # Domain-of-dependence enforcement: the exact solution vanishes beyond
     # A(t) + R, while the explicit stencil transports ~1e-4-relative tails at
     # grid speed (faster than the decaying physical speed).  Zeroing strictly
     # beyond the cone plus a one-cell buffer removes the spurious tail and
-    # leaves the cone content untouched.
+    # leaves the cone content untouched.  Everything past the grid's ``cells``
+    # columns (a stripe's padding) is zeroed too.
     cutoff = light_cone_radius(t, cfg.params.alpha, cfg.R) + cfg.dr
-    u[..., int(math.floor(cutoff / cfg.dr)) + 1 :] = 0.0
+    u[..., min(int(math.floor(cutoff / cfg.dr)) + 1, cells) :] = 0.0
 
 
 def _taylor_first_step(
@@ -342,14 +349,18 @@ def _run_batch(
 
     def observe(t, u, a, sup, which):
         """Raise ``a`` = |u| in place to the source |u|^p; append sup|u|, F,
-        int |u|^p dx and the support radius of the rows in the mask ``which``."""
-        radius = _last_above(a, SUPPORT_REL_TOL * sup[:, None], dr) if which.any() else None
+        int |u|^p dx and the support radius, on the first ``cells`` columns,
+        of the rows in the mask ``which``."""
+        radius = None
+        if which.any():
+            radius = _last_above(a[:, :cells], SUPPORT_REL_TOL * sup[:, None], dr)
         a **= p
         if radius is None:
             return
+        u, a = u[:, :cells], a[:, :cells]
         if not which.all():
             u, a, sup, radius = u[which], a[which], sup[which], radius[which]
-        quad, scratch = weights[2], levels[3, : u.shape[0], : u.shape[1]]
+        scratch = levels[3, : u.shape[0], :cells]
         columns = (sup, _quadrature(u, quad, scratch), _quadrature(a, quad, scratch), radius)
         for i, *values in zip(ids[which].tolist(), *(c.tolist() for c in columns)):
             for column, value in zip(series[i], [t, *values]):
@@ -361,14 +372,24 @@ def _run_batch(
                 snapshots[i].append((t, profile))
             pending.pop(0)
 
-    # Three time levels and one scratch array of (rows, capacity) cells.
-    # Each step works on views of the first ``cells`` columns; the columns
-    # past them stay zero, and the capacity doubles when the grid outgrows it.
-    capacity = 2 * cells
-    levels = np.zeros((4, len(eps), capacity))
-    weights = _weights(capacity, dr, n)
-    every = np.ones(len(eps), dtype=bool)
+    def lay_out(levels, rows):
+        """Copy ``levels`` into stripes with a pitch a few percent wider than
+        ``cells``; returns the stripes, the pitch, the tiled neighbour weights
+        and the trapezoid weights."""
+        stride = cells + cells // 32 + 8
+        wide = np.zeros((4, rows, stride))
+        wide[:, :, : levels.shape[2]] = levels[:, :rows]
+        weights = _weights(stride, dr, n)
+        return wide, stride, _tiled(weights, rows), weights[2]
+
+    # Three time levels and one scratch level, each holding the rows end to
+    # end with a pitch of ``stride`` cells, so that levels[k, :rows] is one
+    # contiguous array and each pass of a step is one loop over it.  The
+    # cells past ``cells`` in each row (its padding) are zero after every
+    # step; when the grid outgrows the pitch, the rows are laid out again.
+    levels, stride, weights, quad = lay_out(np.zeros((4, len(eps), 0)), len(eps))
     a = np.abs(u0)
+    every = np.ones(len(eps), dtype=bool)
     observe(1.0, u0, a, a.max(axis=1), every)
     snapshot(1.0, u0, every)
     dt = _next_dt(1.0, cfg)
@@ -377,11 +398,11 @@ def _run_batch(
     t, next_sample = 1.0 + dt, 1.0 + cfg.sample_dt
     while ids.size:
         rows = ids.size
-        u = levels[curr, :rows, :cells]
-        a = np.abs(u, out=levels[nxt, :rows, :cells])  # becomes the source |u|^p
+        u = levels[curr, :rows]
+        a = np.abs(u, out=levels[nxt, :rows])  # becomes the source |u|^p
         sup = a.max(axis=1)
         finite = np.isfinite(sup)  # the max propagates inf and NaN
-        snapshot(t, u, finite)
+        snapshot(t, u[:, :cells], finite)
         leave = ~(sup < cfg.blowup_threshold) | (t >= cfg.t_max)  # inf and NaN leave too
         observe(t, u, a, sup, finite if t >= next_sample else finite & leave)
         while next_sample <= t:
@@ -397,19 +418,17 @@ def _run_batch(
             ids = ids[~leave]
             if not ids.size:
                 break
-            levels[:3, : ids.size, :cells] = levels[:3, :rows, :cells][:, ~leave]
+            levels[:3, : ids.size] = levels[:3, :rows][:, ~leave]
             rows = ids.size
 
         dt_new = _next_dt(t, cfg)
         cells = max(cells, _cells(t + dt_new, cfg))
-        if cells > capacity:
-            capacity = 2 * cells
-            levels = np.pad(levels[:, :rows], ((0, 0), (0, 0), (0, capacity - levels.shape[2])))
-            weights = _weights(capacity, dr, n)
-        out = levels[nxt, :rows, :cells]
-        _step_into(out, levels[prev, :rows, :cells], levels[curr, :rows, :cells], t, dt, dt_new,
-                   dr, alpha, mu, weights, levels[3, :rows, :cells])
-        _truncate_outside_cone(out, t + dt_new, cfg)
+        if cells >= stride:
+            levels, stride, weights, quad = lay_out(levels, rows)
+        flat = levels[:, :rows].reshape(4, rows * stride)
+        _step_into(flat[nxt], flat[prev], flat[curr], t, dt, dt_new, dr, alpha, mu, stride,
+                   weights, flat[3])
+        _truncate_outside_cone(levels[nxt, :rows], t + dt_new, cfg, cells)
         t, dt = t + dt_new, dt_new
         prev, curr, nxt = curr, nxt, prev
 

@@ -8,18 +8,24 @@ from hypothesis import strategies as st
 
 from flrwave.exponents import ModelParams
 from flrwave.pde import (
+    SUPPORT_REL_TOL,
     PdeConfig,
+    _last_above,
+    _quadrature,
     _run_batch,
+    _step_into,
+    _stencil_into,
     _taylor_first_step,
+    _tiled,
+    _truncate_outside_cone,
     _update,
+    _weights,
     ball_volume,
     bump3,
     envelope_diagnostic,
     f_monotone_check,
     holder_check,
     holder_ratio,
-    integral_abs_p,
-    integral_dx,
     lifespan_sweep,
     light_cone_radius,
     radial_laplacian,
@@ -28,6 +34,22 @@ from flrwave.pde import (
     support_check,
     support_radius,
 )
+
+
+def integral_dx(u, dr, n):
+    """Trapezoid rule for int u dx = sigma_(n-1) int u r^(n-1) dr, written
+    out independently of the solver's cached weights; 0 on an empty grid."""
+    u = np.asarray(u, dtype=float)
+    if u.size == 0:
+        return 0.0
+    y = u * (dr * np.arange(u.size)) ** (n - 1.0)
+    area = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    return float(area * dr * (np.sum(y) - 0.5 * (y[0] + y[-1])))
+
+
+def integral_abs_p(u, dr, n, p):
+    return integral_dx(np.abs(np.asarray(u, dtype=float)) ** p, dr, n)
+
 
 BASE = PdeConfig(
     params=ModelParams(2, 0.5, 2.0), p=2.0, eps=0.5, R=1.0, dr=1.0 / 50.0, t_max=50.0
@@ -47,6 +69,14 @@ class TestRadialLaplacian:
         u = np.full(50, 3.7)
         lap = radial_laplacian(u, 0.1, 3)
         assert np.allclose(lap[:-1], 0.0, atol=1e-11)
+
+    def test_rows_stay_apart(self):
+        # rows of a batch are laid end to end; not even inf or NaN crosses
+        u = np.array([[1.0, 2.0, math.inf, 4.0], [1.0, 2.0, 3.0, 0.5], [math.nan, 1.0, 2.0, 3.0]])
+        lap = radial_laplacian(u, 0.1, 2)
+        for row, lap_row in zip(u, lap):
+            assert np.array_equal(lap_row, radial_laplacian(row, 0.1, 2), equal_nan=True)
+        assert np.all(np.isfinite(lap[1]))
 
     def test_short_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -94,6 +124,19 @@ class TestQuadrature:
             2.0 * integral_dx(u, dr, 2), rel=1e-12
         )
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_solver_quadrature_matches_oracle(self, n):
+        # the solver's cached trapezoid weights against the oracle above, on
+        # one profile and on a batch of rows
+        dr = 1.0 / 400.0
+        r = dr * np.arange(500)
+        u = bump3(r, 1.0)
+        quad = _weights(u.size, dr, n)[2]
+        assert float(_quadrature(u, quad)) == pytest.approx(integral_dx(u, dr, n), rel=1e-12)
+        rows = np.stack([u, 0.5 * u**3, 1.0 + r, np.zeros_like(u)])  # 1 + r weighs both ends
+        for got, row in zip(_quadrature(rows, quad), rows):
+            assert got == pytest.approx(integral_dx(row, dr, n), rel=1e-12, abs=0.0)
+
     def test_surface_and_volume_constants(self):
         assert sphere_area(2) == pytest.approx(2.0 * math.pi, rel=1e-15)
         assert sphere_area(3) == pytest.approx(4.0 * math.pi, rel=1e-15)
@@ -113,6 +156,53 @@ class TestSupportRadius:
 
     def test_light_cone_monotone_in_alpha(self):
         assert light_cone_radius(5.0, 0.6, 1.0) < light_cone_radius(5.0, 0.3, 1.0)
+
+
+def last_above_reference(a, floors, dr):
+    """Largest i*dr with a[i] > floor in each row, by a plain scan; 0 if none."""
+    out = []
+    for row, floor in zip(a.tolist(), floors.tolist()):
+        last = 0.0
+        for i, value in enumerate(row):
+            if value > floor:
+                last = i * dr
+        out.append(last)
+    return out
+
+
+@st.composite
+def support_rows(draw):
+    """Rows of one length, each all zero, with support anywhere, or with
+    support only in its first half; NaN may appear."""
+    m = draw(st.integers(1, 200))
+    kinds = draw(st.lists(st.sampled_from(["zero", "any", "head"]), min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    palette = [0.0, 0.0, 0.0, 1e-13, 1e-3, 0.5, 2.0, math.nan]
+    a = rng.choice(palette, (len(kinds), m))
+    for row, kind in zip(a, kinds):
+        if kind == "zero":
+            row[:] = 0.0
+        elif kind == "head":
+            row[m // 2 :] = 0.0
+    return a
+
+
+class TestSupportScan:
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(a=support_rows(), floor=st.sampled_from([0.0, 1e-12, 0.3, math.nan]))
+    def test_last_above_matches_a_full_scan(self, a, floor):
+        floors = np.full(a.shape[0], floor)
+        got = _last_above(a, floors[:, None], 0.01)
+        assert got.tolist() == last_above_reference(a, floors, 0.01)
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(a=support_rows(), sign=st.sampled_from([1.0, -1.0]))
+    def test_support_radius_matches_a_full_scan(self, a, sign):
+        u = sign * a
+        floors = SUPPORT_REL_TOL * np.max(np.abs(u), axis=-1)  # NaN where a row has one
+        want = last_above_reference(np.abs(u), floors, 0.01)
+        assert support_radius(u, 0.01).tolist() == want
+        assert support_radius(u[0], 0.01) == want[0]
 
 
 class TestHolder:
@@ -200,6 +290,15 @@ class TestRun:
         assert f_monotone_check(res)
         assert res.F_series[0] == pytest.approx(0.5 * math.pi / 4.0, rel=1e-3)
 
+    def test_first_sample_matches_oracles(self):
+        # F and int |u|^p dx at t = 1 come from the solver's own quadrature
+        cfg = replace(BASE, params=ModelParams(3, 0.5, 2.0), p=1.5, t_max=1.2)
+        res = run(cfg, snapshot_times=[1.0])
+        t0, u0 = res.snapshots[0]
+        assert t0 == 1.0
+        assert res.F_series[0] == pytest.approx(integral_dx(u0, cfg.dr, 3), rel=1e-12)
+        assert res.lp_series[0] == pytest.approx(integral_abs_p(u0, cfg.dr, 3, 1.5), rel=1e-12)
+
     def test_lifespan_decreases_with_eps(self):
         lifespans = [run(replace(BASE, eps=e)).T_num for e in (0.25, 0.5, 1.0)]
         assert lifespans[0] > lifespans[1] > lifespans[2]
@@ -279,21 +378,41 @@ def test_config_rejects_infinite_horizon():
 SERIES = ("t_samples", "sup_series", "F_series", "lp_series", "support_series")
 
 
+def assert_same_run(row, alone):
+    assert row.config == alone.config
+    assert (row.blew_up, row.T_num, row.termination) == (
+        alone.blew_up, alone.T_num, alone.termination
+    )
+    for name in SERIES:
+        assert np.array_equal(getattr(row, name), getattr(alone, name)), name
+    assert [t for t, _ in row.snapshots] == [t for t, _ in alone.snapshots]
+    for (_, profile), (_, solo) in zip(row.snapshots, alone.snapshots):
+        assert np.array_equal(profile, solo)
+
+
 class TestBatch:
     @settings(derandomize=True, database=None, max_examples=8, deadline=None)
     @given(st.lists(st.floats(0.2, 0.8), min_size=1, max_size=3))
     def test_row_is_bit_identical_to_its_own_run(self, eps_values):
-        # so a row never depends on which other eps share its batch
-        rows = _run_batch(BASE, eps_values)
+        # so a row never depends on which other eps share its batch; the
+        # eps = 0 row stays exactly zero, so nothing leaks between stripes
+        eps_values = [*eps_values, 0.0]
+        snapshot_times = [1.0, 5.0, 30.0]
+        rows = _run_batch(BASE, eps_values, snapshot_times)
         assert len(rows) == len(eps_values)
         for e, row in zip(eps_values, rows):
-            alone = run(replace(BASE, eps=e))
-            assert row.config == alone.config and row.config.eps == e
-            assert (row.blew_up, row.T_num, row.termination) == (
-                alone.blew_up, alone.T_num, alone.termination
-            )
-            for name in SERIES:
-                assert np.array_equal(getattr(row, name), getattr(alone, name)), name
+            assert row.config.eps == e
+            assert_same_run(row, run(replace(BASE, eps=e), snapshot_times))
+        zero = rows[-1]
+        assert len(zero.snapshots) == len(snapshot_times)
+        assert not np.any(zero.sup_series) and not np.any(zero.support_series)
+
+    def test_overflowing_row_leaves_its_neighbour_alone(self):
+        cfg = replace(BASE, p=3.0, dr=0.05, t_max=2.0)
+        overflow, finite = _run_batch(cfg, [1e200, 0.5])
+        assert overflow.termination == "overflow"
+        assert finite.termination == "horizon"
+        assert_same_run(finite, run(replace(cfg, eps=0.5)))
 
 
 def test_config_rejects_steps_lost_at_t_max():
@@ -360,6 +479,56 @@ class TestFoldedStencil:
         got = _update(u_prev, u_curr, t, dt_old, dt_new, dr, n, alpha, mu, source)
         want = textbook_update(u_prev, u_curr, t, dt_old, dt_new, dr, n, alpha, mu, source)
         assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 5),
+        alpha=st.floats(0.0, 0.9),
+        mu=st.floats(0.0, 4.0),
+        t=st.floats(1.0, 50.0),
+        dr=st.floats(0.005, 0.2),
+        cfl_old=st.floats(0.05, 0.95),
+        cfl_new=st.floats(0.05, 0.95),
+        cells=st.integers(3, 60),
+        pad=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_three_row_stripe(self, n, alpha, mu, t, dr, cfl_old, cfl_new, cells, pad, seed):
+        # rows laid end to end with zero padding, as the stepping loop holds them
+        rows, stride = 3, cells + pad
+        rng = np.random.default_rng(seed)
+        u_prev, u_curr = np.zeros((2, rows, stride))
+        u_prev[:, :cells], u_curr[:, :cells] = rng.uniform(-1.0, 1.0, (2, rows, cells))
+        source = np.abs(u_curr) ** 2
+        dt_old, dt_new = cfl_old * dr * t**alpha, cfl_new * dr * t**alpha
+        scale = float(np.max(np.abs([u_prev, u_curr])))
+        weights = _tiled(_weights(stride, dr, n), rows)
+        work = np.empty((2, rows * stride))
+
+        lap = np.zeros((rows, stride))
+        _stencil_into(lap.reshape(-1), u_curr.reshape(-1), 1.0, 0.0, stride, dr, weights, work)
+        out = source.copy()
+        _step_into(out.reshape(-1), u_prev.copy().reshape(-1), u_curr.reshape(-1), t, dt_old,
+                   dt_new, dr, alpha, mu, stride, weights, work[0])
+        unpadded = radial_laplacian(u_curr[:, :cells], dr, n)  # rows of stride = cells
+        for i in range(rows):
+            prev, curr, src = u_prev[i, :cells], u_curr[i, :cells], source[i, :cells]
+            assert np.array_equal(lap[i, :cells], radial_laplacian(curr, dr, n))
+            assert np.array_equal(unpadded[i], lap[i, :cells])
+            want = textbook_laplacian(curr, dr, n)
+            assert np.max(np.abs(lap[i, :cells] - want)) <= 1e-12 * scale / dr**2
+            assert np.array_equal(
+                out[i, :cells], _update(prev, curr, t, dt_old, dt_new, dr, n, alpha, mu, src)
+            )
+            want = textbook_update(prev, curr, t, dt_old, dt_new, dr, n, alpha, mu, src)
+            assert np.max(np.abs(out[i, :cells] - want)) <= 1e-12 * scale
+
+        # far past the data, the light cone covers every cell: truncation
+        # clears exactly the padding
+        inside = out[:, :cells].copy()
+        _truncate_outside_cone(out, BASE.t_max, replace(BASE, dr=dr), cells)
+        assert np.array_equal(out[:, :cells], inside)
+        assert np.all(out[:, cells:] == 0.0)
 
 
 class TestLifespanPins:
