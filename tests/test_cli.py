@@ -332,7 +332,9 @@ def test_pde_flag_overrides_config_and_horizon_exit(tmp_path):
     assert read_json(out / "pde_result.json")["termination"] == "horizon"
 
 
-PDE_OVERFLOW_RUN = ["pde", "run", "--eps", "1e200", "--p", "3", "--dr", "0.05", "--t_max", "2"]
+# data below the threshold (sup u(1) = eps) whose |u|^3 overflows in the first step
+PDE_OVERFLOW_RUN = ["pde", "run", "--eps", "1e200", "--p", "3", "--dr", "0.05", "--t_max", "2",
+                    "--blowup_threshold", "1e300"]
 
 
 def test_pde_overflow_is_a_failed_run(tmp_path, capsys):
@@ -362,7 +364,7 @@ def test_pde_sweep_of_overflows_is_not_fitted(tmp_path, capsys):
     # every row overflows at t = 1.0225; they once gave a fit of slope ~0
     out = tmp_path / "p"
     argv = ["pde", "sweep", "--eps_start", "1e150", "--eps_stop", "1e200", "--p", "3",
-            "--dr", "0.05", "--t_max", "3"]
+            "--dr", "0.05", "--t_max", "3", "--blowup_threshold", "1e300"]
     assert main(argv + ["--out", str(out)]) == 3
     eps = [1e150, 1e160, 1e170, 1e180, 1e190, 1e200]
     assert capsys.readouterr().err == (
@@ -375,6 +377,19 @@ def test_pde_run_refuses_n_above_five(tmp_path, capsys):
     out = tmp_path / "p"
     assert main(["pde", "run", "--n", "6", "--out", str(out)]) == 2
     assert "n <= 5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["pde", "run", "--eps", "2e8"],
+     ["pde", "sweep", "--eps_start", "0.5", "--eps_stop", "1e8", "--eps_count", "4"]],
+)
+def test_pde_refuses_data_at_the_threshold(tmp_path, capsys, argv):
+    # sup u(1) = eps; a sweep is refused for its largest eps, not its first
+    out = tmp_path / "p"
+    assert main(argv + ["--dr", "0.05", "--t_max", "2", "--out", str(out)]) == 2
+    assert "blow-up threshold must exceed the initial data" in capsys.readouterr().err
     assert not out.exists()
 
 

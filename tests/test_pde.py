@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flrwave.exponents import ModelParams
@@ -12,6 +12,7 @@ from flrwave.pde import (
     PdeConfig,
     _last_above,
     _quadrature,
+    _raise_to,
     _run_batch,
     _step_into,
     _stencil_into,
@@ -390,6 +391,21 @@ def assert_same_run(row, alone):
         assert np.array_equal(profile, solo)
 
 
+def assert_same_sweep_row(row, alone):
+    """A sweep row records t, sup|u| and F as the full run does, and nothing
+    the structural checks could pass on."""
+    assert (row.config, row.blew_up, row.T_num, row.termination) == (
+        alone.config, alone.blew_up, alone.T_num, alone.termination
+    )
+    for name in SERIES[:3]:
+        assert np.array_equal(getattr(row, name), getattr(alone, name)), name
+    assert row.lp_series is None and row.support_series is None
+    with pytest.raises(TypeError):
+        support_check(row)
+    with pytest.raises(TypeError):
+        holder_check(row)
+
+
 class TestBatch:
     @settings(derandomize=True, database=None, max_examples=8, deadline=None)
     @given(st.lists(st.floats(0.2, 0.8), min_size=1, max_size=3))
@@ -399,20 +415,40 @@ class TestBatch:
         eps_values = [*eps_values, 0.0]
         snapshot_times = [1.0, 5.0, 30.0]
         rows = _run_batch(BASE, eps_values, snapshot_times)
-        assert len(rows) == len(eps_values)
-        for e, row in zip(eps_values, rows):
+        swept = _run_batch(BASE, eps_values, checks=False)
+        assert len(rows) == len(swept) == len(eps_values)
+        for e, row, sweep_row in zip(eps_values, rows, swept):
             assert row.config.eps == e
-            assert_same_run(row, run(replace(BASE, eps=e), snapshot_times))
+            alone = run(replace(BASE, eps=e), snapshot_times)
+            assert_same_run(row, alone)
+            assert_same_sweep_row(sweep_row, alone)
         zero = rows[-1]
         assert len(zero.snapshots) == len(snapshot_times)
         assert not np.any(zero.sup_series) and not np.any(zero.support_series)
 
     def test_overflowing_row_leaves_its_neighbour_alone(self):
-        cfg = replace(BASE, p=3.0, dr=0.05, t_max=2.0)
+        cfg = replace(BASE, p=3.0, dr=0.05, t_max=2.0, blowup_threshold=1e300)
         overflow, finite = _run_batch(cfg, [1e200, 0.5])
         assert overflow.termination == "overflow"
         assert finite.termination == "horizon"
         assert_same_run(finite, run(replace(cfg, eps=0.5)))
+        for e, row in zip([1e200, 0.5], _run_batch(cfg, [1e200, 0.5], checks=False)):
+            assert_same_sweep_row(row, run(replace(cfg, eps=e)))
+
+    @settings(derandomize=True, database=None, max_examples=10, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 0.3, 3.0, 30.0, 1e7, 1e200]), min_size=1, max_size=4),
+           st.sampled_from([1e8, 1e300]), st.booleans())
+    @example([0.3, 1e7], 1e8, False)  # horizon and threshold
+    @example([1e200, 1e7, 0.3], 1e300, True)  # overflow twice and horizon
+    def test_the_leave_step_is_observed(self, eps_values, threshold, checks):
+        # a row that leaves finite is sampled at T_num; an overflowed level never is
+        cfg = replace(BASE, p=3.0, dr=0.05, t_max=4.0, blowup_threshold=threshold)
+        eps_values = [e for e in eps_values if e < threshold] or [0.0]
+        for row in _run_batch(cfg, eps_values, checks=checks):
+            if row.termination == "overflow":
+                assert np.all(row.t_samples < row.T_num)
+            else:
+                assert row.t_samples[-1] == row.T_num
 
 
 def test_config_rejects_steps_lost_at_t_max():
@@ -421,6 +457,18 @@ def test_config_rejects_steps_lost_at_t_max():
         for value in (1e-300, 1e-15):
             with pytest.raises(ValueError, match="resolvable"):
                 replace(BASE, **{field: value})
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                min_size=1, max_size=40),
+       st.sampled_from([2.0, 3.0, 1.5]))
+def test_raise_to_is_the_power_ufunc(values, p):
+    a = np.abs(np.array(values))
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        expected = a**p
+        _raise_to(a, p)
+    assert np.array_equal(a, expected, equal_nan=True)
 
 
 def textbook_laplacian(u, dr, n):
@@ -552,10 +600,19 @@ class TestLifespanPins:
 
 class TestRunOutcome:
     def test_overflow_is_not_a_blowup(self):
-        cfg = replace(BASE, p=3.0, eps=1e200, dr=0.05, t_max=2.0)
+        cfg = replace(BASE, p=3.0, eps=1e200, dr=0.05, t_max=2.0, blowup_threshold=1e300)
         with np.errstate(over="ignore", invalid="ignore"):
             res = run(cfg)
         assert res.termination == "overflow" and res.blew_up is False
+
+    def test_data_at_the_threshold_is_refused(self):
+        # sup u(1) = eps bump3(0) = eps: such data would leave one step late
+        for eps in (1e8, 2e8):
+            with pytest.raises(ValueError, match="exceed the initial data"):
+                replace(BASE, eps=eps)
+        # a batch checks every row, not only the config it was given
+        with pytest.raises(ValueError, match="exceed the initial data"):
+            _run_batch(BASE, [0.5, 1e8])
 
     def test_config_refuses_n_above_five(self):
         # at n = 6 the scheme "blows up" sooner the finer dr is
