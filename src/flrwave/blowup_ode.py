@@ -277,6 +277,9 @@ class FitResult:
 
 
 MIN_FIT_POINTS = 4  # fewest sweep points fit_loglog accepts
+# Most eps values one sweep may ask for (over 100x the presets); a sweep
+# integrates every one, so a larger grid is refused before it is built.
+MAX_SWEEP_POINTS = 1024
 
 
 def fit_loglog(eps_values: Sequence[float], T_values: Sequence[float]) -> FitResult:

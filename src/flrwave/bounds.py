@@ -18,13 +18,13 @@ All of it is computed in one place, the kernel ``_bounds``: it takes each
 parameter point's constants (effective dimension, Fujita-type exponent,
 gamma coefficients, p_c, the two crossing thresholds, alpha, mu), evaluated
 once by the scalar functions, and broadcasts every bound, the region label
-and the best exponent against a whole array of powers p.  ``block_bounds``
-stacks the constants of a block of points as columns (a phase map is one
-call per block of ``MAP_BLOCK_ROWS`` axis1 rows), ``row_bounds`` passes one
-point's as scalars, and the scalar functions (``classify``,
-``best_exponent``, ``power_bounds``, ...) are ``row_bounds`` at one p.  The
-array code repeats the scalar formulas operation by operation, so each entry
-is bit-identical whatever the batch.
+and the best exponent against a whole array of powers p.  ``block_bounds``,
+its one entry, stacks the constants of a block of points as columns: a
+phase map is one call per block of ``MAP_BLOCK_ROWS`` axis1 rows, and the
+scalar functions (``classify``, ``best_exponent``, ``power_bounds``, ...)
+read a block of one point at one p.  The array code repeats the scalar
+formulas operation by operation, so each entry is bit-identical whatever
+the batch.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ __all__ = [
     "MAP_BLOCK_ROWS",
     "MAX_MAP_CELLS",
     "block_bounds",
-    "row_bounds",
     "heatlike_exponent",
     "wavelike_exponent",
     "intermediate_exponent",
@@ -137,7 +136,6 @@ class RowBounds:
     its bound does not apply.  ``label`` holds codes into ``LABELS``,
     ``best`` the sharpest exponent (NaN where none applies).  ``fujita`` and
     ``p_c`` (+inf without a positive root) are the rows' critical exponents.
-    The shapes follow the caller, ``block_bounds`` or ``row_bounds``.
     """
 
     fujita: np.ndarray
@@ -187,16 +185,10 @@ def block_bounds(rows: Sequence[ModelParams], p) -> RowBounds:
     return _bounds(np.array([_row_constants(params) for params in rows]).T[:, :, None], p)
 
 
-def row_bounds(params: ModelParams, p) -> RowBounds:
-    """The kernel at the one parameter point ``params``: its arrays have the
-    shape of ``p`` and its row values are floats."""
-    return _bounds(np.array(_row_constants(params)), p)
-
-
 def _bounds(constants: np.ndarray, p) -> RowBounds:
     """All bounds, the region label and the best exponent for the row
-    ``constants`` (as ``_row_constants`` orders them, each a scalar or a
-    column) and every entry of ``p``, broadcast against each other.
+    ``constants`` (as ``_row_constants`` orders them, each a column) and
+    every entry of ``p``, broadcast against each other.
 
     Labels: A where the intermediate bound is best
     (p <= 2(1-alpha)/(n(1-alpha)+mu-1)); B where the wavelike one is (above
@@ -266,13 +258,14 @@ def _bounds(constants: np.ndarray, p) -> RowBounds:
 
 
 def _at(params: ModelParams, p: float) -> RowBounds:
-    """The kernel at one parameter point and one power."""
-    return row_bounds(params, np.array([p], dtype=float))
+    """The kernel on a 1x1 block: one parameter point, one power.  Its
+    entries are read through ``.item()``."""
+    return block_bounds([params], np.array([p], dtype=float))
 
 
 def _power_exponent(params: ModelParams, p: float, index: int) -> Optional[float]:
     _, ok, value = _at(params, p).power[index]
-    return float(value[0]) if ok[0] else None
+    return value.item() if ok.item() else None
 
 
 def heatlike_exponent(params: ModelParams, p: float) -> Optional[float]:
@@ -317,15 +310,15 @@ def critical_bounds(params: ModelParams, p: float) -> list[LifespanBound]:
     exponent): exponent p(p-1).  Away from both curves the list is empty.
     """
     return [
-        LifespanBound(kind, BoundForm.EXP_POWER, float(value[0]), True)
+        LifespanBound(kind, BoundForm.EXP_POWER, value.item(), True)
         for kind, ok, value in _at(params, p).critical
-        if ok[0]
+        if ok.item()
     ]
 
 
 def power_bounds(params: ModelParams, p: float) -> list[LifespanBound]:
     return [
-        LifespanBound(kind, BoundForm.POWER, float(value[0]), bool(ok[0]))
+        LifespanBound(kind, BoundForm.POWER, value.item(), ok.item())
         for kind, ok, value in _at(params, p).power
     ]
 
@@ -340,7 +333,7 @@ def best_exponent(params: ModelParams, p: float) -> float:
     Power bounds always beat exponential ones; among bounds of equal form
     the smallest exponent wins.  NaN when no bound applies.
     """
-    return float(_at(params, p).best[0])
+    return _at(params, p).best.item()
 
 
 def _require_p_above_one(p: float) -> None:
@@ -349,9 +342,9 @@ def _require_p_above_one(p: float) -> None:
 
 
 def classify(params: ModelParams, p: float) -> RegionLabel:
-    """Region label of the sharpest bound at (params, p); see ``row_bounds``."""
+    """Region label of the sharpest bound at (params, p); see ``_bounds``."""
     _require_p_above_one(p)
-    return LABELS[_at(params, p).label[0]]
+    return LABELS[_at(params, p).label.item()]
 
 
 @dataclass(frozen=True)

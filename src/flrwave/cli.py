@@ -326,13 +326,12 @@ def _cmd_kato_envelope(r):
 # ode, and the eps sweeps of ode and pde
 
 def _eps_grid(resolved: dict) -> np.ndarray:
-    """The geometric eps grid of a sweep, refused before any run when it has
-    fewer points than the log-log fit needs."""
+    """The geometric eps grid of a sweep, refused before it is built when it
+    has fewer points than the log-log fit needs or more than a sweep may run."""
     count = resolved["eps_count"]
-    if count < blowup_ode.MIN_FIT_POINTS:
-        raise ValueError(
-            f"eps_count must be at least {blowup_ode.MIN_FIT_POINTS} for the fit, got {count}"
-        )
+    low, high = blowup_ode.MIN_FIT_POINTS, blowup_ode.MAX_SWEEP_POINTS
+    if not low <= count <= high:
+        raise ValueError(f"eps_count must be between {low} and {high}, got {count}")
     return np.geomspace(resolved["eps_start"], resolved["eps_stop"], count)
 
 
@@ -450,15 +449,15 @@ LEAVES = (
     ),
     Leaf(
         "kato threshold", "subcritical threshold", _cmd_kato_threshold,
-        _keys(kato.KatoSubcriticalParams, p=2.0, a=0.0, b=1.0, q=1.0, mu=0.0, A0=1.0),
+        _keys(kato.KatoSubcriticalParams, p=2.0, a=0.0, b=1.0, q=1.0, A0=1.0),
     ),
     Leaf(
         "kato sequences", "critical iteration table", _cmd_kato_sequences,
-        _keys(kato.KatoCriticalParams, drop=("R",), jmax=20, **_KATO_CRITICAL),
+        _keys(kato.KatoCriticalParams, drop=("T1",), jmax=20, **_KATO_CRITICAL),
     ),
     Leaf(
         "kato envelope", "envelope divergence report", _cmd_kato_envelope,
-        _keys(kato.KatoCriticalParams, drop=("R",), delta=1e-3, horizon=1e12, **_KATO_CRITICAL),
+        _keys(kato.KatoCriticalParams, delta=1e-3, horizon=1e12, **_KATO_CRITICAL),
     ),
     Leaf(
         "ode run", "single blow-up run", _cmd_ode_run,

@@ -17,10 +17,12 @@ entering only the mu > 1 case.  C_j grows doubly exponentially, so all C_j
 arithmetic here lives in log space.
 
 The multiplicative constants C of both lemmas are not derivable at this
-level (the support constant C_R of the nonlinearity lower bound is imported
-from elsewhere, default 1), so thresholds are reported on an unnormalized
-scale: only the A0-exponent carries information.  T0 enters the lemma
-hypotheses but not the threshold scaling, and is ignored accordingly.
+level, so thresholds are reported on an unnormalized scale (C = 1): only the
+A0-exponent carries information.  The inputs are therefore exactly those
+that reach a result: the subcritical threshold reads p, a, b, q and A0; the
+critical iteration reads p, b, mu, A0, A1 and the support constant C_R of
+the nonlinearity lower bound (imported from elsewhere and passed in), and
+the envelope scan also reads T1.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 __all__ = [
+    "MAX_STATES",
     "KatoSubcriticalParams",
     "KatoCriticalParams",
     "KatoState",
@@ -47,10 +50,9 @@ __all__ = [
     "detect_envelope_onset",
 ]
 
-
-def _check_windows(T0: float, T1: float) -> None:
-    if not T1 > T0 >= 1.0:
-        raise ValueError(f"time anchors must satisfy T1 > T0 >= 1, got T0={T0}, T1={T1}")
+# Most states one iteration table may hold; a larger j_max is refused before
+# any state is built.
+MAX_STATES = 2**16
 
 
 @dataclass(frozen=True)
@@ -65,22 +67,16 @@ class KatoSubcriticalParams:
     a: float
     b: float
     q: float
-    mu: float
     A0: float
-    A1: float = 1.0
-    R: float = 1.0
-    T0: float = 1.0
-    T1: float = 2.0
 
     def __post_init__(self):
         # comparisons are written so that NaN fails them
         if not self.p > 1.0:
             raise ValueError(f"p must exceed 1, got {self.p}")
-        if not (self.a >= 0.0 and self.b > 0.0 and self.q > 0.0 and self.mu >= 0.0):
-            raise ValueError("require a >= 0, b > 0, q > 0, mu >= 0")
-        if not (self.A0 > 0.0 and self.A1 > 0.0 and self.R > 0.0):
-            raise ValueError("A0, A1, R must be positive")
-        _check_windows(self.T0, self.T1)
+        if not (self.a >= 0.0 and self.b > 0.0 and self.q > 0.0):
+            raise ValueError("require a >= 0, b > 0, q > 0")
+        if not self.A0 > 0.0:
+            raise ValueError(f"A0 must be positive, got {self.A0}")
         if not self.M > 0.0:
             raise ValueError(f"lemma inapplicable: M = (p-1)(b-a)-q+2 = {self.M} <= 0")
 
@@ -98,8 +94,6 @@ class KatoCriticalParams:
     mu: float
     A0: float
     A1: float = 1.0
-    R: float = 1.0
-    T0: float = 1.0
     T1: float = 2.0
 
     def __post_init__(self):
@@ -108,14 +102,21 @@ class KatoCriticalParams:
             raise ValueError(f"p must exceed 1, got {self.p}")
         if not (self.b > 0.0 and self.mu >= 0.0):
             raise ValueError("require b > 0, mu >= 0")
-        if not (self.A0 > 0.0 and self.A1 > 0.0 and self.R > 0.0):
-            raise ValueError("A0, A1, R must be positive")
-        _check_windows(self.T0, self.T1)
+        if not (self.A0 > 0.0 and self.A1 > 0.0):
+            raise ValueError("A0, A1 must be positive")
+        if not self.T1 > 1.0:
+            raise ValueError(f"time anchor must satisfy T1 > 1, got T1={self.T1}")
+
+    @property
+    def shift(self) -> float:
+        """The shift s of b_{j+1} = p b_j + s: 2 for mu <= 1, 1 for mu > 1.
+        The one place the mu case is decided."""
+        return 2.0 if self.mu <= 1.0 else 1.0
 
     @property
     def mu_case(self) -> str:
         """"le_one" or "gt_one"; fixes which recursion branch applies."""
-        return "le_one" if self.mu <= 1.0 else "gt_one"
+        return "le_one" if self.shift == 2.0 else "gt_one"
 
 
 @dataclass(frozen=True)
@@ -167,15 +168,7 @@ def subcritical_threshold(kp: KatoSubcriticalParams) -> float:
 
 
 def heatlike_wiring(
-    n: int,
-    alpha: float,
-    mu: float,
-    p: float,
-    eps: float,
-    A1: float = 1.0,
-    R: float = 1.0,
-    T0: float = 1.0,
-    T1: float = 2.0,
+    n: int, alpha: float, mu: float, p: float, eps: float
 ) -> KatoSubcriticalParams:
     """Subcritical lemma inputs produced by the blow-up argument for the wave
     model: q = n(1-alpha)(p-1), a = mu + q, b = mu + 2, A0 = eps^p.
@@ -184,18 +177,14 @@ def heatlike_wiring(
     scales like eps^(-(p-1)/(2-n(1-alpha)(p-1))).
     """
     q = n * (1.0 - alpha) * (p - 1.0)
-    return KatoSubcriticalParams(
-        p=p, a=mu + q, b=mu + 2.0, q=q, mu=mu, A0=eps**p, A1=A1, R=R, T0=T0, T1=T1
-    )
+    return KatoSubcriticalParams(p=p, a=mu + q, b=mu + 2.0, q=q, A0=eps**p)
 
 
 def closed_form_b(kc: KatoCriticalParams, j: int) -> float:
-    """b_j in closed form: p^j (b + s/(p-1)) - s/(p-1), s = 2 for mu <= 1
-    and s = 1 for mu > 1."""
+    """b_j in closed form: p^j (b + s/(p-1)) - s/(p-1) with s = ``kc.shift``."""
     if j < 0:
         raise ValueError(f"iteration index must be nonnegative, got {j}")
-    s = 2.0 if kc.mu <= 1.0 else 1.0
-    shift = s / (kc.p - 1.0)
+    shift = kc.shift / (kc.p - 1.0)
     return kc.p**j * (kc.b + shift) - shift
 
 
@@ -206,29 +195,28 @@ def a_value(j: int) -> float:
     return 2.0 - 0.5**j
 
 
-def iterate_sequences(kc: KatoCriticalParams, j_max: int, C_R: float = 1.0) -> KatoSequences:
+def iterate_sequences(kc: KatoCriticalParams, j_max: int, C_R: float) -> KatoSequences:
     """Exact recursion for (b_j, log C_j, a_j), j = 0..j_max.
 
-    Iteration stops early (truncated=True) if b_j or log C_j leaves the
-    representable range.
+    A j_max of ``MAX_STATES`` or more is refused up front.  Iteration stops
+    early (truncated=True) if b_j or log C_j leaves the representable range.
     """
-    if j_max < 0:
-        raise ValueError(f"j_max must be nonnegative, got {j_max}")
+    if not 0 <= j_max < MAX_STATES:
+        raise ValueError(f"j_max must satisfy 0 <= j_max < {MAX_STATES}, got {j_max}")
     if C_R <= 0.0:
         raise ValueError(f"support constant C_R must be positive, got {C_R}")
-    low_mu = kc.mu <= 1.0
+    s = kc.shift
+    low_mu = s == 2.0
     log_a1cr = math.log(kc.A1 * C_R)
     b_j = kc.b
     log_c = math.log(kc.A0)
     states = [KatoState(0, b_j, log_c, None if low_mu else a_value(0))]
     truncated = False
     for j in range(j_max):
+        denom = kc.p * b_j + s
         if low_mu:
-            denom = kc.p * b_j + 2.0
             log_c = log_a1cr + kc.p * log_c - 2.0 * math.log(denom)
-            b_j = denom
         else:
-            denom = kc.p * b_j + 1.0
             log_c = (
                 log_a1cr
                 + kc.mu * math.log(2.0 / 3.0)
@@ -236,7 +224,7 @@ def iterate_sequences(kc: KatoCriticalParams, j_max: int, C_R: float = 1.0) -> K
                 - math.log(2.0 * denom)
                 - (j + 1) * math.log(2.0)
             )
-            b_j = denom
+        b_j = denom
         if not (math.isfinite(b_j) and math.isfinite(log_c)):
             truncated = True
             break
@@ -244,7 +232,7 @@ def iterate_sequences(kc: KatoCriticalParams, j_max: int, C_R: float = 1.0) -> K
     return KatoSequences(states, truncated)
 
 
-def envelope_constants(kc: KatoCriticalParams, C_R: float = 1.0) -> tuple[float, float]:
+def envelope_constants(kc: KatoCriticalParams, C_R: float) -> tuple[float, float]:
     """Constants (B, E) of the envelope C_j >= exp(E p^j).
 
     mu <= 1:  B = (b + 2/(p-1))^(-2) A1 C_R,
@@ -256,14 +244,15 @@ def envelope_constants(kc: KatoCriticalParams, C_R: float = 1.0) -> tuple[float,
     """
     if C_R <= 0.0:
         raise ValueError(f"support constant C_R must be positive, got {C_R}")
-    p = kc.p
+    p, s = kc.p, kc.shift
     s_sum = p / (p - 1.0) ** 2
-    if kc.mu <= 1.0:
-        B = (kc.b + 2.0 / (p - 1.0)) ** (-2.0) * kc.A1 * C_R
-        E = min(0.0, math.log(B)) / (p - 1.0) - 2.0 * s_sum * math.log(p) + math.log(kc.A0)
+    B = (kc.b + s / (p - 1.0)) ** -s * kc.A1 * C_R
+    if s == 2.0:
+        growth = 2.0 * s_sum * math.log(p)
     else:
-        B = (kc.b + 1.0 / (p - 1.0)) ** (-1.0) * kc.A1 * C_R * (2.0 / 3.0) ** kc.mu / 2.0
-        E = min(0.0, math.log(B)) / (p - 1.0) - s_sum * math.log(2.0 * p) + math.log(kc.A0)
+        B = B * (2.0 / 3.0) ** kc.mu / 2.0
+        growth = s_sum * math.log(2.0 * p)
+    E = min(0.0, math.log(B)) / (p - 1.0) - growth + math.log(kc.A0)
     return B, E
 
 
@@ -273,13 +262,12 @@ def critical_threshold(kc: KatoCriticalParams) -> CriticalThreshold:
     The exponent is -(p-1)/(b(p-1)+2) for mu <= 1 and -(p-1)/(b(p-1)+1)
     for mu > 1; as with the subcritical threshold, C is set to 1.
     """
-    shift = 2.0 if kc.mu <= 1.0 else 1.0
-    expo = -(kc.p - 1.0) / (kc.b * (kc.p - 1.0) + shift)
+    expo = -(kc.p - 1.0) / (kc.b * (kc.p - 1.0) + kc.shift)
     return CriticalThreshold(expo, math.exp(kc.A0**expo))
 
 
 def envelope_divergence(
-    kc: KatoCriticalParams, C_R: float = 1.0, delta: float = 1e-3, horizon: float = 1e12
+    kc: KatoCriticalParams, C_R: float, delta: float, horizon: float
 ) -> EnvelopeReport:
     """Scan a logarithmic t-grid for the first time the envelope bracket
     exceeds ``delta`` (from there the envelope diverges as j grows).
@@ -290,12 +278,8 @@ def envelope_divergence(
     if delta <= 0.0:
         raise ValueError(f"divergence margin must be positive, got {delta}")
     B, E = envelope_constants(kc, C_R)
-    if kc.mu <= 1.0:
-        t_base = kc.T1
-        slope = kc.b + 2.0 / (kc.p - 1.0)
-    else:
-        t_base = 2.0 * kc.T1
-        slope = kc.b + 1.0 / (kc.p - 1.0)
+    t_base = kc.T1 if kc.shift == 2.0 else 2.0 * kc.T1
+    slope = kc.b + kc.shift / (kc.p - 1.0)
     ratio = 10.0 ** (1.0 / 64)
     t = t_base * ratio
     while t <= horizon:

@@ -55,7 +55,6 @@ __all__ = [
     "sphere_area",
     "ball_volume",
     "radial_laplacian",
-    "support_radius",
     "run",
     "support_check",
     "holder_check",
@@ -242,14 +241,6 @@ def _last_above(a: np.ndarray, floor, dr: float) -> np.ndarray:
     above = a > floor
     last = above.shape[-1] - 1 - np.argmax(above[..., ::-1], axis=-1)
     return np.where(above.any(axis=-1), last * dr, 0.0)
-
-
-def support_radius(u: np.ndarray, dr: float):
-    """Largest r where |u| > SUPPORT_REL_TOL * sup|u| along the last axis (a
-    float for one profile, an array for a batch); 0 for the zero field."""
-    a = np.abs(u)
-    radius = _last_above(a, SUPPORT_REL_TOL * a.max(axis=-1, keepdims=True), dr)
-    return float(radius) if radius.ndim == 0 else radius
 
 
 def _step_into(out, u_prev, u_curr, t, dt_old, dt_new, dr, alpha, mu, stride, weights,

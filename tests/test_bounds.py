@@ -24,7 +24,6 @@ from flrwave.bounds import (
     power_bounds,
     region_map_flrw,
     region_map_model,
-    row_bounds,
     wavelike_exponent,
 )
 from flrwave.exponents import (
@@ -387,8 +386,8 @@ def reference_label_and_best(params: ModelParams, p: float):
 
 
 def assert_row_matches_scalars(params, ps):
-    row = row_bounds(params, np.array(ps))
-    for p, code, best in zip(ps, row.label.tolist(), row.best.tolist()):
+    row = block_bounds([params], np.array(ps))
+    for p, code, best in zip(ps, row.label[0].tolist(), row.best[0].tolist()):
         label, ref_best = reference_label_and_best(params, p)
         assert LABELS[code] is classify(params, p) is label, (params, p)
         assert same_bits(best, best_exponent(params, p)), (params, p)
@@ -421,9 +420,9 @@ class TestRowKernel:
             p_c(params).root or math.inf,
         ]
         ps = [p for p in ps if all(abs(p - t) > 1e-6 for t in thresholds)]
-        row = row_bounds(params, np.array(ps))
-        exponents = np.array([value for _, _, value in row.power])  # NaN: not applicable
-        for j, code in enumerate(row.label.tolist()):
+        row = block_bounds([params], np.array(ps))
+        exponents = np.array([value[0] for _, _, value in row.power])  # NaN: not applicable
+        for j, code in enumerate(row.label[0].tolist()):
             label = LABELS[code]
             if label in LABEL_TO_KIND:
                 kinds = [kind for kind, _, _ in row.power]
@@ -438,16 +437,16 @@ class TestRowKernel:
         p_f = [fujita(params.effective_dim) for params in rows]
         block = block_bounds(rows, np.array(ps + p_f))
         for i, params in enumerate(rows):
-            row = row_bounds(params, np.array(ps + p_f))
-            assert block.fujita[i, 0] == row.fujita and block.p_c[i, 0] == row.p_c
-            assert block.label[i].tolist() == row.label.tolist()
-            assert block.best[i].tobytes() == row.best.tobytes()
+            row = block_bounds([params], np.array(ps + p_f))  # a block of one
+            assert block.fujita[i, 0] == row.fujita[0, 0] and block.p_c[i, 0] == row.p_c[0, 0]
+            assert block.label[i].tolist() == row.label[0].tolist()
+            assert block.best[i].tobytes() == row.best[0].tobytes()
             for (kind, ok, value), (row_kind, row_ok, row_value) in zip(
                 block.power + block.critical, row.power + row.critical
             ):
                 assert kind is row_kind
-                assert ok[i].tolist() == row_ok.tolist()
-                assert value[i].tobytes() == row_value.tobytes()
+                assert ok[i].tolist() == row_ok[0].tolist()
+                assert value[i].tobytes() == row_value[0].tobytes()
 
     @PROPERTY_SETTINGS
     @given(
@@ -473,4 +472,4 @@ def test_non_finite_p_rejected(p):
     with pytest.raises(ValueError):
         classify(params, p)
     with pytest.raises(ValueError):
-        row_bounds(params, np.array([2.0, p]))
+        block_bounds([params], np.array([2.0, p]))

@@ -8,13 +8,14 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flrwave import artifacts, blowup_ode, bounds
+from flrwave import artifacts, blowup_ode, bounds, kato
 from flrwave.cli import LEAVES, build_parser, main
 from flrwave.exponents import FlrwParams, ModelParams, flrw_to_model
 
@@ -246,6 +247,44 @@ def test_kato_envelope_report(tmp_path):
     payload = read_json(out / "kato_envelope.json")
     assert payload["t_star"] is not None
     assert payload["a0_exponent"] == pytest.approx(-0.5)
+
+
+def test_kato_sequences_over_state_budget_exits_2(tmp_path, capsys):
+    # near p = 1 the iteration would build ~7e8 states before it truncates
+    for jmax in (kato.MAX_STATES, 10**9):
+        out = tmp_path / str(jmax)
+        started = time.perf_counter()
+        argv = ["kato", "sequences", "--p", "1.000001", "--jmax", str(jmax), "--out", str(out)]
+        assert main(argv) == 2
+        assert time.perf_counter() - started < 1.0
+        assert "j_max" in capsys.readouterr().err
+        assert not out.exists()
+    # the largest jmax allowed still runs; at p = 2 it truncates near j = 1,000
+    out = tmp_path / "cap"
+    argv = ["kato", "sequences", "--jmax", str(kato.MAX_STATES - 1), "--out", str(out)]
+    assert main(argv) == 0
+    assert read_json(out / "kato_sequences.json")["truncated"] is True
+
+
+# One change of each kato key that must show in the command's summary; mu
+# crosses 1, where the iteration changes branch.
+KATO_PERTURBATIONS = {
+    "p": 3.0, "a": 0.5, "b": 2.0, "q": 0.5, "mu": 2.0, "A0": 0.5, "A1": 2.0,
+    "CR": 2.0, "T1": 3.0, "jmax": 10, "delta": 0.5, "horizon": 1e6,
+}
+
+
+@pytest.mark.parametrize(
+    "leaf, key",
+    [(leaf, key) for leaf in LEAVES if leaf.name.startswith("kato") for key in leaf.keys],
+    ids=lambda item: item if isinstance(item, str) else item.name.replace(" ", "-"),
+)
+def test_every_kato_key_reaches_the_summary(leaf, key):
+    # a key no result reads is an option with no effect
+    assert key in KATO_PERTURBATIONS, f"{leaf.name}: no perturbation shows what {key} does"
+    base, _ = leaf.handler(dict(leaf.keys))
+    changed, _ = leaf.handler({**leaf.keys, key: KATO_PERTURBATIONS[key]})
+    assert artifacts.clean_for_json(changed) != artifacts.clean_for_json(base)
 
 
 def test_ode_run_outputs(tmp_path):
@@ -645,12 +684,14 @@ def test_ode_solver_failure_is_a_runtime_failure(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command", ["pde", "ode"])
 def test_sweep_with_too_few_eps_exits_2(tmp_path, command, capsys):
-    # the log-log fit needs 4 points; fewer are refused before any run
-    for count in ("0", "3"):
+    # the log-log fit needs 4 points, and a sweep runs at most
+    # MAX_SWEEP_POINTS; other counts are refused before the grid is built
+    over = blowup_ode.MAX_SWEEP_POINTS + 1
+    for count in ("0", "3", str(over), "1000000000"):
         out = tmp_path / count
         assert main([command, "sweep", "--eps_count", count, "--out", str(out)]) == 2
         assert "eps_count" in capsys.readouterr().err
-        assert not (out / "manifest.json").exists()
+        assert not out.exists()
 
 
 def cli_flags(ints="", floats="", **other):
@@ -665,7 +706,8 @@ def cli_flags(ints="", floats="", **other):
 ODE_FLOATS = "p mu q A1 R F_init_scale dF_init_scale blowup_threshold t_max rel_tol abs_tol"
 PDE_FLOATS = "alpha mu p R dr cfl blowup_threshold t_max domain_margin dt_cap sample_dt"
 
-# the flags of every leaf command as first recorded
+# the flags of every leaf command as first recorded; the three kato rows were
+# re-recorded when the inputs that reach no result were dropped
 CLI_SCHEMA = {
     "exponents": cli_flags("n", "alpha mu w p", flrw="store_true"),
     "classify": cli_flags("n", "alpha mu p"),
@@ -673,9 +715,9 @@ CLI_SCHEMA = {
         "n", "alpha axis1_start axis1_stop axis1_step axis2_start axis2_stop axis2_step",
         preset=["fig1", "fig2"], mode=["flrw", "model"],
     ),
-    "kato threshold": cli_flags(floats="p a b q mu A0 A1 R T0 T1"),
-    "kato sequences": cli_flags("jmax", "p b mu A0 A1 CR T0 T1"),
-    "kato envelope": cli_flags(floats="p b mu A0 A1 CR T0 T1 delta horizon"),
+    "kato threshold": cli_flags(floats="p a b q A0"),
+    "kato sequences": cli_flags("jmax", "p b mu A0 A1 CR"),
+    "kato envelope": cli_flags(floats="p b mu A0 A1 CR T1 delta horizon"),
     "ode run": cli_flags(floats="eps " + ODE_FLOATS),
     "ode sweep": cli_flags(
         "eps_count", "eps_start eps_stop " + ODE_FLOATS, preset=["critical-n2", "heatlike-n2"]
@@ -715,7 +757,8 @@ def test_parser_schema_pinned():
 
 
 # config_digest of flag-only and preset invocations as first recorded: the
-# schema must resolve each to the same config
+# schema must resolve each to the same config.  The kato digests were
+# re-recorded when their inert keys left the config.
 CONFIG_DIGESTS = {
     "exponents": "29a60ee9c6ae758fbca3bec74b9a8cc4efb82ae516767270fc259940f23199be",
     "classify": "dd4b7b5b724b4216e0e699a6fa4ea9ed9c9ccbbba8e23cc6919ede31a4f26bad",
@@ -723,9 +766,9 @@ CONFIG_DIGESTS = {
         "8465b051fc3b1192c32219b336d9f1be48b85191349672841b83c406711776f5",
     "map --preset fig1": "d21644533c2c7c513c383d201172c3e6e6013b084a7ea8679ba0900354ab26c3",
     "map --preset fig2": "f80bbf3bd9d4fc4852c75353ec1cba7996a506a673f64ac79edbfbaa3580f404",
-    "kato threshold": "972cd368d9ea368353470f0421011350d13d271334f1c27dbcc6ac4ec0227808",
-    "kato sequences": "8f380ffddffa0ba98af8a407af668342eacfc936393f6b294f89f1b967f8f860",
-    "kato envelope": "4c92edf79ebdf3cdaeab9d8e1073128687b399d87ca55eb7f0a7958028b820ca",
+    "kato threshold": "49bfecb8d0913f0e3f3718633e951b6e72e6358b9695a229cefcee4bc7e27f7f",
+    "kato sequences": "7c0628ff1a6f245c8258a74c035a45c06d205f7723f7f02ff8f9ae5c5a85f42f",
+    "kato envelope": "3645018b65f51e9cbed1465386c66871da80534b5c5cbfb97de4cb34213742b2",
     "ode run": "544e6f834fe1644b0913470a9aa85c96b159af55cb4028230cdfacd4ec5f9e13",
     "ode sweep --preset heatlike-n2":
         "f30b2c9f0306c3549921f4d157ddcd66a51c2aa860e1829c80d7840d042714d0",
@@ -771,7 +814,9 @@ def run_digests(tmp_path, capsys, command):
 # sides of q = 2, and the Kato branch with mu > 1.  The "ode run" and the two
 # successful "ode sweep" entries were re-recorded when the in-house
 # Dormand-Prince integrator replaced scipy's: the same steps and endings,
-# lifespans within 3e-15 relative.
+# lifespans within 3e-15 relative.  The kato entries' stdout and manifest.json
+# were re-recorded when their inert keys left the config (a new config
+# digest); their artifacts kept their bytes.
 EMPTY_SHA256 = hashlib.sha256(b"").hexdigest()
 ARTIFACT_SHA256 = {
     "exponents": {
@@ -819,40 +864,40 @@ ARTIFACT_SHA256 = {
     },
     "kato threshold": {
         "exit": 0,
-        "stdout": "053a07be33a09092f0119c93e7a9eca03d521c30c16a5a58f62d0add2695871d",
+        "stdout": "dca84ad32804fee0d4df25f31e0325328954597fe8385a8b63dcb2c5e1621828",
         "stderr": EMPTY_SHA256,
         "kato_threshold.json": "97690b5f2db0280a3507bee4e0d68aac2dde1778076c7aebc22e0b2395fd8a61",
-        "manifest.json": "69409b76e7aa459f05e36593e40d388e7713c49aa5b3709c197f79db89a4e938",
+        "manifest.json": "78a9faa16b811b993835b62e67c41a1f09df003bcde16391d42b6b1c98de8a7f",
     },
     "kato sequences": {
         "exit": 0,
-        "stdout": "04900af502b9eb2b9fcbb9293f3e25a85d939afc6fbf74ca075644464188075d",
+        "stdout": "a4653b187510295e4c6e40378b0aba6dbb2de05472322b17d5a4ba46cb202803",
         "stderr": EMPTY_SHA256,
         "kato_sequences.csv": "481a556cdcce4f94fef6ec18840f13f91ba9d3417c9aabc82ed269e635161c9a",
         "kato_sequences.json": "f0f012dec6344cee9b1eeb736da46dcaadcb4d9f1965a8cfe36c8b41984f9259",
-        "manifest.json": "ab74348ee231653630ad700c0abf527977f0ad19c9f8a88abe5428495ad7bdf5",
+        "manifest.json": "5fbc08459f5a565661636a20c56e0020afd71c0dab9c41e1ec4be9e801336736",
     },
     "kato sequences --mu 2": {
         "exit": 0,
-        "stdout": "4097671de8749899bd5848afea2125259cdf5b455daf002c5350a9b6c314d502",
+        "stdout": "acd2d2b990797ffcfcd0145984ac19b9fc26740df2657ed2ed69e28be4efe57d",
         "stderr": EMPTY_SHA256,
         "kato_sequences.csv": "22de0fd49b09670d11c5a201286fbe3cfecaf8f7dad0efd9877e60b869a55e8c",
         "kato_sequences.json": "c12c95e8e3672d9b3ab41c976374b8db5485e36b08cf9aaeb4fca8ee187f1ba4",
-        "manifest.json": "7b560685e8c8f3ac98ba02e7c03aa72a368eac70892f6eb7e8246aebef17ab9f",
+        "manifest.json": "d1d1bbde794ee52a71d334de53330b770f6a0713ad27eeec9faed2fea3cca450",
     },
     "kato envelope": {
         "exit": 0,
-        "stdout": "dff1c9e6a44c4b1ba684eefe8f04f86da7d11ccdb9603f176afc2bc21bf75dd7",
+        "stdout": "d321cb88b0039fa1f612be1f968bb7ac6df71970f513f93cb2d7f81d79fa621d",
         "stderr": EMPTY_SHA256,
         "kato_envelope.json": "fc402747cf696a99561499fd207cc840eb3851ef80519950368554a9d6dd6d8e",
-        "manifest.json": "2cc901a4fa7024ab982309dd78bd33370d719c3da0b90ff288c812e8111024dc",
+        "manifest.json": "c318e967cfe84312cb7a05af8b4e72b445893dc9bc836c30643a4212229e9fc9",
     },
     "kato envelope --mu 2": {
         "exit": 0,
-        "stdout": "300bc99d548e169021890f567f00c8c155126eb1d0e8474814152be31021f7c5",
+        "stdout": "14d371a05a6f872061d01c5c7e082208072d8fde85329331998794615d923657",
         "stderr": EMPTY_SHA256,
         "kato_envelope.json": "62bdada490b5b216210da6eaca43ac6a91d4b3cb39abf3d1fa48e1282507d676",
-        "manifest.json": "c59ede9d26eaa91f0cec79b2d5938d68b4da6399e297ec41ad71f2f5cec1371e",
+        "manifest.json": "b5b3cc85e259c4a32bed91a248955f1976b2a65873c860d7a4e663886cf1c791",
     },
     "ode run": {
         "exit": 0,

@@ -18,30 +18,35 @@ from flrwave.kato import (
     subcritical_threshold,
 )
 
+# the support constant, margin and horizon of ``kato envelope``'s defaults
+ENVELOPE = {"C_R": 1.0, "delta": 1e-3, "horizon": 1e12}
+
 
 class TestSubcritical:
     def test_hand_example(self):
-        kp = KatoSubcriticalParams(p=2.0, a=2.0, b=3.0, q=1.0, mu=0.0, A0=1.0)
+        kp = KatoSubcriticalParams(p=2.0, a=2.0, b=3.0, q=1.0, A0=1.0)
         assert kp.M == pytest.approx(2.0)
         assert subcritical_threshold(kp) == pytest.approx(1.0)
-        kp = KatoSubcriticalParams(p=2.0, a=2.0, b=3.0, q=1.0, mu=0.0, A0=0.01)
+        kp = KatoSubcriticalParams(p=2.0, a=2.0, b=3.0, q=1.0, A0=0.01)
         assert subcritical_threshold(kp) == pytest.approx(10.0, rel=1e-13)
 
     def test_inapplicable_rejected(self):
         with pytest.raises(ValueError, match="inapplicable"):
-            KatoSubcriticalParams(p=2.0, a=3.0, b=1.0, q=2.0, mu=0.0, A0=1.0)
+            KatoSubcriticalParams(p=2.0, a=3.0, b=1.0, q=2.0, A0=1.0)
 
     def test_field_validation(self):
         with pytest.raises(ValueError):
-            KatoSubcriticalParams(p=1.0, a=0.0, b=1.0, q=0.5, mu=0.0, A0=1.0)
+            KatoSubcriticalParams(p=1.0, a=0.0, b=1.0, q=0.5, A0=1.0)
         with pytest.raises(ValueError):
-            KatoSubcriticalParams(p=2.0, a=0.0, b=1.0, q=0.5, mu=0.0, A0=1.0, T0=2.0, T1=1.5)
+            KatoSubcriticalParams(p=2.0, a=0.0, b=1.0, q=0.5, A0=0.0)
+        with pytest.raises(ValueError, match="T1"):
+            KatoCriticalParams(p=2.0, b=1.0, mu=0.0, A0=1.0, T1=1.0)
         # NaN fails every bound
         nan = float("nan")
         with pytest.raises(ValueError):
-            KatoSubcriticalParams(p=nan, a=0.0, b=1.0, q=0.5, mu=0.0, A0=1.0)
+            KatoSubcriticalParams(p=nan, a=0.0, b=1.0, q=0.5, A0=1.0)
         with pytest.raises(ValueError):
-            KatoSubcriticalParams(p=2.0, a=0.0, b=1.0, q=nan, mu=0.0, A0=1.0)
+            KatoSubcriticalParams(p=2.0, a=0.0, b=1.0, q=nan, A0=1.0)
         with pytest.raises(ValueError):
             KatoCriticalParams(p=2.0, b=nan, mu=0.0, A0=1.0)
         with pytest.raises(ValueError):
@@ -76,13 +81,13 @@ class TestSubcritical:
 class TestSequences:
     def test_low_damping_closed_form(self):
         kc = KatoCriticalParams(p=2.0, b=1.0, mu=0.5, A0=1.0)
-        seqs = iterate_sequences(kc, 2)
+        seqs = iterate_sequences(kc, 2, C_R=1.0)
         assert [s.b_j for s in seqs.states] == [1.0, 4.0, 10.0]
         assert all(s.a_j is None for s in seqs.states)
 
     def test_high_damping_closed_form(self):
         kc = KatoCriticalParams(p=2.0, b=1.0, mu=2.0, A0=1.0)
-        seqs = iterate_sequences(kc, 2)
+        seqs = iterate_sequences(kc, 2, C_R=1.0)
         assert [s.b_j for s in seqs.states] == [1.0, 3.0, 7.0]
         assert [s.a_j for s in seqs.states] == [1.0, 1.5, 1.75]
 
@@ -96,7 +101,7 @@ class TestSequences:
             for b in (0.5, 1.0, 2.0):
                 for mu in (0.5, 2.0):
                     kc = KatoCriticalParams(p=p, b=b, mu=mu, A0=1.0)
-                    seqs = iterate_sequences(kc, 30)
+                    seqs = iterate_sequences(kc, 30, C_R=1.0)
                     assert not seqs.truncated
                     for s in seqs.states:
                         expected = closed_form_b(kc, s.j)
@@ -138,8 +143,8 @@ class TestEnvelopeConstants:
         for mu in (0.5, 2.0):
             kc1 = KatoCriticalParams(p=2.0, b=1.0, mu=mu, A0=1.0)
             kc2 = KatoCriticalParams(p=2.0, b=1.0, mu=mu, A0=7.5)
-            _, e1 = envelope_constants(kc1)
-            _, e2 = envelope_constants(kc2)
+            _, e1 = envelope_constants(kc1, C_R=1.0)
+            _, e2 = envelope_constants(kc2, C_R=1.0)
             assert e2 - e1 == pytest.approx(math.log(7.5), rel=1e-12)
 
     def test_envelope_onset_and_growth(self):
@@ -194,10 +199,10 @@ class TestEnvelopeDivergence:
         # E = 0 exactly: B = 1 via A1*C_R = 9 and A0 = 16 at p = 2, b = 1;
         # the bracket turns positive once ln ln(t/T1) > 0, i.e. t > T1*e
         kc = KatoCriticalParams(p=2.0, b=1.0, mu=0.5, A0=16.0, A1=9.0, T1=2.0)
-        B, E = envelope_constants(kc)
+        B, E = envelope_constants(kc, C_R=1.0)
         assert B == pytest.approx(1.0, rel=1e-13)
         assert abs(E) < 1e-12
-        rep = envelope_divergence(kc)
+        rep = envelope_divergence(kc, **ENVELOPE)
         assert rep.t_star is not None
         assert rep.t_star == pytest.approx(2.0 * math.e, rel=0.05)
         assert rep.delta_margin >= rep.delta > 0.0
@@ -206,26 +211,26 @@ class TestEnvelopeDivergence:
         stars = []
         for a0 in (0.5, 1.0, 2.0, 8.0):
             kc = KatoCriticalParams(p=2.0, b=1.0, mu=2.0, A0=a0)
-            stars.append(envelope_divergence(kc).t_star)
+            stars.append(envelope_divergence(kc, **ENVELOPE).t_star)
         assert all(s is not None for s in stars)
         assert all(b <= a for a, b in zip(stars, stars[1:]))
 
     def test_t_star_exceeds_window_anchor(self):
         for mu, factor in ((0.5, 1.0), (2.0, 2.0)):
             kc = KatoCriticalParams(p=2.0, b=1.0, mu=mu, A0=1.0, T1=3.0)
-            rep = envelope_divergence(kc)
+            rep = envelope_divergence(kc, **ENVELOPE)
             assert rep.t_star > factor * kc.T1
 
     def test_no_divergence_within_horizon(self):
         kc = KatoCriticalParams(p=2.0, b=1.0, mu=0.5, A0=1e-12)
-        rep = envelope_divergence(kc, horizon=100.0)
+        rep = envelope_divergence(kc, C_R=1.0, delta=1e-3, horizon=100.0)
         assert rep.t_star is None
         assert rep.delta_margin is None
         assert rep.horizon == 100.0
 
     def test_iteration_truncation_flag(self):
         kc = KatoCriticalParams(p=3.0, b=1.0, mu=0.5, A0=1.0)
-        seqs = iterate_sequences(kc, 700)
+        seqs = iterate_sequences(kc, 700, C_R=1.0)
         assert seqs.truncated
         assert len(seqs.states) < 701
 
