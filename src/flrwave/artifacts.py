@@ -24,16 +24,10 @@ from flrwave import __version__ as TOOL_VERSION
 from flrwave.bounds import LABELS, RegionMap
 
 __all__ = [
-    "fmt",
     "clean_for_json",
-    "write_text",
-    "write_csv",
-    "write_json",
     "write_files",
-    "config_digest",
     "write_manifest",
     "region_map_svg",
-    "REGION_COLORS",
 ]
 
 REGION_COLORS = {

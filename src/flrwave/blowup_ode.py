@@ -47,7 +47,6 @@ __all__ = [
     "FitResult",
     "integrate",
     "monotone_invariant_check",
-    "fit_loglog",
     "fit_lifespans",
     "sweep",
     "predicted_slope",

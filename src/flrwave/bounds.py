@@ -7,8 +7,8 @@ d = n(1 - alpha) and T_eps for the lifespan of data of size eps:
     wavelike      T_eps <~ eps^(-2p(p-1)/((1-alpha)*gamma))       gamma > 0
     intermediate  T_eps <~ eps^(-(p-1)/(2 - (d+mu-1)(p-1)))       bracket > 0
 
-On the critical curves the bounds degrade to exp(C eps^(-e)) with e from
-``critical_bounds``.  ``classify`` assigns each admissible (params, p) the
+On the critical curves the bounds degrade to exp(C eps^(-e)) (see
+``all_bounds``).  ``classify`` assigns each admissible (params, p) the
 region label of the sharpest bound (smallest eps-exponent wins as eps -> 0;
 exponential bounds never beat an applicable power bound).  Threshold
 fractions with nonpositive denominators impose no constraint, i.e. they are
@@ -21,7 +21,7 @@ once by the scalar functions, and broadcasts every bound, the region label
 and the best exponent against a whole array of powers p.  ``block_bounds``,
 its one entry, stacks the constants of a block of points as columns: a
 phase map is one call per block of ``MAP_BLOCK_ROWS`` axis1 rows, and the
-scalar functions (``classify``, ``best_exponent``, ``power_bounds``, ...)
+scalar functions (``classify``, ``best_exponent``, ``all_bounds``, ...)
 read a block of one point at one p.  The array code repeats the scalar
 formulas operation by operation, so each entry is bit-identical whatever
 the batch.
@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -53,20 +52,13 @@ __all__ = [
     "LifespanBound",
     "RegionLabel",
     "LABELS",
-    "RowBounds",
     "AxisSpec",
     "RegionMap",
-    "CRITICAL_TOL",
-    "MAP_BLOCK_ROWS",
-    "MAX_MAP_CELLS",
-    "block_bounds",
     "heatlike_exponent",
     "wavelike_exponent",
     "intermediate_exponent",
     "intermediate_wavelike_threshold",
     "heatlike_wavelike_threshold",
-    "critical_bounds",
-    "power_bounds",
     "all_bounds",
     "best_exponent",
     "classify",
@@ -132,8 +124,8 @@ class RowBounds:
     powers p (columns).
 
     ``power`` and ``critical`` hold one (kind, applicable, exponent) triple
-    per bound, in the order the scalar lists use; an exponent is NaN where
-    its bound does not apply.  ``label`` holds codes into ``LABELS``,
+    per bound, in the order ``all_bounds`` lists them; an exponent is NaN
+    where its bound does not apply.  ``label`` holds codes into ``LABELS``,
     ``best`` the sharpest exponent (NaN where none applies).  ``fujita`` and
     ``p_c`` (+inf without a positive root) are the rows' critical exponents.
     """
@@ -302,29 +294,26 @@ def heatlike_wavelike_threshold(params: ModelParams) -> float:
     return _crossing(params, params.effective_dim - params.mu + 1.0)
 
 
-def critical_bounds(params: ModelParams, p: float) -> list[LifespanBound]:
-    """Exponential-type bounds active when p sits on a critical curve.
+def all_bounds(params: ModelParams, p: float) -> list[LifespanBound]:
+    """The three power bounds (heatlike, wavelike, intermediate), each with
+    its applicability, then the exponential-type bounds active when p sits
+    on a critical curve.
 
     On p = fujita(n(1-alpha)): exponent p(p-1)/(p+1) for mu <= 1, p-1 for
     mu > 1.  On p = p_c (only if p_c strictly exceeds the Fujita-type
-    exponent): exponent p(p-1).  Away from both curves the list is empty.
+    exponent): exponent p(p-1).  Away from both curves no exponential bound
+    is listed.
     """
-    return [
+    at = _at(params, p)
+    power = [
+        LifespanBound(kind, BoundForm.POWER, value.item(), ok.item())
+        for kind, ok, value in at.power
+    ]
+    return power + [
         LifespanBound(kind, BoundForm.EXP_POWER, value.item(), True)
-        for kind, ok, value in _at(params, p).critical
+        for kind, ok, value in at.critical
         if ok.item()
     ]
-
-
-def power_bounds(params: ModelParams, p: float) -> list[LifespanBound]:
-    return [
-        LifespanBound(kind, BoundForm.POWER, value.item(), ok.item())
-        for kind, ok, value in _at(params, p).power
-    ]
-
-
-def all_bounds(params: ModelParams, p: float) -> list[LifespanBound]:
-    return power_bounds(params, p) + critical_bounds(params, p)
 
 
 def best_exponent(params: ModelParams, p: float) -> float:
@@ -349,7 +338,8 @@ def classify(params: ModelParams, p: float) -> RegionLabel:
 
 @dataclass(frozen=True)
 class AxisSpec:
-    """Uniform sweep axis: values start, start+step, ..., up to stop."""
+    """Uniform sweep axis: values start, start+step, ..., up to stop, each
+    rounded to 12 decimals."""
 
     name: str
     start: float
@@ -374,15 +364,23 @@ class AxisSpec:
         return int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
 
     def values(self) -> list[float]:
-        return [round(self.start + k * self.step, 12) for k in range(self.count)]
+        """The values, refused when rounding makes two of them equal (a step
+        below the rounding grain, or below the float spacing at the axis)."""
+        values = [round(self.start + k * self.step, 12) for k in range(self.count)]
+        if any(b <= a for a, b in zip(values, values[1:])):
+            raise ValueError(
+                f"axis {self.name} from {self.start} to {self.stop} by {self.step} repeats "
+                "values once rounded to 12 decimals"
+            )
+        return values
 
 
 @dataclass
 class RegionMap:
     """Grid of region labels over (axis1, axis2) with the best exponent per cell.
 
-    ``codes[i, j]`` (an index into ``LABELS``), ``labels[i][j]`` and
-    ``best[i, j]`` correspond to axis1.values()[i], axis2.values()[j].
+    ``codes[i, j]`` (an index into ``LABELS``) and ``best[i, j]``
+    correspond to axis1.values()[i], axis2.values()[j].
     ``fujita[i]`` and ``p_c[i]`` are the critical exponents of row i, p_c
     +inf where the gamma quadratic has no positive root.
     """
@@ -394,20 +392,9 @@ class RegionMap:
     fujita: list[float]
     p_c: list[float]
 
-    @cached_property
-    def labels(self) -> list[list[RegionLabel]]:
-        return [[LABELS[code] for code in row] for row in self.codes.tolist()]
-
     def label_counts(self) -> dict[str, int]:
         counts = np.bincount(self.codes.ravel(), minlength=len(LABELS))
         return {label.value: int(count) for label, count in zip(LABELS, counts)}
-
-    def rows(self):
-        """Yield (axis1_value, axis2_value, label, best_exponent) in row-major order."""
-        v2 = self.axis2.values()
-        for a, codes, best in zip(self.axis1.values(), self.codes, self.best):
-            for b, code, e in zip(v2, codes.tolist(), best.tolist()):
-                yield a, b, LABELS[code], e
 
 
 def _build_map(axis1: AxisSpec, axis2: AxisSpec, params_of) -> RegionMap:

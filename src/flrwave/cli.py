@@ -2,7 +2,8 @@
 CSV/JSON/SVG artifacts plus a manifest per invocation.
 
 Commands
-    exponents   closed-form exponent report for one parameter point
+    exponents   closed-form exponent report for one parameter point, the
+                cosmological point (n, w) when w is set
     classify    region label and all bounds at one (params, p) point
     map         region-map CSV + SVG (presets: fig1, fig2)
     kato        threshold | sequences | envelope
@@ -14,13 +15,12 @@ builds, plus a few of its own; every flag, default and config-file type comes
 from that one table.  A command resolves its configuration as
 defaults < preset < config file < flags, where a config file may name a
 ``preset`` just as ``--preset`` does.  A config-file value is read by the
-type of its key's default: a JSON boolean for a boolean key, an integer (or
-integral float) for an integer key, a finite number for a float key, one of
-the choices for a string key, and a list of finite numbers for
-``snapshot_times``; ``null`` only where the default is null.  Preset values
-are taken as they stand.  The resolved config is echoed into manifest.json
-(keyed by a content digest), and identical resolved configs give
-byte-identical outputs.
+type of its key's default: an integer (or integral float) for an integer key,
+a finite number for a float key, one of the choices for a string key, and a
+list of finite numbers for ``snapshot_times``; ``null`` only where the
+default is null.  Preset values are taken as they stand.  The resolved
+config is echoed into manifest.json (keyed by a content digest), and
+identical resolved configs give byte-identical outputs.
 
 Each command's handler is pure: it maps the resolved config to its stdout
 payload and its files, an ordered ``{name: content}`` dict.  ``main`` alone
@@ -114,7 +114,7 @@ def finite_float(text: str) -> float:
     return value
 
 
-_KINDS = {bool: "a JSON boolean", int: "an integer", list: "a list of finite numbers"}
+_KINDS = {int: "an integer", list: "a list of finite numbers"}
 
 
 def _coerce(key: str, value, default, choices):
@@ -125,9 +125,6 @@ def _coerce(key: str, value, default, choices):
     try:
         if choices is not None:
             if isinstance(value, str) and value in choices:
-                return value
-        elif isinstance(default, bool):
-            if isinstance(value, bool):
                 return value
         elif isinstance(default, list):
             if isinstance(value, list):
@@ -167,13 +164,8 @@ def _resolve(leaf: Leaf, config: dict, ns: argparse.Namespace) -> dict:
 # exponents, classify
 
 def _cmd_exponents(r):
-    if r["flrw"]:
-        if r["w"] is None:
-            raise ValueError("--flrw mode requires --w")
-        f = _build(FlrwParams, r)
-        params = flrw_to_model(f)
-    else:
-        params = _build(ModelParams, r)
+    f = _build(FlrwParams, r) if r["w"] is not None else None
+    params = _build(ModelParams, r) if f is None else flrw_to_model(f)
 
     pc = p_c(params)
     payload = {
@@ -189,7 +181,7 @@ def _cmd_exponents(r):
             "heatlike_wavelike": bounds.heatlike_wavelike_threshold(params),
         },
     }
-    if r["flrw"]:
+    if f is not None:
         payload["flrw"] = {
             "w": f.w,
             "w_star": w_star(f.n),
@@ -326,13 +318,16 @@ def _cmd_kato_envelope(r):
 # ode, and the eps sweeps of ode and pde
 
 def _eps_grid(resolved: dict) -> np.ndarray:
-    """The geometric eps grid of a sweep, refused before it is built when it
-    has fewer points than the log-log fit needs or more than a sweep may run."""
-    count = resolved["eps_count"]
+    """The geometric eps grid of a sweep, refused before it is built when an
+    end is not positive, or when it has fewer points than the log-log fit
+    needs or more than a sweep may run."""
+    start, stop, count = resolved["eps_start"], resolved["eps_stop"], resolved["eps_count"]
+    if not (start > 0.0 and stop > 0.0):
+        raise ValueError(f"eps_start and eps_stop must be positive, got {start} and {stop}")
     low, high = blowup_ode.MIN_FIT_POINTS, blowup_ode.MAX_SWEEP_POINTS
     if not low <= count <= high:
         raise ValueError(f"eps_count must be between {low} and {high}, got {count}")
-    return np.geomspace(resolved["eps_start"], resolved["eps_stop"], count)
+    return np.geomspace(start, stop, count)
 
 
 def _sweep(kind: str, fit: blowup_ode.FitResult, p: float, q: float, **extra):
@@ -436,7 +431,7 @@ _PDE_MODEL = {"n": 2, "alpha": 0.5, "mu": 2.0, "p": 2.0}
 LEAVES = (
     Leaf(
         "exponents", "closed-form exponent report", _cmd_exponents,
-        _keys(ModelParams, FlrwParams, n=3, alpha=0.0, mu=0.0, w=None, flrw=False, p=None),
+        _keys(ModelParams, FlrwParams, n=3, alpha=0.0, mu=0.0, w=None, p=None),
     ),
     Leaf(
         "classify", "region label at one parameter point", _cmd_classify,
@@ -493,8 +488,8 @@ GROUPS = {
 
 def build_parser() -> argparse.ArgumentParser:
     """One subcommand per leaf, one flag per config key typed by its default:
-    a bool is a switch, an int an int, a float or null a finite float, a key
-    with choices one of them; a list (``snapshot_times``) is config-only."""
+    an int an int, a float or null a finite float, a key with choices one of
+    them; a list (``snapshot_times``) is config-only."""
     parser = argparse.ArgumentParser(prog="flrwave", description=__doc__)
     groups = {"": parser.add_subparsers(dest="command", required=True)}
     for leaf in LEAVES:
@@ -508,8 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
         for key, default in leaf.keys.items():
             if key in leaf.choices:
                 sp.add_argument(f"--{key}", choices=list(leaf.choices[key]))
-            elif isinstance(default, bool):
-                sp.add_argument(f"--{key}", action="store_true", default=None)
             elif isinstance(default, int):
                 sp.add_argument(f"--{key}", type=int)
             elif default is None or isinstance(default, float):

@@ -46,8 +46,10 @@ __all__ = [
 
 
 def _require_dimension(n, name: str = "n") -> None:
-    if int(n) != n or n < 2:
-        raise ValueError(f"{name} must be an integer >= 2, got {n}")
+    # Past 2**53 a float no longer holds every integer: the closed forms would
+    # round n, or overflow converting it.  NaN fails the range.
+    if not 2 <= n <= 2**53 or int(n) != n:
+        raise ValueError(f"{name} must be an integer from 2 to 2**53, got {n}")
 
 
 @dataclass(frozen=True)

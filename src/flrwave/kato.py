@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 __all__ = [
-    "MAX_STATES",
     "KatoSubcriticalParams",
     "KatoCriticalParams",
     "KatoState",
@@ -131,7 +130,7 @@ class KatoState:
 
 @dataclass(frozen=True)
 class KatoSequences:
-    states: list
+    states: list[KatoState]
     truncated: bool
 
 

@@ -12,8 +12,10 @@ per-cell stencil weights fold with four scalars a step into the new level
 k (left u_(i-1) + right u_(i+1)) + c_curr u + c_prev u_prev + |u|^p/lhs (see
 ``_step_into``).  The time step tracks the decaying wave speed,
 dt = cfl * dr * t^alpha (capped so the mu/t coefficient stays resolved), and
-the radial grid is extended lazily ahead of the light cone r = A(t) + R,
-A(t) = (t^(1-alpha) - 1)/(1-alpha).
+the radial grid is extended lazily to ``MARGIN_CELLS`` cells past the light
+cone r = A(t) + R, A(t) = (t^(1-alpha) - 1)/(1-alpha).  The first step is
+the second-order Taylor start from the equation at t = 1, on the same
+stencil.
 
 The time steps and the grid do not depend on eps, so one stepping loop
 advances runs as the rows of one (eps x r) array, in place, without threads:
@@ -50,21 +52,17 @@ __all__ = [
     "PdeConfig",
     "PdeResult",
     "EnvelopeDiagnostic",
-    "bump3",
-    "light_cone_radius",
-    "sphere_area",
-    "ball_volume",
-    "radial_laplacian",
     "run",
     "support_check",
     "holder_check",
-    "holder_ratio",
     "f_monotone_check",
-    "envelope_diagnostic",
     "lifespan_sweep",
 ]
 
 SUPPORT_REL_TOL = 1e-12  # amplitudes below this fraction of sup|u| count as zero
+# Grid cells kept past the light cone.  Any margin of at least one cell gives
+# the same T, sup|u| and support, and F to summation order; none misses mass.
+MARGIN_CELLS = 5
 # Budgets of rows x cells of the light cone at t_max, of time steps and of
 # samples; criterion 9's sweep (t_max 900, dr 1/200) needs ~12,000 cells a row
 # and at most ~4.0e5 steps and ~1.8e4 samples.  A run over any of them is
@@ -83,9 +81,8 @@ class PdeConfig:
     """One radial blow-up run.
 
     The data profile is the C^2 cubic bump (1 - (r/R)^2)^3 on r < R for both
-    u0 and u1.  ``domain_margin`` (default 5*dr) is the extra radius kept
-    beyond the predicted support; ``dt_cap`` keeps the damping coefficient
-    mu/t resolved once t^alpha grows large.
+    u0 and u1.  ``dt_cap`` keeps the damping coefficient mu/t resolved once
+    t^alpha grows large.
     """
 
     params: ModelParams
@@ -96,7 +93,6 @@ class PdeConfig:
     cfl: float = 0.45
     blowup_threshold: float = 1e8
     t_max: float = 50.0
-    domain_margin: Optional[float] = None
     dt_cap: float = 0.1
     sample_dt: float = 0.05
 
@@ -121,16 +117,10 @@ class PdeConfig:
             )
         if not self.params.n <= 5:
             raise ValueError(f"the radial scheme supports n <= 5, got n={self.params.n}")
-        if self.domain_margin is not None and not self.domain_margin >= 0.0:
-            raise ValueError("domain margin must be nonnegative")
         # t + dt_cap and next_sample + sample_dt must not round back to t
         t = self.t_max
         if not (t + self.dt_cap > t and t + self.sample_dt > t):
             raise ValueError(f"dt_cap and sample_dt must be positive and resolvable at t_max={t}")
-
-    @property
-    def margin(self) -> float:
-        return 5.0 * self.dr if self.domain_margin is None else self.domain_margin
 
 
 @dataclass
@@ -185,18 +175,13 @@ def _weights(cells: int, dr: float, n: int) -> tuple[np.ndarray, np.ndarray, np.
     return left, right, quad
 
 
-def _tiled(weights, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """The neighbour weights of one row, repeated for ``rows`` rows laid end to end."""
-    return np.tile(weights[0], rows), np.tile(weights[1], rows)
-
-
 def _stencil_into(out, u, k, c, stride, dr, weights, work) -> None:
     """Add k Lap(u) + c u to ``out``.  The flat ``u`` holds rows of ``stride``
     cells end to end, each row's field taken as zero past its last cell: the
     neighbour terms that would cross a row's ends are dropped, so no value of
-    one row, not even inf or NaN, reaches another.  ``weights`` are ``_tiled``
-    neighbour weights at least as long as ``u``, and ``work`` is two scratch
-    arrays shaped like ``u``."""
+    one row, not even inf or NaN, reaches another.  ``weights`` are the left
+    and right weights of one row repeated once a row, at least as long as
+    ``u``, and ``work`` is two scratch arrays shaped like ``u``."""
     left, right = weights
     size = u.size
     if stride < 3:
@@ -216,20 +201,6 @@ def _stencil_into(out, u, k, c, stride, dr, weights, work) -> None:
     np.add(out, near, out=out)
 
 
-def radial_laplacian(u: np.ndarray, dr: float, n: int) -> np.ndarray:
-    """Second-order discrete u_rr + (n-1)/r u_r on r_i = i*dr along the last axis.
-
-    At the origin the symmetric limit n * u_rr applies (ghost point with
-    u_r(0) = 0); past the last cell the field is taken to be zero.
-    """
-    m = u.shape[-1]
-    flat = np.ravel(u)
-    lap = np.zeros(u.shape)
-    _stencil_into(lap.reshape(-1), flat, 1.0, 0.0, m, dr,
-                  _tiled(_weights(m, dr, n), flat.size // m), np.empty((2, flat.size)))
-    return lap
-
-
 def _quadrature(y: np.ndarray, quad: np.ndarray, out=None):
     """Trapezoid rule for int y dx along the last axis; ``out`` is scratch."""
     weighted = np.multiply(y, quad[: y.shape[-1]], out=out)
@@ -245,9 +216,14 @@ def _last_above(a: np.ndarray, floor, dr: float) -> np.ndarray:
 
 def _step_into(out, u_prev, u_curr, t, dt_old, dt_new, dr, alpha, mu, stride, weights,
                scratch) -> None:
-    """``_update`` over the flat rows of ``out``, which holds the source on
-    entry.  ``u_prev`` is consumed: it serves as scratch, with ``scratch``
-    shaped like ``out``."""
+    """One three-level update centered at time t (the ``u_curr`` level) over
+    the flat rows of ``out``, which holds the source |u_curr|^p on entry and
+    the new level on return.
+
+    Nonuniform steps use the standard divided-difference form of u_tt; the
+    damping term couples the outer levels only, so the new level solves in
+    closed form.  ``u_prev`` is consumed: it serves as scratch, with
+    ``scratch`` shaped like ``out``."""
     span = dt_old + dt_new
     damp = mu / t
     lhs = 2.0 / (span * dt_new) + damp / span
@@ -259,30 +235,15 @@ def _step_into(out, u_prev, u_curr, t, dt_old, dt_new, dr, alpha, mu, stride, we
                   (scratch, u_prev))
 
 
-def _update(u_prev, u_curr, t, dt_old, dt_new, dr, n, alpha, mu, source) -> np.ndarray:
-    """One three-level update centered at time t (the u_curr level).
-
-    Nonuniform steps use the standard divided-difference form of u_tt; the
-    damping term couples the outer levels only, so the new level solves in
-    closed form; ``_step_into`` folds the coefficients.  ``source`` is the
-    nonlinearity evaluated at u_curr (or None for the linear equation).
-    """
-    m = u_curr.shape[-1]
-    out = np.zeros(u_curr.shape) + (0.0 if source is None else source)
-    _step_into(out.reshape(-1), np.array(u_prev, dtype=float).reshape(-1), np.ravel(u_curr), t,
-               dt_old, dt_new, dr, alpha, mu, m, _tiled(_weights(m, dr, n), out.size // m),
-               np.empty(out.size))
-    return out
-
-
 def _next_dt(t: float, cfg: PdeConfig) -> float:
     return min(cfg.cfl * cfg.dr * t**cfg.params.alpha, cfg.dt_cap)
 
 
 def _cells(t: float, cfg: PdeConfig):
-    """Grid points r_i = i*dr that cover the light cone at t plus the margin;
-    a non-finite count passes through for ``_check_budget`` to refuse."""
-    cells = (light_cone_radius(t, cfg.params.alpha, cfg.R) + cfg.margin) / cfg.dr
+    """Grid points r_i = i*dr that cover the light cone at t plus
+    ``MARGIN_CELLS``; a non-finite count passes through for ``_check_budget``
+    to refuse."""
+    cells = (light_cone_radius(t, cfg.params.alpha, cfg.R) + MARGIN_CELLS * cfg.dr) / cfg.dr
     return math.ceil(cells) + 1 if math.isfinite(cells) else cells
 
 
@@ -295,14 +256,6 @@ def _truncate_outside_cone(u: np.ndarray, t: float, cfg: PdeConfig, cells: int) 
     # columns (a stripe's padding) is zeroed too.
     cutoff = light_cone_radius(t, cfg.params.alpha, cfg.R) + cfg.dr
     u[..., min(int(math.floor(cutoff / cfg.dr)) + 1, cells) :] = 0.0
-
-
-def _taylor_first_step(
-    u0: np.ndarray, v0: np.ndarray, dt: float, dr: float, n: int, mu: float, p: float
-) -> np.ndarray:
-    # second-order start from the equation at t = 1 (where t^(-2*alpha) = 1)
-    acc = radial_laplacian(u0, dr, n) - mu * v0 + np.abs(u0) ** p
-    return u0 + dt * v0 + 0.5 * dt * dt * acc
 
 
 def _raise_to(a: np.ndarray, p: float) -> None:
@@ -392,8 +345,8 @@ def _run_batch(
         stride = cells + cells // 32 + 8
         wide = np.zeros((4, rows, stride))
         wide[:, :, : levels.shape[2]] = levels[:, :rows]
-        weights = _weights(stride, dr, n)
-        return wide, stride, _tiled(weights, rows), weights[2]
+        left, right, quad = _weights(stride, dr, n)
+        return wide, stride, (np.tile(left, rows), np.tile(right, rows)), quad
 
     # Three time levels and one scratch level, each holding the rows end to
     # end with a pitch of ``stride`` cells, so that levels[k, :rows] is one
@@ -405,8 +358,19 @@ def _run_batch(
     every = np.ones(len(eps), dtype=bool)
     observe(1.0, u0, a, a.max(axis=1), _ALL)
     snapshot(1.0, u0, every)
+    # The Taylor start from the equation at t = 1, where t^(-2 alpha) = 1, with
+    # u_t(1) = u0: u0 + dt u0 + dt^2/2 (Lap u0 - mu u0 + |u0|^p), on level 1
+    # with levels 2 and 3 as scratch.  u0 vanishes on the margin, so Lap u0,
+    # and with it the padding, is zero past the grid.
     dt = _next_dt(1.0, cfg)
-    levels[:2, :, :cells] = u0, _taylor_first_step(u0, u0, dt, dr, n, mu, p)
+    levels[0, :, :cells] = u0
+    flat = levels.reshape(4, -1)
+    _stencil_into(flat[1], flat[0], 1.0, 0.0, stride, dr, weights, flat[2:])
+    start = levels[1, :, :cells]
+    start -= mu * u0
+    start += a
+    start *= 0.5 * dt * dt
+    start += u0 + dt * u0
     prev, curr, nxt = 0, 1, 2
     t, next_sample = 1.0 + dt, 1.0 + cfg.sample_dt
     while ids.size:
@@ -475,25 +439,20 @@ def support_check(res: PdeResult) -> bool:
     return True
 
 
-def holder_ratio(F_val: float, lp_val: float, volume: float, p: float) -> float:
-    """(int |u|^p dx) * vol^(p-1) / |F|^p; at least 1 when the support truly
-    fits inside the assumed volume (equality for constant profiles)."""
-    if F_val == 0.0:
-        return math.inf
-    return lp_val * volume ** (p - 1.0) / abs(F_val) ** p
-
-
 @_QUIET
 def holder_check(res: PdeResult) -> bool:
-    """Quadrature Hoelder bound, to 1e-6, with the light-cone volume at each
-    sample; a non-finite F or nonlinear mass fails it."""
+    """Quadrature Hoelder bound at each sample: the ratio
+    (int |u|^p dx) vol^(p-1) / |F|^p, with vol the light-cone volume, is at
+    least 1 - 1e-6.  It is at least 1 when the support fits in the cone, 1 for
+    a constant profile, and infinite where F = 0.  A non-finite F or nonlinear
+    mass fails the check."""
     cfg = res.config
-    n = cfg.params.n
+    n, p = cfg.params.n, cfg.p
     for t, F_val, lp_val in zip(res.t_samples, res.F_series, res.lp_series):
         vol = ball_volume(n) * light_cone_radius(t, cfg.params.alpha, cfg.R) ** n
         if not (math.isfinite(F_val) and math.isfinite(lp_val)):
             return False
-        if not holder_ratio(F_val, lp_val, vol, cfg.p) >= 1.0 - 1e-6:
+        if F_val != 0.0 and not lp_val * vol ** (p - 1.0) / abs(F_val) ** p >= 1.0 - 1e-6:
             return False
     return True
 

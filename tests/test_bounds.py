@@ -13,15 +13,14 @@ from flrwave.bounds import (
     BoundForm,
     BoundKind,
     RegionLabel,
+    all_bounds,
     best_exponent,
     block_bounds,
     classify,
-    critical_bounds,
     heatlike_exponent,
     heatlike_wavelike_threshold,
     intermediate_exponent,
     intermediate_wavelike_threshold,
-    power_bounds,
     region_map_flrw,
     region_map_model,
     wavelike_exponent,
@@ -129,6 +128,15 @@ class TestCrossingIdentities:
                     assert e == pytest.approx(2.0 * p * (p - 1.0) / g0, rel=1e-12)
 
 
+def bounds_of_form(params, p, form):
+    return [b for b in all_bounds(params, p) if b.form is form]
+
+
+def critical_bounds(params, p):
+    """The exponential-type bounds that ``all_bounds`` lists after the power ones."""
+    return bounds_of_form(params, p, BoundForm.EXP_POWER)
+
+
 class TestCriticalBounds:
     def test_fujita_high_damping(self):
         bounds_at = critical_bounds(ModelParams(2, 0.5, 2.0), 3.0)
@@ -151,6 +159,14 @@ class TestCriticalBounds:
 
     def test_empty_off_curve(self):
         assert critical_bounds(ModelParams(2, 0.5, 2.0), 2.5) == []
+
+    def test_power_bounds_come_first(self):
+        listed = all_bounds(ModelParams(2, 0.5, 2.0), 3.0)
+        assert [b.kind for b in listed] == [
+            BoundKind.HEATLIKE_SUB, BoundKind.WAVELIKE_SUB, BoundKind.INTERMEDIATE_SUB,
+            BoundKind.CRITICAL_FUJITA_MU_HIGH,
+        ]
+        assert [b.form for b in listed] == [BoundForm.POWER] * 3 + [BoundForm.EXP_POWER]
 
 
 class TestClassify:
@@ -198,7 +214,9 @@ class TestClassify:
                     label = classify(params, p)
                     if label not in LABEL_TO_KIND:
                         continue
-                    applicable = [b for b in power_bounds(params, p) if b.applicable]
+                    applicable = [
+                        b for b in bounds_of_form(params, p, BoundForm.POWER) if b.applicable
+                    ]
                     best = min(applicable, key=lambda b: b.eps_exponent)
                     labeled = next(
                         b for b in applicable if b.kind is LABEL_TO_KIND[label]
@@ -209,7 +227,9 @@ class TestClassify:
         params = ModelParams(2, 0.5, 1.0)
         p = fujita(params.effective_dim)
         # at the critical curve the power bounds still apply for mu <= 1
-        powers = [b.eps_exponent for b in power_bounds(params, p) if b.applicable]
+        powers = [
+            b.eps_exponent for b in bounds_of_form(params, p, BoundForm.POWER) if b.applicable
+        ]
         assert best_exponent(params, p) == pytest.approx(min(powers))
 
 
@@ -255,6 +275,14 @@ class TestAxisSpec:
         with pytest.raises(ValueError, match="too many values"):
             AxisSpec("p", 0.0, 1.0, 5e-324)
 
+    def test_values_that_repeat_once_rounded_are_refused(self):
+        # a step below the 12-decimal grain, and one below the float spacing at 1e17
+        for axis in (AxisSpec("mu", 0.0, 1e-10, 1e-13), AxisSpec("p", 1e17, 1e17 + 64.0, 1.0)):
+            with pytest.raises(ValueError, match="repeats values"):
+                axis.values()
+        # at the grain itself every value is its own
+        assert len(set(AxisSpec("mu", 0.0, 1e-10, 1e-12).values())) == 101
+
     def test_count_is_the_length_of_values(self):
         for axis in (AxisSpec("mu", 0.0, 3.0, 0.01), AxisSpec("w", -0.33, 1.0, 0.5)):
             assert axis.count == len(axis.values())
@@ -265,7 +293,7 @@ class TestRegionMap:
         rm = region_map_model(
             2, 0.6, AxisSpec("mu", 2.0, 2.0, 0.01), AxisSpec("p", 2.0, 2.0, 0.01)
         )
-        assert rm.labels == [[RegionLabel.C]]
+        assert rm.codes.tolist() == [[LABELS.index(RegionLabel.C)]]
         counts = rm.label_counts()
         assert counts["C"] == 1 and sum(counts.values()) == 1
 
@@ -287,7 +315,7 @@ class TestRegionMap:
         i = min(range(len(mu_values)), key=lambda k: abs(mu_values[k] - ms))
         j = min(range(len(p_values)), key=lambda k: abs(p_values[k] - 3.5))
         window = {
-            rm.labels[a][b]
+            LABELS[rm.codes[a, b]]
             for a in range(max(0, i - 1), min(len(mu_values), i + 2))
             for b in range(max(0, j - 1), min(len(p_values), j + 2))
         }
@@ -313,16 +341,17 @@ class TestRegionMap:
             region_map_model(2, 0.6, AxisSpec("mu", 0.0, 2048.0, 1.0), p_axis)
 
     def test_row_order(self):
+        # codes[i, j] is the cell of axis1 value i and axis2 value j; four
+        # rows of three, so a transposed grid has another shape
         rm = region_map_model(
-            2, 0.6, AxisSpec("mu", 0.0, 0.01, 0.01), AxisSpec("p", 2.0, 2.01, 0.01)
+            2, 0.6, AxisSpec("mu", 0.0, 3.0, 1.0), AxisSpec("p", 1.5, 3.5, 1.0)
         )
-        rows = list(rm.rows())
-        assert [(r[0], r[1]) for r in rows] == [
-            (0.0, 2.0),
-            (0.0, 2.01),
-            (0.01, 2.0),
-            (0.01, 2.01),
-        ]
+        assert rm.codes.shape == rm.best.shape == (4, 3)
+        for i, mu in enumerate(rm.axis1.values()):
+            for j, p in enumerate(rm.axis2.values()):
+                params = ModelParams(2, 0.6, mu)
+                assert LABELS[rm.codes[i, j]] is classify(params, p), (mu, p)
+                assert repr(rm.best[i, j].item()) == repr(best_exponent(params, p)), (mu, p)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +492,7 @@ class TestRowKernel:
         )
         cells = len(rm.axis1.values()) * len(rm.axis2.values())
         assert sum(rm.label_counts().values()) == cells
-        assert sum(1 for _ in rm.rows()) == cells
+        assert rm.codes.size == rm.best.size == cells
 
 
 @pytest.mark.parametrize("p", [math.inf, -math.inf, math.nan])

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -34,10 +35,9 @@ def test_exponents_reports_critical_root(tmp_path):
 
 
 def test_exponents_flrw_mode(tmp_path):
+    # setting w selects the cosmological point
     out = tmp_path / "e"
-    assert main(
-        ["exponents", "--flrw", "--n", "3", "--w", "0.3333333", "--out", str(out)]
-    ) == 0
+    assert main(["exponents", "--n", "3", "--w", "0.3333333", "--out", str(out)]) == 0
     payload = read_json(out / "exponents.json")
     assert payload["params"]["alpha"] == pytest.approx(0.5, abs=1e-6)
     assert payload["params"]["mu"] == pytest.approx(1.5, abs=1e-6)
@@ -46,6 +46,17 @@ def test_exponents_flrw_mode(tmp_path):
 
 def test_exponents_rejects_alpha_one(tmp_path):
     assert main(["exponents", "--n", "2", "--alpha", "1.0", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("command", [["exponents"], ["classify"], ["map"]])
+def test_dimension_past_float_precision_exits_2(tmp_path, capsys, command):
+    # 10**400 once overflowed converting to float (exit 3); 2**53 still runs
+    out = tmp_path / "out"
+    assert main(command + ["--n", str(10**400), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "must be an integer from 2 to 2**53" in err and "Traceback" not in err
+    assert not out.exists()
+    assert main(["exponents", "--n", str(2**53), "--out", str(tmp_path / "edge")]) == 0
 
 
 def test_classify_region_c(tmp_path):
@@ -104,9 +115,17 @@ def test_map_byte_determinism(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def map_cells(rm):
+    """(axis1 value, axis2 value, label, best exponent) of every cell, row by row."""
+    v2 = rm.axis2.values()
+    for a, codes, best in zip(rm.axis1.values(), rm.codes.tolist(), rm.best.tolist()):
+        for b, code, e in zip(v2, codes, best):
+            yield a, b, bounds.LABELS[code], e
+
+
 def reference_map_csv(rm):
-    """map.csv as ``write_csv`` formats ``RegionMap.rows()``."""
-    cells = ((a, b, label.value, e) for a, b, label, e in rm.rows())
+    """map.csv as ``write_csv`` formats the map's cells."""
+    cells = ((a, b, label.value, e) for a, b, label, e in map_cells(rm))
     return "axis1,axis2,label,best_exponent\n" + "".join(
         ",".join(map(artifacts.fmt, cell)) + "\n" for cell in cells
     )
@@ -155,10 +174,19 @@ def test_map_csv_equals_its_cells(n, flrw, alpha, step1, rows, p_start, step2, c
     rm = (bounds.region_map_flrw(n, axis1, axis2) if flrw
           else bounds.region_map_model(n, alpha, axis1, axis2))
     assert text == reference_map_csv(rm)
-    for a, p, label, best in rm.rows():
+    for a, p, label, best in map_cells(rm):
         params = params_of(a)
         assert label is bounds.classify(params, p), (a, p)
         assert repr(best) == repr(bounds.best_exponent(params, p)), (a, p)
+
+
+def test_map_axis_whose_rounded_values_repeat_exits_2(tmp_path, capsys):
+    # a step of 1e-13 under 12-decimal rounding gave 1,001 mu rows, 101 distinct
+    out = tmp_path / "m"
+    argv = ["map", "--axis1_start", "0", "--axis1_stop", "1e-10", "--axis1_step", "1e-13"]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "repeats values" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def refuse_axis_values(axis):
@@ -482,9 +510,9 @@ def test_config_strings_read_as_flag_types(tmp_path):
         (["kato", "threshold"], {"p": True}),
         (["kato", "sequences"], {"jmax": "many"}),
         (["ode", "run"], {"p": "two"}),
-        # a bool key takes only a JSON boolean
-        (["exponents"], {"flrw": "false", "w": 0.3}),
-        (["exponents"], {"flrw": 1, "w": 0.3}),
+        # no key is boolean, so a JSON boolean fits none
+        (["exponents"], {"w": True}),
+        (["classify"], {"n": False}),
         # null only where the default is null
         (["classify"], {"n": None}),
         (["pde", "run"], {"dr": None}),
@@ -509,14 +537,16 @@ def test_uncoercible_config_value_exits_2(tmp_path, argv, payload, capsys):
 
 
 def test_null_config_values_where_the_default_is_null(tmp_path):
-    cfg = write_config(tmp_path, {"w": None, "p": None, "flrw": False})
+    cfg = write_config(tmp_path, {"w": None, "p": None})
     assert main(["exponents", "--config", cfg, "--out", str(tmp_path / "e")]) == 0
+    config = read_json(tmp_path / "e" / "manifest.json")["config"]
+    assert config["w"] is None and config["p"] is None
+    assert "flrw" not in read_json(tmp_path / "e" / "exponents.json")  # the model point
     cfg = write_config(tmp_path, {"preset": None, "axis1_step": 1, "axis2_step": 1})
     assert main(["map", "--config", cfg, "--out", str(tmp_path / "m")]) == 0
-    cfg = write_config(tmp_path, {"domain_margin": None, "dr": 0.05, "snapshot_times": [2, 3.5]})
+    cfg = write_config(tmp_path, {"dr": 0.05, "snapshot_times": [2, 3.5]})
     assert main(["pde", "run", "--config", cfg, "--out", str(tmp_path / "p")]) == 0
     config = read_json(tmp_path / "p" / "manifest.json")["config"]
-    assert config["domain_margin"] is None
     # snapshot times are read as floats, so [2, 3.5] resolves as [2.0, 3.5]
     assert [type(t) for t in config["snapshot_times"]] == [float, float]
 
@@ -603,7 +633,8 @@ def test_pde_grid_over_budget_exits_2(tmp_path, argv, capsys):
     [
         ["pde", "run", "--dt_cap", "1e-12", "--t_max", "2", "--dr", "0.05"],
         ["kato", "threshold", "--p", "0.5"],
-        ["exponents", "--flrw"],
+        # w below its range 2/n - 1 < w <= 1, at n = 3
+        ["exponents", "--w", "-0.5"],
         # fig2 leaves alpha unset, which model mode needs
         ["map", "--preset", "fig2", "--mode", "model"],
     ],
@@ -694,9 +725,22 @@ def test_sweep_with_too_few_eps_exits_2(tmp_path, command, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["pde", "ode"])
+@pytest.mark.parametrize("end", [["--eps_start", "-1"], ["--eps_start", "0"], ["--eps_stop", "0"]])
+def test_sweep_with_an_eps_end_not_positive_exits_2(tmp_path, capsys, command, end):
+    # refused before numpy sees the grid: no RuntimeWarning, no numpy message
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "sweep", *end, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: eps_start and eps_stop must be positive")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def cli_flags(ints="", floats="", **other):
-    """The flags of one leaf command: name -> type name, "store_true" or its
-    sorted choices."""
+    """The flags of one leaf command: name -> type name or its sorted choices."""
     flags = {"--config": "str", "--out": "str", **{f"--{k}": v for k, v in other.items()}}
     flags.update({f"--{k}": "int" for k in ints.split()})
     flags.update({f"--{k}": "finite_float" for k in floats.split()})
@@ -704,12 +748,13 @@ def cli_flags(ints="", floats="", **other):
 
 
 ODE_FLOATS = "p mu q A1 R F_init_scale dF_init_scale blowup_threshold t_max rel_tol abs_tol"
-PDE_FLOATS = "alpha mu p R dr cfl blowup_threshold t_max domain_margin dt_cap sample_dt"
+PDE_FLOATS = "alpha mu p R dr cfl blowup_threshold t_max dt_cap sample_dt"
 
 # the flags of every leaf command as first recorded; the three kato rows were
-# re-recorded when the inputs that reach no result were dropped
+# re-recorded when the inputs that reach no result were dropped, and the
+# exponents and pde rows when --flrw and --domain_margin went
 CLI_SCHEMA = {
-    "exponents": cli_flags("n", "alpha mu w p", flrw="store_true"),
+    "exponents": cli_flags("n", "alpha mu w p"),
     "classify": cli_flags("n", "alpha mu p"),
     "map": cli_flags(
         "n", "alpha axis1_start axis1_stop axis1_step axis2_start axis2_stop axis2_step",
@@ -737,8 +782,6 @@ def parser_leaves(parser, prefix=()):
 
 
 def flag_kind(action):
-    if isinstance(action, argparse._StoreTrueAction):
-        return "store_true"
     if action.choices is not None:
         return sorted(action.choices)
     return action.type.__name__ if action.type else "str"
@@ -758,9 +801,10 @@ def test_parser_schema_pinned():
 
 # config_digest of flag-only and preset invocations as first recorded: the
 # schema must resolve each to the same config.  The kato digests were
-# re-recorded when their inert keys left the config.
+# re-recorded when their inert keys left the config, the exponents and pde
+# digests when the flrw and domain_margin keys did.
 CONFIG_DIGESTS = {
-    "exponents": "29a60ee9c6ae758fbca3bec74b9a8cc4efb82ae516767270fc259940f23199be",
+    "exponents": "a5f64729af9ddcd7303b9f598f54d965204b0a890f83dc67b41ae67e5b1ba4c3",
     "classify": "dd4b7b5b724b4216e0e699a6fa4ea9ed9c9ccbbba8e23cc6919ede31a4f26bad",
     "map --axis1_step 0.5 --axis2_step 0.5":
         "8465b051fc3b1192c32219b336d9f1be48b85191349672841b83c406711776f5",
@@ -774,9 +818,9 @@ CONFIG_DIGESTS = {
         "f30b2c9f0306c3549921f4d157ddcd66a51c2aa860e1829c80d7840d042714d0",
     "ode sweep --preset critical-n2":
         "7b28929a77924dedeae5a642decfea7a8859aa6433ec7308ff70ff87706a2ff5",
-    "pde run --dr 0.05": "14d5913c032ca4b6abac761e9de4a2794115ab7bad31cb96ee040e509dc739d6",
+    "pde run --dr 0.05": "9805f9b10e2e0895e8e99aed5b3f3eab77d301736b1452421651555ab57e497c",
     "pde sweep --dr 0.05 --eps_start 0.3":
-        "173df21771bbc9afc77d95b9b03cb4527583901d66ac6a9a58860c492908b87d",
+        "8cfc58b090ac285e919f68d3de977cdd430d84a489371e4292251d930c74bd9e",
 }
 
 
@@ -816,29 +860,31 @@ def run_digests(tmp_path, capsys, command):
 # Dormand-Prince integrator replaced scipy's: the same steps and endings,
 # lifespans within 3e-15 relative.  The kato entries' stdout and manifest.json
 # were re-recorded when their inert keys left the config (a new config
-# digest); their artifacts kept their bytes.
+# digest), and so were the exponents and pde entries' when the flrw and
+# domain_margin keys left; their artifacts kept their bytes.  "exponents
+# --w 0.3" writes the exponents.json that "exponents --flrw --w 0.3" wrote.
 EMPTY_SHA256 = hashlib.sha256(b"").hexdigest()
 ARTIFACT_SHA256 = {
     "exponents": {
         "exit": 0,
-        "stdout": "ccc12e0e84200344f838f2d53f82859c87a3ac409cac6a135381d6171d162048",
+        "stdout": "a37ad55ad9035aec2ebb67f6f6f3a5c054f56ba266536d9a8bb7e1f909940803",
         "stderr": EMPTY_SHA256,
         "exponents.json": "dab98134aa1c22523a8be64761e552223498edd90b5892584418659315b70dbb",
-        "manifest.json": "17716aea2ad2e6dfff1fc2349df9ed05aea23c3a034800f4019f3bb5ad42f7ac",
+        "manifest.json": "8ea61a19cee564b15bea580d5779578c4b0e6b5c391d12f6aa103786be86ddbb",
     },
-    "exponents --flrw --w 0.3": {
+    "exponents --w 0.3": {
         "exit": 0,
-        "stdout": "7ef53ae16d1cc3aabf0ecf6096bcc98873bd3fcd37ffe78430e3e77003e88776",
+        "stdout": "0023979a8acc7658885510e533b6e584e6e74967250778260d4b73a7998906dc",
         "stderr": EMPTY_SHA256,
         "exponents.json": "ee6507822a9036528dbdc7cd83604e7d26326d0a07039737cd5188b7f0d312f6",
-        "manifest.json": "eaac439ac06506cf41c6382b8eef7d7b393bc6f8ee885bdc6870434a694baffd",
+        "manifest.json": "0ad889e83c712e9b4f762525bc4cc780e3ebf804df75fed3857d4c611cf00c2c",
     },
     "exponents --p 1.5": {
         "exit": 0,
-        "stdout": "c6b73cd74ece6b8bf6aaffdcf808949ef9a75079134f16e51390604a3fff5838",
+        "stdout": "66ec1eadd44235b125b649fcaa800dfe2f4e1043cbe08f656fdc6d831ab942b9",
         "stderr": EMPTY_SHA256,
         "exponents.json": "cf7d150dca4fdb58fe9c7aa6f944322c130500256df66133b2b661f0d7552419",
-        "manifest.json": "dd27a24369d812fce23df7ec42eadcdaa2fc37a4451c96a07a37828fd20602aa",
+        "manifest.json": "03b14fc1a02a3ac9f9ba365df84bc4a1bd8f143182cfba9ae7936c527dcdde05",
     },
     "classify": {
         "exit": 0,
@@ -938,9 +984,9 @@ ARTIFACT_SHA256 = {
     },
     "pde run --dr 0.02 --config CONFIG": {
         "exit": 0,
-        "stdout": "08820fee563bc558105829c95d28daec19a5e8a9cc84762f062c432a23f8ee00",
+        "stdout": "1bab4a126f5f18d78f6394b06f4650e6ae31d0e2f76af9ededb35a0a1d24fa4c",
         "stderr": EMPTY_SHA256,
-        "manifest.json": "e1be90b02ca5dcaca0c805435ce953b5376ea97c923235aa811ed8b43584d98f",
+        "manifest.json": "cf67ca2c0157aad89de28b2f69145590e8a1355adbffdf92d440567bf6699d24",
         "pde_diagnostics.csv": "fabb73108f8352399ce7bfe0fd9a53338d5915dc178866563423416f4198a35a",
         "pde_result.json": "30466860c3b969e1179041f1e0da366382933faffe64f4bb564f65a14f6b656b",
         "snapshot_00.csv": "9c5cf37e9ad527732f805bb930646ca5bafec67319638674bfbb22221cc1bdb6",
@@ -949,17 +995,17 @@ ARTIFACT_SHA256 = {
     },
     "pde sweep --dr 0.02 --t_max 300 --eps_start 0.1": {
         "exit": 0,
-        "stdout": "a8296f65b6c7191bf0db5a799c512b824e5b74681253f1496aa838db6e1d7c4b",
+        "stdout": "31326b3bf6f9a92b3e9d173284bd070421c33e26b05a6545bdd1008478d07102",
         "stderr": EMPTY_SHA256,
-        "manifest.json": "ff1b58253834c3c6540ae1e2e50cc35bf41cb38c31f4c375bdbc51df123ec4e0",
+        "manifest.json": "0326139a8b196edf5477507e039d8b01d18bed0ae7a5a4753c7220c9421bc53f",
         "pde_fit.json": "2380eef9e233ec1f3e8f38792ebc758630c98e577a0502cdeb497eef49d67e71",
         "pde_sweep.csv": "2a5edf3574ffc42c822bbb5240d4ccd36c34a40cb6e91b64642a44556ada737e",
     },
     "pde sweep --dr 0.05 --t_max 60 --alpha 0 --eps_start 2 --eps_stop 8": {
         "exit": 0,
-        "stdout": "9453b9b1bc8c1fef066c10a2ce7cbc63a8fa004ac20e6663f5478971422df666",
+        "stdout": "7265cec71163b17958800d60c47c440d74fafff171ce6ed10903a9f41e6702f3",
         "stderr": EMPTY_SHA256,
-        "manifest.json": "a4868f4bc199636c58b3893c5f1d59c85c1cb397b498d4339aed16c9c755aaa4",
+        "manifest.json": "c5af6b0632bafa639f462a210411d958d458f5dcd8b6b4750287996a0c2598b0",
         "pde_fit.json": "2170088272891c58eedf5e26067269f46aff392dc45aa09fa392c6004f914433",
         "pde_sweep.csv": "64e5ad5fb4246573f5b5287f87e933b07613d5dab8a3222d3f5952acd14d64d3",
     },

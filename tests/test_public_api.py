@@ -1,0 +1,71 @@
+"""Each module's ``__all__`` holds only what the package uses across its
+modules: a name that the CLI, another flrwave module or the acceptance suite
+reads, or a class that one of those returns (in a return annotation, or in
+the fields of such a class)."""
+
+import ast
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "flrwave"
+MODULES = sorted(
+    name for name in (path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
+    if hasattr(importlib.import_module(f"flrwave.{name}"), "__all__")
+)
+READERS = [*sorted(PACKAGE.glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
+# The functions perfbench's tracer times or counts by name: it wraps every
+# function in a module's __all__, so these must stay there.
+TRACED = [
+    "pde.run", "pde.support_check", "pde.holder_check", "pde.f_monotone_check",
+    "blowup_ode.integrate", "bounds.region_map_model", "bounds.region_map_flrw",
+]
+
+
+def names_read(path):
+    """(module, name) pairs that ``path`` reads from the other flrwave modules:
+    ``from flrwave.m import name`` and ``m.name``."""
+    pairs = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("flrwave."):
+            pairs |= {(node.module.split(".")[1], alias.name) for alias in node.names}
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            pairs.add((node.value.id, node.attr))
+    return {(module, name) for module, name in pairs if module in MODULES and module != path.stem}
+
+
+READ = set().union(*map(names_read, READERS))
+
+
+def annotation_names(obj):
+    """The identifiers in ``obj``'s return annotation, or in its fields' annotations."""
+    annotations = getattr(obj, "__annotations__", {})
+    if callable(obj) and not isinstance(obj, type):
+        annotations = {"return": annotations.get("return", "")}
+    return set(re.findall(r"\w+", " ".join(map(str, annotations.values()))))
+
+
+@pytest.mark.parametrize("module_name", MODULES)
+def test_every_public_name_is_used_outside_its_module(module_name):
+    module = importlib.import_module(f"flrwave.{module_name}")
+    public = set(module.__all__)
+    missing = sorted(name for name in public if not hasattr(module, name))
+    assert not missing, f"{module_name}.__all__ names what the module lacks: {missing}"
+    used = {name for name in public if (module_name, name) in READ}
+    while True:  # add the classes the used names return
+        returned = public & set().union(*(annotation_names(getattr(module, n)) for n in used))
+        if returned <= used:
+            break
+        used |= returned
+    unused = sorted(public - used)
+    assert not unused, f"no caller outside {module_name} but tests reads {unused}"
+
+
+@pytest.mark.parametrize("qualified", TRACED)
+def test_traced_functions_stay_public(qualified):
+    module_name, name = qualified.split(".")
+    module = importlib.import_module(f"flrwave.{module_name}")
+    assert name in module.__all__ and callable(getattr(module, name))
