@@ -164,6 +164,11 @@ def _resolve(leaf: Leaf, config: dict, ns: argparse.Namespace) -> dict:
 # exponents, classify
 
 def _cmd_exponents(r):
+    if r["w"] is not None and (r["alpha"] != 0.0 or r["mu"] != 0.0):
+        raise ValueError(
+            f"w sets alpha and mu: give w={r['w']} or alpha={r['alpha']} and mu={r['mu']}, "
+            "not both"
+        )
     f = _build(FlrwParams, r) if r["w"] is not None else None
     params = _build(ModelParams, r) if f is None else flrw_to_model(f)
 

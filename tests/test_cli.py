@@ -44,6 +44,18 @@ def test_exponents_flrw_mode(tmp_path):
     assert "w_star" in payload["flrw"]
 
 
+@pytest.mark.parametrize("point", [["--alpha", "0.9"], ["--mu", "5"], ["--alpha", "0.9", "--mu", "5"]])
+def test_exponents_refuses_alpha_or_mu_with_w(tmp_path, capsys, point):
+    # w fixes alpha and mu; a point given both ways once reported the w point
+    out = tmp_path / "e"
+    assert main(["exponents", "--n", "3", "--w", "0.3", *point, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: w sets alpha and mu") and len(err.splitlines()) == 1
+    assert not out.exists()
+    zero = ["--alpha", "0", "--mu", "0"]  # the defaults, which w overrides
+    assert main(["exponents", "--n", "3", "--w", "0.3", *zero, "--out", str(out)]) == 0
+
+
 def test_exponents_rejects_alpha_one(tmp_path):
     assert main(["exponents", "--n", "2", "--alpha", "1.0", "--out", str(tmp_path)]) == 2
 
@@ -445,6 +457,27 @@ def test_pde_run_refuses_n_above_five(tmp_path, capsys):
     assert main(["pde", "run", "--n", "6", "--out", str(out)]) == 2
     assert "n <= 5" in capsys.readouterr().err
     assert not out.exists()
+
+
+# cfl at or past the stencil's stability limit (pde.CFL_LIMITS); each of these
+# once exited 0 with a threshold "blow-up" that is not there, at T = 4.34,
+# 8.63, 1.83 and 3.56
+PDE_CFL_PROBE = ["pde", "run", "--dr", "0.02", "--eps", "0.05", "--t_max", "60"]
+
+
+@pytest.mark.parametrize("n, cfl", [("2", "0.92"), ("3", "0.83"), ("4", "0.8"), ("5", "0.70")])
+def test_pde_run_refuses_an_unstable_cfl(tmp_path, capsys, n, cfl):
+    out = tmp_path / "p"
+    assert main(PDE_CFL_PROBE + ["--n", n, "--cfl", cfl, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cfl must lie in (0, ") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_pde_run_below_the_cfl_limit_reaches_the_horizon(tmp_path):
+    out = tmp_path / "p"
+    assert main(PDE_CFL_PROBE + ["--n", "3", "--cfl", "0.8", "--out", str(out)]) == 3
+    assert read_json(out / "pde_result.json")["termination"] == "horizon"
 
 
 @pytest.mark.parametrize(

@@ -6,19 +6,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from flrwave import pde
 from flrwave.exponents import ModelParams
 from flrwave.pde import (
+    CFL_LIMITS,
     SUPPORT_REL_TOL,
     PdeConfig,
     PdeResult,
     _last_above,
     _next_dt,
+    _pitch,
     _quadrature,
     _raise_to,
     _run_batch,
-    _step_into,
-    _stencil_into,
-    _truncate_outside_cone,
+    _Stripes,
     _weights,
     ball_volume,
     bump3,
@@ -53,30 +54,31 @@ BASE = PdeConfig(
 )
 
 
-def stripes(u, dr, n):
-    """``u`` (one row, or rows of one length) flattened, its pitch, and the
-    solver's neighbour weights repeated once a row."""
-    u = np.array(u, dtype=float)
-    m = u.shape[-1]
-    left, right, _ = _weights(m, dr, n)
-    return u.reshape(-1), m, (np.tile(left, u.size // m), np.tile(right, u.size // m))
+def stripes(fields, dr, n, stride=None):
+    """A fresh ``_Stripes`` whose levels 0, 1, ... hold ``fields``, each one
+    row or rows of one length, in rows of ``stride`` cells (default: the row
+    length, no padding); every other cell is zero."""
+    fields = [np.asarray(f, dtype=float) for f in fields]
+    m = fields[0].shape[-1]
+    grid = [f.reshape(-1, m) for f in fields]
+    levels = np.zeros((4, grid[0].shape[0], stride or m))
+    for level, f in zip(levels, grid):
+        level[:, :m] = f
+    return _Stripes(levels, dr, n)
 
 
 def laplacian(u, dr, n):
     """Lap u through the solver's stencil, each row zero past its last cell."""
-    flat, m, weights = stripes(u, dr, n)
-    lap = np.zeros(flat.size)
-    _stencil_into(lap, flat, 1.0, 0.0, m, dr, weights, np.empty((2, flat.size)))
-    return lap.reshape(np.shape(u))
+    s = stripes([u], dr, n)
+    s.stencil(1, 0, 2, 1.0, 0.0)
+    return s.grid[1].reshape(np.shape(u))
 
 
 def update(u_prev, u_curr, t, dt_old, dt_new, dr, n, alpha, mu, source):
     """The solver's new level from u_prev, u_curr and the source |u_curr|^p."""
-    flat, m, weights = stripes(u_curr, dr, n)
-    out = np.array(source, dtype=float).reshape(-1)
-    _step_into(out, stripes(u_prev, dr, n)[0], flat, t, dt_old, dt_new, dr, alpha, mu, m,
-               weights, np.empty(flat.size))
-    return out.reshape(np.shape(u_curr))
+    s = stripes([u_prev, u_curr, source], dr, n)
+    s.step(2, 0, 1, t, dt_old, dt_new, alpha, mu, s.stride)
+    return s.grid[2].reshape(np.shape(u_curr))
 
 
 class TestRadialLaplacian:
@@ -369,6 +371,34 @@ class TestRun:
             PdeConfig(params=ModelParams(2, 0.5, 2.0), p=2.0, eps=0.5, cfl=1.5)
 
 
+def stencil_matrix(m, dr, n):
+    """The stencil's matrix on m cells: column j is Lap e_j, the stencil
+    applied to the j-th unit vector (one row of the batch each)."""
+    return laplacian(np.eye(m), dr, n).T
+
+
+class TestStability:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_cfl_limit_is_the_stencils(self, n):
+        # leapfrog on u_tt = t^(-2 alpha) Lap u with dt = cfl dr t^alpha is
+        # stable for cfl < 2/sqrt(rho dr^2), rho the spectral radius of the
+        # matrix; its largest mode sits at the origin, so 60 cells resolve it
+        dr = 0.01
+        for m in (60, 240):
+            rho = float(np.max(np.abs(np.linalg.eigvals(stencil_matrix(m, dr, n)))))
+            limit = 2.0 / math.sqrt(rho * dr * dr)
+            assert CFL_LIMITS[n] <= limit < CFL_LIMITS[n] + 1e-4
+
+    def test_config_refuses_cfl_at_the_limit(self):
+        for n, limit in CFL_LIMITS.items():
+            params = ModelParams(n, 0.5, 2.0)
+            for cfl in (0.45, math.nextafter(limit, 0.0)):  # the default stays legal
+                assert replace(BASE, params=params, cfl=cfl).cfl == cfl
+            for cfl in (limit, 0.95, 0.0):
+                with pytest.raises(ValueError, match=rf"cfl must lie in \(0, {limit}\)"):
+                    replace(BASE, params=params, cfl=cfl)
+
+
 class TestSweep:
     def test_scaling_and_monotonicity(self):
         fit, envelopes = lifespan_sweep(
@@ -388,9 +418,11 @@ class TestSweep:
         with pytest.raises(ValueError):
             lifespan_sweep(BASE, [0.5])
 
-    def test_empty_grid_rejected(self):
+    def test_empty_grid_rejected(self, monkeypatch):
         with pytest.raises(ValueError):
             lifespan_sweep(BASE, [])
+        monkeypatch.setattr(pde, "_Stripes", None)  # a batch of no rows builds no stripes
+        assert _run_batch(BASE, []) == []
 
     def test_horizon_failure(self):
         with pytest.raises(RuntimeError, match="no blow-up"):
@@ -585,22 +617,20 @@ class TestFoldedStencil:
         # rows laid end to end with zero padding, as the stepping loop holds them
         rows, stride = 3, cells + pad
         rng = np.random.default_rng(seed)
-        u_prev, u_curr = np.zeros((2, rows, stride))
-        u_prev[:, :cells], u_curr[:, :cells] = rng.uniform(-1.0, 1.0, (2, rows, cells))
+        u_prev, u_curr = rng.uniform(-1.0, 1.0, (2, rows, cells))
         source = np.abs(u_curr) ** 2
         dt_old, dt_new = cfl_old * dr * t**alpha, cfl_new * dr * t**alpha
         scale = float(np.max(np.abs([u_prev, u_curr])))
-        weights = stripes(u_curr, dr, n)[2]
-        work = np.empty((2, rows * stride))
 
-        lap = np.zeros((rows, stride))
-        _stencil_into(lap.reshape(-1), u_curr.reshape(-1), 1.0, 0.0, stride, dr, weights, work)
-        out = source.copy()
-        _step_into(out.reshape(-1), u_prev.copy().reshape(-1), u_curr.reshape(-1), t, dt_old,
-                   dt_new, dr, alpha, mu, stride, weights, work[0])
-        unpadded = laplacian(u_curr[:, :cells], dr, n)  # rows of stride = cells
+        s = stripes([u_curr], dr, n, stride)
+        s.stencil(1, 0, 2, 1.0, 0.0)
+        lap = s.grid[1]
+        s = stripes([u_prev, u_curr, source], dr, n, stride)
+        s.step(2, 0, 1, t, dt_old, dt_new, alpha, mu, cells)
+        out = s.grid[2]
+        unpadded = laplacian(u_curr, dr, n)  # rows of stride = cells
         for i in range(rows):
-            prev, curr, src = u_prev[i, :cells], u_curr[i, :cells], source[i, :cells]
+            prev, curr, src = u_prev[i], u_curr[i], source[i]
             assert np.array_equal(lap[i, :cells], laplacian(curr, dr, n))
             assert np.array_equal(unpadded[i], lap[i, :cells])
             want = textbook_laplacian(curr, dr, n)
@@ -610,13 +640,52 @@ class TestFoldedStencil:
             )
             want = textbook_update(prev, curr, t, dt_old, dt_new, dr, n, alpha, mu, src)
             assert np.max(np.abs(out[i, :cells] - want)) <= 1e-12 * scale
-
-        # far past the data, the light cone covers every cell: truncation
-        # clears exactly the padding
-        inside = out[:, :cells].copy()
-        _truncate_outside_cone(out, BASE.t_max, replace(BASE, dr=dr), cells)
-        assert np.array_equal(out[:, :cells], inside)
+        # a step zeroes every cell from its width on: with width = cells,
+        # exactly the padding; with a smaller width, the cut-off columns too
         assert np.all(out[:, cells:] == 0.0)
+        width = int(rng.integers(0, cells + 1))
+        s = stripes([u_prev, u_curr, source], dr, n, stride)
+        s.step(2, 0, 1, t, dt_old, dt_new, alpha, mu, width)
+        assert np.array_equal(s.grid[2][:, :width], out[:, :width])
+        assert np.all(s.grid[2][:, width:] == 0.0)
+
+
+class TestStripeViews:
+    """The views a step reads are built when rows leave and when the rows
+    are laid out again; after either, a step gives each row the bits that a
+    fresh layout of the same rows gives it."""
+
+    @staticmethod
+    def step(s, cells):
+        s.step(2, 0, 1, 3.0, 0.02, 0.021, 0.5, 2.0, cells)
+        s.stencil(0, 2, 1, 1.0, 0.5)  # and the stencil alone, on the new level
+        return [level[: s.rows] for level in s.levels[:3]]
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_keep_and_lay_out_match_a_fresh_layout(self, n):
+        rows, cells, dr = 4, 40, 0.05
+        levels = np.zeros((4, rows, _pitch(cells)))
+        levels[:3, :, :cells] = np.random.default_rng(n).uniform(-1.0, 1.0, (3, rows, cells))
+        levels[2, :, :cells] **= 2  # the source |u|^p
+        kept = np.array([True, False, True, True])
+        s = _Stripes(levels.copy(), dr, n)
+        s.keep(kept)
+        assert s.rows == 3 and s.flat[0].size == 3 * s.stride
+        fresh = _Stripes(levels[:, kept].copy(), dr, n)
+        narrow = self.step(s, cells)
+        for got, want in zip(narrow, self.step(fresh, cells)):
+            assert np.array_equal(got, want)
+
+        # the rows left after the step, laid out again for a grid of 90 cells
+        wide = s.laid_out(90)
+        assert (wide.rows, wide.stride) == (3, _pitch(90))
+        copy = np.zeros((4, 3, _pitch(90)))
+        copy[:, :, : s.stride] = s.levels[:, :3]
+        fresh = _Stripes(copy, dr, n)
+        widened = self.step(wide, 80)
+        for got, want in zip(widened, self.step(fresh, 80)):
+            assert np.array_equal(got, want)
+        assert np.all(widened[2][:, 80:] == 0.0)
 
 
 class TestLifespanPins:
