@@ -32,11 +32,16 @@ Exit codes: 0 success, 2 invalid configuration or parameters, 3 runtime
 failure: a run whose ``blew_up`` is false (it reached the horizon, its ODE
 solver failed, or its PDE field overflowed; the artifacts are written), a
 sweep with such a run, a preset assertion failure, a closed stdout.
+
+In-process use: ``build_parser`` builds the argument parser on its first
+call and returns that same object on every later one, so callers of ``main``
+pay for the whole command tree once per process.  Callers must not mutate it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -69,15 +74,18 @@ OUT_ENV_VAR = "FLRWAVE_OUT"
 class Leaf(NamedTuple):
     """One command: ``handler(resolved) -> (payload, files)`` and its config
     keys with their defaults; a key in ``choices`` takes one of its names (a
-    preset's choices map each name to its values).  A handler writes
-    nothing: ``files`` maps each artifact's name to its content, which
-    ``main`` writes (see ``artifacts.write_files``)."""
+    preset's choices map each name to its values).  ``unread`` maps a key to
+    the ``(key, value)`` under which the handler ignores it; a flag or config
+    file that sets it there is refused.  A handler writes nothing: ``files``
+    maps each artifact's name to its content, which ``main`` writes (see
+    ``artifacts.write_files``)."""
 
     name: str
     help: str
     handler: Callable
     keys: dict
     choices: dict = {}
+    unread: dict = {}
 
 
 def _keys(*classes, drop=(), **defaults) -> dict:
@@ -157,7 +165,11 @@ def _resolve(leaf: Leaf, config: dict, ns: argparse.Namespace) -> dict:
     flags = {k: getattr(ns, k) for k in leaf.keys if getattr(ns, k, None) is not None}
     preset = flags.get("preset", config.get("preset"))
     values = leaf.choices["preset"][preset] if preset is not None else {}
-    return {**leaf.keys, **values, **config, **flags}
+    resolved = {**leaf.keys, **values, **config, **flags}
+    for key, (other, value) in leaf.unread.items():
+        if resolved[other] == value and (key in config or key in flags):
+            raise ValueError(f"{other} {value} takes no {key}, got {key}={resolved[key]}")
+    return resolved
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +458,7 @@ LEAVES = (
         "map", "region-map CSV + SVG", _cmd_map,
         {"preset": None, **MAP_PRESETS["fig1"]},
         {"preset": MAP_PRESETS, "mode": ("model", "flrw")},
+        {"alpha": ("mode", "flrw")},  # the w axis sets alpha
     ),
     Leaf(
         "kato threshold", "subcritical threshold", _cmd_kato_threshold,
@@ -491,11 +504,14 @@ GROUPS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """One subcommand per leaf, one flag per config key typed by its default:
     an int an int, a float or null a finite float, a key with choices one of
-    them; a list (``snapshot_times``) is config-only."""
-    parser = argparse.ArgumentParser(prog="flrwave", description=__doc__)
+    them; a list (``snapshot_times``) is config-only.  Built once a process
+    and shared (see the module docstring)."""
+    description = __doc__.partition("\nIn-process use:")[0]  # --help is for the command line
+    parser = argparse.ArgumentParser(prog="flrwave", description=description)
     groups = {"": parser.add_subparsers(dest="command", required=True)}
     for leaf in LEAVES:
         group, _, name = leaf.name.rpartition(" ")

@@ -243,6 +243,33 @@ def test_map_preset_bytes_pinned(tmp_path, preset):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
 
 
+FLRW_GRID = "--n 3 --axis1_start -0.3 --axis1_stop 0.9 --axis1_step 0.3 --axis2_step 0.5".split()
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+@pytest.mark.parametrize(
+    "argv", [["--preset", "fig2"], ["--mode", "flrw", *FLRW_GRID]], ids=["fig2", "flrw"]
+)
+def test_map_refuses_alpha_in_flrw_mode(tmp_path, capsys, where, argv):
+    # the w axis sets alpha; fig2 with --alpha 0.9 once wrote fig2's map unchanged
+    out = tmp_path / "m"
+    given = ["--alpha", "0.9"]
+    if where == "config":
+        given = ["--config", write_config(tmp_path, {"alpha": 0.9})]
+    capsys.readouterr()
+    assert main(["map", *argv, *given, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: mode flrw takes no alpha, got alpha=0.9\n"
+    assert not out.exists()
+    # without alpha the run keeps its exit code; the model default alpha stays unread
+    assert main(["map", *argv[:2], *FLRW_GRID, "--out", str(out)]) == 0
+    assert read_json(out / "manifest.json")["config"]["alpha"] == (
+        None if argv[0] == "--preset" else 0.6
+    )
+    model = ["--axis1_step", "0.5", "--axis2_step", "0.5"]
+    assert main(["map", *model, *given, "--out", str(tmp_path / "model")]) == 0
+
+
 def test_kato_threshold_value(tmp_path):
     out = tmp_path / "k"
     assert main(
@@ -861,6 +888,35 @@ CONFIG_DIGESTS = {
 def test_config_digest_pinned(tmp_path, command):
     assert main(command.split() + ["--out", str(tmp_path)]) == 0
     assert read_json(tmp_path / "manifest.json")["config_digest"] == CONFIG_DIGESTS[command]
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_reused_parser_keeps_no_flag_from_an_earlier_call(tmp_path):
+    # eps 0.3 reaches the horizon (exit 3) and still writes its manifest
+    assert main(["pde", "run", "--dr", "0.05", "--eps", "0.3", "--out", str(tmp_path / "a")]) == 3
+    assert read_json(tmp_path / "a" / "manifest.json")["config"]["eps"] == 0.3
+    assert main(["pde", "run", "--dr", "0.05", "--out", str(tmp_path / "b")]) == 0
+    digest = read_json(tmp_path / "b" / "manifest.json")["config_digest"]
+    assert digest == CONFIG_DIGESTS["pde run --dr 0.05"]
+
+
+def test_reused_parser_survives_a_usage_error(tmp_path):
+    assert exit_code(["map", "--preset", "fig3", "--out", str(tmp_path / "a")]) == 2
+    assert main(["kato", "sequences", "--out", str(tmp_path / "b")]) == 0
+    digest = read_json(tmp_path / "b" / "manifest.json")["config_digest"]
+    assert digest == CONFIG_DIGESTS["kato sequences"]
+
+
+@pytest.mark.parametrize("argv", [[], ["map"], ["pde", "run"]], ids=["flrwave", "map", "pde run"])
+def test_help_is_the_same_on_every_call(capsys, argv):
+    texts = []
+    for _ in range(2):
+        assert exit_code([*argv, "--help"]) == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1] and texts[0].startswith("usage: flrwave")
 
 
 # A pde run config that asks for profile dumps.

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flrwave.exponents import (
     FlrwParams,
@@ -162,6 +164,16 @@ class TestGamma:
                 a, b = gq(float(p)), sq(float(p))
                 assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
 
+    @settings(deadline=None)
+    @given(n=st.integers(2, 7), mu=st.floats(0.0, 5.0))
+    def test_zero_alpha_is_strauss_in_dimension_n_plus_mu(self, n, mu):
+        # the scale-invariant damped wave equation: Strauss in dimension n + mu
+        # (D'Abbicco 2015); N need not be an integer, so compare coefficients
+        q, dim = gamma_quadratic(ModelParams(n, 0.0, mu)), n + mu
+        assert q.c2 == pytest.approx(-(dim - 1.0), rel=1e-15)
+        assert q.c1 == pytest.approx(dim + 1.0, rel=1e-15)
+        assert q.c0 == 2.0
+
     def test_known_special_coefficients(self):
         # alpha = 2/3, mu = 2 collapses to (-(n+3), n+13, 2)
         for n in range(2, 7):
@@ -227,6 +239,13 @@ class TestGamma0:
 class TestMuStar:
     def test_hand_value(self):
         assert mu_star(2, 0.6) == pytest.approx(11.0 / 7.0, rel=1e-14)
+
+    @settings(deadline=None)
+    @given(n=st.integers(2, 7))
+    def test_zero_alpha_closed_form(self, n):
+        # where the Fujita and the Strauss (dimension n + mu) curves of the
+        # scale-invariant damped wave equation meet (D'Abbicco 2015)
+        assert mu_star(n, 0.0) == pytest.approx((n * n + n + 2.0) / (n + 2.0), rel=1e-15)
 
     def test_fujita_root_consistency(self):
         # gamma vanishes at the effective Fujita exponent when mu = mu*
