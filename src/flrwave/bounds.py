@@ -360,8 +360,11 @@ class AxisSpec:
     @property
     def count(self) -> int:
         """The number of values, from the axis arithmetic alone."""
-        # + 1e-9 absorbs the quotient's rounding: stop is kept, never passed
-        return int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
+        # + 1e-9 absorbs the quotient's rounding; the rounding of stop - start
+        # can still leave the quotient one short, so the next value is
+        # counted when it rounds to stop or below
+        k = int(math.floor((self.stop - self.start) / self.step + 1e-9))
+        return k + 1 + (round(self.start + (k + 1) * self.step, 12) <= self.stop)
 
     def values(self) -> list[float]:
         """The values, refused when rounding makes two of them equal (a step

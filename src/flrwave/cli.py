@@ -44,6 +44,7 @@ import argparse
 import functools
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import asdict, astuple, fields
@@ -253,18 +254,29 @@ MAP_PRESETS = {
 
 def _map_csv(rm: bounds.RegionMap):
     """map.csv as lazy text blocks: the header line, then one block per axis1
-    row.  Each axis2 value and label name is formatted once a map, each
-    axis1 value once a row, each best exponent once a cell (``repr``, as
-    ``artifacts.fmt`` would)."""
+    row, built by one join.
+
+    The ``axis2,label,`` lead of every (column, label) pair is formatted once
+    a map, each axis1 value once a row.  The best exponents (``repr``, as
+    ``artifacts.fmt`` would) are kept as one text row: row i formats only
+    the cells whose float bits differ from row i-1 and reuses the text
+    above for the rest.  A heatlike bound does not depend on mu, so down a
+    p column of a (mu, p) map many cells repeat.  Comparing bits, not
+    values, keeps 0.0 apart from -0.0."""
     v2 = [repr(b) for b in rm.axis2.values()]
-    names = [label.value for label in bounds.LABELS]
+    leads = np.array([[f"{b},{label.value}," for b in v2] for label in bounds.LABELS], dtype=object)
+    columns = np.arange(rm.best.shape[1])
+    texts = np.empty(columns.size, dtype=object)
+    bits = rm.best.view(np.int64)
+    above = ~bits[0]  # every bit differs, so the first row formats every cell
     yield "axis1,axis2,label,best_exponent\n"
-    for a, codes, best in zip(rm.axis1.values(), rm.codes, rm.best):
-        a = repr(a)
-        yield "".join([
-            f"{a},{b},{names[code]},{e!r}\n"
-            for b, code, e in zip(v2, codes.tolist(), best.tolist())
-        ])
+    for a, codes, row, best in zip(rm.axis1.values(), rm.codes, bits, rm.best):
+        changed = row != above
+        texts[changed] = list(map(repr, best[changed].tolist()))
+        above = row
+        a = repr(a) + ","
+        cells = map(operator.add, leads[codes, columns].tolist(), texts.tolist())
+        yield a + ("\n" + a).join(cells) + "\n"
 
 
 def _cmd_map(r):

@@ -3,7 +3,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flrwave.bounds import (
@@ -286,6 +286,22 @@ class TestAxisSpec:
     def test_count_is_the_length_of_values(self):
         for axis in (AxisSpec("mu", 0.0, 3.0, 0.01), AxisSpec("w", -0.33, 1.0, 0.5)):
             assert axis.count == len(axis.values())
+
+    @given(
+        st.floats(-5.0, 5.0),
+        st.integers(0, 50),
+        st.sampled_from([10.0**-e for e in range(2, 13)]),
+    )
+    # 2.0000001 - 2.0 rounds to just under 1e-7, which once counted 1 value
+    @example(2.0, 1, 1e-7)
+    @settings(max_examples=300, deadline=None)
+    def test_stop_on_the_grid_is_counted(self, start, k, step):
+        # a stop that is the k-th value, rounded as values() rounds it
+        start = round(start, 6)
+        stop = round(start + k * step, 12)
+        axis = AxisSpec("x", start, stop, step)
+        assert axis.count == k + 1
+        assert axis.values()[-1] == stop
 
 
 class TestRegionMap:

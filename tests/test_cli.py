@@ -4,7 +4,9 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -12,12 +14,13 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flrwave import artifacts, blowup_ode, bounds, kato
-from flrwave.cli import LEAVES, build_parser, main
+from flrwave.cli import LEAVES, _map_csv, build_parser, main
 from flrwave.exponents import FlrwParams, ModelParams, flrw_to_model
 
 
@@ -160,6 +163,8 @@ def reference_map_csv(rm):
 @example(n=3, flrw=False, alpha=0.0, step1=0.1, rows=33, p_start=1.5, step2=0.5, cols=10)
 @example(n=2, flrw=False, alpha=0.6, step1=0.05, rows=64, p_start=1.5, step2=0.25, cols=12)
 @example(n=3, flrw=True, alpha=0.0, step1=0.05, rows=27, p_start=1.01, step2=0.5, cols=12)
+# heatlike cells repeat down their p column across the 32-row kernel blocks
+@example(n=2, flrw=False, alpha=0.6, step1=0.05, rows=70, p_start=1.01, step2=0.05, cols=14)
 def test_map_csv_equals_its_cells(n, flrw, alpha, step1, rows, p_start, step2, cols):
     """map.csv, streamed in row blocks, holds the bytes ``write_csv`` gives
     the map's cells, and every cell is the scalar classification bit for
@@ -190,6 +195,49 @@ def test_map_csv_equals_its_cells(n, flrw, alpha, step1, rows, p_start, step2, c
         params = params_of(a)
         assert label is bounds.classify(params, p), (a, p)
         assert repr(best) == repr(bounds.best_exponent(params, p)), (a, p)
+
+
+NAN2 = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]  # a NaN of another payload
+INF = math.inf
+
+
+def hand_map(best, codes):
+    """A RegionMap of the given exponents and label codes on unit-step axes."""
+    best = np.array(best, dtype=float)
+    codes = np.array(codes, dtype=np.int8)
+    rows, cols = best.shape
+    return bounds.RegionMap(
+        bounds.AxisSpec("mu", 0.0, rows - 1.0, 1.0), bounds.AxisSpec("p", 1.5, cols + 0.5, 1.0),
+        codes, best, [2.0] * rows, [3.0] * rows,
+    )
+
+
+@pytest.mark.parametrize("best, codes", [
+    # columns: 0.0 above -0.0, NaN above NaN (two payloads), +inf above -inf,
+    # a constant whose label changes, a constant throughout
+    ([[0.0, math.nan, INF, 2.5, 1.25],
+      [-0.0, NAN2, -INF, 2.5, 1.25],
+      [-0.0, -math.nan, -INF, 2.5, 1.25],
+      [0.0, 0.75, INF, 2.5, 1.25]],
+     [[0, 4, 1, 1, 2], [0, 4, 1, 2, 2], [1, 4, 1, 3, 2], [1, 0, 1, 3, 2]]),
+    # one row
+    ([[0.0, -0.0, math.nan, INF, -INF]], [[0, 1, 2, 3, 4]]),
+    # one column
+    ([[-0.0], [0.0], [0.0], [math.nan], [-INF], [-INF]], [[0], [0], [1], [4], [2], [2]]),
+], ids=["grid", "one-row", "one-column"])
+def test_map_csv_reuses_text_only_on_equal_bits(best, codes):
+    rm = hand_map(best, codes)
+    assert "".join(_map_csv(rm)) == reference_map_csv(rm)
+
+
+def test_map_fine_p_step_keeps_the_stop(tmp_path):
+    # 2.0000001 - 2 rounds below 1e-7, which once dropped the stop column
+    out = tmp_path / "m"
+    argv = ["map", "--axis2_start", "2", "--axis2_stop", "2.0000001", "--axis2_step", "1e-7"]
+    assert main(argv + ["--out", str(out)]) == 0
+    lines = (out / "map.csv").read_text().splitlines()
+    assert len(lines) == 1 + 301 * 2
+    assert {line.split(",")[1] for line in lines[1:]} == {"2.0", "2.0000001"}
 
 
 def test_map_axis_whose_rounded_values_repeat_exits_2(tmp_path, capsys):
