@@ -16,7 +16,7 @@ import json
 import math
 import os
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -143,22 +143,21 @@ def _svg_text(x: float, y: float, text: str, size: int = 12, anchor: str = "star
     )
 
 
-def _svg_polyline(points: Sequence[tuple], stroke: str, dash: Optional[str] = None) -> str:
+def _svg_polyline(points: Sequence[tuple]) -> str:
     pts = " ".join(f"{_coord(x)},{_coord(y)}" for x, y in points)
-    dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-    return f'<polyline points="{pts}" fill="none" stroke="{stroke}" stroke-width="1"{dash_attr}/>'
+    return (
+        f'<polyline points="{pts}" fill="none" stroke="#222222" stroke-width="1" '
+        'stroke-dasharray="4,3"/>'
+    )
 
 
-def region_map_svg(
-    rm: RegionMap,
-    title: str,
-    curves: Optional[dict] = None,
-) -> str:
+def region_map_svg(rm: RegionMap, title: str) -> str:
     """Self-contained SVG heatmap of a region map.
 
     Cells sharing a label are merged into vertical run-length rectangles.
-    ``curves`` optionally maps a curve name to per-column values of axis2
-    (NaN/None breaks the polyline); curves are overlaid in draw order.
+    The map's critical curves, ``rm.fujita`` then ``rm.p_c``, are overlaid
+    as dashed polylines, broken where a value is not finite (p_c is +inf
+    without a root) or leaves the plot.
     """
     v1 = rm.axis1.values()
     v2 = rm.axis2.values()
@@ -202,17 +201,17 @@ def region_map_svg(
             parts.append(_svg_rect(x0, y_top, x1 - x0, y_bot - y_top, REGION_COLORS[label]))
             j = k + 1
 
-    for name, series in (curves or {}).items():
+    for series in (rm.fujita, rm.p_c):
         seg: list[tuple] = []
         for a, val in zip(v1, series):
-            if val is None or not math.isfinite(val) or not y_lo <= val <= y_hi:
+            if not y_lo <= val <= y_hi:  # NaN and +-inf fail it too
                 if len(seg) >= 2:
-                    parts.append(_svg_polyline(seg, "#222222", dash="4,3"))
+                    parts.append(_svg_polyline(seg))
                 seg = []
                 continue
             seg.append((sx(a), sy(val)))
         if len(seg) >= 2:
-            parts.append(_svg_polyline(seg, "#222222", dash="4,3"))
+            parts.append(_svg_polyline(seg))
 
     # frame and tick labels at the axis extremes
     parts.append(

@@ -338,8 +338,8 @@ def classify(params: ModelParams, p: float) -> RegionLabel:
 
 @dataclass(frozen=True)
 class AxisSpec:
-    """Uniform sweep axis: values start, start+step, ..., up to stop, each
-    rounded to 12 decimals."""
+    """Uniform sweep axis: value k is start + k*step rounded to 12 decimals,
+    and the axis holds every value up to stop."""
 
     name: str
     start: float
@@ -357,19 +357,25 @@ class AxisSpec:
                 "has too many values to count"
             )
 
+    def _value(self, k: int) -> float:
+        return round(self.start + k * self.step, 12)
+
     @property
     def count(self) -> int:
-        """The number of values, from the axis arithmetic alone."""
-        # + 1e-9 absorbs the quotient's rounding; the rounding of stop - start
-        # can still leave the quotient one short, so the next value is
-        # counted when it rounds to stop or below
-        k = int(math.floor((self.stop - self.start) / self.step + 1e-9))
-        return k + 1 + (round(self.start + (k + 1) * self.step, 12) <= self.stop)
+        """The number of values, from the axis arithmetic alone: the floored
+        quotient k is the last index unless the rounding of stop - start or
+        of the quotient moved it by one (the first value always counts)."""
+        k = math.floor((self.stop - self.start) / self.step)
+        if self._value(k + 1) <= self.stop:
+            k += 1
+        elif k > 0 and self._value(k) > self.stop:
+            k -= 1
+        return k + 1
 
     def values(self) -> list[float]:
         """The values, refused when rounding makes two of them equal (a step
         below the rounding grain, or below the float spacing at the axis)."""
-        values = [round(self.start + k * self.step, 12) for k in range(self.count)]
+        values = [self._value(k) for k in range(self.count)]
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError(
                 f"axis {self.name} from {self.start} to {self.stop} by {self.step} repeats "

@@ -31,11 +31,7 @@ whose handler failed (exit 3), leaves nothing behind.
 Exit codes: 0 success, 2 invalid configuration or parameters, 3 runtime
 failure: a run whose ``blew_up`` is false (it reached the horizon, its ODE
 solver failed, or its PDE field overflowed; the artifacts are written), a
-sweep with such a run, a preset assertion failure, a closed stdout.
-
-In-process use: ``build_parser`` builds the argument parser on its first
-call and returns that same object on every later one, so callers of ``main``
-pay for the whole command tree once per process.  Callers must not mutate it.
+sweep with such a run, a closed stdout.
 """
 
 from __future__ import annotations
@@ -293,15 +289,8 @@ def _cmd_map(r):
         rm = bounds.region_map_flrw(n, axis1, p_axis)
         title = f"blow-up regions (cosmological parameters): n={n}"
 
-    counts = rm.label_counts()
-    if r["preset"] == "fig2" and counts["A"] != 0:
-        raise RuntimeError(f"fig2 preset expects an empty A region, found {counts['A']} cells")
-
-    payload = {"label_counts": counts, "cells": rm.codes.size}
-    return payload, {
-        "map.csv": _map_csv(rm),
-        "map.svg": artifacts.region_map_svg(rm, title, {"fujita": rm.fujita, "p_c": rm.p_c}),
-    }
+    payload = {"label_counts": rm.label_counts(), "cells": rm.codes.size}
+    return payload, {"map.csv": _map_csv(rm), "map.svg": artifacts.region_map_svg(rm, title)}
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +298,7 @@ def _cmd_map(r):
 
 def _cmd_kato_threshold(r):
     kp = _build(kato.KatoSubcriticalParams, r)
-    payload = {
-        "M": kp.M,
-        "a0_exponent": -(kp.p - 1.0) / kp.M,
-        "threshold": kato.subcritical_threshold(kp),
-        "normalized": False,
-    }
+    payload = {"M": kp.M, **kato.subcritical_threshold(kp)._asdict(), "normalized": False}
     return payload, {"kato_threshold.json": payload}
 
 
@@ -520,10 +504,12 @@ GROUPS = {
 def build_parser() -> argparse.ArgumentParser:
     """One subcommand per leaf, one flag per config key typed by its default:
     an int an int, a float or null a finite float, a key with choices one of
-    them; a list (``snapshot_times``) is config-only.  Built once a process
-    and shared (see the module docstring)."""
-    description = __doc__.partition("\nIn-process use:")[0]  # --help is for the command line
-    parser = argparse.ArgumentParser(prog="flrwave", description=description)
+    them; a list (``snapshot_times``) is config-only.
+
+    In-process use: the parser is built on the first call and that same
+    object is returned on every later one, so callers of ``main`` pay for
+    the whole command tree once per process.  Callers must not mutate it."""
+    parser = argparse.ArgumentParser(prog="flrwave", description=__doc__)
     groups = {"": parser.add_subparsers(dest="command", required=True)}
     for leaf in LEAVES:
         group, _, name = leaf.name.rpartition(" ")

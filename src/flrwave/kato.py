@@ -37,7 +37,7 @@ __all__ = [
     "KatoState",
     "KatoSequences",
     "EnvelopeReport",
-    "CriticalThreshold",
+    "Threshold",
     "subcritical_threshold",
     "heatlike_wiring",
     "closed_form_b",
@@ -152,18 +152,21 @@ class EnvelopeReport:
     horizon: float
 
 
-class CriticalThreshold(NamedTuple):
+class Threshold(NamedTuple):
+    """A lemma's A0-exponent and its unnormalized lifespan threshold."""
+
     a0_exponent: float
     threshold: float
 
 
-def subcritical_threshold(kp: KatoSubcriticalParams) -> float:
-    """Unnormalized lifespan threshold A0^(-(p-1)/M).
+def subcritical_threshold(kp: KatoSubcriticalParams) -> Threshold:
+    """A0-exponent -(p-1)/M and unnormalized threshold A0^exponent.
 
     The lemma's constant C is unknown here; the returned scale sets C = 1,
     so only the dependence on A0 is meaningful.
     """
-    return kp.A0 ** (-(kp.p - 1.0) / kp.M)
+    expo = -(kp.p - 1.0) / kp.M
+    return Threshold(expo, kp.A0**expo)
 
 
 def heatlike_wiring(
@@ -255,14 +258,14 @@ def envelope_constants(kc: KatoCriticalParams, C_R: float) -> tuple[float, float
     return B, E
 
 
-def critical_threshold(kc: KatoCriticalParams) -> CriticalThreshold:
+def critical_threshold(kc: KatoCriticalParams) -> Threshold:
     """A0-exponent and unnormalized threshold exp(A0^exponent).
 
     The exponent is -(p-1)/(b(p-1)+2) for mu <= 1 and -(p-1)/(b(p-1)+1)
     for mu > 1; as with the subcritical threshold, C is set to 1.
     """
     expo = -(kc.p - 1.0) / (kc.b * (kc.p - 1.0) + kc.shift)
-    return CriticalThreshold(expo, math.exp(kc.A0**expo))
+    return Threshold(expo, math.exp(kc.A0**expo))
 
 
 def envelope_divergence(

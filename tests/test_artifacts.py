@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import xml.etree.ElementTree as ET
 
@@ -80,13 +81,14 @@ def test_region_map_svg_deterministic_and_wellformed():
     rm = region_map_model(
         2, 0.6, AxisSpec("mu", 0.0, 2.0, 0.25), AxisSpec("p", 1.25, 4.0, 0.25)
     )
-    curve = [3.5 for _ in rm.axis1.values()]
-    svg1 = artifacts.region_map_svg(rm, "test map", {"fujita": curve})
-    svg2 = artifacts.region_map_svg(rm, "test map", {"fujita": curve})
+    inf = float("inf")
+    rm = dataclasses.replace(rm, fujita=[3.5] * len(rm.fujita), p_c=[inf] * len(rm.p_c))
+    svg1 = artifacts.region_map_svg(rm, "test map")
+    svg2 = artifacts.region_map_svg(rm, "test map")
     assert svg1 == svg2
     root = ET.fromstring(svg1)
     assert root.tag.endswith("svg")
-    assert "<polyline" in svg1
+    assert svg1.count("<polyline") == 1  # p_c is +inf on every row: no root
     assert artifacts.REGION_COLORS["A"] in svg1
 
 
@@ -94,6 +96,13 @@ def test_region_map_svg_curve_breaks_on_missing_values():
     rm = region_map_model(
         2, 0.6, AxisSpec("mu", 0.0, 2.0, 0.5), AxisSpec("p", 1.5, 4.0, 0.5)
     )
-    curve = [3.5, None, 3.5, float("nan"), 3.5]
-    svg = artifacts.region_map_svg(rm, "gaps", {"pc": curve})
+    nan, inf = float("nan"), float("inf")
+    # the plot spans p 1.25..4.25: 10.0 leaves it
+    rm = dataclasses.replace(
+        rm, fujita=[3.5, 3.5, nan, 3.5, 3.5], p_c=[3.0, 3.0, 3.0, inf, 10.0]
+    )
+    svg = artifacts.region_map_svg(rm, "gaps")
     assert ET.fromstring(svg) is not None
+    lines = [e for e in ET.fromstring(svg) if e.tag.endswith("polyline")]
+    assert [len(e.get("points").split()) for e in lines] == [2, 2, 3]
+    assert all(e.get("stroke-dasharray") == "4,3" for e in lines)

@@ -3,7 +3,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from flrwave.bounds import (
@@ -264,7 +264,7 @@ class TestAxisSpec:
     def test_last_value_within_one_step_below_stop(self, start, length, step):
         start, stop = round(start, 3), round(start + length, 3)
         values = AxisSpec("x", start, stop, step).values()
-        assert values[-1] <= stop + 1e-9
+        assert values[-1] <= stop
         assert stop - values[-1] < step + 1e-9
 
     def test_validation(self):
@@ -303,6 +303,27 @@ class TestAxisSpec:
         assert axis.count == k + 1
         assert axis.values()[-1] == stop
 
+    @given(
+        st.floats(-5.0, 5.0),
+        st.integers(0, 50),
+        st.sampled_from([0.5, 0.25, 0.1, 0.01, 0.005, 0.001, 1e-4, 1e-5, 1e-6, 1e-7]),
+        st.sampled_from([1e-13, 1e-12, 1e-11, 1e-10, None]),
+        st.booleans(),
+    )
+    # 1e-12 below the 39th value: the floor once counted it, past stop
+    @example(0.080136, 39, 0.001, 1e-12, True)
+    @settings(max_examples=300, deadline=None)
+    def test_stop_off_the_grid_is_not_passed(self, start, k, step, offset, below):
+        # a stop just off the k-th value (offset None: half a step off)
+        start = round(start, 6)
+        offset = step / 2.0 if offset is None else offset
+        stop = round(start + k * step, 12) + (-offset if below else offset)
+        assume(stop >= start)
+        axis = AxisSpec("x", start, stop, step)
+        values = axis.values()
+        assert len(values) == axis.count == (k if below else k + 1)
+        assert values[-1] <= stop < round(start + len(values) * step, 12)
+
 
 class TestRegionMap:
     def test_single_cell(self):
@@ -337,11 +358,27 @@ class TestRegionMap:
         }
         assert {RegionLabel.B, RegionLabel.C, RegionLabel.CRITICAL_FUJITA} <= window
 
-    def test_flrw_map_has_no_region_a(self):
-        rm = region_map_flrw(
-            3, AxisSpec("w", -0.3, 1.0, 0.05), AxisSpec("p", 1.05, 3.0, 0.05)
-        )
-        assert rm.label_counts()["A"] == 0
+    @given(
+        st.integers(2, 8),
+        st.floats(-1.0, 1.0),
+        st.sampled_from([0.001, 0.01, 0.05, 0.25]),
+        st.integers(1, 30),
+        st.floats(1e-12, 3.0),
+        st.sampled_from([1e-9, 0.001, 0.05]),
+        st.integers(1, 40),
+    )
+    @example(3, -0.3, 0.05, 27, 0.05, 0.05, 40)
+    @example(8, -0.7499, 0.001, 30, 1e-12, 1e-9, 40)  # alpha near 1, p near 1
+    @settings(max_examples=100, deadline=None)
+    def test_flrw_map_has_no_region_a(self, n, w_start, w_step, rows, p_offset, p_step, cols):
+        # alpha = 2/(n(1+w)) and mu = n alpha put the A threshold
+        # 2(1-alpha)/(n(1-alpha)+mu-1) at 2(1-alpha)/(n-1) <= 1, below every
+        # p of a map axis (p >= 1 + 1e-12)
+        assume(w_start > 2.0 / n - 1.0 + 1e-9)
+        w_axis = AxisSpec("w", w_start, min(1.0, w_start + (rows - 1) * w_step), w_step)
+        p_start = round(1.0 + p_offset, 12)
+        p_axis = AxisSpec("p", p_start, p_start + (cols - 1) * p_step, p_step)
+        assert region_map_flrw(n, w_axis, p_axis).label_counts()["A"] == 0
 
     def test_cell_budget_is_checked_before_any_axis_is_built(self, monkeypatch):
         def refuse(axis):

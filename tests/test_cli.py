@@ -753,6 +753,26 @@ def test_refused_run_creates_no_output_directory(tmp_path, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["kato", "sequences", "--CR", "0"], "support constant C_R must be positive"),
+        (["kato", "envelope", "--CR", "-1"], "support constant C_R must be positive"),
+        (["kato", "envelope", "--delta", "0"], "divergence margin must be positive"),
+        (["map", "--config", "CONFIG"], "must contain a JSON object"),
+    ],
+)
+def test_refusal_prints_one_error_line(tmp_path, capsys, argv, message):
+    config = write_config(tmp_path, [1.0, 2.0])  # a JSON array, not an object
+    argv = [config if word == "CONFIG" else word for word in argv]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    stdout, stderr = capsys.readouterr()
+    assert stdout == ""
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1 and message in stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "flag, budget",
     # t = 1 to 2 in steps of at least 1e-12: 1e12 samples, or 1e12 steps
     [("--sample_dt", "sample budget"), ("--dt_cap", "step budget")],

