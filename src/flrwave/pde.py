@@ -32,7 +32,9 @@ Diagnostics per sample time: sup|u|, the spatial average F = int u dx, the
 nonlinear mass int |u|^p dx, and the support radius.  They reuse the step's
 |u|, sup|u| and source |u|^p, and integrate with cached trapezoid weights.
 A sweep records only t, sup|u| and F, which its fit and envelope read; its
-rows carry None for the other two series.  A step on which no row leaves
+rows carry None for the other two series.  Each series grows as a packed
+float64 buffer (``array("d")``, 8 B a value), which the row's ``PdeResult``
+views through ``np.frombuffer`` without a copy.  A step on which no row leaves
 and no sample or snapshot is due does no per-row bookkeeping.
 The checks bundled here verify the structural facts a valid run must satisfy:
 support inside the light cone, F positive and nondecreasing, and the
@@ -42,6 +44,7 @@ quadrature version of the Hoelder bound between F and the nonlinear mass.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -65,13 +68,15 @@ SUPPORT_REL_TOL = 1e-12  # amplitudes below this fraction of sup|u| count as zer
 # Grid cells kept past the light cone.  Any margin of at least one cell gives
 # the same T, sup|u| and support, and F to summation order; none misses mass.
 MARGIN_CELLS = 5
-# Budgets of rows x cells of the light cone at t_max, of time steps and of
-# samples; criterion 9's sweep (t_max 900, dr 1/200) needs ~12,000 cells a row
-# and at most ~4.0e5 steps and ~1.8e4 samples.  A run over any of them is
-# refused before anything is allocated.
+# Budgets of rows x cells of the light cone at t_max, of time steps, of
+# samples and of snapshot times; criterion 9's sweep (t_max 900, dr 1/200)
+# needs ~12,000 cells a row and at most ~4.0e5 steps and ~1.8e4 samples, and
+# no caller asks for more than 3 snapshots.  A run over any of them is refused
+# before anything is allocated.
 MAX_GRID_CELLS = 2**22
 MAX_STEPS = 2**24
 MAX_SAMPLES = 2**20
+MAX_SNAPSHOTS = 2**10
 # The leapfrog step is stable for cfl < 2/sqrt(rho dr^2), with rho the spectral
 # radius of the stencil's matrix; rho dr^2 depends on n alone, through the
 # origin's weights.  The limits, rounded down, of dimensions 2 to 5.
@@ -313,7 +318,7 @@ def _raise_to(a: np.ndarray, p: float) -> None:
         a **= p
 
 
-def _check_budget(cfg: PdeConfig, rows: int) -> None:
+def _check_budget(cfg: PdeConfig, rows: int, snapshots: int) -> None:
     cells = _cells(light_cone_radius(cfg.t_max, cfg.params.alpha, cfg.R), cfg.dr)
     if rows * cells > MAX_GRID_CELLS:
         raise ValueError(
@@ -333,6 +338,10 @@ def _check_budget(cfg: PdeConfig, rows: int) -> None:
             f"{samples:.4g} samples to t_max={cfg.t_max} exceed the sample budget of "
             f"{MAX_SAMPLES}; raise sample_dt or lower t_max"
         )
+    if snapshots > MAX_SNAPSHOTS:
+        raise ValueError(
+            f"{snapshots} snapshot times exceed the snapshot budget of {MAX_SNAPSHOTS}"
+        )
 
 
 @_QUIET
@@ -347,15 +356,15 @@ def _run_batch(
     n, alpha, mu, p, dr = cfg.params.n, cfg.params.alpha, cfg.params.mu, cfg.p, cfg.dr
     configs = [replace(cfg, eps=float(e)) for e in eps_values]  # each row's data is valid
     eps = [c.eps for c in configs]
-    _check_budget(cfg, len(eps))
+    _check_budget(cfg, len(eps), len(snapshot_times))
     if not eps:
         return []  # builds no stripes
     cells = _cells(light_cone_radius(1.0, alpha, cfg.R), dr)
     u0 = np.multiply.outer(eps, bump3(dr * np.arange(cells), cfg.R))  # u1 = u0
 
     ids = np.arange(len(eps))  # input position of each row still in the batch
-    # t, sup, F and, with checks, lp and support
-    series = [([], [], [], [], []) if checks else ([], [], []) for _ in eps]
+    # t, sup, F and, with checks, lp and support: packed doubles, 8 B a value
+    series = [[array("d") for _ in range(5 if checks else 3)] for _ in eps]
     snapshots: list[list] = [[] for _ in eps]
     results: list = [None] * len(eps)
     pending = sorted(float(s) for s in snapshot_times)
@@ -430,7 +439,7 @@ def _run_batch(
             for i, s in zip(ids[leave].tolist(), sup[leave].tolist()):
                 end = "threshold" if s >= threshold else "horizon"
                 end = end if math.isfinite(s) else "overflow"
-                arrays = [*map(np.asarray, series[i]), None, None][:5]  # None: not recorded
+                arrays = [*map(np.frombuffer, series[i]), None, None][:5]  # None: not recorded
                 results[i] = PdeResult(end == "threshold", t, end, *arrays, configs[i],
                                        snapshots[i])
             ids = ids[~leave]
@@ -463,7 +472,8 @@ def run(cfg: PdeConfig, snapshot_times: Sequence[float] = ()) -> PdeResult:
     sup-norm clears the threshold (the spatial resolution of the focusing
     peak degrades beyond that point, so the crossing time stands in for the
     true lifespan).  Deterministic for a fixed config.  ``snapshot_times``
-    requests (t, u) profile dumps at the first level reaching each time.
+    requests (t, u) profile dumps at the first level reaching each time, at
+    most ``MAX_SNAPSHOTS`` of them.
     """
     return _run_batch(cfg, [cfg.eps], snapshot_times)[0]
 

@@ -785,6 +785,19 @@ def test_pde_run_over_step_or_sample_budget_exits_2(tmp_path, flag, budget, caps
     assert not (tmp_path / "p" / "manifest.json").exists()
 
 
+def test_pde_run_over_snapshot_budget_exits_2(tmp_path, capsys):
+    # each snapshot time is one file and one profile copy in memory
+    times = [1.0 + 2.0 * i / 1025 for i in range(1025)]
+    config = write_config(tmp_path, {"snapshot_times": times})
+    out = tmp_path / "p"
+    argv = ["pde", "run", "--config", config, "--dr", "0.05", "--t_max", "3", "--out", str(out)]
+    assert main(argv) == 2
+    stdout, stderr = capsys.readouterr()
+    assert stdout == "" and stderr.startswith("error: ") and stderr.count("\n") == 1
+    assert "snapshot budget" in stderr
+    assert not out.exists()
+
+
 COLD_START = """
 import json, sys
 import flrwave, flrwave.cli

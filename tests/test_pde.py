@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -717,6 +718,37 @@ class TestLifespanPins:
             (37.25185883014535, "threshold", 720),
             (17.873922834224697, "threshold", 338),
         ]
+
+
+class TestSeriesStorage:
+    def test_recorded_values_cost_under_16_bytes_each(self):
+        # ~14k steps on a tiny grid, each one a sample: the recorded series
+        # dominate the traced peak, so it measures how a value is stored
+        # (8 B as a packed double; a list of Python floats takes 32 B)
+        cfg = replace(BASE, dr=0.05, cfl=0.01, t_max=20.0, sample_dt=1e-4)
+        tracemalloc.start()
+        try:
+            rows = _run_batch(cfg, [0.1, 0.2, 0.3], checks=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        values = sum(3 * row.t_samples.size for row in rows)
+        assert values > 100_000
+        assert peak < 16 * values
+
+
+class TestSnapshotBudget:
+    def test_snapshot_times_over_budget_are_refused(self, monkeypatch):
+        monkeypatch.setattr(pde, "_Stripes", None)  # refused before anything is built
+        cfg = replace(BASE, dr=0.05, t_max=3.0)
+        times = [1.0 + i / pde.MAX_SNAPSHOTS for i in range(pde.MAX_SNAPSHOTS + 1)]
+        with pytest.raises(ValueError, match="snapshot budget"):
+            run(cfg, snapshot_times=times)
+
+    def test_snapshot_times_at_budget_run(self):
+        cfg = replace(BASE, dr=0.05, t_max=1.2)
+        res = run(cfg, snapshot_times=[1.0] * pde.MAX_SNAPSHOTS)
+        assert len(res.snapshots) == pde.MAX_SNAPSHOTS
 
 
 class TestRunOutcome:
