@@ -11,11 +11,11 @@ origin, and the nonlinearity evaluated at the current level.  The cached
 per-cell stencil weights fold with four scalars a step into the new level
 k (left u_(i-1) + right u_(i+1)) + c_curr u + c_prev u_prev + |u|^p/lhs (see
 ``_Stripes.step``).  The time step tracks the decaying wave speed,
-dt = cfl * dr * t^alpha (capped so the mu/t coefficient stays resolved), and
-the radial grid is extended lazily to ``MARGIN_CELLS`` cells past the light
-cone r = A(t) + R, A(t) = (t^(1-alpha) - 1)/(1-alpha).  The first step is
-the second-order Taylor start from the equation at t = 1, on the same
-stencil.
+dt = min(cfl * dr * t^alpha, ``DT_CAP``), the cap keeping the mu/t coefficient
+resolved, and the radial grid is extended lazily to ``MARGIN_CELLS`` cells
+past the light cone r = A(t) + R, A(t) = (t^(1-alpha) - 1)/(1-alpha).  The
+first step is the second-order Taylor start from the equation at t = 1, on
+the same stencil.
 
 The time steps and the grid do not depend on eps, so one stepping loop
 advances runs as the rows of one (eps x r) array, in place, without threads:
@@ -77,6 +77,9 @@ MAX_GRID_CELLS = 2**22
 MAX_STEPS = 2**24
 MAX_SAMPLES = 2**20
 MAX_SNAPSHOTS = 2**10
+# The longest time step, so the damping coefficient mu/t stays resolved once
+# t^alpha grows large.
+DT_CAP = 0.1
 # The leapfrog step is stable for cfl < 2/sqrt(rho dr^2), with rho the spectral
 # radius of the stencil's matrix; rho dr^2 depends on n alone, through the
 # origin's weights.  The limits, rounded down, of dimensions 2 to 5.
@@ -92,8 +95,7 @@ class PdeConfig:
     """One radial blow-up run.
 
     The data profile is the C^2 cubic bump (1 - (r/R)^2)^3 on r < R for both
-    u0 and u1.  ``dt_cap`` keeps the damping coefficient mu/t resolved once
-    t^alpha grows large.
+    u0 and u1.
     """
 
     params: ModelParams
@@ -104,7 +106,6 @@ class PdeConfig:
     cfl: float = 0.45
     blowup_threshold: float = 1e8
     t_max: float = 50.0
-    dt_cap: float = 0.1
     sample_dt: float = 0.05
 
     def __post_init__(self):
@@ -124,18 +125,26 @@ class PdeConfig:
             raise ValueError(
                 f"t_max must be finite and exceed the initial time 1, got {self.t_max}"
             )
-        if not self.params.n <= 5:
+        limit = CFL_LIMITS.get(self.params.n)
+        if limit is None:
             raise ValueError(f"the radial scheme supports n <= 5, got n={self.params.n}")
-        limit = CFL_LIMITS[self.params.n]
         if not 0.0 < self.cfl < limit:
             raise ValueError(
                 f"cfl must lie in (0, {limit}) at n={self.params.n}, where the step is "
                 f"stable, got {self.cfl}"
             )
-        # t + dt_cap and next_sample + sample_dt must not round back to t
-        t = self.t_max
-        if not (t + self.dt_cap > t and t + self.sample_dt > t):
-            raise ValueError(f"dt_cap and sample_dt must be positive and resolvable at t_max={t}")
+        # t + dt and next_sample + sample_dt must not round back to t.  The
+        # first step is the smallest, and the float spacing at any t the loop
+        # adds to is at most ulp(t_max) (a sample time can pass t_max, but the
+        # sample budget keeps it below 2 when sample_dt is this small).  So
+        # each must exceed half that spacing, strictly: at a tie t_max + x
+        # rounds up where t + x may round back.
+        half_ulp = math.ulp(self.t_max) / 2.0
+        if not (_next_dt(1.0, self) > half_ulp and self.sample_dt > half_ulp):
+            raise ValueError(
+                f"the first step and sample_dt must be positive and resolvable at "
+                f"t_max={self.t_max}"
+            )
 
 
 @dataclass
@@ -298,7 +307,7 @@ def _last_above(a: np.ndarray, floor, dr: float) -> np.ndarray:
 
 
 def _next_dt(t: float, cfg: PdeConfig) -> float:
-    return min(cfg.cfl * cfg.dr * t**cfg.params.alpha, cfg.dt_cap)
+    return min(cfg.cfl * cfg.dr * t**cfg.params.alpha, DT_CAP)
 
 
 def _cells(cone: float, dr: float):
@@ -330,7 +339,7 @@ def _check_budget(cfg: PdeConfig, rows: int, snapshots: int) -> None:
     if steps > MAX_STEPS:
         raise ValueError(
             f"up to {steps:.4g} time steps to t_max={cfg.t_max} exceed the step budget of "
-            f"{MAX_STEPS}; raise dr or dt_cap, or lower t_max"
+            f"{MAX_STEPS}; raise dr or cfl, or lower t_max"
         )
     samples = (cfg.t_max - 1.0) / cfg.sample_dt
     if samples > MAX_SAMPLES:

@@ -739,7 +739,8 @@ def test_pde_grid_over_budget_exits_2(tmp_path, argv, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["pde", "run", "--dt_cap", "1e-12", "--t_max", "2", "--dr", "0.05"],
+        # a first step below half the float spacing at t_max: time would stop
+        ["pde", "run", "--t_max", "1.00000000000001", "--cfl", "1e-13", "--dr", "0.001"],
         ["kato", "threshold", "--p", "0.5"],
         # w below its range 2/n - 1 < w <= 1, at n = 3
         ["exponents", "--w", "-0.5"],
@@ -774,8 +775,9 @@ def test_refusal_prints_one_error_line(tmp_path, capsys, argv, message):
 
 @pytest.mark.parametrize(
     "flag, budget",
-    # t = 1 to 2 in steps of at least 1e-12: 1e12 samples, or 1e12 steps
-    [("--sample_dt", "sample budget"), ("--dt_cap", "step budget")],
+    # t = 1 to 2 in samples of 1e-12, or steps of 1e-12 * 0.05: 1e12 samples,
+    # or 2e13 steps
+    [("--sample_dt", "sample budget"), ("--cfl", "step budget")],
 )
 def test_pde_run_over_step_or_sample_budget_exits_2(tmp_path, flag, budget, capsys):
     argv = ["pde", "run", flag, "1e-12", "--t_max", "2", "--dr", "0.05"]
@@ -889,11 +891,12 @@ def cli_flags(ints="", floats="", **other):
 
 
 ODE_FLOATS = "p mu q A1 R F_init_scale dF_init_scale blowup_threshold t_max rel_tol abs_tol"
-PDE_FLOATS = "alpha mu p R dr cfl blowup_threshold t_max dt_cap sample_dt"
+PDE_FLOATS = "alpha mu p R dr cfl blowup_threshold t_max sample_dt"
 
 # the flags of every leaf command as first recorded; the three kato rows were
 # re-recorded when the inputs that reach no result were dropped, and the
-# exponents and pde rows when --flrw and --domain_margin went
+# exponents and pde rows when --flrw and --domain_margin went, and the pde
+# rows again when --dt_cap became the constant pde.DT_CAP
 CLI_SCHEMA = {
     "exponents": cli_flags("n", "alpha mu w p"),
     "classify": cli_flags("n", "alpha mu p"),
@@ -943,7 +946,8 @@ def test_parser_schema_pinned():
 # config_digest of flag-only and preset invocations as first recorded: the
 # schema must resolve each to the same config.  The kato digests were
 # re-recorded when their inert keys left the config, the exponents and pde
-# digests when the flrw and domain_margin keys did.
+# digests when the flrw and domain_margin keys did, and the pde digests
+# again when the dt_cap key did.
 CONFIG_DIGESTS = {
     "exponents": "a5f64729af9ddcd7303b9f598f54d965204b0a890f83dc67b41ae67e5b1ba4c3",
     "classify": "dd4b7b5b724b4216e0e699a6fa4ea9ed9c9ccbbba8e23cc6919ede31a4f26bad",
@@ -959,9 +963,9 @@ CONFIG_DIGESTS = {
         "f30b2c9f0306c3549921f4d157ddcd66a51c2aa860e1829c80d7840d042714d0",
     "ode sweep --preset critical-n2":
         "7b28929a77924dedeae5a642decfea7a8859aa6433ec7308ff70ff87706a2ff5",
-    "pde run --dr 0.05": "9805f9b10e2e0895e8e99aed5b3f3eab77d301736b1452421651555ab57e497c",
+    "pde run --dr 0.05": "a4c19c6a4cc21746d324a9d59948c7b71323ab4ce7a3cbabbb1ba7bee035510d",
     "pde sweep --dr 0.05 --eps_start 0.3":
-        "8cfc58b090ac285e919f68d3de977cdd430d84a489371e4292251d930c74bd9e",
+        "a84f00cffc97af9b5df0702b112de47c9c8e515ca17060639b2216a65d29c27c",
 }
 
 
@@ -1031,7 +1035,8 @@ def run_digests(tmp_path, capsys, command):
 # lifespans within 3e-15 relative.  The kato entries' stdout and manifest.json
 # were re-recorded when their inert keys left the config (a new config
 # digest), and so were the exponents and pde entries' when the flrw and
-# domain_margin keys left; their artifacts kept their bytes.  "exponents
+# domain_margin keys left, and the pde entries' again when the dt_cap key
+# left; their artifacts kept their bytes.  "exponents
 # --w 0.3" writes the exponents.json that "exponents --flrw --w 0.3" wrote.
 EMPTY_SHA256 = hashlib.sha256(b"").hexdigest()
 ARTIFACT_SHA256 = {
@@ -1154,9 +1159,9 @@ ARTIFACT_SHA256 = {
     },
     "pde run --dr 0.02 --config CONFIG": {
         "exit": 0,
-        "stdout": "1bab4a126f5f18d78f6394b06f4650e6ae31d0e2f76af9ededb35a0a1d24fa4c",
+        "stdout": "a6b89a936d2f2adbe1b7299c24e998a25687c3675e186693c06fc7a1d81b211e",
         "stderr": EMPTY_SHA256,
-        "manifest.json": "cf67ca2c0157aad89de28b2f69145590e8a1355adbffdf92d440567bf6699d24",
+        "manifest.json": "7c66fafb4fae642b267eaa5c444a950a606defe509262a3b03182aab0186b0f0",
         "pde_diagnostics.csv": "fabb73108f8352399ce7bfe0fd9a53338d5915dc178866563423416f4198a35a",
         "pde_result.json": "30466860c3b969e1179041f1e0da366382933faffe64f4bb564f65a14f6b656b",
         "snapshot_00.csv": "9c5cf37e9ad527732f805bb930646ca5bafec67319638674bfbb22221cc1bdb6",
@@ -1165,17 +1170,17 @@ ARTIFACT_SHA256 = {
     },
     "pde sweep --dr 0.02 --t_max 300 --eps_start 0.1": {
         "exit": 0,
-        "stdout": "31326b3bf6f9a92b3e9d173284bd070421c33e26b05a6545bdd1008478d07102",
+        "stdout": "7e16473344f9d96a6fb925e611a0bf7ab82c9258d3365e42301f70fb4c467f7d",
         "stderr": EMPTY_SHA256,
-        "manifest.json": "0326139a8b196edf5477507e039d8b01d18bed0ae7a5a4753c7220c9421bc53f",
+        "manifest.json": "612d1c004367167244d0c344f91a39139d1c607f31c1f96fedd5bc5fb023e766",
         "pde_fit.json": "2380eef9e233ec1f3e8f38792ebc758630c98e577a0502cdeb497eef49d67e71",
         "pde_sweep.csv": "2a5edf3574ffc42c822bbb5240d4ccd36c34a40cb6e91b64642a44556ada737e",
     },
     "pde sweep --dr 0.05 --t_max 60 --alpha 0 --eps_start 2 --eps_stop 8": {
         "exit": 0,
-        "stdout": "7265cec71163b17958800d60c47c440d74fafff171ce6ed10903a9f41e6702f3",
+        "stdout": "306c3c8da2c7570276d0ea54eaae30dd1097a6385a31f4a337cd99110585219f",
         "stderr": EMPTY_SHA256,
-        "manifest.json": "c5af6b0632bafa639f462a210411d958d458f5dcd8b6b4750287996a0c2598b0",
+        "manifest.json": "8a70d5cda040197327c3761b83529895c4b1a3bb1f4c6cd4a12e3909fd91be9c",
         "pde_fit.json": "2170088272891c58eedf5e26067269f46aff392dc45aa09fa392c6004f914433",
         "pde_sweep.csv": "64e5ad5fb4246573f5b5287f87e933b07613d5dab8a3222d3f5952acd14d64d3",
     },

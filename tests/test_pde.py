@@ -324,6 +324,41 @@ class TestScheme:
         res = run(replace(BASE, t_max=1.2))
         assert res.support_series[0] <= BASE.R + 2.0 * BASE.dr
 
+    @settings(derandomize=True, database=None, max_examples=20, deadline=None)
+    @given(n=st.integers(2, 5), alpha=st.floats(0.0, 0.9), mu=st.floats(0.0, 5.0),
+           share=st.floats(0.1, 0.99))
+    def test_manufactured_solution_converges_at_second_order(self, n, alpha, mu, share):
+        # u = (2 + sin t)(1 - r^2)^6 on r < 1 solves the equation with the
+        # forcing f = g'' h - t^(-2 alpha) g Lap h + (mu/t) g' h as its source;
+        # stepping the nonuniform, damped step with the solver's own dt to
+        # t = 3 must cut the error about 4x a halving of dr
+        cfl = share * CFL_LIMITS[n]
+
+        def error(dr):
+            cfg = PdeConfig(params=ModelParams(n, alpha, mu), p=2.0, eps=0.0, dr=dr, cfl=cfl)
+            r = dr * np.arange(int(1.25 / dr) + 1)
+            inside = np.clip(1.0 - r * r, 0.0, None)
+            h = inside**6
+            lap_h = -12.0 * n * inside**5 + 120.0 * r * r * inside**4
+            s = _Stripes(np.zeros((4, 1, r.size)), dr, n)
+            dt = _next_dt(1.0, cfg)
+            s.grid[0][0] = (2.0 + math.sin(1.0)) * h  # the exact levels at 1 and 1 + dt
+            s.grid[1][0] = (2.0 + math.sin(1.0 + dt)) * h
+            prev, curr, nxt, t = 0, 1, 2, 1.0 + dt
+            while t < 3.0:
+                source = s.grid[nxt][0]
+                np.multiply(h, mu / t * math.cos(t) - math.sin(t), out=source)
+                source -= t ** (-2.0 * alpha) * (2.0 + math.sin(t)) * lap_h
+                dt_new = _next_dt(t, cfg)
+                s.step(nxt, prev, curr, t, dt, dt_new, alpha, mu, r.size)
+                t, dt = t + dt_new, dt_new
+                prev, curr, nxt = curr, nxt, prev
+            exact = (2.0 + math.sin(t)) * h
+            return float(np.max(np.abs(s.grid[curr][0] - exact)) / np.max(exact))
+
+        errors = [error(1.0 / cells) for cells in (50, 100, 200)]
+        assert errors[0] / errors[1] >= 3.5 and errors[1] / errors[2] >= 3.5
+
 
 class TestRun:
     def test_blowup_with_structural_checks(self):
@@ -449,7 +484,7 @@ class TestSweep:
 
 @pytest.mark.parametrize(
     "field",
-    ["p", "eps", "R", "dr", "cfl", "blowup_threshold", "t_max", "dt_cap", "sample_dt"],
+    ["p", "eps", "R", "dr", "cfl", "blowup_threshold", "t_max", "sample_dt"],
 )
 def test_config_rejects_nan(field):
     with pytest.raises(ValueError):
@@ -538,10 +573,18 @@ class TestBatch:
 
 def test_config_rejects_steps_lost_at_t_max():
     # below half the float spacing at t_max, t + x == t and time stops
-    for field in ("sample_dt", "dt_cap"):
-        for value in (1e-300, 1e-15):
-            with pytest.raises(ValueError, match="resolvable"):
-                replace(BASE, **{field: value})
+    for value in (1e-300, 1e-15):
+        with pytest.raises(ValueError, match="resolvable"):
+            replace(BASE, sample_dt=value)
+    # a first step cfl dr below half the spacing at t_max; and one of exactly
+    # half of it, 2^-53, where t_max (odd mantissa) + dt rounds up but 1 + dt
+    # rounds back to 1
+    for changes in (
+        dict(t_max=1.00000000000001, cfl=1e-13, dr=0.001),
+        dict(t_max=1.0000000000000007, cfl=2.0**-13, dr=2.0**-40, R=1e-9),
+    ):
+        with pytest.raises(ValueError, match="resolvable"):
+            replace(BASE, **changes)
 
 
 @settings(derandomize=True, database=None, max_examples=50, deadline=None)
