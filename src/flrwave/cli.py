@@ -71,18 +71,15 @@ OUT_ENV_VAR = "FLRWAVE_OUT"
 class Leaf(NamedTuple):
     """One command: ``handler(resolved) -> (payload, files)`` and its config
     keys with their defaults; a key in ``choices`` takes one of its names (a
-    preset's choices map each name to its values).  ``unread`` maps a key to
-    the ``(key, value)`` under which the handler ignores it; a flag or config
-    file that sets it there is refused.  A handler writes nothing: ``files``
-    maps each artifact's name to its content, which ``main`` writes (see
-    ``artifacts.write_files``)."""
+    preset's choices map each name to its values).  A handler writes
+    nothing: ``files`` maps each artifact's name to its content, which
+    ``main`` writes (see ``artifacts.write_files``)."""
 
     name: str
     help: str
     handler: Callable
     keys: dict
     choices: dict = {}
-    unread: dict = {}
 
 
 def _keys(*classes, drop=(), **defaults) -> dict:
@@ -162,11 +159,7 @@ def _resolve(leaf: Leaf, config: dict, ns: argparse.Namespace) -> dict:
     flags = {k: getattr(ns, k) for k in leaf.keys if getattr(ns, k, None) is not None}
     preset = flags.get("preset", config.get("preset"))
     values = leaf.choices["preset"][preset] if preset is not None else {}
-    resolved = {**leaf.keys, **values, **config, **flags}
-    for key, (other, value) in leaf.unread.items():
-        if resolved[other] == value and (key in config or key in flags):
-            raise ValueError(f"{other} {value} takes no {key}, got {key}={resolved[key]}")
-    return resolved
+    return {**leaf.keys, **values, **config, **flags}
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +217,6 @@ def _cmd_classify(r):
 
 MAP_PRESETS = {
     "fig1": {
-        "mode": "model",
         "n": 2,
         "alpha": 0.6,
         "axis1_start": 0.0,
@@ -235,7 +227,6 @@ MAP_PRESETS = {
         "axis2_step": 0.01,
     },
     "fig2": {
-        "mode": "flrw",
         "n": 3,
         "alpha": None,
         "axis1_start": -0.33,
@@ -278,9 +269,7 @@ def _map_csv(rm: bounds.RegionMap):
 def _cmd_map(r):
     n = r["n"]
     p_axis = bounds.AxisSpec("p", r["axis2_start"], r["axis2_stop"], r["axis2_step"])
-    if r["mode"] == "model":
-        if r["alpha"] is None:
-            raise ValueError("model mode requires --alpha")
+    if r["alpha"] is not None:  # else fig2's (w, p) plane, where w sets alpha
         axis1 = bounds.AxisSpec("mu", r["axis1_start"], r["axis1_stop"], r["axis1_step"])
         rm = bounds.region_map_model(n, r["alpha"], axis1, p_axis)
         title = f"blow-up regions: n={n}, alpha={r['alpha']}"
@@ -331,16 +320,19 @@ def _cmd_kato_envelope(r):
 # ode, and the eps sweeps of ode and pde
 
 def _eps_grid(resolved: dict) -> np.ndarray:
-    """The geometric eps grid of a sweep, refused before it is built when an
-    end is not positive, or when it has fewer points than the log-log fit
-    needs or more than a sweep may run."""
+    """The geometric eps grid of a sweep, refused when an end is not
+    positive, when it has fewer points than the log-log fit needs or more
+    than a sweep may run, or when it repeats a value."""
     start, stop, count = resolved["eps_start"], resolved["eps_stop"], resolved["eps_count"]
     if not (start > 0.0 and stop > 0.0):
         raise ValueError(f"eps_start and eps_stop must be positive, got {start} and {stop}")
     low, high = blowup_ode.MIN_FIT_POINTS, blowup_ode.MAX_SWEEP_POINTS
     if not low <= count <= high:
         raise ValueError(f"eps_count must be between {low} and {high}, got {count}")
-    return np.geomspace(start, stop, count)
+    grid = np.geomspace(start, stop, count)
+    if len(set(grid.tolist())) < count:  # fit_loglog's test; np.unique adds ~1.5 MB of RSS
+        raise ValueError("duplicate eps values make the fit degenerate")
+    return grid
 
 
 def _sweep(kind: str, fit: blowup_ode.FitResult, p: float, q: float, **extra):
@@ -453,8 +445,7 @@ LEAVES = (
     Leaf(
         "map", "region-map CSV + SVG", _cmd_map,
         {"preset": None, **MAP_PRESETS["fig1"]},
-        {"preset": MAP_PRESETS, "mode": ("model", "flrw")},
-        {"alpha": ("mode", "flrw")},  # the w axis sets alpha
+        {"preset": MAP_PRESETS},
     ),
     Leaf(
         "kato threshold", "subcritical threshold", _cmd_kato_threshold,

@@ -253,24 +253,21 @@ def mu_star(n: int, alpha: float) -> float:
     return (s * s * n * n + s * (1.0 + 2.0 * alpha) * n + 2.0) / (n * s + 2.0)
 
 
-def w_star(n: int) -> Optional[float]:
+def w_star(n: int) -> float:
     """Equation-of-state value where the two critical curves cross in the
     (w, p) plane: larger real root of
 
         n(n^2+n+2) w^2 + 2n(n-1)^2 w + n^3 - 5n^2 + 8n - 8 = 0.
 
-    Returns None if the quadratic has no real root (no crossing).
+    The discriminant is 4n(n^3 + 6n^2 - 7n + 16) > 0, formed in that closed
+    form because c1^2 - 4 c2 c0 cancels past n = 577.  With c2 > 0 the
+    larger root is c0/h, as in ``_real_roots``.
     """
     _require_dimension(n)
-    q = Quadratic(
-        n * (n * n + n + 2.0),
-        2.0 * n * (n - 1.0) ** 2,
-        n**3 - 5.0 * n * n + 8.0 * n - 8.0,
-    )
-    roots = _real_roots(q)
-    if not roots:
-        return None
-    return max(roots)
+    c1 = 2.0 * n * (n - 1.0) ** 2
+    c0 = n**3 - 5.0 * n * n + 8.0 * n - 8.0
+    h = -0.5 * (c1 + math.sqrt(4.0 * n * (n**3 + 6.0 * n * n - 7.0 * n + 16.0)))
+    return c0 / h
 
 
 def flrw_to_model(f: FlrwParams) -> ModelParams:

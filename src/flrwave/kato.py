@@ -28,8 +28,9 @@ the envelope scan also reads T1.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 __all__ = [
     "KatoSubcriticalParams",
@@ -152,6 +153,14 @@ class EnvelopeReport:
     horizon: float
 
 
+def _or_inf(f: Callable[..., float], *args: float) -> float:
+    """``f(*args)``, or inf (JSON null) where it overflows the float range."""
+    try:
+        return f(*args)
+    except OverflowError:
+        return math.inf
+
+
 class Threshold(NamedTuple):
     """A lemma's A0-exponent and its unnormalized lifespan threshold."""
 
@@ -166,7 +175,7 @@ def subcritical_threshold(kp: KatoSubcriticalParams) -> Threshold:
     so only the dependence on A0 is meaningful.
     """
     expo = -(kp.p - 1.0) / kp.M
-    return Threshold(expo, kp.A0**expo)
+    return Threshold(expo, _or_inf(operator.pow, kp.A0, expo))
 
 
 def heatlike_wiring(
@@ -209,7 +218,8 @@ def iterate_sequences(kc: KatoCriticalParams, j_max: int, C_R: float) -> KatoSeq
         raise ValueError(f"support constant C_R must be positive, got {C_R}")
     s = kc.shift
     low_mu = s == 2.0
-    log_a1cr = math.log(kc.A1 * C_R)
+    a1cr = kc.A1 * C_R  # where it leaves the float range, its log is still finite
+    log_a1cr = math.log(a1cr) if 0.0 < a1cr < math.inf else math.log(kc.A1) + math.log(C_R)
     b_j = kc.b
     log_c = math.log(kc.A0)
     states = [KatoState(0, b_j, log_c, None if low_mu else a_value(0))]
@@ -247,14 +257,21 @@ def envelope_constants(kc: KatoCriticalParams, C_R: float) -> tuple[float, float
     if C_R <= 0.0:
         raise ValueError(f"support constant C_R must be positive, got {C_R}")
     p, s = kc.p, kc.shift
-    s_sum = p / (p - 1.0) ** 2
-    B = (kc.b + s / (p - 1.0)) ** -s * kc.A1 * C_R
+    s_sum = p / _or_inf(operator.pow, p - 1.0, 2)
+    base = kc.b + s / (p - 1.0)
+    B = _or_inf(operator.pow, base, -s) * kc.A1 * C_R
+    log_B = math.log(kc.A1) + math.log(C_R) - s * math.log(base)
     if s == 2.0:
         growth = 2.0 * s_sum * math.log(p)
     else:
         B = B * (2.0 / 3.0) ** kc.mu / 2.0
+        log_B += kc.mu * math.log(2.0 / 3.0) - math.log(2.0)
         growth = s_sum * math.log(2.0 * p)
-    E = min(0.0, math.log(B)) / (p - 1.0) - growth + math.log(kc.A0)
+    if 0.0 < B < math.inf:
+        log_B = math.log(B)
+    else:  # a factor left the float range; ln B did not
+        B = _or_inf(math.exp, log_B)
+    E = min(0.0, log_B) / (p - 1.0) - growth + math.log(kc.A0)
     return B, E
 
 
@@ -265,7 +282,7 @@ def critical_threshold(kc: KatoCriticalParams) -> Threshold:
     for mu > 1; as with the subcritical threshold, C is set to 1.
     """
     expo = -(kc.p - 1.0) / (kc.b * (kc.p - 1.0) + kc.shift)
-    return Threshold(expo, math.exp(kc.A0**expo))
+    return Threshold(expo, _or_inf(math.exp, _or_inf(operator.pow, kc.A0, expo)))
 
 
 def envelope_divergence(
@@ -295,11 +312,8 @@ def envelope_divergence(
 def detect_envelope_onset(seqs: KatoSequences, p: float, E: float) -> Optional[int]:
     """Smallest j0 such that log C_j >= (E - 1e-9) p^j for every j >= j0,
     judged over the available states; None if the tail never settles."""
-    states = seqs.states
     onset = 0
-    for st in states:
-        if st.log_C_j < (E - 1e-9) * p**st.j:
+    for st in seqs.states:
+        if st.log_C_j < (E - 1e-9) * _or_inf(operator.pow, p, st.j):
             onset = st.j + 1
-    if onset >= len(states):
-        return None
-    return onset
+    return onset if onset < len(seqs.states) else None

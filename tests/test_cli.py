@@ -89,7 +89,7 @@ def test_map_single_cell(tmp_path):
     out = tmp_path / "m"
     assert main(
         [
-            "map", "--mode", "model", "--n", "2", "--alpha", "0.6",
+            "map", "--n", "2", "--alpha", "0.6",
             "--axis1_start", "2.0", "--axis1_stop", "2.0",
             "--axis2_start", "2.0", "--axis2_stop", "2.0",
             "--out", str(out),
@@ -105,7 +105,7 @@ def test_map_outputs_and_manifest(tmp_path):
     out = tmp_path / "m"
     assert main(
         [
-            "map", "--mode", "model", "--n", "2", "--alpha", "0.6",
+            "map", "--n", "2", "--alpha", "0.6",
             "--axis1_start", "0.0", "--axis1_stop", "3.0", "--axis1_step", "0.25",
             "--axis2_start", "1.25", "--axis2_stop", "4.0", "--axis2_step", "0.25",
             "--out", str(out),
@@ -119,7 +119,7 @@ def test_map_outputs_and_manifest(tmp_path):
 
 def test_map_byte_determinism(tmp_path):
     args = [
-        "map", "--mode", "model", "--n", "2", "--alpha", "0.6",
+        "map", "--n", "2", "--alpha", "0.6",
         "--axis1_start", "0.0", "--axis1_stop", "3.0", "--axis1_step", "0.1",
         "--axis2_start", "1.1", "--axis2_stop", "4.0", "--axis2_step", "0.1",
     ]
@@ -173,11 +173,11 @@ def test_map_csv_equals_its_cells(n, flrw, alpha, step1, rows, p_start, step2, c
         # w runs up to 1 from just above its lower limit 2/n - 1
         w_start = round(2.0 / n - 1.0 + 0.01, 6)
         rows = min(rows, int((1.0 - w_start) / step1) + 1)
-        axis = ["--mode", "flrw", "--axis1_start", repr(w_start)]
+        axis = ["--preset", "fig2", "--axis1_start", repr(w_start)]
         params_of = lambda w: flrw_to_model(FlrwParams(n, w))
         axis1 = bounds.AxisSpec("w", w_start, w_start + (rows - 1) * step1, step1)
     else:
-        axis = ["--mode", "model", "--alpha", repr(alpha), "--axis1_start", "0.0"]
+        axis = ["--alpha", repr(alpha), "--axis1_start", "0.0"]
         params_of = lambda mu: ModelParams(n, alpha, mu)
         axis1 = bounds.AxisSpec("mu", 0.0, (rows - 1) * step1, step1)
     axis2 = bounds.AxisSpec("p", p_start, p_start + (cols - 1) * step2, step2)
@@ -291,31 +291,28 @@ def test_map_preset_bytes_pinned(tmp_path, preset):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
 
 
-FLRW_GRID = "--n 3 --axis1_start -0.3 --axis1_stop 0.9 --axis1_step 0.3 --axis2_step 0.5".split()
+MAP_GRID = ("--axis1_start 0 --axis1_stop 1 --axis1_step 0.5 "
+            "--axis2_start 1.5 --axis2_stop 3 --axis2_step 0.5").split()
 
 
 @pytest.mark.parametrize("where", ["flag", "config"])
-@pytest.mark.parametrize(
-    "argv", [["--preset", "fig2"], ["--mode", "flrw", *FLRW_GRID]], ids=["fig2", "flrw"]
-)
-def test_map_refuses_alpha_in_flrw_mode(tmp_path, capsys, where, argv):
-    # the w axis sets alpha; fig2 with --alpha 0.9 once wrote fig2's map unchanged
-    out = tmp_path / "m"
-    given = ["--alpha", "0.9"]
+def test_map_plane_follows_alpha(tmp_path, capsys, where):
+    # a free alpha draws the (mu, p) plane, so fig2 given one is fig1's plane
+    given = ["--alpha", "0.6"]
     if where == "config":
-        given = ["--config", write_config(tmp_path, {"alpha": 0.9})]
+        given = ["--config", write_config(tmp_path, {"alpha": 0.6})]
+    fig2, fig1 = tmp_path / "fig2", tmp_path / "fig1"
+    assert main(["map", "--preset", "fig2", *given, *MAP_GRID, "--out", str(fig2)]) == 0
+    assert main(["map", "--preset", "fig1", "--n", "3", *MAP_GRID, "--out", str(fig1)]) == 0
+    for name in ("map.csv", "map.svg"):
+        assert (fig2 / name).read_bytes() == (fig1 / name).read_bytes()
+    # fig2's w axis starts at -0.33, which is no mu
     capsys.readouterr()
-    assert main(["map", *argv, *given, "--out", str(out)]) == 2
+    out = tmp_path / "m"
+    assert main(["map", "--preset", "fig2", "--alpha", "0.9", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err == "error: mode flrw takes no alpha, got alpha=0.9\n"
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert not out.exists()
-    # without alpha the run keeps its exit code; the model default alpha stays unread
-    assert main(["map", *argv[:2], *FLRW_GRID, "--out", str(out)]) == 0
-    assert read_json(out / "manifest.json")["config"]["alpha"] == (
-        None if argv[0] == "--preset" else 0.6
-    )
-    model = ["--axis1_step", "0.5", "--axis2_step", "0.5"]
-    assert main(["map", *model, *given, "--out", str(tmp_path / "model")]) == 0
 
 
 def test_kato_threshold_value(tmp_path):
@@ -626,9 +623,9 @@ def test_config_strings_read_as_flag_types(tmp_path):
         (["pde", "run"], {"dr": None}),
         (["kato", "sequences"], {"jmax": None}),
         (["map"], {"alpha": None}),
-        # a string key takes one of its choices
-        (["map"], {"mode": "polar"}),
+        # preset takes one of the command's preset names
         (["map"], {"preset": "nope"}),
+        (["map"], {"preset": 2}),
         (["ode", "sweep"], {"preset": ["critical-n2"]}),
         # snapshot_times is a list of finite numbers
         (["pde", "run"], {"snapshot_times": 2.0}),
@@ -676,7 +673,7 @@ def test_config_file_preset_below_file_values_and_flags(tmp_path):
     argv = ["map", "--config", cfg, "--axis2_step", "0.5", "--out", str(tmp_path)]
     assert main(argv) == 0
     config = read_json(tmp_path / "manifest.json")["config"]
-    assert (config["mode"], config["n"], config["alpha"]) == ("flrw", 3, None)
+    assert (config["n"], config["alpha"]) == (3, None)
     assert (config["axis1_step"], config["axis2_step"]) == (0.4, 0.5)
 
 
@@ -744,8 +741,8 @@ def test_pde_grid_over_budget_exits_2(tmp_path, argv, capsys):
         ["kato", "threshold", "--p", "0.5"],
         # w below its range 2/n - 1 < w <= 1, at n = 3
         ["exponents", "--w", "-0.5"],
-        # fig2 leaves alpha unset, which model mode needs
-        ["map", "--preset", "fig2", "--mode", "model"],
+        # a free alpha reads fig2's w axis, from -0.33, as mu
+        ["map", "--preset", "fig2", "--alpha", "0.9"],
     ],
 )
 def test_refused_run_creates_no_output_directory(tmp_path, argv):
@@ -866,6 +863,15 @@ def test_sweep_with_too_few_eps_exits_2(tmp_path, command, capsys):
         assert main([command, "sweep", "--eps_count", count, "--out", str(out)]) == 2
         assert "eps_count" in capsys.readouterr().err
         assert not out.exists()
+    # 4 points of one value: once refused by the fit only after the pde batch
+    # had run (2.1 s)
+    out = tmp_path / "one"
+    started = time.perf_counter()
+    argv = [command, "sweep", "--eps_start", "0.05", "--eps_stop", "0.05", "--eps_count", "4"]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert time.perf_counter() - started < 1.0
+    assert capsys.readouterr().err == "error: duplicate eps values make the fit degenerate\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["pde", "ode"])
@@ -895,14 +901,15 @@ PDE_FLOATS = "alpha mu p R dr cfl blowup_threshold t_max sample_dt"
 
 # the flags of every leaf command as first recorded; the three kato rows were
 # re-recorded when the inputs that reach no result were dropped, and the
-# exponents and pde rows when --flrw and --domain_margin went, and the pde
-# rows again when --dt_cap became the constant pde.DT_CAP
+# exponents and pde rows when --flrw and --domain_margin went, the pde
+# rows again when --dt_cap became the constant pde.DT_CAP, and the map row
+# when --mode went (alpha picks the plane)
 CLI_SCHEMA = {
     "exponents": cli_flags("n", "alpha mu w p"),
     "classify": cli_flags("n", "alpha mu p"),
     "map": cli_flags(
         "n", "alpha axis1_start axis1_stop axis1_step axis2_start axis2_stop axis2_step",
-        preset=["fig1", "fig2"], mode=["flrw", "model"],
+        preset=["fig1", "fig2"],
     ),
     "kato threshold": cli_flags(floats="p a b q A0"),
     "kato sequences": cli_flags("jmax", "p b mu A0 A1 CR"),
@@ -946,15 +953,15 @@ def test_parser_schema_pinned():
 # config_digest of flag-only and preset invocations as first recorded: the
 # schema must resolve each to the same config.  The kato digests were
 # re-recorded when their inert keys left the config, the exponents and pde
-# digests when the flrw and domain_margin keys did, and the pde digests
-# again when the dt_cap key did.
+# digests when the flrw and domain_margin keys did, the pde digests again
+# when the dt_cap key did, and the map digests when the mode key did.
 CONFIG_DIGESTS = {
     "exponents": "a5f64729af9ddcd7303b9f598f54d965204b0a890f83dc67b41ae67e5b1ba4c3",
     "classify": "dd4b7b5b724b4216e0e699a6fa4ea9ed9c9ccbbba8e23cc6919ede31a4f26bad",
     "map --axis1_step 0.5 --axis2_step 0.5":
-        "8465b051fc3b1192c32219b336d9f1be48b85191349672841b83c406711776f5",
-    "map --preset fig1": "d21644533c2c7c513c383d201172c3e6e6013b084a7ea8679ba0900354ab26c3",
-    "map --preset fig2": "f80bbf3bd9d4fc4852c75353ec1cba7996a506a673f64ac79edbfbaa3580f404",
+        "b959b170adf2067bf8ce8a5721451d3105a77ed30bd5df20b71c0e03edac0dde",
+    "map --preset fig1": "fa352a06962ada0c21ea75505a0070a75e17bf72a474a7491142e6dbe883f3d9",
+    "map --preset fig2": "9a81b65801a25f4afe608260e1e4dd8a3e59c4a58cacae1eeeb42d4c9fbae0df",
     "kato threshold": "49bfecb8d0913f0e3f3718633e951b6e72e6358b9695a229cefcee4bc7e27f7f",
     "kato sequences": "7c0628ff1a6f245c8258a74c035a45c06d205f7723f7f02ff8f9ae5c5a85f42f",
     "kato envelope": "3645018b65f51e9cbed1465386c66871da80534b5c5cbfb97de4cb34213742b2",
@@ -1035,8 +1042,9 @@ def run_digests(tmp_path, capsys, command):
 # lifespans within 3e-15 relative.  The kato entries' stdout and manifest.json
 # were re-recorded when their inert keys left the config (a new config
 # digest), and so were the exponents and pde entries' when the flrw and
-# domain_margin keys left, and the pde entries' again when the dt_cap key
-# left; their artifacts kept their bytes.  "exponents
+# domain_margin keys left, the pde entries' again when the dt_cap key
+# left, and the map entry's when the mode key left; their artifacts kept
+# their bytes.  "exponents
 # --w 0.3" writes the exponents.json that "exponents --flrw --w 0.3" wrote.
 EMPTY_SHA256 = hashlib.sha256(b"").hexdigest()
 ARTIFACT_SHA256 = {
@@ -1077,9 +1085,9 @@ ARTIFACT_SHA256 = {
     },
     "map --axis1_step 0.5 --axis2_start 1.5 --axis2_step 0.5": {
         "exit": 0,
-        "stdout": "35f6a158f2eab71a2d9ae9ac141a8b797158562ada9d645d42ae52c7f7b446c9",
+        "stdout": "5de311f1fc0897db30ff666df388e78b8dad8b6ee89f0d239b5e7695524f4a37",
         "stderr": EMPTY_SHA256,
-        "manifest.json": "1652fecccdf7c2c0c9f9e0eacb2075ad1442b95bcdcda0b7a9c9c76a3d9adf22",
+        "manifest.json": "9620f5782cd49910d903c5a4ba9c13e1d6bde9d46c2a900554ed5bd5924a22c3",
         "map.csv": "7f4df5aa021b01be39a4e8fd50ad93b6ededecfac38744ed8591fa138ecbd724",
         "map.svg": "91917cf65c7588934f99f3c1cb7b4c80b1f008680814d2cd402409e5c38d2a62",
     },
@@ -1119,6 +1127,54 @@ ARTIFACT_SHA256 = {
         "stderr": EMPTY_SHA256,
         "kato_envelope.json": "62bdada490b5b216210da6eaca43ac6a91d4b3cb39abf3d1fa48e1282507d676",
         "manifest.json": "b5b3cc85e259c4a32bed91a248955f1976b2a65873c860d7a4e663886cf1c791",
+    },
+    # valid inputs whose B, ln(A1 C_R), threshold or p^j leaves the float
+    # range; each once exited 2 or 3 with a bare math message.  B underflows
+    # to 0.0 and E stays finite; an overflowed threshold is written as null.
+    "kato sequences --b 1e200": {
+        "exit": 0,
+        "stdout": "5e81c954fe58db2b72d87807e8d2111e697e287ccd323cb70025eb09c7a6814c",
+        "stderr": EMPTY_SHA256,
+        "kato_sequences.csv": "78fdf7638af765c95d255ea5f21d56bd79837a78340ab37f5632c6d34004e845",
+        "kato_sequences.json": "9e75390c476eff86d23001ed0e191d00a379e200b739f4042fe49b63dbce5ec0",
+        "manifest.json": "408e07ac4a58b17a7aacf16d59deb8f991546ede36f7ceb69399d9b148d569fe",
+    },
+    "kato envelope --b 1e200": {
+        "exit": 0,
+        "stdout": "2062bb3286f40a5160b34bad33a2ca41b08db4a661f6c152fa874b2a08c6582c",
+        "stderr": EMPTY_SHA256,
+        "kato_envelope.json": "892a4b78ef3b64237061c5acf3a526d1793c900979fec79c2b458c02b6c791f3",
+        "manifest.json": "9858442e800843be120f826f9cc22614724afd229059ea4a2adafb02daaff17c",
+    },
+    "kato sequences --A1 1e-200 --CR 1e-200": {
+        "exit": 0,
+        "stdout": "d6126a8e7ee32f9696d87d669ac37d8ce8bff9da38417b0f3e9b0a17b29f3921",
+        "stderr": EMPTY_SHA256,
+        "kato_sequences.csv": "95435e543e9fc90fd4538d062a4c3f4cadd681703474a80443bfe05e2483615c",
+        "kato_sequences.json": "83cb50451827c693042c4322ccadf348e11e07dbf6388dac17039dc5c09dc180",
+        "manifest.json": "927327425ace191ea7ce7a1710661412a6442d3b26d9740848a4abd1b91b72fd",
+    },
+    "kato envelope --A0 1e-30": {
+        "exit": 0,
+        "stdout": "c0028fa81dbf7323c4c5dfecc7fd333ea208ec46ebfbcb3c23bd3f172d8f7de2",
+        "stderr": EMPTY_SHA256,
+        "kato_envelope.json": "e00472964e137f20f9d1cd941d916b8a437d1ceeef32f8e6a406bb564ef1f03e",
+        "manifest.json": "3cef21e6f5b07f0fd312c8dc1b69f756e0d5863853429886643f6e27a416fbcc",
+    },
+    "kato threshold --p 2 --a 0 --b 0.01 --q 1.995 --A0 1e-300": {
+        "exit": 0,
+        "stdout": "2ae08bad9561d14b79705483657d9aab4539ece239bb65ef54334a6a2e94b2ff",
+        "stderr": EMPTY_SHA256,
+        "kato_threshold.json": "344407b136d13931a001f7b1cf656b35d8a35cfe1fc4d1d5138a3881f25329cb",
+        "manifest.json": "7c8bc363dc492eb596a126736624c87b88aa74ef38cb91df2377a4d2e17871e5",
+    },
+    "kato sequences --p 1000 --b 0.001 --jmax 200": {
+        "exit": 0,
+        "stdout": "8b517af60d355cd260df7d74936c753bebfd09f808717b662856ca34a74e1a4e",
+        "stderr": EMPTY_SHA256,
+        "kato_sequences.csv": "8257d65878083b7d4222aebe502917b1e76fd924a15e2d582275dc794c04bbbf",
+        "kato_sequences.json": "46baf5ae15ef91c6fab9d541b4b59863754424e217ee07c097585a42e8504f55",
+        "manifest.json": "43a34f98abf9a33218567ff3ffc5a830c349e8aae6d40a6a14434a1242eebc5e",
     },
     "ode run": {
         "exit": 0,

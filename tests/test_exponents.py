@@ -1,8 +1,9 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flrwave.exponents import (
@@ -284,6 +285,24 @@ class TestWStar:
             p_f = fujita(params.effective_dim)
             pc = p_c_flrw(FlrwParams(n, w)).root
             assert abs(p_f - pc) < 1e-8
+
+    @settings(deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(2, 2**53))
+    # where c1^2 - 4 c2 c0 first cancels, and where it once gave no root
+    @example(n=578)
+    @example(n=10**8)
+    @example(n=10**12)
+    @example(n=2**53)
+    def test_matches_the_60_digit_root(self, n):
+        # the larger root -2 c0 / (c1 + sqrt(disc)) in 60-digit decimals; 4 ulp
+        # of w is the float limit near w = -1
+        with localcontext() as ctx:
+            ctx.prec = 60
+            d = Decimal(n)
+            c1, c0 = 2 * d * (d - 1) ** 2, d**3 - 5 * d * d + 8 * d - 8
+            root = -2 * c0 / (c1 + (c1 * c1 - 4 * d * (d * d + d + 2) * c0).sqrt())
+            got = w_star(n)
+            assert abs(Decimal(got) - root) <= 4 * Decimal(math.ulp(float(root))), (n, got, root)
 
     def test_direct_root_finding_oracle(self):
         # bisection on p_F(n - 2/(1+w)) - p_c(n, w) over the admissible range

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flrwave.kato import (
     KatoCriticalParams,
@@ -264,3 +266,33 @@ class TestEnvelopeOnsetStates:
 
     def test_no_states_give_none(self):
         assert detect_envelope_onset(states([]), 2.0, -1.0) is None
+
+
+# magnitudes across the float range, 1e-300 to 1e300
+MAGNITUDE = st.floats(-300.0, 300.0).map(lambda x: 10.0**x)
+
+
+class TestPastTheFloatRange:
+    # B, A1 C_R, the thresholds and p^j may leave the float range on valid
+    # inputs; each once raised a bare math error
+
+    @settings(deadline=None, derandomize=True, database=None)
+    @given(p=MAGNITUDE.filter(lambda p: p > 1.0), b=MAGNITUDE,
+           mu=st.sampled_from([0.5, 2.0]) | MAGNITUDE, A0=MAGNITUDE, A1=MAGNITUDE,
+           C_R=MAGNITUDE)
+    def test_critical_lemma_finishes_with_finite_E(self, p, b, mu, A0, A1, C_R):
+        kc = KatoCriticalParams(p=p, b=b, mu=mu, A0=A0, A1=A1)
+        B, E = envelope_constants(kc, C_R)
+        assert B >= 0.0 and math.isfinite(E)
+        seqs = iterate_sequences(kc, 20, C_R)
+        assert math.isfinite(seqs.states[0].log_C_j)
+        detect_envelope_onset(seqs, p, E)
+        assert critical_threshold(kc).threshold >= 1.0  # exp of a positive power, or inf
+        envelope_divergence(kc, **ENVELOPE)
+
+    @settings(deadline=None, derandomize=True, database=None)
+    @given(p=MAGNITUDE.filter(lambda p: p > 1.0), b=MAGNITUDE, q=MAGNITUDE, A0=MAGNITUDE)
+    def test_subcritical_threshold_finishes(self, p, b, q, A0):
+        if not (p - 1.0) * b - q + 2.0 > 0.0:
+            return  # the lemma does not apply
+        assert subcritical_threshold(KatoSubcriticalParams(p, 0.0, b, q, A0)).threshold >= 0.0
