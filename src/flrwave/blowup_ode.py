@@ -18,7 +18,8 @@ accepted steps and end the same way:
 * the Hairer-Norsett-Wanner starting step for an order-4 error estimate;
 * the step controller: RMS error norm with scale
   ``abs_tol + max(|y|, |y_new|) * rel_tol`` (``OdeConfig`` refuses a
-  ``rel_tol`` below RK45's floor of 100 eps), step factor
+  ``rel_tol`` below RK45's floor of 100 eps, or at or above 1, where a step
+  may err by as much as the solution itself), step factor
   ``0.9 * err^(-1/5)`` clamped to [0.2, 10], no growth right after a
   rejection, a NaN error counted as a rejection, and a step collapse once
   the step falls below 10 ulp(t);
@@ -97,10 +98,10 @@ class OdeConfig:
             raise ValueError(
                 f"t_max must be finite and exceed the initial time 1, got {self.t_max}"
             )
-        if not (self.rel_tol >= MIN_REL_TOL and self.abs_tol > 0.0):
+        if not (MIN_REL_TOL <= self.rel_tol < 1.0 and self.abs_tol > 0.0):
             raise ValueError(
-                f"rel_tol must be at least {MIN_REL_TOL!r} (100 eps) and abs_tol positive, "
-                f"got rel_tol={self.rel_tol!r}, abs_tol={self.abs_tol!r}"
+                f"rel_tol must be at least {MIN_REL_TOL!r} (100 eps) and below 1, and "
+                f"abs_tol positive, got rel_tol={self.rel_tol!r}, abs_tol={self.abs_tol!r}"
             )
 
 

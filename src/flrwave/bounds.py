@@ -82,7 +82,6 @@ class BoundKind(Enum):
     CRITICAL_FUJITA_MU_LOW = "critical_fujita_mu_low"
     CRITICAL_FUJITA_MU_HIGH = "critical_fujita_mu_high"
     CRITICAL_PC = "critical_pc"
-    NONE_KNOWN = "none_known"
 
 
 class BoundForm(Enum):

@@ -3,8 +3,8 @@ CSV/JSON/SVG artifacts plus a manifest per invocation.
 
 Commands
     exponents   closed-form exponent report for one parameter point, the
-                cosmological point (n, w) when w is set
-    classify    region label and all bounds at one (params, p) point
+                cosmological point (n, w) when w is set; given p, every
+                bound there and the region label
     map         region-map CSV + SVG (presets: fig1, fig2)
     kato        threshold | sequences | envelope
     ode         run | sweep  (sweep presets: heatlike-n2, critical-n2)
@@ -16,10 +16,10 @@ from that one table.  A command resolves its configuration as
 defaults < preset < config file < flags, where a config file may name a
 ``preset`` just as ``--preset`` does.  A config-file value is read by the
 type of its key's default: an integer (or integral float) for an integer key,
-a finite number for a float key, one of the choices for a string key, and a
-list of finite numbers for ``snapshot_times``; ``null`` only where the
-default is null.  Preset values are taken as they stand.  The resolved
-config is echoed into manifest.json (keyed by a content digest), and
+a finite number for a float key, one of the command's presets for
+``preset``, and a list of finite numbers for ``snapshot_times``; ``null``
+only where the default is null.  Preset values are taken as they stand.  The
+resolved config is echoed into manifest.json (keyed by a content digest), and
 identical resolved configs give byte-identical outputs.
 
 Each command's handler is pure: it maps the resolved config to its stdout
@@ -62,24 +62,22 @@ from flrwave.exponents import (
     w_star,
 )
 
-OUT_ENV_VAR = "FLRWAVE_OUT"
-
 
 # ---------------------------------------------------------------------------
 # config plumbing
 
 class Leaf(NamedTuple):
     """One command: ``handler(resolved) -> (payload, files)`` and its config
-    keys with their defaults; a key in ``choices`` takes one of its names (a
-    preset's choices map each name to its values).  A handler writes
-    nothing: ``files`` maps each artifact's name to its content, which
-    ``main`` writes (see ``artifacts.write_files``)."""
+    keys with their defaults; ``presets`` maps each name the ``preset`` key
+    takes to the values it sets.  A handler writes nothing: ``files`` maps
+    each artifact's name to its content, which ``main`` writes (see
+    ``artifacts.write_files``)."""
 
     name: str
     help: str
     handler: Callable
     keys: dict
-    choices: dict = {}
+    presets: dict = {}
 
 
 def _keys(*classes, drop=(), **defaults) -> dict:
@@ -155,15 +153,16 @@ def _resolve(leaf: Leaf, config: dict, ns: argparse.Namespace) -> dict:
     unknown = set(config) - set(leaf.keys)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    config = {k: _coerce(k, v, leaf.keys[k], leaf.choices.get(k)) for k, v in config.items()}
+    presets = {"preset": leaf.presets}
+    config = {k: _coerce(k, v, leaf.keys[k], presets.get(k)) for k, v in config.items()}
     flags = {k: getattr(ns, k) for k in leaf.keys if getattr(ns, k, None) is not None}
     preset = flags.get("preset", config.get("preset"))
-    values = leaf.choices["preset"][preset] if preset is not None else {}
+    values = leaf.presets[preset] if preset is not None else {}
     return {**leaf.keys, **values, **config, **flags}
 
 
 # ---------------------------------------------------------------------------
-# exponents, classify
+# exponents
 
 def _cmd_exponents(r):
     if r["w"] is not None and (r["alpha"] != 0.0 or r["mu"] != 0.0):
@@ -194,22 +193,13 @@ def _cmd_exponents(r):
             "w_star": w_star(f.n),
             "gamma0_coefficients": astuple(gamma0_quadratic(f.n, f.w)),
         }
-    if r["p"] is not None:
-        payload["p"] = r["p"]
-        payload["bounds"] = list(map(asdict, bounds.all_bounds(params, r["p"])))
+    p = r["p"]
+    if p is not None:
+        payload["p"] = p
+        payload["label"] = bounds.classify(params, p)
+        payload["best_exponent"] = bounds.best_exponent(params, p)
+        payload["bounds"] = list(map(asdict, bounds.all_bounds(params, p)))
     return payload, {"exponents.json": payload}
-
-
-def _cmd_classify(r):
-    params, p = _build(ModelParams, r), r["p"]
-    payload = {
-        "params": asdict(params),
-        "p": p,
-        "label": bounds.classify(params, p),
-        "best_exponent": bounds.best_exponent(params, p),
-        "bounds": list(map(asdict, bounds.all_bounds(params, p))),
-    }
-    return payload, {"classify.json": payload}
 
 
 # ---------------------------------------------------------------------------
@@ -439,13 +429,9 @@ LEAVES = (
         _keys(ModelParams, FlrwParams, n=3, alpha=0.0, mu=0.0, w=None, p=None),
     ),
     Leaf(
-        "classify", "region label at one parameter point", _cmd_classify,
-        _keys(ModelParams, n=2, alpha=0.0, mu=0.0, p=2.0),
-    ),
-    Leaf(
         "map", "region-map CSV + SVG", _cmd_map,
         {"preset": None, **MAP_PRESETS["fig1"]},
-        {"preset": MAP_PRESETS},
+        MAP_PRESETS,
     ),
     Leaf(
         "kato threshold", "subcritical threshold", _cmd_kato_threshold,
@@ -466,7 +452,7 @@ LEAVES = (
     Leaf(
         "ode sweep", "eps sweep + log-log fit", _cmd_ode_sweep,
         _keys(blowup_ode.OdeConfig, drop=("eps",), preset=None, **ODE_PRESETS["heatlike-n2"]),
-        {"preset": ODE_PRESETS},
+        ODE_PRESETS,
     ),
     Leaf(
         "pde run", "single radial run", _cmd_pde_run,
@@ -494,8 +480,8 @@ GROUPS = {
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """One subcommand per leaf, one flag per config key typed by its default:
-    an int an int, a float or null a finite float, a key with choices one of
-    them; a list (``snapshot_times``) is config-only.
+    an int an int, a float or null a finite float, ``preset`` one of the
+    leaf's presets; a list (``snapshot_times``) is config-only.
 
     In-process use: the parser is built on the first call and that same
     object is returned on every later one, so callers of ``main`` pay for
@@ -509,10 +495,10 @@ def build_parser() -> argparse.ArgumentParser:
             groups[group] = gp.add_subparsers(dest=f"{group}_cmd", required=True)
         sp = groups[group].add_parser(name, help=leaf.help)
         sp.add_argument("--config", help="JSON config file; flags override its values")
-        sp.add_argument("--out", help=f"output directory (or ${OUT_ENV_VAR}; default .)")
+        sp.add_argument("--out", help="output directory (default .)")
         for key, default in leaf.keys.items():
-            if key in leaf.choices:
-                sp.add_argument(f"--{key}", choices=list(leaf.choices[key]))
+            if key == "preset":
+                sp.add_argument("--preset", choices=list(leaf.presets))
             elif isinstance(default, int):
                 sp.add_argument(f"--{key}", type=int)
             elif default is None or isinstance(default, float):
@@ -523,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
-    leaf, outdir = ns.leaf, ns.out or os.environ.get(OUT_ENV_VAR) or "."
+    leaf, outdir = ns.leaf, ns.out or "."
     try:
         resolved = _resolve(leaf, _load_config(ns.config), ns)
         payload, files = leaf.handler(resolved)

@@ -274,6 +274,10 @@ def test_config_rel_tol_floor():
     assert floor.rel_tol == 100 * 2.0**-52
     with pytest.raises(ValueError, match="rel_tol must be at least"):
         OdeConfig(p=2.0, mu=1.0, q=1.0, rel_tol=math.nextafter(blowup_ode.MIN_REL_TOL, 0.0))
+    # at or above 1 a step may err by as much as the solution itself
+    assert OdeConfig(p=2.0, mu=1.0, q=1.0, rel_tol=0.5).rel_tol == 0.5
+    with pytest.raises(ValueError, match="rel_tol must be at least"):
+        OdeConfig(p=2.0, mu=1.0, q=1.0, rel_tol=1.0)
 
 
 def test_config_rejects_infinite_horizon():

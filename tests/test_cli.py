@@ -63,7 +63,7 @@ def test_exponents_rejects_alpha_one(tmp_path):
     assert main(["exponents", "--n", "2", "--alpha", "1.0", "--out", str(tmp_path)]) == 2
 
 
-@pytest.mark.parametrize("command", [["exponents"], ["classify"], ["map"]])
+@pytest.mark.parametrize("command", [["exponents"], ["map"]])
 def test_dimension_past_float_precision_exits_2(tmp_path, capsys, command):
     # 10**400 once overflowed converting to float (exit 3); 2**53 still runs
     out = tmp_path / "out"
@@ -77,12 +77,50 @@ def test_dimension_past_float_precision_exits_2(tmp_path, capsys, command):
 def test_classify_region_c(tmp_path):
     out = tmp_path / "c"
     assert main(
-        ["classify", "--n", "2", "--alpha", "0.6", "--mu", "2", "--p", "2", "--out", str(out)]
+        ["exponents", "--n", "2", "--alpha", "0.6", "--mu", "2", "--p", "2", "--out", str(out)]
     ) == 0
-    payload = read_json(out / "classify.json")
+    payload = read_json(out / "exponents.json")
     assert payload["label"] == "C"
     kinds = {b["kind"]: b for b in payload["bounds"]}
     assert kinds["heatlike_sub"]["applicable"] is True
+
+
+def test_exponents_label_at_a_cosmological_point_matches_the_map(tmp_path, capsys):
+    argv = ["map", "--preset", "fig2", "--axis1_step", "0.5", "--axis2_step", "0.5"]
+    assert main(argv + ["--out", str(tmp_path / "m")]) == 0
+    rows = (tmp_path / "m" / "map.csv").read_text().splitlines()[1:]
+    assert len(rows) == 12
+    for row in rows:
+        w, p, label, best = row.split(",")
+        out = tmp_path / f"e{w}_{p}"
+        assert main(["exponents", "--n", "3", "--w", w, "--p", p, "--out", str(out)]) == 0
+        payload = read_json(out / "exponents.json")
+        assert payload["label"] == label, row
+        best_exponent = payload["best_exponent"]  # null where the map has nan
+        assert repr(math.nan if best_exponent is None else best_exponent) == best, row
+    # p <= 1 is refused, as by every other command that takes p
+    capsys.readouterr()
+    out = tmp_path / "below"
+    assert main(["exponents", "--n", "3", "--p", "0.5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: classification requires p > 1, got 0.5\n"
+    assert not out.exists()
+
+
+def test_help_lists_every_command():
+    # --help's description is the module docstring; its Commands block must
+    # name the leaves of the command table and no other
+    block = build_parser().description.split("\nCommands\n")[1].split("\n\n")[0]
+    lines = [line for line in block.splitlines() if line[4] != " "]
+    names = [leaf.name.split() for leaf in LEAVES]
+    assert [line.split()[0] for line in lines] == list(dict.fromkeys(n[0] for n in names))
+    listed = {}
+    for line in lines:
+        group, rest = line.split(None, 1)
+        if "|" in rest:
+            listed[group] = rest.split("  ")[0].split(" | ")
+    groups = {n[0] for n in names if len(n) == 2}
+    assert listed == {g: [n[1] for n in names if n[0] == g] for g in groups}
 
 
 def test_map_single_cell(tmp_path):
@@ -262,11 +300,14 @@ def test_map_over_cell_budget_exits_2_before_building_an_axis(tmp_path, monkeypa
 
 
 @pytest.mark.parametrize("argv", [["--rel_tol", "1e-300", "--abs_tol", "1e-300"],
-                                  ["--rel_tol", "2.2e-14"]])
+                                  ["--rel_tol", "2.2e-14"],
+                                  # at or above 1 a step may err by the solution's size
+                                  ["--rel_tol", "1"],
+                                  ["--rel_tol", "1e300"]])
 def test_ode_rel_tol_below_floor_exits_2(tmp_path, capsys, argv):
     assert main(["ode", "run", *argv, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert "rel_tol must be at least" in err and "Traceback" not in err
+    assert err.startswith("error: rel_tol must be at least") and len(err.splitlines()) == 1
     assert not any(tmp_path.iterdir())
 
 
@@ -582,9 +623,14 @@ def test_unknown_preset_exits_with_usage_error(tmp_path):
 
 
 def test_out_env_var(tmp_path, monkeypatch):
+    # --out alone names the output directory, so a set FLRWAVE_OUT changes nothing
     monkeypatch.setenv("FLRWAVE_OUT", str(tmp_path / "env_out"))
-    assert main(["classify", "--n", "2", "--alpha", "0.6", "--mu", "2", "--p", "2"]) == 0
-    assert (tmp_path / "env_out" / "classify.json").exists()
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert main(["exponents", "--n", "2", "--alpha", "0.6", "--mu", "2", "--p", "2"]) == 0
+    assert sorted(os.listdir(cwd)) == ["exponents.json", "manifest.json"]
+    assert not (tmp_path / "env_out").exists()
 
 
 def write_config(tmp_path, payload):
@@ -610,16 +656,16 @@ def test_config_strings_read_as_flag_types(tmp_path):
     "argv, payload",
     [
         (["map"], {"axis1_step": "fine"}),
-        (["classify"], {"n": 2.5}),
-        (["classify"], {"p": [2]}),
+        (["exponents"], {"n": 2.5}),
+        (["exponents"], {"p": [2]}),
         (["kato", "threshold"], {"p": True}),
         (["kato", "sequences"], {"jmax": "many"}),
         (["ode", "run"], {"p": "two"}),
         # no key is boolean, so a JSON boolean fits none
         (["exponents"], {"w": True}),
-        (["classify"], {"n": False}),
+        (["exponents"], {"n": False}),
         # null only where the default is null
-        (["classify"], {"n": None}),
+        (["exponents"], {"n": None}),
         (["pde", "run"], {"dr": None}),
         (["kato", "sequences"], {"jmax": None}),
         (["map"], {"alpha": None}),
@@ -678,14 +724,14 @@ def test_config_file_preset_below_file_values_and_flags(tmp_path):
 
 
 def test_config_and_flags_give_equal_digests(tmp_path):
-    flags = ["classify", "--n", "2", "--alpha", "0.6", "--mu", "2", "--p", "2"]
+    flags = ["exponents", "--n", "2", "--alpha", "0.6", "--mu", "2", "--p", "2"]
     assert main(flags + ["--out", str(tmp_path / "f")]) == 0
     cfg = write_config(tmp_path, {"n": 2.0, "alpha": 0.6, "mu": 2, "p": 2})
-    assert main(["classify", "--config", cfg, "--out", str(tmp_path / "c")]) == 0
+    assert main(["exponents", "--config", cfg, "--out", str(tmp_path / "c")]) == 0
     digests = [read_json(tmp_path / d / "manifest.json")["config_digest"] for d in "fc"]
     assert digests[0] == digests[1]
-    assert (tmp_path / "f" / "classify.json").read_bytes() == (
-        tmp_path / "c" / "classify.json"
+    assert (tmp_path / "f" / "exponents.json").read_bytes() == (
+        tmp_path / "c" / "exponents.json"
     ).read_bytes()
 
 
@@ -700,7 +746,7 @@ def exit_code(argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["classify", "--p", "inf"],
+        ["exponents", "--p", "inf"],
         ["pde", "run", "--p", "nan"],
         ["pde", "run", "--eps", "nan"],
         ["pde", "run", "--t_max", "nan"],
@@ -906,7 +952,6 @@ PDE_FLOATS = "alpha mu p R dr cfl blowup_threshold t_max sample_dt"
 # when --mode went (alpha picks the plane)
 CLI_SCHEMA = {
     "exponents": cli_flags("n", "alpha mu w p"),
-    "classify": cli_flags("n", "alpha mu p"),
     "map": cli_flags(
         "n", "alpha axis1_start axis1_stop axis1_step axis2_start axis2_stop axis2_step",
         preset=["fig1", "fig2"],
@@ -957,7 +1002,6 @@ def test_parser_schema_pinned():
 # when the dt_cap key did, and the map digests when the mode key did.
 CONFIG_DIGESTS = {
     "exponents": "a5f64729af9ddcd7303b9f598f54d965204b0a890f83dc67b41ae67e5b1ba4c3",
-    "classify": "dd4b7b5b724b4216e0e699a6fa4ea9ed9c9ccbbba8e23cc6919ede31a4f26bad",
     "map --axis1_step 0.5 --axis2_step 0.5":
         "b959b170adf2067bf8ce8a5721451d3105a77ed30bd5df20b71c0e03edac0dde",
     "map --preset fig1": "fa352a06962ada0c21ea75505a0070a75e17bf72a474a7491142e6dbe883f3d9",
@@ -1034,7 +1078,7 @@ def run_digests(tmp_path, capsys, command):
 
 
 # Every artifact, the summary, the error line and the exit code of cheap
-# invocations of all ten commands, as first recorded: one per leaf, plus a
+# invocations of every command, as first recorded: one per leaf, plus a
 # failed run (exit 3) and a stalled sweep of each integrator, sweeps on both
 # sides of q = 2, and the Kato branch with mu > 1.  The "ode run" and the two
 # successful "ode sweep" entries were re-recorded when the in-house
@@ -1046,6 +1090,11 @@ def run_digests(tmp_path, capsys, command):
 # left, and the map entry's when the mode key left; their artifacts kept
 # their bytes.  "exponents
 # --w 0.3" writes the exponents.json that "exponents --flrw --w 0.3" wrote.
+# The two "exponents --n 2 ... --p" entries replaced the classify command's
+# when exponents took over its report: their params, p, label,
+# best_exponent and bounds are those of classify.json at the same point.
+# "exponents --p 1.5" re-recorded its exponents.json and stdout then, for
+# the label and best exponent they gained; its manifest kept its bytes.
 EMPTY_SHA256 = hashlib.sha256(b"").hexdigest()
 ARTIFACT_SHA256 = {
     "exponents": {
@@ -1064,24 +1113,24 @@ ARTIFACT_SHA256 = {
     },
     "exponents --p 1.5": {
         "exit": 0,
-        "stdout": "66ec1eadd44235b125b649fcaa800dfe2f4e1043cbe08f656fdc6d831ab942b9",
+        "stdout": "b2fd56b6963539322e3ec85a9ef93dda353507f6380f9d13129e3b01295357aa",
         "stderr": EMPTY_SHA256,
-        "exponents.json": "cf7d150dca4fdb58fe9c7aa6f944322c130500256df66133b2b661f0d7552419",
+        "exponents.json": "62a60d8278406a17b7469d0570a6e7f834995778536e17c2e01b73086cb7b71d",
         "manifest.json": "03b14fc1a02a3ac9f9ba365df84bc4a1bd8f143182cfba9ae7936c527dcdde05",
     },
-    "classify": {
+    "exponents --n 2 --p 2": {
         "exit": 0,
-        "stdout": "3fc22ab5a3bf6290b52df57337f6ab96f5ef92b063271b0f70593e5b950404f7",
+        "stdout": "9766a75f921141c4a407f830666e31ec49faf888084956308c037006978b4a68",
         "stderr": EMPTY_SHA256,
-        "classify.json": "28fb0514cc959e1c9148b7448e7db093dee4a7854ae5fac7572ab238ee59af8c",
-        "manifest.json": "5ebfe62bc34d7177f288c84c371bf8e879766bb6075eb64fe9125a5c522625c8",
+        "exponents.json": "f9778778dcfa013ab3387cd15fa36ef072b44c8e89e83054ac263abd33caad07",
+        "manifest.json": "3323da6fbe9729baab935fcbf7e5274ef915c46ee827754d9c89e950b6a19222",
     },
-    "classify --alpha 0.5 --p 3": {
+    "exponents --n 2 --alpha 0.5 --p 3": {
         "exit": 0,
-        "stdout": "c87edae4a0c3d685b6be7d9868dd7e6f9b72701319319d214137754be88ea259",
+        "stdout": "b2d45babd23c2502cec52f6b64edfe722c1d536036e0c4d7f3c57e26ec844286",
         "stderr": EMPTY_SHA256,
-        "classify.json": "bc09ac4050b0c827ad1c61d10fd9094dded8c0b0c1bf3b217ce430ec318797fb",
-        "manifest.json": "bcbc31ef7062fe9b3d2784b48b5001b70ed4c48502768da15e0eeedc730f960a",
+        "exponents.json": "c586f024b84db71c4ba3e2a03b904e3ffe4b8f48e55a1e2fa2fe9eee9805b329",
+        "manifest.json": "909230a8ad02c96a495dc220adb0962611e358f811c1f3c8d1531e30174bf7e4",
     },
     "map --axis1_step 0.5 --axis2_start 1.5 --axis2_step 0.5": {
         "exit": 0,
@@ -1304,11 +1353,11 @@ def test_closed_stdout_exits_3_without_traceback(tmp_path):
     try:
         done = subprocess.run(
             [sys.executable, "-c", "from flrwave.cli import entrypoint; entrypoint()",
-             "classify", "--out", str(tmp_path)],
+             "exponents", "--out", str(tmp_path)],
             stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
         )
     finally:
         os.close(write_end)
     assert done.returncode == 3
     assert done.stderr.splitlines() == ["runtime failure: stdout was closed"]
-    assert (tmp_path / "classify.json").exists()
+    assert (tmp_path / "exponents.json").exists()
