@@ -63,7 +63,8 @@ def test_exponents_rejects_alpha_one(tmp_path):
     assert main(["exponents", "--n", "2", "--alpha", "1.0", "--out", str(tmp_path)]) == 2
 
 
-@pytest.mark.parametrize("command", [["exponents"], ["map"]])
+# the middle case is exponents with p set, the path that reports the label
+@pytest.mark.parametrize("command", [["exponents"], ["exponents", "--p", "2"], ["map"]])
 def test_dimension_past_float_precision_exits_2(tmp_path, capsys, command):
     # 10**400 once overflowed converting to float (exit 3); 2**53 still runs
     out = tmp_path / "out"
