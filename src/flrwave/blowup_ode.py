@@ -66,7 +66,13 @@ class OdeConfig:
     Initial data F(1) = eps * F_init_scale, F'(1) = eps * dF_init_scale.
     Blow-up is declared when F crosses ``blowup_threshold``; with p <= 3 the
     remaining time to the actual singularity beyond that crossing is
-    negligible at the default threshold.
+    negligible at the default threshold.  Above p = 3 the step can collapse
+    first, at a smaller F the larger p is (``ode run``'s defaults with only
+    p changed: F ~ 4e10 at p 3.5, 6.2e8 at p 4, 3.7e6 at p 5).  Within 1e-3
+    of the threshold that is still a blow-up (p 3.5 ends by
+    ``step_underflow``); below it, a ``solver_failure`` (p 4 and 5).  A
+    threshold under the collapse (1e8 at p 4, 1e6 at p 5) is crossed at the
+    same instant, to 1e-12 relative.
     """
 
     p: float

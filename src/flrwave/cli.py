@@ -1,15 +1,6 @@
 """Command-line front end: wire configs to the library and emit deterministic
 CSV/JSON/SVG artifacts plus a manifest per invocation.
 
-Commands
-    exponents   closed-form exponent report for one parameter point, the
-                cosmological point (n, w) when w is set; given p, every
-                bound there and the region label
-    map         region-map CSV + SVG (presets: fig1, fig2)
-    kato        threshold | sequences | envelope
-    ode         run | sweep  (sweep presets: heatlike-n2, critical-n2)
-    pde         run | sweep
-
 Each command's config keys are the fields of the library dataclasses it
 builds, plus a few of its own; every flag, default and config-file type comes
 from that one table.  A command resolves its configuration as
@@ -425,7 +416,7 @@ _PDE_MODEL = {"n": 2, "alpha": 0.5, "mu": 2.0, "p": 2.0}
 
 LEAVES = (
     Leaf(
-        "exponents", "closed-form exponent report", _cmd_exponents,
+        "exponents", "exponent report; w: cosmological; p: bounds, label", _cmd_exponents,
         _keys(ModelParams, FlrwParams, n=3, alpha=0.0, mu=0.0, w=None, p=None),
     ),
     Leaf(
@@ -470,28 +461,25 @@ LEAVES = (
     ),
 )
 
-GROUPS = {
-    "kato": "comparison-lemma machinery",
-    "ode": "comparison-ODE runs and sweeps",
-    "pde": "radial solver runs and sweeps",
-}
-
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """One subcommand per leaf, one flag per config key typed by its default:
     an int an int, a float or null a finite float, ``preset`` one of the
-    leaf's presets; a list (``snapshot_times``) is config-only.
+    leaf's presets; a list (``snapshot_times``) is config-only.  ``--help``
+    shows the module docstring's first paragraph and lists the commands from
+    ``LEAVES``: a group's help is its leaf names joined by `` | ``.
 
     In-process use: the parser is built on the first call and that same
     object is returned on every later one, so callers of ``main`` pay for
     the whole command tree once per process.  Callers must not mutate it."""
-    parser = argparse.ArgumentParser(prog="flrwave", description=__doc__)
+    parser = argparse.ArgumentParser(prog="flrwave", description=__doc__.split("\n\n")[0])
     groups = {"": parser.add_subparsers(dest="command", required=True)}
     for leaf in LEAVES:
         group, _, name = leaf.name.rpartition(" ")
         if group not in groups:
-            gp = groups[""].add_parser(group, help=GROUPS[group])
+            leaves = (other.name.rpartition(" ") for other in LEAVES)
+            gp = groups[""].add_parser(group, help=" | ".join(n for g, _, n in leaves if g == group))
             groups[group] = gp.add_subparsers(dest=f"{group}_cmd", required=True)
         sp = groups[group].add_parser(name, help=leaf.help)
         sp.add_argument("--config", help="JSON config file; flags override its values")

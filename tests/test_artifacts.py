@@ -2,6 +2,8 @@ import dataclasses
 import json
 import xml.etree.ElementTree as ET
 
+import numpy as np
+
 from flrwave import artifacts
 from flrwave.bounds import AxisSpec, region_map_model
 
@@ -14,6 +16,11 @@ def test_fmt_shortest_roundtrip():
     assert artifacts.fmt(True) == "true"
     assert artifacts.fmt(42) == "42"
     assert artifacts.fmt("C") == "C"
+
+
+def test_fmt_numpy_integer():
+    # not a Python int, so written by str
+    assert artifacts.fmt(np.int64(3)) == "3"
 
 
 def test_clean_for_json_strips_nonfinite():

@@ -135,11 +135,21 @@ class TestMonotoneInvariant:
         assert monotone_invariant_check(res, 0.0)
         assert np.all(np.diff(res.dF) >= -1e-8 * np.abs(res.dF[:-1]))
 
+    def test_empty_trace_rejected(self):
+        empty = np.array([])
+        res = blowup_ode.OdeResult(False, 1.0, empty, empty, empty, "solver_failure")
+        with pytest.raises(ValueError, match="empty trace"):
+            monotone_invariant_check(res, 1.0)
+
 
 class TestFitting:
     def test_duplicate_eps_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
             fit_loglog([0.1, 0.1, 0.2, 0.4], [1.0, 1.0, 2.0, 3.0])
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            fit_loglog([0.1, 0.2, 0.4, 0.8], [1.0, 2.0, 3.0])
 
     def test_short_grid_rejected(self):
         with pytest.raises(ValueError):

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flrwave import artifacts, blowup_ode, bounds, kato
+from flrwave import artifacts, blowup_ode, bounds, cli, kato
 from flrwave.cli import LEAVES, _map_csv, build_parser, main
 from flrwave.exponents import FlrwParams, ModelParams, flrw_to_model
 
@@ -108,20 +108,30 @@ def test_exponents_label_at_a_cosmological_point_matches_the_map(tmp_path, capsy
     assert not out.exists()
 
 
-def test_help_lists_every_command():
-    # --help's description is the module docstring; its Commands block must
-    # name the leaves of the command table and no other
-    block = build_parser().description.split("\nCommands\n")[1].split("\n\n")[0]
-    lines = [line for line in block.splitlines() if line[4] != " "]
-    names = [leaf.name.split() for leaf in LEAVES]
-    assert [line.split()[0] for line in lines] == list(dict.fromkeys(n[0] for n in names))
-    listed = {}
-    for line in lines:
-        group, rest = line.split(None, 1)
-        if "|" in rest:
-            listed[group] = rest.split("  ")[0].split(" | ")
-    groups = {n[0] for n in names if len(n) == 2}
-    assert listed == {g: [n[1] for n in names if n[0] == g] for g in groups}
+def test_help_lists_the_command_table(monkeypatch, capsys):
+    # --help shows the usage, the docstring's first paragraph and one line per
+    # top-level command of LEAVES, a group's line being its leaf names; the
+    # rest of the docstring stays out
+    monkeypatch.setenv("COLUMNS", "80")
+    assert exit_code(["--help"]) == 0
+    out = capsys.readouterr().out
+    usage, description, listing, _ = out.split("\n\n")
+    assert usage.startswith("usage: flrwave [-h] {exponents,map,kato,ode,pde}")
+    assert description.split() == cli.__doc__.split("\n\n")[0].split()
+    lines = listing.splitlines()
+    assert lines[:2] == ["positional arguments:", "  {exponents,map,kato,ode,pde}"]
+    listed = [line.split(None, 1) for line in lines[2:]]
+    tops = dict.fromkeys(leaf.name.split()[0] for leaf in LEAVES)
+    assert [name for name, _ in listed] == list(tops)
+    helps = {leaf.name: leaf.help for leaf in LEAVES}
+    assert dict(listed) == {
+        "exponents": helps["exponents"],
+        "map": helps["map"],
+        "kato": "threshold | sequences | envelope",
+        "ode": "run | sweep",
+        "pde": "run | sweep",
+    }
+    assert "``" not in out and "Exit codes" not in out
 
 
 def test_map_single_cell(tmp_path):
@@ -551,6 +561,29 @@ def test_pde_overflow_prints_one_stderr_line(tmp_path):
     )
     assert done.returncode == 3
     assert done.stderr == "runtime failure: run ended by overflow\n"
+
+
+def test_ode_power_past_the_float_range_is_a_failed_run(tmp_path, capsys):
+    # Python's ** raises OverflowError for |F|^p past the float range; the
+    # step reads it as inf, collapses at once and ends by solver_failure
+    out = tmp_path / "o"
+    assert main(["ode", "run", "--p", "1e300", "--out", str(out)]) == 3
+    assert read_json(out / "ode_result.json")["termination"] == "solver_failure"
+    assert capsys.readouterr().err == "runtime failure: run ended by solver_failure\n"
+
+
+def test_ode_at_p_4_blows_up_below_the_default_threshold(tmp_path):
+    # the step collapses at F ~ 6.2e8, short of the 1e9 that counts as near
+    # the default threshold 1e12, so the run fails; a threshold of 1e8 is
+    # crossed at the same instant
+    assert main(["ode", "run", "--p", "4", "--out", str(tmp_path / "a")]) == 3
+    collapse = read_json(tmp_path / "a" / "ode_result.json")
+    assert collapse["termination"] == "solver_failure"
+    argv = ["ode", "run", "--p", "4", "--blowup_threshold", "1e8", "--out", str(tmp_path / "b")]
+    assert main(argv) == 0
+    crossing = read_json(tmp_path / "b" / "ode_result.json")
+    assert crossing["termination"] == "threshold"
+    assert crossing["T_num"] == pytest.approx(collapse["T_num"], rel=1e-9, abs=0.0)
 
 
 def test_pde_sweep_of_overflows_is_not_fitted(tmp_path, capsys):
