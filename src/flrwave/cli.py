@@ -402,10 +402,9 @@ def _cmd_pde_run(r):
 def _cmd_pde_sweep(r):
     eps_grid = _eps_grid(r)
     cfg = _build(pde.PdeConfig, r, params=_build(ModelParams, r), eps=float(eps_grid[0]))
-    fit, envelopes = pde.lifespan_sweep(cfg, eps_grid)
-    envelopes = list(map(asdict, envelopes))
+    fit = pde.lifespan_sweep(cfg, eps_grid)
     q = cfg.params.effective_dim * (cfg.p - 1.0)  # the heatlike wiring n(1-alpha)(p-1)
-    return _sweep("pde", fit, cfg.p, q, envelope_diagnostics=envelopes)
+    return _sweep("pde", fit, cfg.p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +454,7 @@ LEAVES = (
     Leaf(
         "pde sweep", "eps sweep + log-log fit", _cmd_pde_sweep,
         _keys(
-            ModelParams, pde.PdeConfig, drop=("params", "eps"), t_max=900.0,
+            ModelParams, pde.PdeConfig, drop=("params", "eps", "sample_dt"), t_max=900.0,
             eps_start=0.05, eps_stop=0.8, eps_count=6, **_PDE_MODEL,
         ),
     ),

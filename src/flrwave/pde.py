@@ -31,14 +31,15 @@ forward.  So is a cfl at or past the step's stability limit (``CFL_LIMITS``).
 Diagnostics per sample time: sup|u|, the spatial average F = int u dx, the
 nonlinear mass int |u|^p dx, and the support radius.  They reuse the step's
 |u|, sup|u| and source |u|^p, and integrate with cached trapezoid weights.
-A sweep records only t, sup|u| and F, which its fit and envelope read; its
-rows carry None for the other two series.  Each series grows as a packed
-float64 buffer (``array("d")``, 8 B a value), which the row's ``PdeResult``
-views through ``np.frombuffer`` without a copy.  A step on which no row leaves
-and no sample or snapshot is due does no per-row bookkeeping.
-The checks bundled here verify the structural facts a valid run must satisfy:
-support inside the light cone, F positive and nondecreasing, and the
-quadrature version of the Hoelder bound between F and the nonlinear mass.
+Each series grows as a packed float64 buffer (``array("d")``, 8 B a value),
+which the row's ``PdeResult`` views through ``np.frombuffer`` without a copy.
+A sweep reads only each row's T_num, so it records no series: its rows
+carry None for all five, and its steps only raise the source.  A step on
+which no row leaves and no sample or snapshot is due does no per-row
+bookkeeping.  The checks bundled here verify the structural facts a valid
+run must satisfy: support inside the light cone, F positive and
+nondecreasing, and the quadrature version of the Hoelder bound between F
+and the nonlinear mass.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ from flrwave.exponents import ModelParams
 __all__ = [
     "PdeConfig",
     "PdeResult",
-    "EnvelopeDiagnostic",
     "run",
     "support_check",
     "holder_check",
@@ -69,9 +69,10 @@ SUPPORT_REL_TOL = 1e-12  # amplitudes below this fraction of sup|u| count as zer
 # the same T, sup|u| and support, and F to summation order; none misses mass.
 MARGIN_CELLS = 5
 # Budgets of rows x cells of the light cone at t_max, of time steps, of
-# samples and of snapshot times; criterion 9's sweep (t_max 900, dr 1/200)
-# needs ~12,000 cells a row and at most ~4.0e5 steps and ~1.8e4 samples, and
-# no caller asks for more than 3 snapshots.  A run over any of them is refused
+# recorded samples and of snapshot times; criterion 9's sweep (t_max 900,
+# dr 1/200) needs ~12,000 cells a row and at most ~4.0e5 steps and records
+# no samples, its refinement pair's runs (t_max 50) ~1,000 samples, and no
+# caller asks for more than 3 snapshots.  A run over any of them is refused
 # before anything is allocated.
 MAX_GRID_CELLS = 2**22
 MAX_STEPS = 2**24
@@ -152,10 +153,12 @@ class PdeResult:
     blew_up: bool  # True exactly for a "threshold" ending
     T_num: float
     termination: str  # "threshold" | "horizon" | "overflow" (a non-finite sup|u|)
-    t_samples: np.ndarray
-    sup_series: np.ndarray
-    F_series: np.ndarray
-    lp_series: Optional[np.ndarray]  # None in a sweep row, which records t, sup and F only
+    # the sample series: all five None in a row of a batch that does not
+    # record them (a sweep's)
+    t_samples: Optional[np.ndarray]
+    sup_series: Optional[np.ndarray]
+    F_series: Optional[np.ndarray]
+    lp_series: Optional[np.ndarray]
     support_series: Optional[np.ndarray]
     config: PdeConfig
     snapshots: list = field(default_factory=list)  # (t, u) pairs on request
@@ -327,7 +330,7 @@ def _raise_to(a: np.ndarray, p: float) -> None:
         a **= p
 
 
-def _check_budget(cfg: PdeConfig, rows: int, snapshots: int) -> None:
+def _check_budget(cfg: PdeConfig, rows: int, snapshots: int, record: bool) -> None:
     cells = _cells(light_cone_radius(cfg.t_max, cfg.params.alpha, cfg.R), cfg.dr)
     if rows * cells > MAX_GRID_CELLS:
         raise ValueError(
@@ -342,7 +345,7 @@ def _check_budget(cfg: PdeConfig, rows: int, snapshots: int) -> None:
             f"{MAX_STEPS}; raise dr or cfl, or lower t_max"
         )
     samples = (cfg.t_max - 1.0) / cfg.sample_dt
-    if samples > MAX_SAMPLES:
+    if record and samples > MAX_SAMPLES:
         raise ValueError(
             f"{samples:.4g} samples to t_max={cfg.t_max} exceed the sample budget of "
             f"{MAX_SAMPLES}; raise sample_dt or lower t_max"
@@ -356,41 +359,39 @@ def _check_budget(cfg: PdeConfig, rows: int, snapshots: int) -> None:
 @_QUIET
 def _run_batch(
     cfg: PdeConfig, eps_values: Sequence[float], snapshot_times: Sequence[float] = (),
-    checks: bool = True,
+    record: bool = True,
 ) -> list[PdeResult]:
     """Run ``replace(cfg, eps=e)`` for every e of ``eps_values`` as rows of
     one (eps x r) array, in input order.  See ``run`` for the semantics.
-    With ``checks`` false a row records only t, sup|u| and F, which a sweep
-    reads; its ``lp_series`` and ``support_series`` are None."""
+    With ``record`` false the batch takes no samples, as a sweep, which
+    reads only T_num: its rows' five series are None."""
     n, alpha, mu, p, dr = cfg.params.n, cfg.params.alpha, cfg.params.mu, cfg.p, cfg.dr
     configs = [replace(cfg, eps=float(e)) for e in eps_values]  # each row's data is valid
     eps = [c.eps for c in configs]
-    _check_budget(cfg, len(eps), len(snapshot_times))
+    _check_budget(cfg, len(eps), len(snapshot_times), record)
     if not eps:
         return []  # builds no stripes
     cells = _cells(light_cone_radius(1.0, alpha, cfg.R), dr)
     u0 = np.multiply.outer(eps, bump3(dr * np.arange(cells), cfg.R))  # u1 = u0
 
     ids = np.arange(len(eps))  # input position of each row still in the batch
-    # t, sup, F and, with checks, lp and support: packed doubles, 8 B a value
-    series = [[array("d") for _ in range(5 if checks else 3)] for _ in eps]
+    # t, sup, F, lp and support: packed doubles, 8 B a value
+    series = [[array("d") for _ in range(5)] for _ in eps]
     snapshots: list[list] = [[] for _ in eps]
     results: list = [None] * len(eps)
     pending = sorted(float(s) for s in snapshot_times)
 
     def observe(t, u, a, sup, which):
-        """Raise ``a`` = |u| in place to the source |u|^p.  Append t, sup|u|
-        and F, and with ``checks`` int |u|^p dx and the support radius, on
-        the first ``cells`` columns, of the rows ``which`` selects: a mask
-        or ``_ALL``."""
+        """Raise ``a`` = |u| in place to the source |u|^p.  Append t,
+        sup|u|, F, int |u|^p dx and the support radius, on the first
+        ``cells`` columns, of the rows ``which`` selects: a mask or
+        ``_ALL``."""
         u, sup, quad = u[which, :cells], sup[which], stripes.quad
         scratch = stripes.levels[3, : sup.size, :cells]
-        columns = [sup, _quadrature(u, quad, scratch)]
-        if checks:
-            radius = _last_above(a[which, :cells], SUPPORT_REL_TOL * sup[:, None], dr)
+        F = _quadrature(u, quad, scratch)
+        radius = _last_above(a[which, :cells], SUPPORT_REL_TOL * sup[:, None], dr)
         _raise_to(a, p)
-        if checks:
-            columns += [_quadrature(a[which, :cells], quad, scratch), radius]
+        columns = [sup, F, _quadrature(a[which, :cells], quad, scratch), radius]
         for i, *values in zip(ids[which].tolist(), *(c.tolist() for c in columns)):
             for column, value in zip(series[i], [t, *values]):
                 column.append(value)
@@ -407,7 +408,10 @@ def _run_batch(
     stripes = _Stripes(np.zeros((4, len(eps), _pitch(cells))), dr, n)
     a = np.abs(u0)
     every = np.ones(len(eps), dtype=bool)
-    observe(1.0, u0, a, a.max(axis=1), _ALL)
+    if record:
+        observe(1.0, u0, a, a.max(axis=1), _ALL)
+    else:
+        _raise_to(a, p)
     snapshot(1.0, u0, every)
     # The Taylor start from the equation at t = 1, where t^(-2 alpha) = 1, with
     # u_t(1) = u0: u0 + dt u0 + dt^2/2 (Lap u0 - mu u0 + |u0|^p), on level 1
@@ -422,7 +426,8 @@ def _run_batch(
     start *= 0.5 * dt * dt
     start += u0 + dt * u0
     prev, curr, nxt = 0, 1, 2
-    t, next_sample = 1.0 + dt, 1.0 + cfg.sample_dt
+    # a batch that does not record is never due a sample
+    t, next_sample = 1.0 + dt, 1.0 + cfg.sample_dt if record else math.inf
     t_max, threshold = cfg.t_max, cfg.blowup_threshold
     while True:
         rows, grid = ids.size, stripes.grid
@@ -444,11 +449,14 @@ def _run_batch(
             finite = np.isfinite(sup)  # the max propagates inf and NaN
             snapshot(t, u[:, :cells], finite)
             leave = ~(sup < threshold) | (t >= t_max)  # inf and NaN leave too
-            observe(t, u, a, sup, finite if sample else finite & leave)
+            if record:
+                observe(t, u, a, sup, finite if sample else finite & leave)
+            else:
+                _raise_to(a, p)
             for i, s in zip(ids[leave].tolist(), sup[leave].tolist()):
                 end = "threshold" if s >= threshold else "horizon"
                 end = end if math.isfinite(s) else "overflow"
-                arrays = [*map(np.frombuffer, series[i]), None, None][:5]  # None: not recorded
+                arrays = map(np.frombuffer, series[i]) if record else [None] * 5
                 results[i] = PdeResult(end == "threshold", t, end, *arrays, configs[i],
                                        snapshots[i])
             ids = ids[~leave]
@@ -526,44 +534,8 @@ def f_monotone_check(res: PdeResult) -> bool:
     return bool(np.min(F) >= F[0] * (1.0 - 1e-6))
 
 
-@dataclass
-class EnvelopeDiagnostic:
-    """Per-run check of F(t) >= c * eps^p t^(-mu-n(1-alpha)(p-1)) (t-1)^(mu+2)
-    with c calibrated at the first sample past t = 2, up to a relative 1e-9.
-    ``holds`` is None when the run ends before the calibration time."""
-
-    eps: float
-    t_calibration: Optional[float]
-    c: Optional[float]
-    min_ratio: Optional[float]
-    holds: Optional[bool]
-
-
-def envelope_diagnostic(res: PdeResult) -> EnvelopeDiagnostic:
-    cfg = res.config
-    decay = cfg.params.mu + cfg.params.effective_dim * (cfg.p - 1.0)
-
-    def env(t: float) -> float:
-        return cfg.eps**cfg.p * t ** (-decay) * (t - 1.0) ** (cfg.params.mu + 2.0)
-
-    idx = int(np.searchsorted(res.t_samples, 2.0, side="right"))
-    if idx >= res.t_samples.size:
-        return EnvelopeDiagnostic(cfg.eps, None, None, None, None)
-    t_cal = float(res.t_samples[idx])
-    c = float(res.F_series[idx]) / env(t_cal)
-    ratios = [
-        float(res.F_series[i]) / (c * env(float(res.t_samples[i])))
-        for i in range(idx, res.t_samples.size)
-    ]
-    min_ratio = min(ratios)
-    return EnvelopeDiagnostic(cfg.eps, t_cal, c, min_ratio, min_ratio >= 1.0 - 1e-9)
-
-
-def lifespan_sweep(
-    cfg: PdeConfig, eps_grid: Sequence[float]
-) -> tuple[FitResult, list[EnvelopeDiagnostic]]:
-    """Sweep eps as one batch, fit log T against log eps, and report the
-    per-run envelope diagnostics; see ``blowup_ode.fit_lifespans``."""
-    results = _run_batch(cfg, eps_grid, checks=False)
-    fit = fit_lifespans(cfg.t_max, [r.config.eps for r in results], results)
-    return fit, [envelope_diagnostic(r) for r in results]
+def lifespan_sweep(cfg: PdeConfig, eps_grid: Sequence[float]) -> FitResult:
+    """Sweep eps as one batch that records no series and fit log T against
+    log eps; see ``blowup_ode.fit_lifespans``."""
+    results = _run_batch(cfg, eps_grid, record=False)
+    return fit_lifespans(cfg.t_max, [r.config.eps for r in results], results)

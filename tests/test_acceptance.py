@@ -248,7 +248,7 @@ def test_criterion_09_pde_refinement_and_scaling():
         t_half = pde.run(replace(PDE_BASE, dr=PDE_BASE.dr / 2.0)).T_num
         assert abs(t_half - t_base) / t_half < 0.10
 
-        fit, _envelopes = pde.lifespan_sweep(
+        fit = pde.lifespan_sweep(
             replace(PDE_BASE, t_max=900.0), np.geomspace(0.05, 0.8, 6)
         )
         assert abs(fit.slope - (-1.0)) < 0.30

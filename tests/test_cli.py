@@ -977,13 +977,14 @@ def cli_flags(ints="", floats="", **other):
 
 
 ODE_FLOATS = "p mu q A1 R F_init_scale dF_init_scale blowup_threshold t_max rel_tol abs_tol"
-PDE_FLOATS = "alpha mu p R dr cfl blowup_threshold t_max sample_dt"
+PDE_FLOATS = "alpha mu p R dr cfl blowup_threshold t_max"
 
 # the flags of every leaf command as first recorded; the three kato rows were
 # re-recorded when the inputs that reach no result were dropped, and the
 # exponents and pde rows when --flrw and --domain_margin went, the pde
-# rows again when --dt_cap became the constant pde.DT_CAP, and the map row
-# when --mode went (alpha picks the plane)
+# rows again when --dt_cap became the constant pde.DT_CAP, the map row
+# when --mode went (alpha picks the plane), and the pde sweep row when
+# --sample_dt went (a sweep takes no samples)
 CLI_SCHEMA = {
     "exponents": cli_flags("n", "alpha mu w p"),
     "map": cli_flags(
@@ -997,7 +998,7 @@ CLI_SCHEMA = {
     "ode sweep": cli_flags(
         "eps_count", "eps_start eps_stop " + ODE_FLOATS, preset=["critical-n2", "heatlike-n2"]
     ),
-    "pde run": cli_flags("n", "eps " + PDE_FLOATS),
+    "pde run": cli_flags("n", "eps sample_dt " + PDE_FLOATS),
     "pde sweep": cli_flags("n eps_count", "eps_start eps_stop " + PDE_FLOATS),
 }
 
@@ -1033,7 +1034,8 @@ def test_parser_schema_pinned():
 # schema must resolve each to the same config.  The kato digests were
 # re-recorded when their inert keys left the config, the exponents and pde
 # digests when the flrw and domain_margin keys did, the pde digests again
-# when the dt_cap key did, and the map digests when the mode key did.
+# when the dt_cap key did, the map digests when the mode key did, and the
+# pde sweep digest when its sample_dt key did.
 CONFIG_DIGESTS = {
     "exponents": "a5f64729af9ddcd7303b9f598f54d965204b0a890f83dc67b41ae67e5b1ba4c3",
     "map --axis1_step 0.5 --axis2_step 0.5":
@@ -1050,7 +1052,7 @@ CONFIG_DIGESTS = {
         "7b28929a77924dedeae5a642decfea7a8859aa6433ec7308ff70ff87706a2ff5",
     "pde run --dr 0.05": "a4c19c6a4cc21746d324a9d59948c7b71323ab4ce7a3cbabbb1ba7bee035510d",
     "pde sweep --dr 0.05 --eps_start 0.3":
-        "a84f00cffc97af9b5df0702b112de47c9c8e515ca17060639b2216a65d29c27c",
+        "120b84a27ac904364c997398f2115becfb621d50db01c2c00287e0fb4ad28145",
 }
 
 
@@ -1122,7 +1124,10 @@ def run_digests(tmp_path, capsys, command):
 # digest), and so were the exponents and pde entries' when the flrw and
 # domain_margin keys left, the pde entries' again when the dt_cap key
 # left, and the map entry's when the mode key left; their artifacts kept
-# their bytes.  "exponents
+# their bytes.  The two fitted "pde sweep" entries re-recorded stdout,
+# manifest.json and pde_fit.json when the sweep's sample_dt key and its
+# envelope_diagnostics (a check calibrated to fail) left; their
+# pde_sweep.csv kept its bytes.  "exponents
 # --w 0.3" writes the exponents.json that "exponents --flrw --w 0.3" wrote.
 # The two "exponents --n 2 ... --p" entries replaced the classify command's
 # when exponents took over its report: their params, p, label,
@@ -1309,18 +1314,18 @@ ARTIFACT_SHA256 = {
     },
     "pde sweep --dr 0.02 --t_max 300 --eps_start 0.1": {
         "exit": 0,
-        "stdout": "7e16473344f9d96a6fb925e611a0bf7ab82c9258d3365e42301f70fb4c467f7d",
+        "stdout": "61ab2c2515018a83abe6ce828cec49cf34b56fca4c1e0cf19e566b50335a9701",
         "stderr": EMPTY_SHA256,
-        "manifest.json": "612d1c004367167244d0c344f91a39139d1c607f31c1f96fedd5bc5fb023e766",
-        "pde_fit.json": "2380eef9e233ec1f3e8f38792ebc758630c98e577a0502cdeb497eef49d67e71",
+        "manifest.json": "5cea1a35b0f2cce1b82ec6aacf4bfffad4c30c33511be1947e7e8d4911569967",
+        "pde_fit.json": "65f37fcec8297bcfd8394b7cf66936cad48cc2268161f613202db9557fbf0827",
         "pde_sweep.csv": "2a5edf3574ffc42c822bbb5240d4ccd36c34a40cb6e91b64642a44556ada737e",
     },
     "pde sweep --dr 0.05 --t_max 60 --alpha 0 --eps_start 2 --eps_stop 8": {
         "exit": 0,
-        "stdout": "306c3c8da2c7570276d0ea54eaae30dd1097a6385a31f4a337cd99110585219f",
+        "stdout": "95eaff504674f594e4e6b867da3c4d933ac2b3bf934e41b751581c4f0a6ed320",
         "stderr": EMPTY_SHA256,
-        "manifest.json": "8a70d5cda040197327c3761b83529895c4b1a3bb1f4c6cd4a12e3909fd91be9c",
-        "pde_fit.json": "2170088272891c58eedf5e26067269f46aff392dc45aa09fa392c6004f914433",
+        "manifest.json": "0010e855ad84564f228613ce4369d25eae3bee6922a3d54287b9f48fd41227f7",
+        "pde_fit.json": "0bb0eb0883999018a3ff05032503b48a4c061285918e70317d8b5ec9a3a50900",
         "pde_sweep.csv": "64e5ad5fb4246573f5b5287f87e933b07613d5dab8a3222d3f5952acd14d64d3",
     },
     "pde sweep --dr 0.05 --t_max 20": {

@@ -24,7 +24,6 @@ from flrwave.pde import (
     _weights,
     ball_volume,
     bump3,
-    envelope_diagnostic,
     f_monotone_check,
     holder_check,
     lifespan_sweep,
@@ -382,6 +381,19 @@ class TestRun:
             pytest.fail(f"the probe no longer reaches its horizon: {res.termination}")
         assert f_monotone_check(res)
 
+    @pytest.mark.xfail(
+        raises=AssertionError,
+        reason="the domain-of-dependence cut (width in _run_batch) drains F: (t^mu F')' >= 0 "
+        "forces F >= F(1), yet F(1) = 0.0784 falls to 0.0100 by the horizon; without the "
+        "cut F stays at or above F(1) and ends at 0.1231",
+    )
+    def test_f_never_falls_below_its_start_at_alpha_0(self):
+        cfg = PdeConfig(params=ModelParams(2, 0.0, 2.0), p=3.0, eps=0.1, dr=0.05, t_max=100.0)
+        res = run(cfg)
+        if res.termination != "horizon":  # not an AssertionError, so not the expected failure
+            pytest.fail(f"the probe no longer reaches its horizon: {res.termination}")
+        assert res.F_series.min() >= res.F_series[0]
+
     def test_first_sample_matches_oracles(self):
         # F and int |u|^p dx at t = 1 come from the solver's own quadrature
         cfg = replace(BASE, params=ModelParams(3, 0.5, 2.0), p=1.5, t_max=1.2)
@@ -449,18 +461,29 @@ class TestStability:
 
 class TestSweep:
     def test_scaling_and_monotonicity(self):
-        fit, envelopes = lifespan_sweep(
-            replace(BASE, t_max=400.0), np.geomspace(0.2, 0.8, 4)
-        )
+        fit = lifespan_sweep(replace(BASE, t_max=400.0), np.geomspace(0.2, 0.8, 4))
         assert abs(fit.slope - (-1.0)) < 0.3
         assert all(b < a for a, b in zip(fit.T_values, fit.T_values[1:]))
-        assert len(envelopes) == 4
-        for diag in envelopes:
-            # calibration ratio is 1 by construction, so the minimum cannot
-            # exceed it; `holds` just restates min_ratio >= 1 - tol
-            assert diag.c > 0.0
-            assert diag.min_ratio <= 1.0 + 1e-12
-            assert diag.holds == (diag.min_ratio >= 1.0 - 1e-9)
+
+    def test_takes_no_sample(self, monkeypatch):
+        # a sweep reads only T_num, so its steps integrate nothing and scan
+        # no support
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sweep took a sample")
+
+        cfg = replace(BASE, dr=0.05)
+        eps = [0.5, 0.6, 0.7, 0.8]
+        want = [run(replace(cfg, eps=e)).T_num for e in eps]
+        monkeypatch.setattr(pde, "_quadrature", refuse)
+        monkeypatch.setattr(pde, "_last_above", refuse)
+        assert lifespan_sweep(cfg, eps).T_values == want
+
+    def test_is_not_refused_for_samples_it_does_not_take(self):
+        cfg = replace(BASE, dr=0.05, t_max=3.0, sample_dt=1e-7)  # 2e7 samples
+        with pytest.raises(ValueError, match="sample budget"):
+            run(cfg)
+        (row,) = _run_batch(cfg, [0.5], record=False)
+        assert row.termination == "horizon" and row.t_samples is None
 
     def test_single_eps_rejected(self):
         with pytest.raises(ValueError):
@@ -475,11 +498,6 @@ class TestSweep:
     def test_horizon_failure(self):
         with pytest.raises(RuntimeError, match="no blow-up"):
             lifespan_sweep(replace(BASE, t_max=3.0), [0.05, 0.06, 0.07, 0.08])
-
-    def test_envelope_diagnostic_needs_samples_past_two(self):
-        res = run(replace(BASE, t_max=1.5))
-        diag = envelope_diagnostic(res)
-        assert diag.holds is None and diag.c is None
 
 
 @pytest.mark.parametrize(
@@ -512,18 +530,16 @@ def assert_same_run(row, alone):
 
 
 def assert_same_sweep_row(row, alone):
-    """A sweep row records t, sup|u| and F as the full run does, and nothing
-    the structural checks could pass on."""
+    """A sweep row ends as its own run does and records no series, so no
+    structural check can pass on it."""
     assert (row.config, row.blew_up, row.T_num, row.termination) == (
         alone.config, alone.blew_up, alone.T_num, alone.termination
     )
-    for name in SERIES[:3]:
-        assert np.array_equal(getattr(row, name), getattr(alone, name)), name
-    assert row.lp_series is None and row.support_series is None
-    with pytest.raises(TypeError):
-        support_check(row)
-    with pytest.raises(TypeError):
-        holder_check(row)
+    for name in SERIES:
+        assert getattr(row, name) is None, name
+    for check in (support_check, holder_check, f_monotone_check):
+        with pytest.raises((TypeError, AttributeError)):
+            check(row)
 
 
 class TestBatch:
@@ -535,7 +551,7 @@ class TestBatch:
         eps_values = [*eps_values, 0.0]
         snapshot_times = [1.0, 5.0, 30.0]
         rows = _run_batch(BASE, eps_values, snapshot_times)
-        swept = _run_batch(BASE, eps_values, checks=False)
+        swept = _run_batch(BASE, eps_values, record=False)
         assert len(rows) == len(swept) == len(eps_values)
         for e, row, sweep_row in zip(eps_values, rows, swept):
             assert row.config.eps == e
@@ -552,19 +568,20 @@ class TestBatch:
         assert overflow.termination == "overflow"
         assert finite.termination == "horizon"
         assert_same_run(finite, run(replace(cfg, eps=0.5)))
-        for e, row in zip([1e200, 0.5], _run_batch(cfg, [1e200, 0.5], checks=False)):
+        for e, row in zip([1e200, 0.5], _run_batch(cfg, [1e200, 0.5], record=False)):
             assert_same_sweep_row(row, run(replace(cfg, eps=e)))
 
     @settings(derandomize=True, database=None, max_examples=10, deadline=None)
     @given(st.lists(st.sampled_from([0.0, 0.3, 3.0, 30.0, 1e7, 1e200]), min_size=1, max_size=4),
-           st.sampled_from([1e8, 1e300]), st.booleans())
-    @example([0.3, 1e7], 1e8, False)  # horizon and threshold
-    @example([1e200, 1e7, 0.3], 1e300, True)  # overflow twice and horizon
-    def test_the_leave_step_is_observed(self, eps_values, threshold, checks):
-        # a row that leaves finite is sampled at T_num; an overflowed level never is
+           st.sampled_from([1e8, 1e300]))
+    @example([0.3, 1e7], 1e8)  # horizon and threshold
+    @example([1e200, 1e7, 0.3], 1e300)  # overflow twice and horizon
+    def test_the_leave_step_is_observed(self, eps_values, threshold):
+        # a recorded row that leaves finite is sampled at T_num; an
+        # overflowed level never is
         cfg = replace(BASE, p=3.0, dr=0.05, t_max=4.0, blowup_threshold=threshold)
         eps_values = [e for e in eps_values if e < threshold] or [0.0]
-        for row in _run_batch(cfg, eps_values, checks=checks):
+        for row in _run_batch(cfg, eps_values):
             if row.termination == "overflow":
                 assert np.all(row.t_samples < row.T_num)
             else:
@@ -765,17 +782,18 @@ class TestLifespanPins:
 
 class TestSeriesStorage:
     def test_recorded_values_cost_under_16_bytes_each(self):
-        # ~14k steps on a tiny grid, each one a sample: the recorded series
-        # dominate the traced peak, so it measures how a value is stored
-        # (8 B as a packed double; a list of Python floats takes 32 B)
-        cfg = replace(BASE, dr=0.05, cfl=0.01, t_max=20.0, sample_dt=1e-4)
+        # ~8.7k steps on a tiny grid, each one a sample of 5 values: the
+        # recorded series dominate the traced peak, so it measures how a
+        # value is stored (8 B as a packed double; a list of Python floats
+        # takes 32 B)
+        cfg = replace(BASE, dr=0.05, cfl=0.01, t_max=10.0, sample_dt=1e-4)
         tracemalloc.start()
         try:
-            rows = _run_batch(cfg, [0.1, 0.2, 0.3], checks=False)
+            rows = _run_batch(cfg, [0.1, 0.2, 0.3])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        values = sum(3 * row.t_samples.size for row in rows)
+        values = sum(5 * row.t_samples.size for row in rows)
         assert values > 100_000
         assert peak < 16 * values
 
