@@ -41,15 +41,14 @@ REGION_COLORS = {
 
 
 def fmt(value) -> str:
-    """Shortest round-trip text for a cell value."""
-    if isinstance(value, str):
-        return value
+    """Shortest round-trip text for a cell value; a numpy scalar is read as
+    its Python value."""
+    if isinstance(value, np.generic):
+        value = value.item()
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         return repr(value)
     return str(value)

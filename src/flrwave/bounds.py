@@ -346,7 +346,7 @@ class AxisSpec:
     step: float
 
     def __post_init__(self):
-        if self.step <= 0.0:
+        if not self.step > 0.0:
             raise ValueError(f"axis step must be positive, got {self.step}")
         if self.stop < self.start:
             raise ValueError(f"axis stop {self.stop} below start {self.start}")

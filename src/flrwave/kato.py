@@ -214,7 +214,7 @@ def iterate_sequences(kc: KatoCriticalParams, j_max: int, C_R: float) -> KatoSeq
     """
     if not 0 <= j_max < MAX_STATES:
         raise ValueError(f"j_max must satisfy 0 <= j_max < {MAX_STATES}, got {j_max}")
-    if C_R <= 0.0:
+    if not C_R > 0.0:
         raise ValueError(f"support constant C_R must be positive, got {C_R}")
     s = kc.shift
     low_mu = s == 2.0
@@ -254,7 +254,7 @@ def envelope_constants(kc: KatoCriticalParams, C_R: float) -> tuple[float, float
 
     with S = sum_{k>=0} k/p^k = p/(p-1)^2.
     """
-    if C_R <= 0.0:
+    if not C_R > 0.0:
         raise ValueError(f"support constant C_R must be positive, got {C_R}")
     p, s = kc.p, kc.shift
     s_sum = p / _or_inf(operator.pow, p - 1.0, 2)
@@ -294,7 +294,7 @@ def envelope_divergence(
     The grid starts just above T1 (mu <= 1) or 2*T1 (mu > 1), with
     64 samples per decade, and stops at ``horizon``.
     """
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise ValueError(f"divergence margin must be positive, got {delta}")
     B, E = envelope_constants(kc, C_R)
     t_base = kc.T1 if kc.shift == 2.0 else 2.0 * kc.T1

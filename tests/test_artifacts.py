@@ -19,8 +19,12 @@ def test_fmt_shortest_roundtrip():
 
 
 def test_fmt_numpy_integer():
-    # not a Python int, so written by str
+    # a numpy scalar is written as its Python value (np.float64 is a float
+    # whose repr names its type, np.bool_ no bool)
     assert artifacts.fmt(np.int64(3)) == "3"
+    assert artifacts.fmt(np.float64(0.1)) == "0.1"
+    assert artifacts.fmt(np.float32(0.5)) == "0.5"
+    assert artifacts.fmt(np.bool_(True)) == "true"
 
 
 def test_clean_for_json_strips_nonfinite():

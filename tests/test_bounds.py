@@ -270,8 +270,9 @@ class TestAxisSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
             AxisSpec("p", 1.0, 0.5, 0.1)
-        with pytest.raises(ValueError):
-            AxisSpec("p", 0.0, 1.0, 0.0)
+        for step in (0.0, float("nan")):
+            with pytest.raises(ValueError, match="step must be positive"):
+                AxisSpec("p", 0.0, 1.0, step)
         with pytest.raises(ValueError, match="too many values"):
             AxisSpec("p", 0.0, 1.0, 5e-324)
 

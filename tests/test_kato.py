@@ -55,6 +55,16 @@ class TestSubcritical:
             KatoCriticalParams(p=2.0, b=nan, mu=0.0, A0=1.0)
         with pytest.raises(ValueError):
             KatoCriticalParams(p=2.0, b=1.0, mu=0.0, A0=nan)
+        # and so does a NaN support constant or margin
+        kc = KatoCriticalParams(p=2.0, b=1.0, mu=0.0, A0=1.0)
+        for C_R in (0.0, nan):
+            with pytest.raises(ValueError, match="C_R"):
+                iterate_sequences(kc, 2, C_R)
+            with pytest.raises(ValueError, match="C_R"):
+                envelope_constants(kc, C_R)
+        for delta in (0.0, nan):
+            with pytest.raises(ValueError, match="margin"):
+                envelope_divergence(kc, C_R=1.0, delta=delta, horizon=100.0)
 
     def test_wiring_collapses_m(self):
         # q = n(1-alpha)(p-1), a = mu + q, b = mu + 2 gives M = p(2 - q)

@@ -267,6 +267,19 @@ class TestHolder:
         lp = integral_abs_p(u, dr, 2, 2.0)
         assert not holder_check(one_sample(F, lp, 0.5 * edge))
 
+    def test_ratio_terms_past_the_float_range(self):
+        # pde run --n 3 --R 100 --p 70 --eps 0.1 --dr 0.5 --t_max 2: every F
+        # and int |u|^p dx is finite and the log ratio is at least 124, but
+        # lp vol^69 and |F|^70 both overflow, so the plain ratio is inf/inf
+        cfg = PdeConfig(params=ModelParams(3, 0.5, 2.0), p=70.0, eps=0.1, R=100.0, dr=0.5,
+                        t_max=2.0)
+        res = run(cfg)
+        assert res.termination == "horizon" and res.t_samples.size == 11
+        assert np.all(np.isfinite(res.F_series)) and np.all(np.isfinite(res.lp_series))
+        with np.errstate(over="ignore"):
+            assert np.all(np.isinf(res.F_series ** cfg.p))
+        assert holder_check(res)
+
 
 class TestScheme:
     def test_zero_data_is_fixed_point(self):
@@ -900,3 +913,80 @@ class TestStructuralChecksCanFail:
         bad = getattr(res, series).copy()
         bad[10] = value
         assert not check(replace(res, **{series: bad}))
+
+
+def support_loop(res):
+    """``support_check`` as a loop over the samples: the array check's reference."""
+    cfg = res.config
+    for t, radius in zip(res.t_samples, res.support_series):
+        if not radius <= light_cone_radius(t, cfg.params.alpha, cfg.R) + 2 * cfg.dr:
+            return False
+    return True
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def holder_loop(res):
+    """``holder_check`` as a loop over the samples, with the plain ratio."""
+    cfg = res.config
+    n, p = cfg.params.n, cfg.p
+    for t, F_val, lp_val in zip(res.t_samples, res.F_series, res.lp_series):
+        vol = ball_volume(n) * light_cone_radius(t, cfg.params.alpha, cfg.R) ** n
+        if not (math.isfinite(F_val) and math.isfinite(lp_val)):
+            return False
+        if F_val != 0.0 and not lp_val * vol ** (p - 1.0) / abs(F_val) ** p >= 1.0 - 1e-6:
+            return False
+    return True
+
+
+def f_monotone_loop(res):
+    """``f_monotone_check`` as a loop over the samples."""
+    F = res.F_series.tolist()
+    if not F or not all(math.isfinite(f) for f in F) or not F[0] > 0.0:
+        return False
+    for before, after in zip(F, F[1:]):
+        if after - before < -1e-8 * F[0] or after < F[0] * (1.0 - 1e-6):
+            return False
+    return True
+
+
+# The values a sample of t, F, int |u|^p dx or the support radius may take
+# in place of an ordinary one
+SPECIALS = ([math.inf, math.nan],) + ([0.0, -0.0, -1.0, math.inf, -math.inf, math.nan],) * 3
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    st.integers(2, 5), st.floats(0.0, 0.9), st.floats(1.01, 5.0), st.floats(0.5, 2.0),
+    st.floats(0.01, 10.0),
+    st.lists(st.tuples(st.floats(1.0, 100.0), st.floats(1e-3, 1e3),
+                       st.sampled_from([-1.0, -1e-3, -1e-7, 1e-7, 1.0]),
+                       st.integers(-10, 3).map(lambda k: k + 0.5)), min_size=1, max_size=4),
+    st.booleans(),
+    st.lists(st.integers(0, 3).flatmap(
+        lambda c: st.tuples(st.just(c), st.integers(0, 3), st.sampled_from(SPECIALS[c]))),
+        max_size=2),
+)
+@example(2, 0.0, 2.0, 1.0, 0.01, [], False, [])  # no sample
+@example(2, 0.0, 2.0, 1.0, 0.01, [(1.0, 1.0, 0.0, 0.0)], False, [(2, 0, 0.0)])  # ratio 0
+@example(2, 0.0, 2.0, 1.0, 0.01, [(1.0, 1.0, 0.0, 0.0)], False, [(1, 0, 0.0), (2, 0, 0.0)])
+@example(3, 0.5, 3.0, 1.0, 0.01, [(1.0, 1.0, 0.0, 0.0)], False, [(0, 0, math.inf), (2, 0, 0.0)])
+def test_array_checks_keep_the_loop_verdicts(n, alpha, p, R, dr, rows, rising, specials):
+    # Each ordinary sample draws t, F, its log Hoelder ratio and its support
+    # radius's distance past the cone in cells, on both sides of and off the
+    # checks' bounds; F is sorted when ``rising``, so that f_monotone can
+    # hold.  No term of the plain ratio leaves the float range.  Then up to
+    # two values are replaced by special ones; the last example's
+    # lp vol^(p-1) is 0 x inf.
+    cfg = PdeConfig(params=ModelParams(n, alpha, 0.0), p=p, eps=0.5, R=R, dr=dr)
+    t, F, log_ratio, cells = np.array(rows, dtype=float).reshape(-1, 4).T.copy()
+    if rising:
+        F.sort()
+    cone = light_cone_radius(t, alpha, R)
+    lp = np.exp(log_ratio) * F**p / (ball_volume(n) * cone**n) ** (p - 1.0)
+    series = [t, F, lp, cone + cells * dr]
+    for column, k, value in specials:
+        series[column][k % t.size] = value
+    res = PdeResult(True, 1.0, "threshold", t, np.ones(t.size), F, lp, series[3], cfg)
+    assert support_check(res) is support_loop(res)
+    assert holder_check(res) is holder_loop(res)
+    assert f_monotone_check(res) is f_monotone_loop(res)
