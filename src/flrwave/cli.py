@@ -502,7 +502,7 @@ def main(argv=None) -> int:
         payload, files = leaf.handler(resolved)
         artifacts.write_files(outdir, files)
         digest = artifacts.write_manifest(outdir, leaf.name, resolved, [*files, "manifest.json"])
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, ArithmeticError) as exc:

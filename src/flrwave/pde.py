@@ -21,8 +21,9 @@ The time steps and the grid do not depend on eps, so one stepping loop
 advances runs as the rows of one (eps x r) array, in place, without threads:
 ``lifespan_sweep`` is one batch and ``run`` a batch of one.  The rows lie end
 to end with a zero-padded pitch a little wider than the grid, so that each
-pass of a step is one loop over a contiguous array; the views a step reads
-are built when the rows are laid out and when a row leaves, not every step.
+pass of a step is one loop over a contiguous array.  A layout is never
+edited: the rows are laid out afresh at the start, when the grid outgrows the
+pitch and when rows leave, and the views a step reads are built with it.
 A row leaves at threshold, overflow or horizon, bit-identical to a run of its
 own.  Only the threshold is a blow-up; an overflow (non-finite sup|u|) fails
 like the horizon.  n > 5 is refused: there refining dr brings the "blow-up"
@@ -209,12 +210,15 @@ def _pitch(cells: int) -> int:
 
 
 class _Stripes:
-    """Three time levels and one scratch level (level 3), each holding rows
-    of ``stride`` cells end to end, each row's field zero past its last
-    cell; the neighbour and trapezoid weights of one row (the neighbour
-    weights repeated once a row); and the views a step reads.  The views
-    depend only on the rows, the pitch and the level, so they are built when
-    the stripes are laid out and when rows leave, never in a step."""
+    """Three time levels and one scratch level (level 3) in one C-contiguous
+    (4, rows, stride) array, each level's rows end to end and each row's
+    field zero past its last cell; the trapezoid weights of one row; and the
+    views a step reads, which write into the levels: per level the grid, its
+    flat array, that less its last cell (``head``) or its first (``tail``)
+    and the first cell of each row (``starts``); the last cell of each row of
+    the scratch level (``ends``); and the neighbour weights, repeated once a
+    row, that meet ``tail`` and ``head``.  A layout is never edited: one is
+    built at the start, when the grid outgrows the pitch and when rows leave."""
 
     def __init__(self, levels: np.ndarray, dr: float, n: int):
         _, rows, stride = levels.shape
@@ -222,37 +226,19 @@ class _Stripes:
             raise ValueError(f"grid must have at least 3 points, got {stride}")
         self.levels, self.stride, self.dr, self.n = levels, stride, dr, n
         left, right, self.quad = _weights(stride, dr, n)
-        self.left, self.right = np.tile(left, rows), np.tile(right, rows)
         self.right0 = float(right[0])  # the origin's centre weight
-        self._view(rows)
-
-    def _view(self, rows: int) -> None:
-        """Views of the first ``rows`` rows: per level the (rows, stride)
-        grid, its flat array, the flat array less its last cell (``head``)
-        or its first (``tail``), and the first cell of each row (``starts``);
-        the last cell of each row of the scratch level; the weights that
-        meet ``tail`` and ``head``."""
-        stride, size = self.stride, rows * self.stride
-        self.rows = rows
-        self.grid = [level[:rows] for level in self.levels]
-        self.flat = [grid.reshape(size) for grid in self.grid]
+        self.right_head, self.left_tail = np.tile(right, rows)[:-1], np.tile(left, rows)[1:]
+        self.grid = list(levels)
+        self.flat = [grid.reshape(rows * stride) for grid in self.grid]
         self.head = [flat[:-1] for flat in self.flat]
         self.tail = [flat[1:] for flat in self.flat]
         self.starts = [flat[::stride] for flat in self.flat]
         self.ends = self.flat[3][stride - 1 :: stride]
-        self.right_head, self.left_tail = self.right[: size - 1], self.left[1:size]
-
-    def keep(self, mask: np.ndarray) -> None:
-        """Keep the rows that ``mask`` selects, in order, as the first rows
-        of levels 0-2."""
-        kept = self.levels[:3, : self.rows][:, mask]
-        self.levels[:3, : kept.shape[1]] = kept
-        self._view(kept.shape[1])
 
     def laid_out(self, cells: int) -> "_Stripes":
         """These rows copied into stripes of the pitch that ``cells`` asks for."""
-        wide = np.zeros((4, self.rows, _pitch(cells)))
-        wide[:, :, : self.stride] = self.levels[:, : self.rows]
+        wide = np.zeros((*self.levels.shape[:2], _pitch(cells)))
+        wide[:, :, : self.stride] = self.levels
         return _Stripes(wide, self.dr, self.n)
 
     def stencil(self, out: int, u: int, tmp: int, k: float, c: float) -> None:
@@ -372,7 +358,6 @@ def _run_batch(
     if not eps:
         return []  # builds no stripes
     cells = _cells(light_cone_radius(1.0, alpha, cfg.R), dr)
-    u0 = np.multiply.outer(eps, bump3(dr * np.arange(cells), cfg.R))  # u1 = u0
 
     ids = np.arange(len(eps))  # input position of each row still in the batch
     # per row, its samples (t, sup, F, lp, support) end to end, 8 B a value
@@ -406,8 +391,12 @@ def _run_batch(
 
     # Three time levels and one scratch level, laid out as ``_Stripes``.  The
     # cells past ``cells`` in each row (its padding) are zero after every
-    # step; when the grid outgrows the pitch, the rows are laid out again.
+    # step; when the grid outgrows the pitch or rows leave, the rows are laid
+    # out afresh.  u(1) = eps u0 is built in level 0, where the first step
+    # reads it.
     stripes = _Stripes(np.zeros((4, len(eps), _pitch(cells))), dr, n)
+    u0 = np.multiply.outer(eps, bump3(dr * np.arange(cells), cfg.R),
+                           out=stripes.grid[0][:, :cells])  # u1 = u0
     a = np.abs(u0)
     observe(1.0, u0, a, a.max(axis=1), _ALL if record else None)
     snapshot(1.0, u0, _ALL)
@@ -416,7 +405,6 @@ def _run_batch(
     # with levels 2 and 3 as scratch.  u0 vanishes on the margin, so Lap u0,
     # and with it the padding, is zero past the grid.
     dt = _next_dt(1.0, cfg)
-    stripes.grid[0][:, :cells] = u0
     stripes.stencil(1, 0, 2, 1.0, 0.0)
     start = stripes.grid[1][:, :cells]
     start -= mu * u0
@@ -453,7 +441,9 @@ def _run_batch(
             ids = ids[~leave]
             if not ids.size:
                 break
-            stripes.keep(~leave)
+            # compress, unlike levels[:, mask], returns C-contiguous rows, so
+            # the flat views write into them
+            stripes = _Stripes(stripes.levels.compress(~leave, axis=1), dr, n)
 
         dt_new = _next_dt(t, cfg)
         cone = light_cone_radius(t + dt_new, alpha, cfg.R)  # once a step
@@ -465,7 +455,7 @@ def _run_batch(
         # at grid speed (faster than the decaying physical speed).  Zeroing
         # strictly beyond the cone plus a one-cell buffer removes the spurious
         # tail and leaves the cone content untouched; the padding is zeroed too.
-        width = min(int(math.floor((cone + dr) / dr)) + 1, cells)
+        width = int(math.floor((cone + dr) / dr)) + 1
         stripes.step(nxt, prev, curr, t, dt, dt_new, alpha, mu, width)
         t, dt = t + dt_new, dt_new
         prev, curr, nxt = curr, nxt, prev

@@ -640,8 +640,21 @@ def test_pde_refuses_data_at_the_threshold(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-def test_missing_config_file(tmp_path):
+def test_missing_config_file(tmp_path, capsys):
     assert main(["ode", "run", "--config", str(tmp_path / "nope.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ['{"eps": 0.1,', ""])
+def test_malformed_config_prints_one_error_line(tmp_path, capsys, text):
+    # json.JSONDecodeError is a ValueError, so main refuses it as one
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    assert main(["pde", "run", "--config", str(config), "--out", str(tmp_path / "p")]) == 2
+    stdout, stderr = capsys.readouterr()
+    assert stdout == "" and stderr.startswith("error: ") and stderr.count("\n") == 1
+    assert not (tmp_path / "p").exists()
 
 
 def test_unknown_config_key(tmp_path):

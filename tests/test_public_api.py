@@ -1,11 +1,13 @@
 """Each module's ``__all__`` holds only what the package uses across its
 modules: a name that the CLI, another flrwave module or the acceptance suite
 reads, or a class that one of those returns (in a return annotation, or in
-the fields of such a class)."""
+the fields of such a class).  And each private function, class or method is
+read somewhere in the package outside its own body."""
 
 import ast
 import importlib
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -69,3 +71,46 @@ def test_traced_functions_stay_public(qualified):
     module_name, name = qualified.split(".")
     module = importlib.import_module(f"flrwave.{module_name}")
     assert name in module.__all__ and callable(getattr(module, name))
+
+
+def private_definitions(tree):
+    """The functions and classes named with one leading underscore, and the
+    methods of such a class that are not dunders."""
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and private(node.name):
+            found.add(node)
+            if isinstance(node, ast.ClassDef):
+                found |= {item for item in node.body if isinstance(item, ast.FunctionDef)
+                          and not (item.name.startswith("__") and item.name.endswith("__"))}
+    return found
+
+
+def references(tree):
+    """How often each name appears in ``tree``: as a name, an attribute or an import."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+         for path in sorted(PACKAGE.glob("*.py"))}
+REFERENCED = sum(map(references, TREES.values()), Counter())
+
+
+@pytest.mark.parametrize("module_name", sorted(TREES))
+def test_every_private_definition_is_used(module_name):
+    # a private function, class or method that the package reads only inside
+    # its own body (or not at all) is dead code
+    unused = sorted(node.name for node in private_definitions(TREES[module_name])
+                    if REFERENCED[node.name] <= references(node)[node.name])
+    assert not unused, f"nothing in flrwave outside their own bodies reads {unused}"
