@@ -49,6 +49,7 @@ __all__ = [
     "integrate",
     "monotone_invariant_check",
     "fit_lifespans",
+    "sweep_eps",
     "sweep",
     "predicted_slope",
     "kato_consistency_check",
@@ -284,19 +285,25 @@ class FitResult:
 
 MIN_FIT_POINTS = 4  # fewest sweep points fit_loglog accepts
 # Most eps values one sweep may ask for (over 100x the presets); a sweep
-# integrates every one, so a larger grid is refused before it is built.
+# integrates every one, so a larger grid is refused before its first run.
 MAX_SWEEP_POINTS = 1024
 
 
-def fit_loglog(eps_values: Sequence[float], T_values: Sequence[float]) -> FitResult:
+def sweep_eps(eps_values: Sequence[float]) -> list[float]:
+    """A sweep's eps grid as floats: ``MIN_FIT_POINTS`` to ``MAX_SWEEP_POINTS`` distinct values."""
     eps = [float(e) for e in eps_values]
+    if not MIN_FIT_POINTS <= len(eps) <= MAX_SWEEP_POINTS:
+        raise ValueError(f"need {MIN_FIT_POINTS} to {MAX_SWEEP_POINTS} eps values, got {len(eps)}")
+    if len(set(eps)) != len(eps):
+        raise ValueError("duplicate eps values make the fit degenerate")
+    return eps
+
+
+def fit_loglog(eps_values: Sequence[float], T_values: Sequence[float]) -> FitResult:
+    eps = sweep_eps(eps_values)
     T = [float(v) for v in T_values]
     if len(eps) != len(T):
         raise ValueError("eps and lifespan lists differ in length")
-    if len(set(eps)) != len(eps):
-        raise ValueError("duplicate eps values make the fit degenerate")
-    if len(eps) < MIN_FIT_POINTS:
-        raise ValueError(f"need at least {MIN_FIT_POINTS} sweep points for a fit, got {len(eps)}")
     x = np.log(np.asarray(eps))
     y = np.log(np.asarray(T))
     slope, intercept = np.polyfit(x, y, 1)
@@ -307,9 +314,9 @@ def fit_loglog(eps_values: Sequence[float], T_values: Sequence[float]) -> FitRes
 
 
 def fit_lifespans(t_max: float, eps: Sequence[float], results: Sequence) -> FitResult:
-    """Fit the lifespans ``T_num`` of ``results``, the runs of ``eps``, against
-    eps.  Every run must have blown up before ``t_max``; otherwise no fit is
-    produced and the offending eps values are reported by termination."""
+    """Fit the lifespans ``T_num`` of ``results``, the runs of ``eps`` (a
+    ``sweep_eps`` grid), against eps.  Every run must have blown up before
+    ``t_max``; else no fit is made and the eps values are reported by ending."""
     refused = {}
     for e, r in zip(eps, results):
         if not r.blew_up:
@@ -327,8 +334,8 @@ def fit_lifespans(t_max: float, eps: Sequence[float], results: Sequence) -> FitR
 
 
 def sweep(cfg: OdeConfig, eps_grid: Sequence[float]) -> FitResult:
-    """Run ``cfg`` across ``eps_grid`` and fit the lifespans (``fit_lifespans``)."""
-    eps = [float(e) for e in eps_grid]
+    """Run ``cfg`` across ``eps_grid`` (``sweep_eps``) and fit the lifespans (``fit_lifespans``)."""
+    eps = sweep_eps(eps_grid)
     return fit_lifespans(cfg.t_max, eps, [integrate(replace(cfg, eps=e)) for e in eps])
 
 

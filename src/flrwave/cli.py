@@ -301,30 +301,24 @@ def _cmd_kato_envelope(r):
 # ode, and the eps sweeps of ode and pde
 
 def _eps_grid(resolved: dict) -> np.ndarray:
-    """The geometric eps grid of a sweep, refused when an end is not
-    positive, when it has fewer points than the log-log fit needs or more
-    than a sweep may run, or when it repeats a value."""
+    """The geometric eps grid of a sweep, refused before it is allocated when an
+    end is not positive or ``eps_count`` lies outside the range of points the
+    sweep takes; the sweep's ``blowup_ode.sweep_eps`` refuses repeated values."""
     start, stop, count = resolved["eps_start"], resolved["eps_stop"], resolved["eps_count"]
     if not (start > 0.0 and stop > 0.0):
         raise ValueError(f"eps_start and eps_stop must be positive, got {start} and {stop}")
     low, high = blowup_ode.MIN_FIT_POINTS, blowup_ode.MAX_SWEEP_POINTS
     if not low <= count <= high:
         raise ValueError(f"eps_count must be between {low} and {high}, got {count}")
-    grid = np.geomspace(start, stop, count)
-    if len(set(grid.tolist())) < count:  # fit_loglog's test; np.unique adds ~1.5 MB of RSS
-        raise ValueError("duplicate eps values make the fit degenerate")
-    return grid
+    return np.geomspace(start, stop, count)
 
 
-def _sweep(kind: str, fit: blowup_ode.FitResult, p: float, q: float, **extra):
+def _sweep(kind: str, fit: blowup_ode.FitResult, predicted: float | None, **extra):
     """The payload and files of an ``ode`` or ``pde`` sweep: the fit, ``extra``,
-    the heatlike slope -(p-1)/(2-q) and the fit's relative deviation from
-    it, both null where q >= 2."""
-    payload = {**asdict(fit), "predicted_slope": None, "relative_deviation": None, **extra}
-    if q < 2.0:
-        predicted = blowup_ode.predicted_slope(p, q)
-        payload["predicted_slope"] = predicted
-        payload["relative_deviation"] = abs(fit.slope - predicted) / abs(predicted)
+    the ``predicted`` slope and the fit's relative deviation from it, both
+    null where no power law is predicted (``predicted`` None)."""
+    deviation = None if predicted is None else abs(fit.slope - predicted) / abs(predicted)
+    payload = {**asdict(fit), "predicted_slope": predicted, "relative_deviation": deviation, **extra}
     return payload, {
         f"{kind}_sweep.csv": (["eps", "T_num"], zip(fit.eps_values, fit.T_values)),
         f"{kind}_fit.json": payload,
@@ -366,9 +360,10 @@ def _cmd_ode_sweep(r):
     p, q = r["p"], r["q"]
     if q < 2.0:
         ok, margins = blowup_ode.kato_consistency_check(fit, p, q)
-        return _sweep("ode", fit, p, q, kato_envelope_ok=ok, kato_envelope_min_margin=min(margins))
+        return _sweep("ode", fit, blowup_ode.predicted_slope(p, q), kato_envelope_ok=ok,
+                      kato_envelope_min_margin=min(margins))
     margin = blowup_ode.convexity_margin(fit.eps_values, fit.T_values)
-    return _sweep("ode", fit, p, q, log_lifespan_convexity_margin=margin)
+    return _sweep("ode", fit, None, log_lifespan_convexity_margin=margin)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +399,7 @@ def _cmd_pde_sweep(r):
     cfg = _build(pde.PdeConfig, r, params=_build(ModelParams, r), eps=float(eps_grid[0]))
     fit = pde.lifespan_sweep(cfg, eps_grid)
     q = cfg.params.effective_dim * (cfg.p - 1.0)  # the heatlike wiring n(1-alpha)(p-1)
-    return _sweep("pde", fit, cfg.p, q)
+    return _sweep("pde", fit, blowup_ode.predicted_slope(cfg.p, q) if q < 2.0 else None)
 
 
 # ---------------------------------------------------------------------------

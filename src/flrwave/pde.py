@@ -52,7 +52,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from flrwave.blowup_ode import FitResult, fit_lifespans
+from flrwave.blowup_ode import FitResult, fit_lifespans, sweep_eps
 from flrwave.exponents import ModelParams
 
 __all__ = [
@@ -316,7 +316,7 @@ def _raise_to(a: np.ndarray, p: float) -> None:
         a **= p
 
 
-def _check_budget(cfg: PdeConfig, rows: int, snapshots: int, record: bool) -> None:
+def _check_budget(cfg: PdeConfig, rows: int, snapshot_times: Sequence[float], record: bool) -> None:
     cells = _cells(light_cone_radius(cfg.t_max, cfg.params.alpha, cfg.R), cfg.dr)
     if rows * cells > MAX_GRID_CELLS:
         raise ValueError(
@@ -336,10 +336,14 @@ def _check_budget(cfg: PdeConfig, rows: int, snapshots: int, record: bool) -> No
             f"{samples:.4g} samples to t_max={cfg.t_max} exceed the sample budget of "
             f"{MAX_SAMPLES}; raise sample_dt or lower t_max"
         )
-    if snapshots > MAX_SNAPSHOTS:
+    if len(snapshot_times) > MAX_SNAPSHOTS:
         raise ValueError(
-            f"{snapshots} snapshot times exceed the snapshot budget of {MAX_SNAPSHOTS}"
+            f"{len(snapshot_times)} snapshot times exceed the snapshot budget of {MAX_SNAPSHOTS}"
         )
+    # the pending times are kept sorted, and a NaN would stop every later one
+    bad = [s for s in snapshot_times if not math.isfinite(s)]
+    if bad:
+        raise ValueError(f"snapshot times must be finite, got {bad}")
 
 
 @_QUIET
@@ -354,9 +358,7 @@ def _run_batch(
     n, alpha, mu, p, dr = cfg.params.n, cfg.params.alpha, cfg.params.mu, cfg.p, cfg.dr
     configs = [replace(cfg, eps=float(e)) for e in eps_values]  # each row's data is valid
     eps = [c.eps for c in configs]
-    _check_budget(cfg, len(eps), len(snapshot_times), record)
-    if not eps:
-        return []  # builds no stripes
+    _check_budget(cfg, len(eps), snapshot_times, record)
     cells = _cells(light_cone_radius(1.0, alpha, cfg.R), dr)
 
     ids = np.arange(len(eps))  # input position of each row still in the batch
@@ -514,7 +516,7 @@ def f_monotone_check(res: PdeResult) -> bool:
 
 
 def lifespan_sweep(cfg: PdeConfig, eps_grid: Sequence[float]) -> FitResult:
-    """Sweep eps as one batch that records no series and fit log T against
-    log eps; see ``blowup_ode.fit_lifespans``."""
-    results = _run_batch(cfg, eps_grid, record=False)
-    return fit_lifespans(cfg.t_max, [r.config.eps for r in results], results)
+    """Check ``eps_grid`` (``blowup_ode.sweep_eps``), sweep it as one batch that
+    records no series and fit log T against log eps (``fit_lifespans``)."""
+    eps = sweep_eps(eps_grid)
+    return fit_lifespans(cfg.t_max, eps, _run_batch(cfg, eps, record=False))

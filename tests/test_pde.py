@@ -1,13 +1,14 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flrwave import pde
+from flrwave import blowup_ode, pde
 from flrwave.exponents import ModelParams
 from flrwave.pde import (
     CFL_LIMITS,
@@ -502,11 +503,27 @@ class TestSweep:
         with pytest.raises(ValueError):
             lifespan_sweep(BASE, [0.5])
 
-    def test_empty_grid_rejected(self, monkeypatch):
-        with pytest.raises(ValueError):
-            lifespan_sweep(BASE, [])
-        monkeypatch.setattr(pde, "_Stripes", None)  # a batch of no rows builds no stripes
-        assert _run_batch(BASE, []) == []
+    def test_bad_grids_refused_before_any_run(self, monkeypatch):
+        # both library sweeps check the grid (blowup_ode.sweep_eps) before
+        # they step or integrate anything
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sweep ran before its grid was checked")
+
+        monkeypatch.setattr(pde, "_run_batch", refuse)
+        monkeypatch.setattr(blowup_ode, "integrate", refuse)
+        over = blowup_ode.MAX_SWEEP_POINTS + 1
+        refusals = {
+            "need 4 to 1024 eps values, got 0": [],
+            "need 4 to 1024 eps values, got 1": [0.5],
+            "duplicate eps values make the fit degenerate": [0.5, 0.5, 0.6, 0.7],
+            f"need 4 to 1024 eps values, got {over}": np.geomspace(0.01, 0.9, over),
+        }
+        ode = blowup_ode.OdeConfig(p=1.8, mu=2.0, q=0.8)
+        for sweep in (partial(lifespan_sweep, BASE), partial(blowup_ode.sweep, ode)):
+            for message, grid in refusals.items():
+                with pytest.raises(ValueError) as refused:
+                    sweep(grid)
+                assert str(refused.value) == message
 
     def test_horizon_failure(self):
         with pytest.raises(RuntimeError, match="no blow-up"):
@@ -881,6 +898,15 @@ class TestSnapshotBudget:
         times = [1.0 + i / pde.MAX_SNAPSHOTS for i in range(pde.MAX_SNAPSHOTS + 1)]
         with pytest.raises(ValueError, match="snapshot budget"):
             run(cfg, snapshot_times=times)
+
+    def test_non_finite_snapshot_times_are_refused(self, monkeypatch):
+        # the pending times are sorted and NaN compares false: [nan, 2, 3]
+        # once gave no snapshot, [2, nan, 3] only t = 2, and inf none
+        monkeypatch.setattr(pde, "_Stripes", None)  # refused before anything is built
+        cfg = replace(BASE, dr=0.05, t_max=5.0)
+        for times in ([math.nan, 2.0, 3.0], [2.0, math.nan, 3.0], [2.0, math.inf], [-math.inf]):
+            with pytest.raises(ValueError, match="snapshot times must be finite"):
+                run(cfg, snapshot_times=times)
 
     def test_snapshot_times_at_budget_run(self):
         cfg = replace(BASE, dr=0.05, t_max=1.2)
