@@ -290,10 +290,14 @@ MAX_SWEEP_POINTS = 1024
 
 
 def sweep_eps(eps_values: Sequence[float]) -> list[float]:
-    """A sweep's eps grid as floats: ``MIN_FIT_POINTS`` to ``MAX_SWEEP_POINTS`` distinct values."""
+    """A sweep's eps grid as floats: ``MIN_FIT_POINTS`` to ``MAX_SWEEP_POINTS``
+    distinct values in (0, inf), where the log-log fit can take them."""
     eps = [float(e) for e in eps_values]
     if not MIN_FIT_POINTS <= len(eps) <= MAX_SWEEP_POINTS:
         raise ValueError(f"need {MIN_FIT_POINTS} to {MAX_SWEEP_POINTS} eps values, got {len(eps)}")
+    bad = [e for e in eps if not 0.0 < e < math.inf]  # NaN fails too
+    if bad:
+        raise ValueError(f"eps values must be positive and finite, got {bad}")
     if len(set(eps)) != len(eps):
         raise ValueError("duplicate eps values make the fit degenerate")
     return eps
@@ -334,9 +338,12 @@ def fit_lifespans(t_max: float, eps: Sequence[float], results: Sequence) -> FitR
 
 
 def sweep(cfg: OdeConfig, eps_grid: Sequence[float]) -> FitResult:
-    """Run ``cfg`` across ``eps_grid`` (``sweep_eps``) and fit the lifespans (``fit_lifespans``)."""
+    """Run ``cfg`` across ``eps_grid`` (``sweep_eps``) and fit the lifespans
+    (``fit_lifespans``).  Every run's config is built, and so checked, before
+    the first run."""
     eps = sweep_eps(eps_grid)
-    return fit_lifespans(cfg.t_max, eps, [integrate(replace(cfg, eps=e)) for e in eps])
+    configs = [replace(cfg, eps=e) for e in eps]
+    return fit_lifespans(cfg.t_max, eps, [integrate(c) for c in configs])
 
 
 def predicted_slope(p: float, q: float) -> float:

@@ -34,13 +34,14 @@ nonlinear mass int |u|^p dx, and the support radius.  They reuse the step's
 |u|, sup|u| and source |u|^p, and integrate with cached trapezoid weights.
 Each row's samples grow in one packed float64 buffer (``array("d")``, 8 B a
 value), whose five columns its ``PdeResult`` views without a copy.
-A sweep reads only each row's T_num, so it records no series: its rows
-carry None for all five, and its steps only raise the source.  A step on
-which no row leaves and no sample or snapshot is due does no per-row
-bookkeeping.  The checks bundled here verify the structural facts a valid
-run must satisfy: support inside the light cone, F positive and
-nondecreasing, and the quadrature version of the Hoelder bound between F
-and the nonlinear mass, each an array expression over the series.
+A sweep runs with ``sample_dt = inf``: each row records its first level
+and the one it leaves on, if finite, and its other steps only raise the
+source.  A step on which no row leaves and no sample or snapshot is due
+does no per-row bookkeeping.  The checks bundled here verify the
+structural facts a valid run must satisfy: support inside the light cone,
+F positive and nondecreasing, and the quadrature version of the Hoelder
+bound between F and the nonlinear mass, each an array expression over the
+series.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -72,7 +73,7 @@ MARGIN_CELLS = 5
 # Budgets of rows x cells of the light cone at t_max, of time steps, of
 # recorded samples and of snapshot times; criterion 9's sweep (t_max 900,
 # dr 1/200) needs ~12,000 cells a row and at most ~4.0e5 steps and records
-# no samples, its refinement pair's runs (t_max 50) ~1,000 samples, and no
+# two samples a row, its refinement pair's runs (t_max 50) ~1,000, and no
 # caller asks for more than 3 snapshots.  A run over any of them is refused
 # before anything is allocated.
 MAX_GRID_CELLS = 2**22
@@ -97,7 +98,9 @@ class PdeConfig:
     """One radial blow-up run.
 
     The data profile is the C^2 cubic bump (1 - (r/R)^2)^3 on r < R for both
-    u0 and u1.
+    u0 and u1.  The series are sampled at t = 1, at the first level at or past
+    each later time 1 + k sample_dt, and at the level the run ends on unless
+    it overflowed; ``sample_dt = inf`` records the first and the last alone.
     """
 
     params: ModelParams
@@ -154,13 +157,11 @@ class PdeResult:
     blew_up: bool  # True exactly for a "threshold" ending
     T_num: float
     termination: str  # "threshold" | "horizon" | "overflow" (a non-finite sup|u|)
-    # the sample series: all five None in a row of a batch that does not
-    # record them (a sweep's)
-    t_samples: Optional[np.ndarray]
-    sup_series: Optional[np.ndarray]
-    F_series: Optional[np.ndarray]
-    lp_series: Optional[np.ndarray]
-    support_series: Optional[np.ndarray]
+    t_samples: np.ndarray
+    sup_series: np.ndarray
+    F_series: np.ndarray
+    lp_series: np.ndarray
+    support_series: np.ndarray
     config: PdeConfig
     snapshots: list = field(default_factory=list)  # (t, u) pairs on request
 
@@ -316,7 +317,7 @@ def _raise_to(a: np.ndarray, p: float) -> None:
         a **= p
 
 
-def _check_budget(cfg: PdeConfig, rows: int, snapshot_times: Sequence[float], record: bool) -> None:
+def _check_budget(cfg: PdeConfig, rows: int, snapshot_times: Sequence[float]) -> None:
     cells = _cells(light_cone_radius(cfg.t_max, cfg.params.alpha, cfg.R), cfg.dr)
     if rows * cells > MAX_GRID_CELLS:
         raise ValueError(
@@ -331,7 +332,7 @@ def _check_budget(cfg: PdeConfig, rows: int, snapshot_times: Sequence[float], re
             f"{MAX_STEPS}; raise dr or cfl, or lower t_max"
         )
     samples = (cfg.t_max - 1.0) / cfg.sample_dt
-    if record and samples > MAX_SAMPLES:
+    if samples > MAX_SAMPLES:
         raise ValueError(
             f"{samples:.4g} samples to t_max={cfg.t_max} exceed the sample budget of "
             f"{MAX_SAMPLES}; raise sample_dt or lower t_max"
@@ -348,17 +349,15 @@ def _check_budget(cfg: PdeConfig, rows: int, snapshot_times: Sequence[float], re
 
 @_QUIET
 def _run_batch(
-    cfg: PdeConfig, eps_values: Sequence[float], snapshot_times: Sequence[float] = (),
-    record: bool = True,
+    cfg: PdeConfig, eps_values: Sequence[float], snapshot_times: Sequence[float] = ()
 ) -> list[PdeResult]:
     """Run ``replace(cfg, eps=e)`` for every e of ``eps_values`` as rows of
-    one (eps x r) array, in input order.  See ``run`` for the semantics.
-    With ``record`` false the batch takes no samples, as a sweep, which
-    reads only T_num: its rows' five series are None."""
+    one (eps x r) array, in input order.  See ``run`` for the semantics and
+    ``PdeConfig`` for the samples each row records."""
     n, alpha, mu, p, dr = cfg.params.n, cfg.params.alpha, cfg.params.mu, cfg.p, cfg.dr
     configs = [replace(cfg, eps=float(e)) for e in eps_values]  # each row's data is valid
     eps = [c.eps for c in configs]
-    _check_budget(cfg, len(eps), snapshot_times, record)
+    _check_budget(cfg, len(eps), snapshot_times)
     cells = _cells(light_cone_radius(1.0, alpha, cfg.R), dr)
 
     ids = np.arange(len(eps))  # input position of each row still in the batch
@@ -400,7 +399,7 @@ def _run_batch(
     u0 = np.multiply.outer(eps, bump3(dr * np.arange(cells), cfg.R),
                            out=stripes.grid[0][:, :cells])  # u1 = u0
     a = np.abs(u0)
-    observe(1.0, u0, a, a.max(axis=1), _ALL if record else None)
+    observe(1.0, u0, a, a.max(axis=1), _ALL)
     snapshot(1.0, u0, _ALL)
     # The Taylor start from the equation at t = 1, where t^(-2 alpha) = 1, with
     # u_t(1) = u0: u0 + dt u0 + dt^2/2 (Lap u0 - mu u0 + |u0|^p), on level 1
@@ -414,8 +413,7 @@ def _run_batch(
     start *= 0.5 * dt * dt
     start += u0 + dt * u0
     prev, curr, nxt = 0, 1, 2
-    # a batch that does not record is never due a sample
-    t, next_sample = 1.0 + dt, 1.0 + cfg.sample_dt if record else math.inf
+    t, next_sample = 1.0 + dt, 1.0 + cfg.sample_dt
     t_max, threshold = cfg.t_max, cfg.blowup_threshold
     while True:
         u = stripes.grid[curr]
@@ -433,11 +431,11 @@ def _run_batch(
             finite = np.isfinite(sup)  # the max propagates inf and NaN
             snapshot(t, u[:, :cells], finite)
             leave = ~(sup < threshold) | (t >= t_max)  # inf and NaN leave too
-            observe(t, u, a, sup, (finite if sample else finite & leave) if record else None)
+            observe(t, u, a, sup, finite if sample else finite & leave)
             for i, s in zip(ids[leave].tolist(), sup[leave].tolist()):
                 end = "threshold" if s >= threshold else "horizon"
                 end = end if math.isfinite(s) else "overflow"
-                series = np.frombuffer(samples[i]).reshape(-1, 5).T if record else [None] * 5
+                series = np.frombuffer(samples[i]).reshape(-1, 5).T
                 results[i] = PdeResult(end == "threshold", t, end, *series, configs[i],
                                        snapshots[i])
             ids = ids[~leave]
@@ -516,7 +514,8 @@ def f_monotone_check(res: PdeResult) -> bool:
 
 
 def lifespan_sweep(cfg: PdeConfig, eps_grid: Sequence[float]) -> FitResult:
-    """Check ``eps_grid`` (``blowup_ode.sweep_eps``), sweep it as one batch that
-    records no series and fit log T against log eps (``fit_lifespans``)."""
+    """Check ``eps_grid`` (``blowup_ode.sweep_eps``), sweep it as one batch with
+    no sample clock (``sample_dt = inf``, so each row records its first and
+    last levels alone) and fit log T against log eps (``fit_lifespans``)."""
     eps = sweep_eps(eps_grid)
-    return fit_lifespans(cfg.t_max, eps, _run_batch(cfg, eps, record=False))
+    return fit_lifespans(cfg.t_max, eps, _run_batch(replace(cfg, sample_dt=math.inf), eps))

@@ -479,25 +479,30 @@ class TestSweep:
         assert abs(fit.slope - (-1.0)) < 0.3
         assert all(b < a for a, b in zip(fit.T_values, fit.T_values[1:]))
 
-    def test_takes_no_sample(self, monkeypatch):
-        # a sweep reads only T_num, so its steps integrate nothing and scan
-        # no support
-        def refuse(*args, **kwargs):
-            raise AssertionError("a sweep took a sample")
+    def test_samples_only_at_the_start_and_the_leaves(self, monkeypatch):
+        # a sweep has no sample clock: it scans the support once at t = 1
+        # and once on each step that rows leave on, and nowhere else
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape[0])
+            return _last_above(*args, **kwargs)
 
         cfg = replace(BASE, dr=0.05)
         eps = [0.5, 0.6, 0.7, 0.8]
         want = [run(replace(cfg, eps=e)).T_num for e in eps]
-        monkeypatch.setattr(pde, "_quadrature", refuse)
-        monkeypatch.setattr(pde, "_last_above", refuse)
+        monkeypatch.setattr(pde, "_last_above", counted)
         assert lifespan_sweep(cfg, eps).T_values == want
+        assert len(calls) <= 1 + len(eps)
+        assert calls[0] == len(eps) and sum(calls[1:]) == len(eps)
 
     def test_is_not_refused_for_samples_it_does_not_take(self):
         cfg = replace(BASE, dr=0.05, t_max=3.0, sample_dt=1e-7)  # 2e7 samples
         with pytest.raises(ValueError, match="sample budget"):
             run(cfg)
-        (row,) = _run_batch(cfg, [0.5], record=False)
-        assert row.termination == "horizon" and row.t_samples is None
+        eps = [10.0, 30.0, 100.0, 1000.0]
+        want = [run(replace(cfg, eps=e, sample_dt=0.05)).T_num for e in eps]
+        assert lifespan_sweep(cfg, eps).T_values == want
 
     def test_single_eps_rejected(self):
         with pytest.raises(ValueError):
@@ -517,6 +522,10 @@ class TestSweep:
             "need 4 to 1024 eps values, got 1": [0.5],
             "duplicate eps values make the fit degenerate": [0.5, 0.5, 0.6, 0.7],
             f"need 4 to 1024 eps values, got {over}": np.geomspace(0.01, 0.9, over),
+            "eps values must be positive and finite, got [0.0]": [0.0, 0.5, 0.6, 0.7],
+            "eps values must be positive and finite, got [-0.1]": [0.5, 0.6, 0.7, -0.1],
+            "eps values must be positive and finite, got [inf]": [0.5, math.inf, 0.6, 0.7],
+            "eps values must be positive and finite, got [nan]": [math.nan, 0.5, 0.6, 0.7],
         }
         ode = blowup_ode.OdeConfig(p=1.8, mu=2.0, q=0.8)
         for sweep in (partial(lifespan_sweep, BASE), partial(blowup_ode.sweep, ode)):
@@ -524,6 +533,10 @@ class TestSweep:
                 with pytest.raises(ValueError) as refused:
                     sweep(grid)
                 assert str(refused.value) == message
+        # a row whose data reaches the threshold: F(1) = 1e13 > 1e12
+        with pytest.raises(ValueError) as refused:
+            blowup_ode.sweep(ode, [0.01, 0.02, 0.05, 1e13])
+        assert str(refused.value) == "blow-up threshold must exceed the initial data"
 
     def test_horizon_failure(self):
         with pytest.raises(RuntimeError, match="no blow-up"):
@@ -560,16 +573,15 @@ def assert_same_run(row, alone):
 
 
 def assert_same_sweep_row(row, alone):
-    """A sweep row ends as its own run does and records no series, so no
-    structural check can pass on it."""
+    """A row of a batch with no sample clock (``sample_dt = inf``) ends as its
+    own run does, and its series are that run's first and last samples, bit
+    for bit: the first alone after an overflow."""
     assert (row.config, row.blew_up, row.T_num, row.termination) == (
-        alone.config, alone.blew_up, alone.T_num, alone.termination
+        replace(alone.config, sample_dt=math.inf), alone.blew_up, alone.T_num, alone.termination
     )
+    kept = [0] if alone.termination == "overflow" else [0, -1]
     for name in SERIES:
-        assert getattr(row, name) is None, name
-    for check in (support_check, holder_check, f_monotone_check):
-        with pytest.raises((TypeError, AttributeError)):
-            check(row)
+        assert np.array_equal(getattr(row, name), getattr(alone, name)[kept], equal_nan=True), name
 
 
 class TestBatch:
@@ -581,7 +593,7 @@ class TestBatch:
         eps_values = [*eps_values, 0.0]
         snapshot_times = [1.0, 5.0, 30.0]
         rows = _run_batch(BASE, eps_values, snapshot_times)
-        swept = _run_batch(BASE, eps_values, record=False)
+        swept = _run_batch(replace(BASE, sample_dt=math.inf), eps_values)
         assert len(rows) == len(swept) == len(eps_values)
         for e, row, sweep_row in zip(eps_values, rows, swept):
             assert row.config.eps == e
@@ -598,7 +610,8 @@ class TestBatch:
         assert overflow.termination == "overflow"
         assert finite.termination == "horizon"
         assert_same_run(finite, run(replace(cfg, eps=0.5)))
-        for e, row in zip([1e200, 0.5], _run_batch(cfg, [1e200, 0.5], record=False)):
+        swept = _run_batch(replace(cfg, sample_dt=math.inf), [1e200, 0.5])
+        for e, row in zip([1e200, 0.5], swept):
             assert_same_sweep_row(row, run(replace(cfg, eps=e)))
 
     @settings(derandomize=True, database=None, max_examples=10, deadline=None)

@@ -2,7 +2,9 @@
 modules: a name that the CLI, another flrwave module or the acceptance suite
 reads, or a class that one of those returns (in a return annotation, or in
 the fields of such a class).  And each private function, class or method is
-read somewhere in the package outside its own body."""
+read somewhere in the package outside its own body.  And no function or
+method takes a mode flag, a parameter annotated ``bool`` or defaulting to
+True or False: what a call does follows from its data."""
 
 import ast
 import importlib
@@ -114,3 +116,27 @@ def test_every_private_definition_is_used(module_name):
     unused = sorted(node.name for node in private_definitions(TREES[module_name])
                     if REFERENCED[node.name] <= references(node)[node.name])
     assert not unused, f"nothing in flrwave outside their own bodies reads {unused}"
+
+
+def mode_flags(tree):
+    """``function(parameter)`` for each parameter in ``tree`` annotated ``bool``
+    or defaulting to True or False."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            positional = [*args.posonlyargs, *args.args]
+            defaults = dict(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+            defaults.update(zip(args.kwonlyargs, args.kw_defaults))
+            for arg in [*positional, *args.kwonlyargs]:
+                annotated = arg.annotation is not None and ast.unparse(arg.annotation) == "bool"
+                default = getattr(defaults.get(arg), "value", None)
+                if annotated or isinstance(default, bool):
+                    found.append(f"{node.name}({arg.arg})")
+    return found
+
+
+@pytest.mark.parametrize("module_name", sorted(TREES))
+def test_no_function_takes_a_mode_flag(module_name):
+    flags = mode_flags(TREES[module_name])
+    assert not flags, f"mode flags, where a value of the data should decide: {flags}"
