@@ -21,9 +21,13 @@ The time steps and the grid do not depend on eps, so one stepping loop
 advances runs as the rows of one (eps x r) array, in place, without threads:
 ``lifespan_sweep`` is one batch and ``run`` a batch of one.  The rows lie end
 to end with a zero-padded pitch a little wider than the grid, so that each
-pass of a step is one loop over a contiguous array.  A layout is never
-edited: the rows are laid out afresh at the start, when the grid outgrows the
-pitch and when rows leave, and the views a step reads are built with it.
+pass of a step is one loop over a contiguous array.  Each layout starts on a
+64-byte boundary and its pitch is whole 64-byte cache lines, so every level
+and row starts on a cache line: numpy's AVX-512 loops move 64-byte vectors,
+and the step's speed varied by several percent with the alignment the heap
+happened to hand out.  A layout is never edited: the rows are laid out
+afresh at the start, when the grid outgrows the pitch and when rows leave,
+and the views a step reads are built with it.
 A row leaves at threshold, overflow or horizon, bit-identical to a run of its
 own.  Only the threshold is a blow-up; an overflow (non-finite sup|u|) fails
 like the horizon.  n > 5 is refused: there refining dr brings the "blow-up"
@@ -206,8 +210,20 @@ def _weights(cells: int, dr: float, n: int) -> tuple[np.ndarray, np.ndarray, np.
 
 def _pitch(cells: int) -> int:
     """Row pitch for a grid of ``cells``: a few percent of padding, so that
-    the rows are laid out again only every few percent of growth."""
-    return cells + cells // 32 + 8
+    the rows are laid out again only every few percent of growth, rounded up
+    to whole 64-byte cache lines (8 doubles), so that on ``_levels`` every
+    level and every row starts on a cache line."""
+    return (cells + cells // 32 + 15) // 8 * 8
+
+
+def _levels(rows: int, stride: int) -> np.ndarray:
+    """Zeroed C-contiguous (4, rows, stride) levels whose first byte sits on
+    a 64-byte boundary, where the heap aligns a large buffer to 16 bytes
+    only."""
+    size = 4 * rows * stride
+    buffer = np.zeros(size + 8)
+    skip = -buffer.ctypes.data % 64 // 8
+    return buffer[skip : skip + size].reshape(4, rows, stride)
 
 
 class _Stripes:
@@ -219,7 +235,10 @@ class _Stripes:
     and the first cell of each row (``starts``); the last cell of each row of
     the scratch level (``ends``); and the neighbour weights, repeated once a
     row, that meet ``tail`` and ``head``.  A layout is never edited: one is
-    built at the start, when the grid outgrows the pitch and when rows leave."""
+    built at the start, when the grid outgrows the pitch and when rows leave,
+    each time on ``_levels`` at a ``_pitch``, so that the levels and every
+    row start on a 64-byte cache line.  Any other levels step to the same
+    bits, only slower."""
 
     def __init__(self, levels: np.ndarray, dr: float, n: int):
         _, rows, stride = levels.shape
@@ -238,9 +257,15 @@ class _Stripes:
 
     def laid_out(self, cells: int) -> "_Stripes":
         """These rows copied into stripes of the pitch that ``cells`` asks for."""
-        wide = np.zeros((*self.levels.shape[:2], _pitch(cells)))
+        wide = _levels(self.levels.shape[1], _pitch(cells))
         wide[:, :, : self.stride] = self.levels
         return _Stripes(wide, self.dr, self.n)
+
+    def kept(self, keep: np.ndarray) -> "_Stripes":
+        """The rows that the mask ``keep`` selects, copied into a layout of
+        their own with this pitch."""
+        levels = _levels(np.count_nonzero(keep), self.stride)
+        return _Stripes(np.compress(keep, self.levels, axis=1, out=levels), self.dr, self.n)
 
     def stencil(self, out: int, u: int, tmp: int, k: float, c: float) -> None:
         """Add k Lap(u) + c u to level ``out``; level ``tmp`` and the scratch
@@ -395,7 +420,7 @@ def _run_batch(
     # step; when the grid outgrows the pitch or rows leave, the rows are laid
     # out afresh.  u(1) = eps u0 is built in level 0, where the first step
     # reads it.
-    stripes = _Stripes(np.zeros((4, len(eps), _pitch(cells))), dr, n)
+    stripes = _Stripes(_levels(len(eps), _pitch(cells)), dr, n)
     u0 = np.multiply.outer(eps, bump3(dr * np.arange(cells), cfg.R),
                            out=stripes.grid[0][:, :cells])  # u1 = u0
     a = np.abs(u0)
@@ -441,9 +466,7 @@ def _run_batch(
             ids = ids[~leave]
             if not ids.size:
                 break
-            # compress, unlike levels[:, mask], returns C-contiguous rows, so
-            # the flat views write into them
-            stripes = _Stripes(stripes.levels.compress(~leave, axis=1), dr, n)
+            stripes = stripes.kept(~leave)
 
         dt_new = _next_dt(t, cfg)
         cone = light_cone_radius(t + dt_new, alpha, cfg.R)  # once a step
@@ -454,7 +477,9 @@ def _run_batch(
         # A(t) + R, while the explicit stencil transports ~1e-4-relative tails
         # at grid speed (faster than the decaying physical speed).  Zeroing
         # strictly beyond the cone plus a one-cell buffer removes the spurious
-        # tail and leaves the cone content untouched; the padding is zeroed too.
+        # tail, and the padding is zeroed too.  The cut is a sink: it also
+        # deletes the mass that the stencil has just moved across its edge,
+        # so F drains there.
         width = int(math.floor((cone + dr) / dr)) + 1
         stripes.step(nxt, prev, curr, t, dt, dt_new, alpha, mu, width)
         t, dt = t + dt_new, dt_new

@@ -16,6 +16,7 @@ from flrwave.pde import (
     PdeConfig,
     PdeResult,
     _last_above,
+    _levels,
     _next_dt,
     _pitch,
     _quadrature,
@@ -766,11 +767,24 @@ class TestFoldedStencil:
         assert np.all(s.grid[2][:, width:] == 0.0)
 
 
+def levels_at(offset, rows, stride):
+    """Zeroed (4, rows, stride) levels that start ``offset`` bytes past a
+    64-byte boundary."""
+    size = 4 * rows * stride
+    buffer = np.zeros(size + 16)
+    skip = -buffer.ctypes.data % 64 // 8 + offset // 8
+    levels = buffer[skip : skip + size].reshape(4, rows, stride)
+    assert levels.ctypes.data % 64 == offset
+    return levels
+
+
 class TestStripeViews:
     """A layout is never edited: a leave lays the kept rows out afresh with
-    ``compress``, a grid growth with ``laid_out``.  After either, a step gives
+    ``kept``, a grid growth with ``laid_out``.  After either, a step gives
     each row the bits that a fresh layout of the same rows gives it, and the
-    flat views a step writes through are the grid's own memory."""
+    flat views a step writes through are the grid's own memory.  Every
+    layout of a run starts on a 64-byte boundary with a pitch of whole
+    cache lines, and that alignment changes no bit."""
 
     @staticmethod
     def step(s, cells):
@@ -787,7 +801,7 @@ class TestStripeViews:
         levels[2, :, :cells] **= 2  # the source |u|^p
         kept = np.array([True, False, True, True])
         s = _Stripes(levels.copy(), dr, n)
-        s = _Stripes(s.levels.compress(kept, axis=1), dr, n)  # as a leave lays it out
+        s = s.kept(kept)  # as a leave lays it out
         assert s.levels.shape[1] == 3 and s.flat[0].size == 3 * s.stride
         fresh = _Stripes(levels[:, kept].copy(), dr, n)
         narrow = self.step(s, cells)
@@ -804,6 +818,36 @@ class TestStripeViews:
         for got, want in zip(widened, self.step(fresh, 80)):
             assert np.array_equal(got, want)
         assert np.all(widened[2][:, 80:] == 0.0)
+
+    def test_every_layout_of_a_run_starts_on_a_cache_line(self, monkeypatch):
+        layouts = []
+        init = _Stripes.__init__
+
+        def record(s, levels, dr, n):
+            layouts.append((levels.ctypes.data % 64, *levels.shape[1:]))
+            init(s, levels, dr, n)
+
+        monkeypatch.setattr(_Stripes, "__init__", record)
+        rows = _run_batch(replace(BASE, dr=0.05, t_max=20.0), [0.05, 2.0])
+        assert [r.termination for r in rows] == ["horizon", "threshold"]
+        offsets, counts, strides = zip(*layouts)
+        assert counts[0] == 2 and counts[-1] == 1  # a row left
+        assert len(set(strides)) > 1  # and the grid grew
+        assert set(offsets) == {0} and all(stride % 8 == 0 for stride in strides)
+
+    @pytest.mark.parametrize("offset", range(8, 64, 8))
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_alignment_changes_no_bit(self, n, offset):
+        rows, cells, dr = 3, 45, 0.05
+        fields = np.random.default_rng(offset).uniform(-1.0, 1.0, (3, rows, cells))
+        fields[2] **= 2  # the source |u|^p
+        stepped = []
+        for levels in (_levels(rows, _pitch(cells)), levels_at(offset, rows, _pitch(cells))):
+            levels[:3, :, :cells] = fields
+            stepped.append(self.step(_Stripes(levels, dr, n), cells))
+        aligned, shifted = stepped
+        assert aligned.ctypes.data % 64 == 0
+        assert np.array_equal(aligned, shifted)
 
 
 class TestEnergyLaw:
