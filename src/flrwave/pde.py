@@ -234,11 +234,11 @@ class _Stripes:
     flat array, that less its last cell (``head``) or its first (``tail``)
     and the first cell of each row (``starts``); the last cell of each row of
     the scratch level (``ends``); and the neighbour weights, repeated once a
-    row, that meet ``tail`` and ``head``.  A layout is never edited: one is
-    built at the start, when the grid outgrows the pitch and when rows leave,
-    each time on ``_levels`` at a ``_pitch``, so that the levels and every
-    row start on a 64-byte cache line.  Any other levels step to the same
-    bits, only slower."""
+    row, that meet ``tail`` and ``head``.  A layout is never edited: the
+    start builds one on ``_levels`` at a ``_pitch``, so that the levels and
+    every row start on a 64-byte cache line, and ``laid_out``, the one way
+    rows are copied, builds the next when rows leave or the grid outgrows
+    the pitch.  Any other levels step to the same bits, only slower."""
 
     def __init__(self, levels: np.ndarray, dr: float, n: int):
         _, rows, stride = levels.shape
@@ -255,17 +255,15 @@ class _Stripes:
         self.starts = [flat[::stride] for flat in self.flat]
         self.ends = self.flat[3][stride - 1 :: stride]
 
-    def laid_out(self, cells: int) -> "_Stripes":
-        """These rows copied into stripes of the pitch that ``cells`` asks for."""
-        wide = _levels(self.levels.shape[1], _pitch(cells))
-        wide[:, :, : self.stride] = self.levels
-        return _Stripes(wide, self.dr, self.n)
-
-    def kept(self, keep: np.ndarray) -> "_Stripes":
-        """The rows that the mask ``keep`` selects, copied into a layout of
-        their own with this pitch."""
-        levels = _levels(np.count_nonzero(keep), self.stride)
-        return _Stripes(np.compress(keep, self.levels, axis=1, out=levels), self.dr, self.n)
+    def laid_out(self, rows: Sequence[int], stride: int) -> "_Stripes":
+        """The rows ``rows``, in order, copied into a layout of their own with
+        pitch ``stride``, one row at a time by slice assignment: a fancy
+        index, or numpy's compress even with ``out``, would copy through a
+        temporary as large as the new levels."""
+        levels = _levels(len(rows), stride)
+        for new, old in enumerate(rows):
+            levels[:, new, : self.stride] = self.levels[:, old]
+        return _Stripes(levels, self.dr, self.n)
 
     def stencil(self, out: int, u: int, tmp: int, k: float, c: float) -> None:
         """Add k Lap(u) + c u to level ``out``; level ``tmp`` and the scratch
@@ -447,14 +445,13 @@ def _run_batch(
         sample = t >= next_sample
         while next_sample <= t:
             next_sample += cfg.sample_dt
+        if pending and t >= pending[0]:
+            snapshot(t, u[:, :cells], np.isfinite(sup))  # the max propagates inf and NaN
         if t < t_max and all(s < threshold for s in sup.tolist()):
             # a quiet step: no row leaves, and every row is finite (NaN fails <)
-            if pending and t >= pending[0]:
-                snapshot(t, u[:, :cells], _ALL)
             observe(t, u, a, sup, _ALL if sample else None)
         else:
-            finite = np.isfinite(sup)  # the max propagates inf and NaN
-            snapshot(t, u[:, :cells], finite)
+            finite = np.isfinite(sup)
             leave = ~(sup < threshold) | (t >= t_max)  # inf and NaN leave too
             observe(t, u, a, sup, finite if sample else finite & leave)
             for i, s in zip(ids[leave].tolist(), sup[leave].tolist()):
@@ -463,16 +460,17 @@ def _run_batch(
                 series = np.frombuffer(samples[i]).reshape(-1, 5).T
                 results[i] = PdeResult(end == "threshold", t, end, *series, configs[i],
                                        snapshots[i])
-            ids = ids[~leave]
+            kept = np.flatnonzero(~leave)
+            ids = ids[kept]
             if not ids.size:
                 break
-            stripes = stripes.kept(~leave)
+            stripes = stripes.laid_out(kept, stripes.stride)
 
         dt_new = _next_dt(t, cfg)
         cone = light_cone_radius(t + dt_new, alpha, cfg.R)  # once a step
         cells = max(cells, _cells(cone, dr))
         if cells >= stripes.stride:
-            stripes = stripes.laid_out(cells)
+            stripes = stripes.laid_out(range(ids.size), _pitch(cells))
         # Domain-of-dependence enforcement: the exact solution vanishes beyond
         # A(t) + R, while the explicit stencil transports ~1e-4-relative tails
         # at grid speed (faster than the decaying physical speed).  Zeroing

@@ -779,12 +779,13 @@ def levels_at(offset, rows, stride):
 
 
 class TestStripeViews:
-    """A layout is never edited: a leave lays the kept rows out afresh with
-    ``kept``, a grid growth with ``laid_out``.  After either, a step gives
-    each row the bits that a fresh layout of the same rows gives it, and the
-    flat views a step writes through are the grid's own memory.  Every
-    layout of a run starts on a 64-byte boundary with a pitch of whole
-    cache lines, and that alignment changes no bit."""
+    """A layout is never edited: ``laid_out`` lays rows out afresh, the rows
+    that stay at the same pitch when some leave and every row at a wider
+    pitch when the grid grows, row by row with no temporary copy.  After
+    either, a step gives each row the bits that a fresh layout of the same
+    rows gives it, and the flat views a step writes through are the grid's
+    own memory.  Every layout of a run starts on a 64-byte boundary with a
+    pitch of whole cache lines, and that alignment changes no bit."""
 
     @staticmethod
     def step(s, cells):
@@ -801,7 +802,7 @@ class TestStripeViews:
         levels[2, :, :cells] **= 2  # the source |u|^p
         kept = np.array([True, False, True, True])
         s = _Stripes(levels.copy(), dr, n)
-        s = s.kept(kept)  # as a leave lays it out
+        s = s.laid_out(np.flatnonzero(kept), s.stride)  # as a leave lays it out
         assert s.levels.shape[1] == 3 and s.flat[0].size == 3 * s.stride
         fresh = _Stripes(levels[:, kept].copy(), dr, n)
         narrow = self.step(s, cells)
@@ -809,7 +810,7 @@ class TestStripeViews:
             assert np.array_equal(got, want)
 
         # the rows left after the step, laid out again for a grid of 90 cells
-        wide = s.laid_out(90)
+        wide = s.laid_out(range(3), _pitch(90))
         assert (wide.levels.shape[1], wide.stride) == (3, _pitch(90))
         copy = np.zeros((4, 3, _pitch(90)))
         copy[:, :, : s.stride] = s.levels
@@ -818,6 +819,19 @@ class TestStripeViews:
         for got, want in zip(widened, self.step(fresh, 80)):
             assert np.array_equal(got, want)
         assert np.all(widened[2][:, 80:] == 0.0)
+
+    def test_a_leave_lays_out_without_a_temporary(self):
+        # 6 rows of 6,000 cells keep 5: the new layout holds 0.95 MiB of
+        # levels, which np.compress(..., out=) overshot by 0.42 MiB
+        s = _Stripes(_levels(6, _pitch(6000)), 0.01, 3)
+        tracemalloc.start()
+        try:
+            kept = s.laid_out([0, 1, 3, 4, 5], s.stride)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept.levels.shape == (4, 5, s.stride)
+        assert peak - held < kept.levels.nbytes / 4
 
     def test_every_layout_of_a_run_starts_on_a_cache_line(self, monkeypatch):
         layouts = []
