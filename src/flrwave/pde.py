@@ -23,11 +23,15 @@ advances runs as the rows of one (eps x r) array, in place, without threads:
 to end with a zero-padded pitch a little wider than the grid, so that each
 pass of a step is one loop over a contiguous array.  Each layout starts on a
 64-byte boundary and its pitch is whole 64-byte cache lines, so every level
-and row starts on a cache line: numpy's AVX-512 loops move 64-byte vectors,
-and the step's speed varied by several percent with the alignment the heap
-happened to hand out.  A layout is never edited: the rows are laid out
-afresh at the start, when the grid outgrows the pitch and when rows leave,
-and the views a step reads are built with it.
+and row starts on a cache line, as do the neighbour weights tiled once a
+row.  Every pass of a step stores on a cache line, and only its shifted
+reads, u[i-1] and u[i+1], start off one; u[i-1] reads level 0 from a guard
+double kept ahead of it.  numpy's AVX-512 loops move 64-byte vectors: a
+misaligned store costs about twice an aligned one and a misaligned load
+little, and the step's speed varied by several percent with the alignment
+the heap happened to hand out.  A layout is never edited: the rows are laid
+out afresh at the start, when the grid outgrows the pitch and when rows
+leave, and the views a step reads are built with it.
 A row leaves at threshold, overflow or horizon, bit-identical to a run of its
 own.  Only the threshold is a blow-up; an overflow (non-finite sup|u|) fails
 like the horizon.  n > 5 is refused: there refining dr brings the "blow-up"
@@ -216,14 +220,19 @@ def _pitch(cells: int) -> int:
     return (cells + cells // 32 + 15) // 8 * 8
 
 
-def _levels(rows: int, stride: int) -> np.ndarray:
-    """Zeroed C-contiguous (4, rows, stride) levels whose first byte sits on
-    a 64-byte boundary, where the heap aligns a large buffer to 16 bytes
-    only."""
-    size = 4 * rows * stride
+def _aligned(size: int) -> np.ndarray:
+    """``size`` zeroed doubles whose first sits on a 64-byte boundary, where
+    the heap aligns a large buffer to 16 bytes only, cut from a buffer (their
+    ``base``) that keeps at least one double ahead of them."""
     buffer = np.zeros(size + 8)
-    skip = -buffer.ctypes.data % 64 // 8
-    return buffer[skip : skip + size].reshape(4, rows, stride)
+    skip = 8 - buffer.ctypes.data % 64 // 8
+    return buffer[skip : skip + size]
+
+
+def _levels(rows: int, stride: int) -> np.ndarray:
+    """Zeroed C-contiguous (4, rows, stride) levels on ``_aligned`` doubles:
+    the stencil reads level 0 from the double ahead of it."""
+    return _aligned(4 * rows * stride).reshape(4, rows, stride)
 
 
 class _Stripes:
@@ -231,29 +240,40 @@ class _Stripes:
     (4, rows, stride) array, each level's rows end to end and each row's
     field zero past its last cell; the trapezoid weights of one row; and the
     views a step reads, which write into the levels: per level the grid, its
-    flat array, that less its last cell (``head``) or its first (``tail``)
-    and the first cell of each row (``starts``); the last cell of each row of
-    the scratch level (``ends``); and the neighbour weights, repeated once a
-    row, that meet ``tail`` and ``head``.  A layout is never edited: the
-    start builds one on ``_levels`` at a ``_pitch``, so that the levels and
-    every row start on a 64-byte cache line, and ``laid_out``, the one way
-    rows are copied, builds the next when rows leave or the grid outgrows
-    the pitch.  Any other levels step to the same bits, only slower."""
+    flat array, that less its last cell (``head``) or its first (``tail``),
+    the first and the last cell of each row (``starts``, ``ends``) and the
+    flat array read one double early (``before``, u[i-1]); and the neighbour
+    weights, repeated once a row in one aligned buffer, ``left`` whole and
+    ``right_head`` less its last double.  A layout is never edited: the
+    start builds one on ``_levels`` at a ``_pitch``, and ``laid_out``, the
+    one way rows are copied, builds the next when rows leave or the grid
+    outgrows the pitch.  So the levels, every row and both weight tiles
+    start on a 64-byte cache line, every full-length pass of a step stores
+    on one, and only its shifted reads, u[i-1] and u[i+1], start off one.
+    ``before`` reads level 0 from the double that ``_levels`` keeps ahead of
+    it, so levels without one are refused; no value there reaches a row."""
 
     def __init__(self, levels: np.ndarray, dr: float, n: int):
         _, rows, stride = levels.shape
         if stride < 3:
             raise ValueError(f"grid must have at least 3 points, got {stride}")
+        memory = levels.base
+        if memory is None or levels.ctypes.data <= memory.ctypes.data:
+            raise ValueError("levels need a double ahead of level 0; lay them out on _levels")
         self.levels, self.stride, self.dr, self.n = levels, stride, dr, n
         left, right, self.quad = _weights(stride, dr, n)
         self.right0 = float(right[0])  # the origin's centre weight
-        self.right_head, self.left_tail = np.tile(right, rows)[:-1], np.tile(left, rows)[1:]
+        tiles = _aligned(2 * rows * stride).reshape(2, rows, stride)
+        tiles[0], tiles[1] = left, right
+        self.left, self.right_head = tiles[0].reshape(-1), tiles[1].reshape(-1)[:-1]
         self.grid = list(levels)
         self.flat = [grid.reshape(rows * stride) for grid in self.grid]
         self.head = [flat[:-1] for flat in self.flat]
         self.tail = [flat[1:] for flat in self.flat]
         self.starts = [flat[::stride] for flat in self.flat]
-        self.ends = self.flat[3][stride - 1 :: stride]
+        self.ends = [flat[stride - 1 :: stride] for flat in self.flat]
+        size, early = rows * stride, (levels.ctypes.data - memory.ctypes.data) // 8 - 1
+        self.before = [memory[early + i * size : early + (i + 1) * size] for i in range(3)]
 
     def laid_out(self, rows: Sequence[int], stride: int) -> "_Stripes":
         """The rows ``rows``, in order, copied into a layout of their own with
@@ -270,11 +290,13 @@ class _Stripes:
         level are consumed.  The neighbour terms that would cross a row's
         ends are dropped, so no value of one row, not even inf or NaN,
         reaches another."""
+        # The scratch level lies past every time level, so numpy sees no
+        # overlap of ``before`` with it and copies nothing.
         near = self.flat[3]
-        np.multiply(self.right_head, self.tail[u], out=self.head[3])
-        self.ends.fill(0.0)
-        np.multiply(self.left_tail, self.head[u], out=self.tail[tmp])
-        self.starts[tmp].fill(0.0)
+        np.multiply(self.left, self.before[u], out=near)
+        self.starts[3].fill(0.0)
+        np.multiply(self.right_head, self.tail[u], out=self.head[tmp])
+        self.ends[tmp].fill(0.0)
         np.add(near, self.flat[tmp], out=near)
         np.multiply(near, k, out=near)
         out = self.flat[out]
@@ -526,7 +548,7 @@ def holder_check(res: PdeResult) -> bool:
 
 
 def f_monotone_check(res: PdeResult) -> bool:
-    """F stays finite and positive, nondecreasing up to 1e-8 F(1) per step,
+    """F stays finite and positive, nondecreasing up to 1e-8 F(1) per sample,
     and never drops below F(1)."""
     F = res.F_series
     if F.size == 0 or not np.all(np.isfinite(F)) or F[0] <= 0.0:

@@ -63,7 +63,7 @@ def stripes(fields, dr, n, stride=None):
     fields = [np.asarray(f, dtype=float) for f in fields]
     m = fields[0].shape[-1]
     grid = [f.reshape(-1, m) for f in fields]
-    levels = np.zeros((4, grid[0].shape[0], stride or m))
+    levels = _levels(grid[0].shape[0], stride or m)
     for level, f in zip(levels, grid):
         level[:, :m] = f
     return _Stripes(levels, dr, n)
@@ -354,7 +354,7 @@ class TestScheme:
             inside = np.clip(1.0 - r * r, 0.0, None)
             h = inside**6
             lap_h = -12.0 * n * inside**5 + 120.0 * r * r * inside**4
-            s = _Stripes(np.zeros((4, 1, r.size)), dr, n)
+            s = _Stripes(_levels(1, r.size), dr, n)
             dt = _next_dt(1.0, cfg)
             s.grid[0][0] = (2.0 + math.sin(1.0)) * h  # the exact levels at 1 and 1 + dt
             s.grid[1][0] = (2.0 + math.sin(1.0 + dt)) * h
@@ -769,13 +769,20 @@ class TestFoldedStencil:
 
 def levels_at(offset, rows, stride):
     """Zeroed (4, rows, stride) levels that start ``offset`` bytes past a
-    64-byte boundary."""
+    64-byte boundary, with a double ahead of them as on ``_levels``."""
     size = 4 * rows * stride
     buffer = np.zeros(size + 16)
-    skip = -buffer.ctypes.data % 64 // 8 + offset // 8
+    skip = 8 - buffer.ctypes.data % 64 // 8 + offset // 8
     levels = buffer[skip : skip + size].reshape(4, rows, stride)
     assert levels.ctypes.data % 64 == offset
     return levels
+
+
+def relaid(levels):
+    """A copy of ``levels`` on ``_levels``, as a fresh layout holds them."""
+    copy = _levels(*levels.shape[1:])
+    copy[:] = levels
+    return copy
 
 
 class TestStripeViews:
@@ -785,7 +792,9 @@ class TestStripeViews:
     either, a step gives each row the bits that a fresh layout of the same
     rows gives it, and the flat views a step writes through are the grid's
     own memory.  Every layout of a run starts on a 64-byte boundary with a
-    pitch of whole cache lines, and that alignment changes no bit."""
+    pitch of whole cache lines, and that alignment changes no bit; every
+    full-length pass stores on a cache line, and no value of the guard
+    double ahead of level 0 reaches a row."""
 
     @staticmethod
     def step(s, cells):
@@ -797,14 +806,14 @@ class TestStripeViews:
     @pytest.mark.parametrize("n", [2, 5])
     def test_keep_and_lay_out_match_a_fresh_layout(self, n):
         rows, cells, dr = 4, 40, 0.05
-        levels = np.zeros((4, rows, _pitch(cells)))
+        levels = _levels(rows, _pitch(cells))
         levels[:3, :, :cells] = np.random.default_rng(n).uniform(-1.0, 1.0, (3, rows, cells))
         levels[2, :, :cells] **= 2  # the source |u|^p
         kept = np.array([True, False, True, True])
-        s = _Stripes(levels.copy(), dr, n)
+        s = _Stripes(relaid(levels), dr, n)
         s = s.laid_out(np.flatnonzero(kept), s.stride)  # as a leave lays it out
         assert s.levels.shape[1] == 3 and s.flat[0].size == 3 * s.stride
-        fresh = _Stripes(levels[:, kept].copy(), dr, n)
+        fresh = _Stripes(relaid(levels[:, kept]), dr, n)
         narrow = self.step(s, cells)
         for got, want in zip(narrow, self.step(fresh, cells)):
             assert np.array_equal(got, want)
@@ -812,7 +821,7 @@ class TestStripeViews:
         # the rows left after the step, laid out again for a grid of 90 cells
         wide = s.laid_out(range(3), _pitch(90))
         assert (wide.levels.shape[1], wide.stride) == (3, _pitch(90))
-        copy = np.zeros((4, 3, _pitch(90)))
+        copy = _levels(3, _pitch(90))
         copy[:, :, : s.stride] = s.levels
         fresh = _Stripes(copy, dr, n)
         widened = self.step(wide, 80)
@@ -848,6 +857,72 @@ class TestStripeViews:
         assert counts[0] == 2 and counts[-1] == 1  # a row left
         assert len(set(strides)) > 1  # and the grid grew
         assert set(offsets) == {0} and all(stride % 8 == 0 for stride in strides)
+
+    def test_every_pass_stores_on_a_cache_line(self, monkeypatch):
+        # each full-length pass of a run stores to, and reads its first
+        # operand from, a cache line; the two weight tiles are the first
+        # operands of the neighbour products
+        layouts, offsets = [], set()
+        init = _Stripes.__init__
+
+        def record(s, levels, dr, n):
+            init(s, levels, dr, n)
+            layouts.append(s)
+
+        class Spy:
+            def __init__(self, ufunc):
+                self.ufunc = ufunc
+
+            def __getattr__(self, name):
+                return getattr(self.ufunc, name)
+
+            def __call__(self, first, second, out):
+                s = layouts[-1] if layouts else None
+                full = s and out.ndim == 1 and out.size >= s.flat[0].size - 1
+                if full and np.shares_memory(out, s.levels):  # not a new layout's weights
+                    offsets.add((first.ctypes.data % 64, out.ctypes.data % 64))
+                return self.ufunc(first, second, out=out)
+
+        class Numpy:
+            add, multiply = Spy(np.add), Spy(np.multiply)
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        monkeypatch.setattr(_Stripes, "__init__", record)
+        monkeypatch.setattr(pde, "np", Numpy())
+        rows = _run_batch(replace(BASE, dr=0.05, t_max=20.0), [0.05, 2.0])
+        assert [r.termination for r in rows] == ["horizon", "threshold"]
+        counts, strides = zip(*(s.levels.shape[1:] for s in layouts))
+        assert counts[0] == 2 and counts[-1] == 1 and len(set(strides)) > 1
+        assert offsets == {(0, 0)}
+
+    @pytest.mark.parametrize("poison", [math.nan, math.inf])
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_the_guard_reaches_no_row(self, n, poison):
+        # u[i-1] reads, at each row's first cell, the last cell of the row
+        # before, and at level 0 the guard ahead of it.  The left weight is
+        # 0 there, but 0 x inf is NaN: the starts fill keeps it out.
+        rows, cells, dr = 3, 45, 0.05
+        fields = np.random.default_rng(n).uniform(-1.0, 1.0, (3, rows, cells))
+        fields[2] **= 2  # the source |u|^p
+
+        def stepped(value):
+            s = _Stripes(_levels(rows, _pitch(cells)), dr, n)
+            s.levels[:3, :, :cells] = fields
+            s.before[0][0] = value  # the guard
+            s.flat[0][-1] = value  # the last cell of level 0, the level before u = 1
+            with np.errstate(invalid="ignore"):  # 0 x inf, as a run meets it
+                s.step(2, 0, 1, 3.0, 0.02, 0.021, 0.5, 2.0, cells)  # a stencil at u = 1
+                s.stencil(1, 0, 2, 1.0, 0.5)  # and one at u = 0
+            return s.levels[:3]
+
+        assert np.array_equal(stepped(poison), stepped(0.0))
+
+    def test_levels_without_a_guard_are_refused(self):
+        for levels in (np.zeros((4, 1, 8)), np.zeros(40)[:32].reshape(4, 1, 8)):
+            with pytest.raises(ValueError, match="a double ahead of level 0"):
+                _Stripes(levels, 0.1, 2)
 
     @pytest.mark.parametrize("offset", range(8, 64, 8))
     @pytest.mark.parametrize("n", [2, 5])
