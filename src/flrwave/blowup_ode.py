@@ -114,14 +114,17 @@ class OdeConfig:
 
 @dataclass
 class OdeResult:
-    """Outcome of one run: blow-up flag, lifespan estimate, accepted-step trace."""
+    """Outcome of one run: lifespan estimate, accepted-step trace, ending."""
 
-    blew_up: bool
     T_num: float
     t: np.ndarray
     F: np.ndarray
     dF: np.ndarray
     termination: str  # "threshold" | "horizon" | "step_underflow" | "solver_failure"
+
+    @property
+    def blew_up(self) -> bool:
+        return self.termination in ("threshold", "step_underflow")
 
 
 # Dormand-Prince 5(4) as in scipy's RK45: nodes, stage weights, solution
@@ -252,12 +255,11 @@ def integrate(cfg: OdeConfig) -> OdeResult:
     ending, trace = _dopri45(cfg)
     t, F, dF = map(np.array, zip(*trace))
     if ending == "threshold":
-        return OdeResult(True, float(t[-1]), t, F, dF, "threshold")
+        return OdeResult(float(t[-1]), t, F, dF, "threshold")
     if ending == "horizon":
-        return OdeResult(False, cfg.t_max, t, F, dF, "horizon")
-    ramping = bool(F[-1] >= 1e-3 * cfg.blowup_threshold and dF[-1] > 0.0)
-    termination = "step_underflow" if ramping else "solver_failure"
-    return OdeResult(ramping, float(t[-1]), t, F, dF, termination)
+        return OdeResult(cfg.t_max, t, F, dF, "horizon")
+    ramping = F[-1] >= 1e-3 * cfg.blowup_threshold and dF[-1] > 0.0
+    return OdeResult(float(t[-1]), t, F, dF, "step_underflow" if ramping else "solver_failure")
 
 
 def monotone_invariant_check(res: OdeResult, mu: float) -> bool:

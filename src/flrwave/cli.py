@@ -398,8 +398,8 @@ def _cmd_pde_sweep(r):
     eps_grid = _eps_grid(r)
     cfg = _build(pde.PdeConfig, r, params=_build(ModelParams, r), eps=float(eps_grid[0]))
     fit = pde.lifespan_sweep(cfg, eps_grid)
-    q = cfg.params.effective_dim * (cfg.p - 1.0)  # the heatlike wiring n(1-alpha)(p-1)
-    return _sweep("pde", fit, blowup_ode.predicted_slope(cfg.p, q) if q < 2.0 else None)
+    exponent = bounds.heatlike_exponent(cfg.params, cfg.p)  # None at or past Fujita's p
+    return _sweep("pde", fit, None if exponent is None else -exponent)
 
 
 # ---------------------------------------------------------------------------

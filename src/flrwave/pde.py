@@ -21,17 +21,18 @@ The time steps and the grid do not depend on eps, so one stepping loop
 advances runs as the rows of one (eps x r) array, in place, without threads:
 ``lifespan_sweep`` is one batch and ``run`` a batch of one.  The rows lie end
 to end with a zero-padded pitch a little wider than the grid, so that each
-pass of a step is one loop over a contiguous array.  Each layout starts on a
-64-byte boundary and its pitch is whole 64-byte cache lines, so every level
-and row starts on a cache line, as do the neighbour weights tiled once a
-row.  Every pass of a step stores on a cache line, and only its shifted
-reads, u[i-1] and u[i+1], start off one; u[i-1] reads level 0 from a guard
-double kept ahead of it.  numpy's AVX-512 loops move 64-byte vectors: a
-misaligned store costs about twice an aligned one and a misaligned load
-little, and the step's speed varied by several percent with the alignment
-the heap happened to hand out.  A layout is never edited: the rows are laid
-out afresh at the start, when the grid outgrows the pitch and when rows
-leave, and the views a step reads are built with it.
+pass of a step is one loop over a contiguous array.  Each layout allocates
+its own buffer, aligned to 64 bytes, with level 0 one cache line in, and its
+pitch is whole 64-byte cache lines, so every level and row starts on a cache
+line, as do the neighbour weights tiled once a row.  Every pass of a step
+stores on a cache line, and only its shifted reads, u[i-1] and u[i+1], start
+off one; u[i-1] reads level 0's guard double from the line ahead of it.
+numpy's AVX-512 loops move 64-byte vectors: a misaligned store costs about
+twice an aligned one and a misaligned load little, and the step's speed
+varied by several percent with the alignment the heap happened to hand out.
+A layout is never edited: the rows are laid out afresh at the start, when
+the grid outgrows the pitch and when rows leave, and the views a step reads
+are built with it.
 A row leaves at threshold, overflow or horizon, bit-identical to a run of its
 own.  Only the threshold is a blow-up; an overflow (non-finite sup|u|) fails
 like the horizon.  n > 5 is refused: there refining dr brings the "blow-up"
@@ -162,7 +163,6 @@ class PdeConfig:
 
 @dataclass
 class PdeResult:
-    blew_up: bool  # True exactly for a "threshold" ending
     T_num: float
     termination: str  # "threshold" | "horizon" | "overflow" (a non-finite sup|u|)
     t_samples: np.ndarray
@@ -172,6 +172,10 @@ class PdeResult:
     support_series: np.ndarray
     config: PdeConfig
     snapshots: list = field(default_factory=list)  # (t, u) pairs on request
+
+    @property
+    def blew_up(self) -> bool:
+        return self.termination == "threshold"
 
 
 def bump3(r: np.ndarray, R: float) -> np.ndarray:
@@ -215,24 +219,17 @@ def _weights(cells: int, dr: float, n: int) -> tuple[np.ndarray, np.ndarray, np.
 def _pitch(cells: int) -> int:
     """Row pitch for a grid of ``cells``: a few percent of padding, so that
     the rows are laid out again only every few percent of growth, rounded up
-    to whole 64-byte cache lines (8 doubles), so that on ``_levels`` every
+    to whole 64-byte cache lines (8 doubles), so that in a ``_Stripes`` every
     level and every row starts on a cache line."""
     return (cells + cells // 32 + 15) // 8 * 8
 
 
 def _aligned(size: int) -> np.ndarray:
     """``size`` zeroed doubles whose first sits on a 64-byte boundary, where
-    the heap aligns a large buffer to 16 bytes only, cut from a buffer (their
-    ``base``) that keeps at least one double ahead of them."""
-    buffer = np.zeros(size + 8)
-    skip = 8 - buffer.ctypes.data % 64 // 8
+    the heap aligns a large buffer to 16 bytes only."""
+    buffer = np.zeros(size + 7)
+    skip = -buffer.ctypes.data % 64 // 8
     return buffer[skip : skip + size]
-
-
-def _levels(rows: int, stride: int) -> np.ndarray:
-    """Zeroed C-contiguous (4, rows, stride) levels on ``_aligned`` doubles:
-    the stencil reads level 0 from the double ahead of it."""
-    return _aligned(4 * rows * stride).reshape(4, rows, stride)
 
 
 class _Stripes:
@@ -244,46 +241,45 @@ class _Stripes:
     the first and the last cell of each row (``starts``, ``ends``) and the
     flat array read one double early (``before``, u[i-1]); and the neighbour
     weights, repeated once a row in one aligned buffer, ``left`` whole and
-    ``right_head`` less its last double.  A layout is never edited: the
-    start builds one on ``_levels`` at a ``_pitch``, and ``laid_out``, the
-    one way rows are copied, builds the next when rows leave or the grid
-    outgrows the pitch.  So the levels, every row and both weight tiles
-    start on a 64-byte cache line, every full-length pass of a step stores
-    on one, and only its shifted reads, u[i-1] and u[i+1], start off one.
-    ``before`` reads level 0 from the double that ``_levels`` keeps ahead of
-    it, so levels without one are refused; no value there reaches a row."""
+    ``right_head`` less its last double.  A layout allocates its own zeroed
+    levels, one ``_aligned`` buffer with level 0 one cache line in, so that
+    ``before`` reads level 0's guard double from the line ahead of it; no
+    value there reaches a row.  A layout is never edited: the start builds
+    one at a ``_pitch``, and ``laid_out``, the one way rows are copied,
+    builds the next when rows leave or the grid outgrows the pitch.  So the
+    levels, every row and both weight tiles start on a 64-byte cache line,
+    every full-length pass of a step stores on one, and only its shifted
+    reads, u[i-1] and u[i+1], start off one."""
 
-    def __init__(self, levels: np.ndarray, dr: float, n: int):
-        _, rows, stride = levels.shape
+    def __init__(self, rows: int, stride: int, dr: float, n: int):
         if stride < 3:
             raise ValueError(f"grid must have at least 3 points, got {stride}")
-        memory = levels.base
-        if memory is None or levels.ctypes.data <= memory.ctypes.data:
-            raise ValueError("levels need a double ahead of level 0; lay them out on _levels")
-        self.levels, self.stride, self.dr, self.n = levels, stride, dr, n
+        size = rows * stride
+        memory = _aligned(8 + 4 * size)
+        self.levels = levels = memory[8:].reshape(4, rows, stride)
+        self.stride, self.dr, self.n = stride, dr, n
         left, right, self.quad = _weights(stride, dr, n)
         self.right0 = float(right[0])  # the origin's centre weight
-        tiles = _aligned(2 * rows * stride).reshape(2, rows, stride)
+        tiles = _aligned(2 * size).reshape(2, rows, stride)
         tiles[0], tiles[1] = left, right
         self.left, self.right_head = tiles[0].reshape(-1), tiles[1].reshape(-1)[:-1]
         self.grid = list(levels)
-        self.flat = [grid.reshape(rows * stride) for grid in self.grid]
+        self.flat = [grid.reshape(size) for grid in self.grid]
         self.head = [flat[:-1] for flat in self.flat]
         self.tail = [flat[1:] for flat in self.flat]
         self.starts = [flat[::stride] for flat in self.flat]
         self.ends = [flat[stride - 1 :: stride] for flat in self.flat]
-        size, early = rows * stride, (levels.ctypes.data - memory.ctypes.data) // 8 - 1
-        self.before = [memory[early + i * size : early + (i + 1) * size] for i in range(3)]
+        self.before = [memory[7 + i * size : 7 + (i + 1) * size] for i in range(3)]
 
     def laid_out(self, rows: Sequence[int], stride: int) -> "_Stripes":
         """The rows ``rows``, in order, copied into a layout of their own with
         pitch ``stride``, one row at a time by slice assignment: a fancy
         index, or numpy's compress even with ``out``, would copy through a
         temporary as large as the new levels."""
-        levels = _levels(len(rows), stride)
+        fresh = _Stripes(len(rows), stride, self.dr, self.n)
         for new, old in enumerate(rows):
-            levels[:, new, : self.stride] = self.levels[:, old]
-        return _Stripes(levels, self.dr, self.n)
+            fresh.levels[:, new, : self.stride] = self.levels[:, old]
+        return fresh
 
     def stencil(self, out: int, u: int, tmp: int, k: float, c: float) -> None:
         """Add k Lap(u) + c u to level ``out``; level ``tmp`` and the scratch
@@ -440,7 +436,7 @@ def _run_batch(
     # step; when the grid outgrows the pitch or rows leave, the rows are laid
     # out afresh.  u(1) = eps u0 is built in level 0, where the first step
     # reads it.
-    stripes = _Stripes(_levels(len(eps), _pitch(cells)), dr, n)
+    stripes = _Stripes(len(eps), _pitch(cells), dr, n)
     u0 = np.multiply.outer(eps, bump3(dr * np.arange(cells), cfg.R),
                            out=stripes.grid[0][:, :cells])  # u1 = u0
     a = np.abs(u0)
@@ -480,8 +476,7 @@ def _run_batch(
                 end = "threshold" if s >= threshold else "horizon"
                 end = end if math.isfinite(s) else "overflow"
                 series = np.frombuffer(samples[i]).reshape(-1, 5).T
-                results[i] = PdeResult(end == "threshold", t, end, *series, configs[i],
-                                       snapshots[i])
+                results[i] = PdeResult(t, end, *series, configs[i], snapshots[i])
             kept = np.flatnonzero(~leave)
             ids = ids[kept]
             if not ids.size:

@@ -137,7 +137,7 @@ class TestMonotoneInvariant:
 
     def test_empty_trace_rejected(self):
         empty = np.array([])
-        res = blowup_ode.OdeResult(False, 1.0, empty, empty, empty, "solver_failure")
+        res = blowup_ode.OdeResult(1.0, empty, empty, empty, "solver_failure")
         with pytest.raises(ValueError, match="empty trace"):
             monotone_invariant_check(res, 1.0)
 

@@ -599,6 +599,24 @@ def test_pde_sweep_of_overflows_is_not_fitted(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("p, predicted", [(1.6666666666666665, None), (1.5, -1.0)])
+def test_pde_sweep_predicts_the_heatlike_slope_below_fujita_alone(tmp_path, monkeypatch, p,
+                                                                   predicted):
+    # n = 3, alpha = 0 has Fujita exponent 1 + 2/3; at its float value
+    # n(1-alpha)(p-1) rounds below 2, where the hand-wired form predicted a
+    # slope of -1.5e15
+    fit = blowup_ode.FitResult(-0.9, 1.0, 1.0, [1.0, 2.0, 3.0, 4.0], [9.0, 5.0, 3.0, 2.0])
+    monkeypatch.setattr(cli.pde, "lifespan_sweep", lambda cfg, eps_grid: fit)
+    out = tmp_path / "p"
+    argv = ["pde", "sweep", "--n", "3", "--alpha", "0", "--mu", "0", "--p", repr(p),
+            "--eps_start", "1", "--eps_stop", "4", "--eps_count", "4", "--out", str(out)]
+    assert main(argv) == 0
+    payload = read_json(out / "pde_fit.json")
+    assert payload["predicted_slope"] == predicted
+    deviation = payload["relative_deviation"]
+    assert deviation is None if predicted is None else deviation == pytest.approx(0.1)
+
+
 def test_pde_run_refuses_n_above_five(tmp_path, capsys):
     out = tmp_path / "p"
     assert main(["pde", "run", "--n", "6", "--out", str(out)]) == 2

@@ -16,7 +16,6 @@ from flrwave.pde import (
     PdeConfig,
     PdeResult,
     _last_above,
-    _levels,
     _next_dt,
     _pitch,
     _quadrature,
@@ -63,10 +62,10 @@ def stripes(fields, dr, n, stride=None):
     fields = [np.asarray(f, dtype=float) for f in fields]
     m = fields[0].shape[-1]
     grid = [f.reshape(-1, m) for f in fields]
-    levels = _levels(grid[0].shape[0], stride or m)
-    for level, f in zip(levels, grid):
+    s = _Stripes(grid[0].shape[0], stride or m, dr, n)
+    for level, f in zip(s.levels, grid):
         level[:, :m] = f
-    return _Stripes(levels, dr, n)
+    return s
 
 
 def laplacian(u, dr, n):
@@ -244,7 +243,7 @@ def one_sample(F, lp, radius, n=2, p=2.0):
     light cone of ``radius`` (alpha 0, so the cone is the data radius R)."""
     cfg = PdeConfig(params=ModelParams(n, 0.0, 0.0), p=p, eps=0.5, R=radius)
     one = np.ones(1)
-    return PdeResult(True, 1.0, "threshold", one, one, np.array([F]), np.array([lp]), one, cfg)
+    return PdeResult(1.0, "threshold", one, one, np.array([F]), np.array([lp]), one, cfg)
 
 
 class TestHolder:
@@ -354,7 +353,7 @@ class TestScheme:
             inside = np.clip(1.0 - r * r, 0.0, None)
             h = inside**6
             lap_h = -12.0 * n * inside**5 + 120.0 * r * r * inside**4
-            s = _Stripes(_levels(1, r.size), dr, n)
+            s = _Stripes(1, r.size, dr, n)
             dt = _next_dt(1.0, cfg)
             s.grid[0][0] = (2.0 + math.sin(1.0)) * h  # the exact levels at 1 and 1 + dt
             s.grid[1][0] = (2.0 + math.sin(1.0 + dt)) * h
@@ -767,22 +766,22 @@ class TestFoldedStencil:
         assert np.all(s.grid[2][:, width:] == 0.0)
 
 
-def levels_at(offset, rows, stride):
-    """Zeroed (4, rows, stride) levels that start ``offset`` bytes past a
-    64-byte boundary, with a double ahead of them as on ``_levels``."""
-    size = 4 * rows * stride
-    buffer = np.zeros(size + 16)
-    skip = 8 - buffer.ctypes.data % 64 // 8 + offset // 8
-    levels = buffer[skip : skip + size].reshape(4, rows, stride)
-    assert levels.ctypes.data % 64 == offset
-    return levels
+def levels_at(offset, rows, stride, dr, n):
+    """A fresh ``_Stripes`` whose levels start ``offset`` bytes past a 64-byte
+    boundary, built while ``pde._aligned`` moves each start by ``offset``."""
+    aligned, skip = pde._aligned, offset // 8
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pde, "_aligned", lambda size: aligned(size + skip)[skip:])
+        s = _Stripes(rows, stride, dr, n)
+    assert s.levels.ctypes.data % 64 == offset
+    return s
 
 
-def relaid(levels):
-    """A copy of ``levels`` on ``_levels``, as a fresh layout holds them."""
-    copy = _levels(*levels.shape[1:])
-    copy[:] = levels
-    return copy
+def relaid(levels, dr, n):
+    """A fresh ``_Stripes`` holding a copy of ``levels``."""
+    s = _Stripes(*levels.shape[1:], dr, n)
+    s.levels[:] = levels
+    return s
 
 
 class TestStripeViews:
@@ -806,14 +805,14 @@ class TestStripeViews:
     @pytest.mark.parametrize("n", [2, 5])
     def test_keep_and_lay_out_match_a_fresh_layout(self, n):
         rows, cells, dr = 4, 40, 0.05
-        levels = _levels(rows, _pitch(cells))
+        levels = np.zeros((4, rows, _pitch(cells)))
         levels[:3, :, :cells] = np.random.default_rng(n).uniform(-1.0, 1.0, (3, rows, cells))
         levels[2, :, :cells] **= 2  # the source |u|^p
         kept = np.array([True, False, True, True])
-        s = _Stripes(relaid(levels), dr, n)
+        s = relaid(levels, dr, n)
         s = s.laid_out(np.flatnonzero(kept), s.stride)  # as a leave lays it out
         assert s.levels.shape[1] == 3 and s.flat[0].size == 3 * s.stride
-        fresh = _Stripes(relaid(levels[:, kept]), dr, n)
+        fresh = relaid(levels[:, kept], dr, n)
         narrow = self.step(s, cells)
         for got, want in zip(narrow, self.step(fresh, cells)):
             assert np.array_equal(got, want)
@@ -821,9 +820,8 @@ class TestStripeViews:
         # the rows left after the step, laid out again for a grid of 90 cells
         wide = s.laid_out(range(3), _pitch(90))
         assert (wide.levels.shape[1], wide.stride) == (3, _pitch(90))
-        copy = _levels(3, _pitch(90))
-        copy[:, :, : s.stride] = s.levels
-        fresh = _Stripes(copy, dr, n)
+        fresh = _Stripes(3, _pitch(90), dr, n)
+        fresh.levels[:, :, : s.stride] = s.levels
         widened = self.step(wide, 80)
         for got, want in zip(widened, self.step(fresh, 80)):
             assert np.array_equal(got, want)
@@ -832,7 +830,7 @@ class TestStripeViews:
     def test_a_leave_lays_out_without_a_temporary(self):
         # 6 rows of 6,000 cells keep 5: the new layout holds 0.95 MiB of
         # levels, which np.compress(..., out=) overshot by 0.42 MiB
-        s = _Stripes(_levels(6, _pitch(6000)), 0.01, 3)
+        s = _Stripes(6, _pitch(6000), 0.01, 3)
         tracemalloc.start()
         try:
             kept = s.laid_out([0, 1, 3, 4, 5], s.stride)
@@ -846,9 +844,9 @@ class TestStripeViews:
         layouts = []
         init = _Stripes.__init__
 
-        def record(s, levels, dr, n):
-            layouts.append((levels.ctypes.data % 64, *levels.shape[1:]))
-            init(s, levels, dr, n)
+        def record(s, rows, stride, dr, n):
+            init(s, rows, stride, dr, n)
+            layouts.append((s.levels.ctypes.data % 64, *s.levels.shape[1:]))
 
         monkeypatch.setattr(_Stripes, "__init__", record)
         rows = _run_batch(replace(BASE, dr=0.05, t_max=20.0), [0.05, 2.0])
@@ -865,8 +863,8 @@ class TestStripeViews:
         layouts, offsets = [], set()
         init = _Stripes.__init__
 
-        def record(s, levels, dr, n):
-            init(s, levels, dr, n)
+        def record(s, rows, stride, dr, n):
+            init(s, rows, stride, dr, n)
             layouts.append(s)
 
         class Spy:
@@ -908,7 +906,7 @@ class TestStripeViews:
         fields[2] **= 2  # the source |u|^p
 
         def stepped(value):
-            s = _Stripes(_levels(rows, _pitch(cells)), dr, n)
+            s = _Stripes(rows, _pitch(cells), dr, n)
             s.levels[:3, :, :cells] = fields
             s.before[0][0] = value  # the guard
             s.flat[0][-1] = value  # the last cell of level 0, the level before u = 1
@@ -919,11 +917,6 @@ class TestStripeViews:
 
         assert np.array_equal(stepped(poison), stepped(0.0))
 
-    def test_levels_without_a_guard_are_refused(self):
-        for levels in (np.zeros((4, 1, 8)), np.zeros(40)[:32].reshape(4, 1, 8)):
-            with pytest.raises(ValueError, match="a double ahead of level 0"):
-                _Stripes(levels, 0.1, 2)
-
     @pytest.mark.parametrize("offset", range(8, 64, 8))
     @pytest.mark.parametrize("n", [2, 5])
     def test_alignment_changes_no_bit(self, n, offset):
@@ -931,9 +924,10 @@ class TestStripeViews:
         fields = np.random.default_rng(offset).uniform(-1.0, 1.0, (3, rows, cells))
         fields[2] **= 2  # the source |u|^p
         stepped = []
-        for levels in (_levels(rows, _pitch(cells)), levels_at(offset, rows, _pitch(cells))):
-            levels[:3, :, :cells] = fields
-            stepped.append(self.step(_Stripes(levels, dr, n), cells))
+        stride = _pitch(cells)
+        for s in (_Stripes(rows, stride, dr, n), levels_at(offset, rows, stride, dr, n)):
+            s.levels[:3, :, :cells] = fields
+            stepped.append(self.step(s, cells))
         aligned, shifted = stepped
         assert aligned.ctypes.data % 64 == 0
         assert np.array_equal(aligned, shifted)
@@ -1221,7 +1215,7 @@ def test_array_checks_keep_the_loop_verdicts(n, alpha, p, R, dr, rows, rising, s
     series = [t, F, lp, cone + cells * dr]
     for column, k, value in specials:
         series[column][k % t.size] = value
-    res = PdeResult(True, 1.0, "threshold", t, np.ones(t.size), F, lp, series[3], cfg)
+    res = PdeResult(1.0, "threshold", t, np.ones(t.size), F, lp, series[3], cfg)
     assert support_check(res) is support_loop(res)
     assert holder_check(res) is holder_loop(res)
     assert f_monotone_check(res) is f_monotone_loop(res)

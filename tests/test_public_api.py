@@ -4,7 +4,8 @@ reads, or a class that one of those returns (in a return annotation, or in
 the fields of such a class).  And each private function, class or method is
 read somewhere in the package outside its own body.  And no function or
 method takes a mode flag, a parameter annotated ``bool`` or defaulting to
-True or False: what a call does follows from its data."""
+True or False: what a call does follows from its data.  And one function,
+``pde._aligned``, reads memory addresses (``.ctypes``)."""
 
 import ast
 import importlib
@@ -140,3 +141,18 @@ def mode_flags(tree):
 def test_no_function_takes_a_mode_flag(module_name):
     flags = mode_flags(TREES[module_name])
     assert not flags, f"mode flags, where a value of the data should decide: {flags}"
+
+
+def address_reads(node):
+    """How often ``node``'s subtree reads ``.ctypes``, a buffer's address."""
+    return sum(isinstance(n, ast.Attribute) and n.attr == "ctypes" for n in ast.walk(node))
+
+
+def test_only_pde_aligned_reads_addresses():
+    # address arithmetic lives in one place: every other buffer takes its
+    # alignment from the doubles ``_aligned`` hands out
+    readers = {f"{module_name}.{node.name}": address_reads(node)
+               for module_name, tree in TREES.items() for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and address_reads(node)}
+    everywhere = sum(map(address_reads, TREES.values()))
+    assert readers == {"pde._aligned": everywhere}, f"functions reading .ctypes: {readers}"
