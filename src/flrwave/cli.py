@@ -2,16 +2,17 @@
 CSV/JSON/SVG artifacts plus a manifest per invocation.
 
 Each command's config keys are the fields of the library dataclasses it
-builds, plus a few of its own; every flag, default and config-file type comes
-from that one table.  A command resolves its configuration as
-defaults < preset < config file < flags, where a config file may name a
-``preset`` just as ``--preset`` does.  A config-file value is read by the
-type of its key's default: an integer (or integral float) for an integer key,
-a finite number for a float key, one of the command's presets for
-``preset``, and a list of finite numbers for ``snapshot_times``; ``null``
-only where the default is null.  Preset values are taken as they stand.  The
-resolved config is echoed into manifest.json (keyed by a content digest), and
-identical resolved configs give byte-identical outputs.
+builds, plus a few of its own that only say which runs to make or how far to
+go; every flag, default and config-file type comes from that one table.  A
+command resolves its configuration as defaults < preset < config file <
+flags, where a config file may name a ``preset`` just as ``--preset`` does.
+A config-file value is read by the type of its key's default: an integer (or
+integral float) for an integer key, a finite number for a float key, one of
+the command's presets for ``preset``, and a list of finite numbers for
+``snapshot_times``; ``null`` only where the default is null.  Preset values
+are taken as they stand.  The resolved config is echoed into manifest.json
+(keyed by a content digest), and identical resolved configs give
+byte-identical outputs.
 
 Each command's handler is pure: it maps the resolved config to its stdout
 payload and its files, an ordered ``{name: content}`` dict.  ``main`` alone
@@ -105,7 +106,7 @@ def finite_float(text: str) -> float:
     return value
 
 
-_KINDS = {int: "an integer", list: "a list of finite numbers"}
+_KINDS = {int: "an integer", tuple: "a list of finite numbers"}
 
 
 def _coerce(key: str, value, default, choices):
@@ -117,9 +118,9 @@ def _coerce(key: str, value, default, choices):
         if choices is not None:
             if isinstance(value, str) and value in choices:
                 return value
-        elif isinstance(default, list):
+        elif isinstance(default, tuple):
             if isinstance(value, list):
-                return [finite_float(str(v)) for v in value]
+                return tuple(finite_float(str(v)) for v in value)
         elif isinstance(default, int):
             integral = isinstance(value, float) and value.is_integer()
             return int(str(int(value) if integral else value))
@@ -274,8 +275,8 @@ def _cmd_kato_threshold(r):
 
 def _cmd_kato_sequences(r):
     kc = _build(kato.KatoCriticalParams, r)
-    seqs = kato.iterate_sequences(kc, r["jmax"], C_R=r["CR"])
-    B, E = kato.envelope_constants(kc, C_R=r["CR"])
+    seqs = kato.iterate_sequences(kc, r["jmax"])
+    B, E = kato.envelope_constants(kc)
     payload = {
         "mu_case": kc.mu_case,
         "B": B,
@@ -292,7 +293,7 @@ def _cmd_kato_sequences(r):
 
 def _cmd_kato_envelope(r):
     kc = _build(kato.KatoCriticalParams, r)
-    rep = kato.envelope_divergence(kc, C_R=r["CR"], delta=r["delta"], horizon=r["horizon"])
+    rep = kato.envelope_divergence(kc, delta=r["delta"], horizon=r["horizon"])
     payload = {**asdict(rep), **kato.critical_threshold(kc)._asdict()}
     return payload, {"kato_envelope.json": payload}
 
@@ -371,7 +372,7 @@ def _cmd_ode_sweep(r):
 
 def _cmd_pde_run(r):
     cfg = _build(pde.PdeConfig, r, params=_build(ModelParams, r))
-    res = pde.run(cfg, snapshot_times=r["snapshot_times"])
+    res = pde.run(cfg)
     header = ["t", "sup_abs_u", "F", "lp_integral", "support_radius"]
     series = (res.t_samples, res.sup_series, res.F_series, res.lp_series, res.support_series)
     files = {"pde_diagnostics.csv": (header, zip(*(column.tolist() for column in series)))}
@@ -405,7 +406,7 @@ def _cmd_pde_sweep(r):
 # ---------------------------------------------------------------------------
 # the command table and its parser
 
-_KATO_CRITICAL = {"p": 2.0, "b": 1.0, "mu": 0.0, "A0": 1.0, "CR": 1.0}
+_KATO_CRITICAL = {"p": 2.0, "b": 1.0, "mu": 0.0, "A0": 1.0}
 _PDE_MODEL = {"n": 2, "alpha": 0.5, "mu": 2.0, "p": 2.0}
 
 LEAVES = (
@@ -441,16 +442,13 @@ LEAVES = (
     ),
     Leaf(
         "pde run", "single radial run", _cmd_pde_run,
-        _keys(
-            ModelParams, pde.PdeConfig, drop=("params",), eps=0.5, snapshot_times=[],
-            **_PDE_MODEL,
-        ),
+        _keys(ModelParams, pde.PdeConfig, drop=("params",), eps=0.5, **_PDE_MODEL),
     ),
     Leaf(
         "pde sweep", "eps sweep + log-log fit", _cmd_pde_sweep,
         _keys(
-            ModelParams, pde.PdeConfig, drop=("params", "eps", "sample_dt"), t_max=900.0,
-            eps_start=0.05, eps_stop=0.8, eps_count=6, **_PDE_MODEL,
+            ModelParams, pde.PdeConfig, drop=("params", "eps", "sample_dt", "snapshot_times"),
+            t_max=900.0, eps_start=0.05, eps_stop=0.8, eps_count=6, **_PDE_MODEL,
         ),
     ),
 )
@@ -460,7 +458,7 @@ LEAVES = (
 def build_parser() -> argparse.ArgumentParser:
     """One subcommand per leaf, one flag per config key typed by its default:
     an int an int, a float or null a finite float, ``preset`` one of the
-    leaf's presets; a list (``snapshot_times``) is config-only.  ``--help``
+    leaf's presets; a tuple (``snapshot_times``) is config-only.  ``--help``
     shows the module docstring's first paragraph and lists the commands from
     ``LEAVES``: a group's help is its leaf names joined by `` | ``.
 

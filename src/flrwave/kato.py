@@ -20,9 +20,9 @@ The multiplicative constants C of both lemmas are not derivable at this
 level, so thresholds are reported on an unnormalized scale (C = 1): only the
 A0-exponent carries information.  The inputs are therefore exactly those
 that reach a result: the subcritical threshold reads p, a, b, q and A0; the
-critical iteration reads p, b, mu, A0, A1 and the support constant C_R of
-the nonlinearity lower bound (imported from elsewhere and passed in), and
-the envelope scan also reads T1.
+critical iteration reads p, b, mu, A0, A1 and CR, the support constant C_R
+of the nonlinearity lower bound (imported from elsewhere, a field of the
+lemma like the rest), and the envelope scan also reads T1.
 """
 
 from __future__ import annotations
@@ -95,6 +95,7 @@ class KatoCriticalParams:
     A0: float
     A1: float = 1.0
     T1: float = 2.0
+    CR: float = 1.0
 
     def __post_init__(self):
         # comparisons are written so that NaN fails them
@@ -106,6 +107,8 @@ class KatoCriticalParams:
             raise ValueError("A0, A1 must be positive")
         if not self.T1 > 1.0:
             raise ValueError(f"time anchor must satisfy T1 > 1, got T1={self.T1}")
+        if not self.CR > 0.0:
+            raise ValueError(f"support constant C_R must be positive, got {self.CR}")
 
     @property
     def shift(self) -> float:
@@ -206,7 +209,7 @@ def a_value(j: int) -> float:
     return 2.0 - 0.5**j
 
 
-def iterate_sequences(kc: KatoCriticalParams, j_max: int, C_R: float) -> KatoSequences:
+def iterate_sequences(kc: KatoCriticalParams, j_max: int) -> KatoSequences:
     """Exact recursion for (b_j, log C_j, a_j), j = 0..j_max.
 
     A j_max of ``MAX_STATES`` or more is refused up front.  Iteration stops
@@ -214,12 +217,10 @@ def iterate_sequences(kc: KatoCriticalParams, j_max: int, C_R: float) -> KatoSeq
     """
     if not 0 <= j_max < MAX_STATES:
         raise ValueError(f"j_max must satisfy 0 <= j_max < {MAX_STATES}, got {j_max}")
-    if not C_R > 0.0:
-        raise ValueError(f"support constant C_R must be positive, got {C_R}")
     s = kc.shift
     low_mu = s == 2.0
-    a1cr = kc.A1 * C_R  # where it leaves the float range, its log is still finite
-    log_a1cr = math.log(a1cr) if 0.0 < a1cr < math.inf else math.log(kc.A1) + math.log(C_R)
+    a1cr = kc.A1 * kc.CR  # where it leaves the float range, its log is still finite
+    log_a1cr = math.log(a1cr) if 0.0 < a1cr < math.inf else math.log(kc.A1) + math.log(kc.CR)
     b_j = kc.b
     log_c = math.log(kc.A0)
     states = [KatoState(0, b_j, log_c, None if low_mu else a_value(0))]
@@ -244,7 +245,7 @@ def iterate_sequences(kc: KatoCriticalParams, j_max: int, C_R: float) -> KatoSeq
     return KatoSequences(states, truncated)
 
 
-def envelope_constants(kc: KatoCriticalParams, C_R: float) -> tuple[float, float]:
+def envelope_constants(kc: KatoCriticalParams) -> tuple[float, float]:
     """Constants (B, E) of the envelope C_j >= exp(E p^j).
 
     mu <= 1:  B = (b + 2/(p-1))^(-2) A1 C_R,
@@ -254,13 +255,11 @@ def envelope_constants(kc: KatoCriticalParams, C_R: float) -> tuple[float, float
 
     with S = sum_{k>=0} k/p^k = p/(p-1)^2.
     """
-    if not C_R > 0.0:
-        raise ValueError(f"support constant C_R must be positive, got {C_R}")
     p, s = kc.p, kc.shift
     s_sum = p / _or_inf(operator.pow, p - 1.0, 2)
     base = kc.b + s / (p - 1.0)
-    B = _or_inf(operator.pow, base, -s) * kc.A1 * C_R
-    log_B = math.log(kc.A1) + math.log(C_R) - s * math.log(base)
+    B = _or_inf(operator.pow, base, -s) * kc.A1 * kc.CR
+    log_B = math.log(kc.A1) + math.log(kc.CR) - s * math.log(base)
     if s == 2.0:
         growth = 2.0 * s_sum * math.log(p)
     else:
@@ -285,9 +284,7 @@ def critical_threshold(kc: KatoCriticalParams) -> Threshold:
     return Threshold(expo, _or_inf(math.exp, _or_inf(operator.pow, kc.A0, expo)))
 
 
-def envelope_divergence(
-    kc: KatoCriticalParams, C_R: float, delta: float, horizon: float
-) -> EnvelopeReport:
+def envelope_divergence(kc: KatoCriticalParams, delta: float, horizon: float) -> EnvelopeReport:
     """Scan a logarithmic t-grid for the first time the envelope bracket
     exceeds ``delta`` (from there the envelope diverges as j grows).
 
@@ -296,7 +293,7 @@ def envelope_divergence(
     """
     if not delta > 0.0:
         raise ValueError(f"divergence margin must be positive, got {delta}")
-    B, E = envelope_constants(kc, C_R)
+    B, E = envelope_constants(kc)
     t_base = kc.T1 if kc.shift == 2.0 else 2.0 * kc.T1
     slope = kc.b + kc.shift / (kc.p - 1.0)
     ratio = 10.0 ** (1.0 / 64)

@@ -36,7 +36,8 @@ are built with it.
 A row leaves at threshold, overflow or horizon, bit-identical to a run of its
 own.  Only the threshold is a blow-up; an overflow (non-finite sup|u|) fails
 like the horizon.  n > 5 is refused: there refining dr brings the "blow-up"
-forward.  So is a cfl at or past the step's stability limit (``CFL_LIMITS``).
+forward.  So is a cfl at or past the step's stability limit (``CFL_LIMITS``),
+and a mu dt of 2 or more at t = 1, past which the damping drives the field.
 
 Diagnostics per sample time: sup|u|, the spatial average F = int u dx, the
 nonlinear mass int |u|^p dx, and the support radius.  They reuse the step's
@@ -110,6 +111,8 @@ class PdeConfig:
     u0 and u1.  The series are sampled at t = 1, at the first level at or past
     each later time 1 + k sample_dt, and at the level the run ends on unless
     it overflowed; ``sample_dt = inf`` records the first and the last alone.
+    ``snapshot_times`` requests (t, u) profile dumps at the first level
+    reaching each time, at most ``MAX_SNAPSHOTS`` of them.
     """
 
     params: ModelParams
@@ -121,6 +124,7 @@ class PdeConfig:
     blowup_threshold: float = 1e8
     t_max: float = 50.0
     sample_dt: float = 0.05
+    snapshot_times: tuple[float, ...] = ()
 
     def __post_init__(self):
         # comparisons are written so that NaN fails them
@@ -128,8 +132,8 @@ class PdeConfig:
             raise ValueError(f"p must exceed 1, got {self.p}")
         if not 0.0 <= self.eps < math.inf:
             raise ValueError(f"eps must be finite and nonnegative, got {self.eps}")
-        if not (self.R > 0.0 and self.dr > 0.0):
-            raise ValueError("R and dr must be positive")
+        if not (self.R > 0.0 and 0.0 < self.dr < math.inf):
+            raise ValueError("R must be positive and dr positive and finite")
         if not self.eps < self.blowup_threshold:  # sup u(1) = eps bump3(0) = eps
             raise ValueError(
                 f"blow-up threshold must exceed the initial data sup|u(1)| = eps, got "
@@ -146,6 +150,15 @@ class PdeConfig:
             raise ValueError(
                 f"cfl must lie in (0, {limit}) at n={self.params.n}, where the step is "
                 f"stable, got {self.cfl}"
+            )
+        # The step's u_prev weight, (mu/t - 2/dt_old)/(span lhs), is negative
+        # only while mu dt_old/t < 2: past that, F falls, and a large mu fakes
+        # a blow-up in one step.  dt/t is largest at t = 1, as alpha < 1.
+        damping = self.params.mu * _next_dt(1.0, self)
+        if not damping < 2.0:
+            raise ValueError(
+                f"mu * dt at t = 1 must be below 2, where the damped step keeps its sign, "
+                f"got {damping:.4g}; lower dr or cfl"
             )
         # t + dt and next_sample + sample_dt must not round back to t.  The
         # first step is the smallest, and the float spacing at any t the loop
@@ -358,7 +371,7 @@ def _raise_to(a: np.ndarray, p: float) -> None:
         a **= p
 
 
-def _check_budget(cfg: PdeConfig, rows: int, snapshot_times: Sequence[float]) -> None:
+def _check_budget(cfg: PdeConfig, rows: int) -> None:
     cells = _cells(light_cone_radius(cfg.t_max, cfg.params.alpha, cfg.R), cfg.dr)
     if rows * cells > MAX_GRID_CELLS:
         raise ValueError(
@@ -378,27 +391,26 @@ def _check_budget(cfg: PdeConfig, rows: int, snapshot_times: Sequence[float]) ->
             f"{samples:.4g} samples to t_max={cfg.t_max} exceed the sample budget of "
             f"{MAX_SAMPLES}; raise sample_dt or lower t_max"
         )
-    if len(snapshot_times) > MAX_SNAPSHOTS:
+    times = cfg.snapshot_times
+    if len(times) > MAX_SNAPSHOTS:
         raise ValueError(
-            f"{len(snapshot_times)} snapshot times exceed the snapshot budget of {MAX_SNAPSHOTS}"
+            f"{len(times)} snapshot times exceed the snapshot budget of {MAX_SNAPSHOTS}"
         )
     # the pending times are kept sorted, and a NaN would stop every later one
-    bad = [s for s in snapshot_times if not math.isfinite(s)]
+    bad = [s for s in times if not math.isfinite(s)]
     if bad:
         raise ValueError(f"snapshot times must be finite, got {bad}")
 
 
 @_QUIET
-def _run_batch(
-    cfg: PdeConfig, eps_values: Sequence[float], snapshot_times: Sequence[float] = ()
-) -> list[PdeResult]:
+def _run_batch(cfg: PdeConfig, eps_values: Sequence[float]) -> list[PdeResult]:
     """Run ``replace(cfg, eps=e)`` for every e of ``eps_values`` as rows of
     one (eps x r) array, in input order.  See ``run`` for the semantics and
     ``PdeConfig`` for the samples each row records."""
     n, alpha, mu, p, dr = cfg.params.n, cfg.params.alpha, cfg.params.mu, cfg.p, cfg.dr
     configs = [replace(cfg, eps=float(e)) for e in eps_values]  # each row's data is valid
     eps = [c.eps for c in configs]
-    _check_budget(cfg, len(eps), snapshot_times)
+    _check_budget(cfg, len(eps))
     cells = _cells(light_cone_radius(1.0, alpha, cfg.R), dr)
 
     ids = np.arange(len(eps))  # input position of each row still in the batch
@@ -406,7 +418,7 @@ def _run_batch(
     samples = [array("d") for _ in eps]
     snapshots: list[list] = [[] for _ in eps]
     results: list = [None] * len(eps)
-    pending = sorted(float(s) for s in snapshot_times)
+    pending = sorted(float(s) for s in cfg.snapshot_times)
 
     def observe(t, u, a, sup, which):
         """Raise ``a`` = |u| in place to the source |u|^p.  Record t, sup|u|,
@@ -503,17 +515,16 @@ def _run_batch(
     return results
 
 
-def run(cfg: PdeConfig, snapshot_times: Sequence[float] = ()) -> PdeResult:
+def run(cfg: PdeConfig) -> PdeResult:
     """Step until the blow-up threshold (a blow-up), the horizon or an overflow.
 
     The reported T_num for a blow-up run is the time of the first level whose
     sup-norm clears the threshold (the spatial resolution of the focusing
     peak degrades beyond that point, so the crossing time stands in for the
-    true lifespan).  Deterministic for a fixed config.  ``snapshot_times``
-    requests (t, u) profile dumps at the first level reaching each time, at
-    most ``MAX_SNAPSHOTS`` of them.
+    true lifespan).  Deterministic for a fixed config.  The run keeps a
+    (t, u) profile at the first level reaching each of ``cfg.snapshot_times``.
     """
-    return _run_batch(cfg, [cfg.eps], snapshot_times)[0]
+    return _run_batch(cfg, [cfg.eps])[0]
 
 
 def support_check(res: PdeResult) -> bool:
@@ -555,7 +566,8 @@ def f_monotone_check(res: PdeResult) -> bool:
 
 def lifespan_sweep(cfg: PdeConfig, eps_grid: Sequence[float]) -> FitResult:
     """Check ``eps_grid`` (``blowup_ode.sweep_eps``), sweep it as one batch with
-    no sample clock (``sample_dt = inf``, so each row records its first and
-    last levels alone) and fit log T against log eps (``fit_lifespans``)."""
+    no sample clock (``sample_dt = inf``: each row records its first and last
+    levels alone) and no snapshots, and fit log T against log eps."""
     eps = sweep_eps(eps_grid)
-    return fit_lifespans(cfg.t_max, eps, _run_batch(replace(cfg, sample_dt=math.inf), eps))
+    batch = replace(cfg, sample_dt=math.inf, snapshot_times=())
+    return fit_lifespans(cfg.t_max, eps, _run_batch(batch, eps))

@@ -165,13 +165,13 @@ def test_criterion_05_kato_machinery():
         for p in (1.5, 2.0, 3.0):
             for b in (0.5, 1.0, 2.0):
                 for mu in (0.5, 2.0):
-                    kc = kato.KatoCriticalParams(p=p, b=b, mu=mu, A0=0.4, A1=1.5)
-                    seqs = kato.iterate_sequences(kc, 30, C_R=0.8)
+                    kc = kato.KatoCriticalParams(p=p, b=b, mu=mu, A0=0.4, A1=1.5, CR=0.8)
+                    seqs = kato.iterate_sequences(kc, 30)
                     for s in seqs.states:
                         assert s.b_j == pytest.approx(
                             kato.closed_form_b(kc, s.j), rel=1e-10
                         )
-                    _, E = kato.envelope_constants(kc, C_R=0.8)
+                    _, E = kato.envelope_constants(kc)
                     onset = kato.detect_envelope_onset(seqs, p, E)
                     assert onset is not None
                     for s in seqs.states[onset:]:

@@ -1,7 +1,9 @@
 import argparse
 import ast
 import contextlib
+import dataclasses
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -868,6 +870,10 @@ def test_refused_run_creates_no_output_directory(tmp_path, argv):
         (["kato", "envelope", "--CR", "-1"], "support constant C_R must be positive"),
         (["kato", "envelope", "--delta", "0"], "divergence margin must be positive"),
         (["map", "--config", "CONFIG"], "must contain a JSON object"),
+        # at mu dt >= 2 the damping drives the field: this once exited 0 with a
+        # threshold "blow-up" one step in, at T = 1.0225
+        (["pde", "run", "--mu", "1e12", "--dr", "0.05", "--t_max", "3"],
+         "mu * dt at t = 1 must be below 2"),
     ],
 )
 def test_refusal_prints_one_error_line(tmp_path, capsys, argv, message):
@@ -1059,6 +1065,44 @@ def test_parser_schema_pinned():
         for name, leaf in parser_leaves(build_parser())
     }
     assert schema == CLI_SCHEMA
+
+
+# The keys of each command that are no field of a dataclass it builds: they
+# say which runs to make (the eps grid, the map's plane n, alpha and its axes,
+# a preset, the exponents' p) or how far to go (jmax, delta, horizon).  Every
+# other input of a run is a field of its config.
+OWN_KEYS = {
+    "exponents": {"p"},
+    "map": {
+        "preset", "n", "alpha",
+        *(f"axis{i}_{end}" for i in "12" for end in ("start", "stop", "step")),
+    },
+    "kato sequences": {"jmax"},
+    "kato envelope": {"delta", "horizon"},
+    "ode sweep": {"preset", "eps_start", "eps_stop", "eps_count"},
+    "pde sweep": {"eps_start", "eps_stop", "eps_count"},
+}
+
+
+def built_classes(handler):
+    """The classes that ``handler`` builds by ``cli._build``, read from its source."""
+
+    def resolve(node):  # a name in cli, or an attribute of one
+        if isinstance(node, ast.Name):
+            return getattr(cli, node.id)
+        return getattr(resolve(node.value), node.attr)
+
+    tree = ast.parse(inspect.getsource(handler))
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    return [resolve(call.args[0]) for call in calls if getattr(call.func, "id", None) == "_build"]
+
+
+@pytest.mark.parametrize("leaf", LEAVES, ids=lambda leaf: leaf.name.replace(" ", "-"))
+def test_every_key_is_a_field_of_a_built_config_or_an_own_key(leaf):
+    fields = {f.name for cls in built_classes(leaf.handler) for f in dataclasses.fields(cls)}
+    stray = set(leaf.keys) - fields - OWN_KEYS.get(leaf.name, set())
+    assert not stray, f"{leaf.name}: {sorted(stray)} are neither fields nor own keys"
+    assert OWN_KEYS.get(leaf.name, set()) <= set(leaf.keys)
 
 
 # config_digest of flag-only and preset invocations as first recorded: the

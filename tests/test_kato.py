@@ -20,8 +20,8 @@ from flrwave.kato import (
     subcritical_threshold,
 )
 
-# the support constant, margin and horizon of ``kato envelope``'s defaults
-ENVELOPE = {"C_R": 1.0, "delta": 1e-3, "horizon": 1e12}
+# the margin and horizon of ``kato envelope``'s defaults
+ENVELOPE = {"delta": 1e-3, "horizon": 1e12}
 
 
 class TestSubcritical:
@@ -56,15 +56,13 @@ class TestSubcritical:
         with pytest.raises(ValueError):
             KatoCriticalParams(p=2.0, b=1.0, mu=0.0, A0=nan)
         # and so does a NaN support constant or margin
-        kc = KatoCriticalParams(p=2.0, b=1.0, mu=0.0, A0=1.0)
         for C_R in (0.0, nan):
-            with pytest.raises(ValueError, match="C_R"):
-                iterate_sequences(kc, 2, C_R)
-            with pytest.raises(ValueError, match="C_R"):
-                envelope_constants(kc, C_R)
+            with pytest.raises(ValueError, match="support constant C_R must be positive"):
+                KatoCriticalParams(p=2.0, b=1.0, mu=0.0, A0=1.0, CR=C_R)
+        kc = KatoCriticalParams(p=2.0, b=1.0, mu=0.0, A0=1.0)
         for delta in (0.0, nan):
             with pytest.raises(ValueError, match="margin"):
-                envelope_divergence(kc, C_R=1.0, delta=delta, horizon=100.0)
+                envelope_divergence(kc, delta=delta, horizon=100.0)
 
     def test_wiring_collapses_m(self):
         # q = n(1-alpha)(p-1), a = mu + q, b = mu + 2 gives M = p(2 - q)
@@ -98,13 +96,13 @@ class TestSubcritical:
 class TestSequences:
     def test_low_damping_closed_form(self):
         kc = KatoCriticalParams(p=2.0, b=1.0, mu=0.5, A0=1.0)
-        seqs = iterate_sequences(kc, 2, C_R=1.0)
+        seqs = iterate_sequences(kc, 2)
         assert [s.b_j for s in seqs.states] == [1.0, 4.0, 10.0]
         assert all(s.a_j is None for s in seqs.states)
 
     def test_high_damping_closed_form(self):
         kc = KatoCriticalParams(p=2.0, b=1.0, mu=2.0, A0=1.0)
-        seqs = iterate_sequences(kc, 2, C_R=1.0)
+        seqs = iterate_sequences(kc, 2)
         assert [s.b_j for s in seqs.states] == [1.0, 3.0, 7.0]
         assert [s.a_j for s in seqs.states] == [1.0, 1.5, 1.75]
 
@@ -125,7 +123,7 @@ class TestSequences:
             for b in (0.5, 1.0, 2.0):
                 for mu in (0.5, 2.0):
                     kc = KatoCriticalParams(p=p, b=b, mu=mu, A0=1.0)
-                    seqs = iterate_sequences(kc, 30, C_R=1.0)
+                    seqs = iterate_sequences(kc, 30)
                     assert not seqs.truncated
                     for s in seqs.states:
                         expected = closed_form_b(kc, s.j)
@@ -160,22 +158,22 @@ class TestEnvelopeConstants:
 
     def test_low_damping_B(self):
         kc = KatoCriticalParams(p=2.0, b=1.0, mu=0.5, A0=1.0, A1=1.0)
-        B, _ = envelope_constants(kc, C_R=1.0)
+        B, _ = envelope_constants(kc)
         assert B == pytest.approx(1.0 / 9.0, rel=1e-14)
 
     def test_E_affine_in_log_A0(self):
         for mu in (0.5, 2.0):
             kc1 = KatoCriticalParams(p=2.0, b=1.0, mu=mu, A0=1.0)
             kc2 = KatoCriticalParams(p=2.0, b=1.0, mu=mu, A0=7.5)
-            _, e1 = envelope_constants(kc1, C_R=1.0)
-            _, e2 = envelope_constants(kc2, C_R=1.0)
+            _, e1 = envelope_constants(kc1)
+            _, e2 = envelope_constants(kc2)
             assert e2 - e1 == pytest.approx(math.log(7.5), rel=1e-12)
 
     def test_envelope_onset_and_growth(self):
         for mu in (0.5, 2.0):
-            kc = KatoCriticalParams(p=2.0, b=1.0, mu=mu, A0=0.3, A1=2.0)
-            seqs = iterate_sequences(kc, 30, C_R=0.7)
-            _, E = envelope_constants(kc, C_R=0.7)
+            kc = KatoCriticalParams(p=2.0, b=1.0, mu=mu, A0=0.3, A1=2.0, CR=0.7)
+            seqs = iterate_sequences(kc, 30)
+            _, E = envelope_constants(kc)
             onset = detect_envelope_onset(seqs, kc.p, E)
             assert onset is not None
             for s in seqs.states[onset:]:
@@ -223,7 +221,7 @@ class TestEnvelopeDivergence:
         # E = 0 exactly: B = 1 via A1*C_R = 9 and A0 = 16 at p = 2, b = 1;
         # the bracket turns positive once ln ln(t/T1) > 0, i.e. t > T1*e
         kc = KatoCriticalParams(p=2.0, b=1.0, mu=0.5, A0=16.0, A1=9.0, T1=2.0)
-        B, E = envelope_constants(kc, C_R=1.0)
+        B, E = envelope_constants(kc)
         assert B == pytest.approx(1.0, rel=1e-13)
         assert abs(E) < 1e-12
         rep = envelope_divergence(kc, **ENVELOPE)
@@ -247,14 +245,14 @@ class TestEnvelopeDivergence:
 
     def test_no_divergence_within_horizon(self):
         kc = KatoCriticalParams(p=2.0, b=1.0, mu=0.5, A0=1e-12)
-        rep = envelope_divergence(kc, C_R=1.0, delta=1e-3, horizon=100.0)
+        rep = envelope_divergence(kc, delta=1e-3, horizon=100.0)
         assert rep.t_star is None
         assert rep.delta_margin is None
         assert rep.horizon == 100.0
 
     def test_iteration_truncation_flag(self):
         kc = KatoCriticalParams(p=3.0, b=1.0, mu=0.5, A0=1.0)
-        seqs = iterate_sequences(kc, 700, C_R=1.0)
+        seqs = iterate_sequences(kc, 700)
         assert seqs.truncated
         assert len(seqs.states) < 701
 
@@ -291,10 +289,10 @@ class TestPastTheFloatRange:
            mu=st.sampled_from([0.5, 2.0]) | MAGNITUDE, A0=MAGNITUDE, A1=MAGNITUDE,
            C_R=MAGNITUDE)
     def test_critical_lemma_finishes_with_finite_E(self, p, b, mu, A0, A1, C_R):
-        kc = KatoCriticalParams(p=p, b=b, mu=mu, A0=A0, A1=A1)
-        B, E = envelope_constants(kc, C_R)
+        kc = KatoCriticalParams(p=p, b=b, mu=mu, A0=A0, A1=A1, CR=C_R)
+        B, E = envelope_constants(kc)
         assert B >= 0.0 and math.isfinite(E)
-        seqs = iterate_sequences(kc, 20, C_R)
+        seqs = iterate_sequences(kc, 20)
         assert math.isfinite(seqs.states[0].log_C_j)
         detect_envelope_onset(seqs, p, E)
         assert critical_threshold(kc).threshold >= 1.0  # exp of a positive power, or inf

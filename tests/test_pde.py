@@ -294,7 +294,7 @@ class TestScheme:
         for n, mu, p in [(2, 2.0, 2.0), (3, 0.5, 1.5)]:
             cfg = replace(BASE, params=ModelParams(n, 0.5, mu), p=p, t_max=1.2)
             dt = _next_dt(1.0, cfg)
-            res = run(cfg, snapshot_times=[1.0, 1.0 + dt])
+            res = run(replace(cfg, snapshot_times=(1.0, 1.0 + dt)))
             (_, u0), (t1, got) = res.snapshots
             assert t1 == 1.0 + dt
             assert np.array_equal(u0, 0.5 * bump3(cfg.dr * np.arange(u0.size), 1.0))
@@ -411,7 +411,7 @@ class TestRun:
     def test_first_sample_matches_oracles(self):
         # F and int |u|^p dx at t = 1 come from the solver's own quadrature
         cfg = replace(BASE, params=ModelParams(3, 0.5, 2.0), p=1.5, t_max=1.2)
-        res = run(cfg, snapshot_times=[1.0])
+        res = run(replace(cfg, snapshot_times=(1.0,)))
         t0, u0 = res.snapshots[0]
         assert t0 == 1.0
         assert res.F_series[0] == pytest.approx(integral_dx(u0, cfg.dr, 3), rel=1e-12)
@@ -432,7 +432,7 @@ class TestRun:
         assert run(BASE).T_num == run(BASE).T_num
 
     def test_snapshots(self):
-        res = run(BASE, snapshot_times=[1.0, 2.0])
+        res = run(replace(BASE, snapshot_times=(1.0, 2.0)))
         assert len(res.snapshots) == 2
         t0, u0 = res.snapshots[0]
         assert t0 == 1.0 and float(np.max(u0)) == pytest.approx(0.5)
@@ -443,6 +443,21 @@ class TestRun:
             PdeConfig(params=ModelParams(2, 0.5, 2.0), p=1.0, eps=0.5)
         with pytest.raises(ValueError):
             PdeConfig(params=ModelParams(2, 0.5, 2.0), p=2.0, eps=0.5, cfl=1.5)
+        # an infinite dr once passed as a NaN cell count and failed in numpy
+        for dr in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="dr positive and finite"):
+                replace(BASE, dr=dr)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_damping_runs_below_mu_dt_2_and_is_refused_at_2(self, alpha):
+        # dt(1) = cfl dr = 1/32 exactly, so mu = 64 puts mu dt at 2
+        cfg = replace(BASE, params=ModelParams(2, alpha, math.nextafter(64.0, 0.0)),
+                      dr=0.0625, cfl=0.5, t_max=5.0)
+        assert cfg.params.mu * _next_dt(1.0, cfg) < 2.0
+        res = run(cfg)
+        assert res.termination == "horizon" and f_monotone_check(res)
+        with pytest.raises(ValueError, match=r"mu \* dt at t = 1 must be below 2, .* got 2;"):
+            replace(cfg, params=ModelParams(2, alpha, 64.0))
 
 
 def stencil_matrix(m, dr, n):
@@ -573,11 +588,12 @@ def assert_same_run(row, alone):
 
 
 def assert_same_sweep_row(row, alone):
-    """A row of a batch with no sample clock (``sample_dt = inf``) ends as its
-    own run does, and its series are that run's first and last samples, bit
-    for bit: the first alone after an overflow."""
+    """A row of a batch with no sample clock (``sample_dt = inf``) and no
+    snapshots ends as its own run does, and its series are that run's first
+    and last samples, bit for bit: the first alone after an overflow."""
+    swept = replace(alone.config, sample_dt=math.inf, snapshot_times=())
     assert (row.config, row.blew_up, row.T_num, row.termination) == (
-        replace(alone.config, sample_dt=math.inf), alone.blew_up, alone.T_num, alone.termination
+        swept, alone.blew_up, alone.T_num, alone.termination
     )
     kept = [0] if alone.termination == "overflow" else [0, -1]
     for name in SERIES:
@@ -591,13 +607,13 @@ class TestBatch:
         # so a row never depends on which other eps share its batch; the
         # eps = 0 row stays exactly zero, so nothing leaks between stripes
         eps_values = [*eps_values, 0.0]
-        snapshot_times = [1.0, 5.0, 30.0]
-        rows = _run_batch(BASE, eps_values, snapshot_times)
+        snapshot_times = (1.0, 5.0, 30.0)
+        rows = _run_batch(replace(BASE, snapshot_times=snapshot_times), eps_values)
         swept = _run_batch(replace(BASE, sample_dt=math.inf), eps_values)
         assert len(rows) == len(swept) == len(eps_values)
         for e, row, sweep_row in zip(eps_values, rows, swept):
             assert row.config.eps == e
-            alone = run(replace(BASE, eps=e), snapshot_times)
+            alone = run(replace(BASE, eps=e, snapshot_times=snapshot_times))
             assert_same_run(row, alone)
             assert_same_sweep_row(sweep_row, alone)
         zero = rows[-1]
@@ -1035,22 +1051,22 @@ class TestSnapshotBudget:
     def test_snapshot_times_over_budget_are_refused(self, monkeypatch):
         monkeypatch.setattr(pde, "_Stripes", None)  # refused before anything is built
         cfg = replace(BASE, dr=0.05, t_max=3.0)
-        times = [1.0 + i / pde.MAX_SNAPSHOTS for i in range(pde.MAX_SNAPSHOTS + 1)]
+        times = tuple(1.0 + i / pde.MAX_SNAPSHOTS for i in range(pde.MAX_SNAPSHOTS + 1))
         with pytest.raises(ValueError, match="snapshot budget"):
-            run(cfg, snapshot_times=times)
+            run(replace(cfg, snapshot_times=times))
 
     def test_non_finite_snapshot_times_are_refused(self, monkeypatch):
         # the pending times are sorted and NaN compares false: [nan, 2, 3]
         # once gave no snapshot, [2, nan, 3] only t = 2, and inf none
         monkeypatch.setattr(pde, "_Stripes", None)  # refused before anything is built
         cfg = replace(BASE, dr=0.05, t_max=5.0)
-        for times in ([math.nan, 2.0, 3.0], [2.0, math.nan, 3.0], [2.0, math.inf], [-math.inf]):
+        for times in ((math.nan, 2.0, 3.0), (2.0, math.nan, 3.0), (2.0, math.inf), (-math.inf,)):
             with pytest.raises(ValueError, match="snapshot times must be finite"):
-                run(cfg, snapshot_times=times)
+                run(replace(cfg, snapshot_times=times))
 
     def test_snapshot_times_at_budget_run(self):
         cfg = replace(BASE, dr=0.05, t_max=1.2)
-        res = run(cfg, snapshot_times=[1.0] * pde.MAX_SNAPSHOTS)
+        res = run(replace(cfg, snapshot_times=(1.0,) * pde.MAX_SNAPSHOTS))
         assert len(res.snapshots) == pde.MAX_SNAPSHOTS
 
 
