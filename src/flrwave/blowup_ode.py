@@ -114,13 +114,14 @@ class OdeConfig:
 
 @dataclass
 class OdeResult:
-    """Outcome of one run: lifespan estimate, accepted-step trace, ending."""
+    """Outcome of one run: lifespan estimate, accepted-step trace, ending, config."""
 
     T_num: float
     t: np.ndarray
     F: np.ndarray
     dF: np.ndarray
     termination: str  # "threshold" | "horizon" | "step_underflow" | "solver_failure"
+    config: OdeConfig
 
     @property
     def blew_up(self) -> bool:
@@ -248,18 +249,17 @@ def integrate(cfg: OdeConfig) -> OdeResult:
     threshold crossing, horizon, or solver failure.
 
     The threshold crossing is bracketed by the accepted steps and refined by
-    bisection on the step interpolant, so T_num is resolved well below the
-    step size.  A step collapse is a blow-up ("step_underflow") only while F
-    is within 1e-3 of the threshold and rising, else "solver_failure".
+    bisection on the step interpolant, so T_num, the trace's last time (t_max
+    at the horizon), is resolved well below the step size.  A step collapse is
+    a blow-up ("step_underflow") only while F is within 1e-3 of the threshold
+    and rising, else "solver_failure".  The result holds ``cfg``.
     """
     ending, trace = _dopri45(cfg)
     t, F, dF = map(np.array, zip(*trace))
-    if ending == "threshold":
-        return OdeResult(float(t[-1]), t, F, dF, "threshold")
-    if ending == "horizon":
-        return OdeResult(cfg.t_max, t, F, dF, "horizon")
-    ramping = F[-1] >= 1e-3 * cfg.blowup_threshold and dF[-1] > 0.0
-    return OdeResult(float(t[-1]), t, F, dF, "step_underflow" if ramping else "solver_failure")
+    if ending == "collapse":
+        ramping = F[-1] >= 1e-3 * cfg.blowup_threshold and dF[-1] > 0.0
+        ending = "step_underflow" if ramping else "solver_failure"
+    return OdeResult(float(t[-1]), t, F, dF, ending, cfg)
 
 
 def monotone_invariant_check(res: OdeResult, mu: float) -> bool:
@@ -276,16 +276,24 @@ def monotone_invariant_check(res: OdeResult, mu: float) -> bool:
 
 @dataclass
 class FitResult:
-    """Least-squares fit of log T against log eps."""
+    """Least-squares fit of log T against log eps over a sweep's runs, kept in
+    grid order: an ``OdeResult`` or ``pde.PdeResult`` each, holding its config."""
 
     slope: float
     intercept: float
     r_squared: float
-    eps_values: list
-    T_values: list
+    runs: list
+
+    @property
+    def eps_values(self) -> list[float]:
+        return [r.config.eps for r in self.runs]
+
+    @property
+    def T_values(self) -> list[float]:
+        return [r.T_num for r in self.runs]
 
 
-MIN_FIT_POINTS = 4  # fewest sweep points fit_loglog accepts
+MIN_FIT_POINTS = 4  # fewest sweep points fit_lifespans accepts
 # Most eps values one sweep may ask for (over 100x the presets); a sweep
 # integrates every one, so a larger grid is refused before its first run.
 MAX_SWEEP_POINTS = 1024
@@ -305,30 +313,16 @@ def sweep_eps(eps_values: Sequence[float]) -> list[float]:
     return eps
 
 
-def fit_loglog(eps_values: Sequence[float], T_values: Sequence[float]) -> FitResult:
-    eps = sweep_eps(eps_values)
-    T = [float(v) for v in T_values]
-    if len(eps) != len(T):
-        raise ValueError("eps and lifespan lists differ in length")
-    x = np.log(np.asarray(eps))
-    y = np.log(np.asarray(T))
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0.0 else 0.0
-    return FitResult(float(slope), float(intercept), r2, eps, T)
-
-
-def fit_lifespans(t_max: float, eps: Sequence[float], results: Sequence) -> FitResult:
-    """Fit the lifespans ``T_num`` of ``results``, the runs of ``eps`` (a
-    ``sweep_eps`` grid), against eps.  Every run must have blown up before
-    ``t_max``; else no fit is made and the eps values are reported by ending."""
+def fit_lifespans(runs: list) -> FitResult:
+    """Fit log ``T_num`` against log ``config.eps`` over a sweep's ``runs``, whose
+    eps must make a ``sweep_eps`` grid.  Every run must have blown up before its
+    ``config.t_max``; else no fit is made and the eps values are reported by ending."""
     refused = {}
-    for e, r in zip(eps, results):
+    for r in runs:
         if not r.blew_up:
-            refused.setdefault(r.termination, []).append(e)
+            refused.setdefault(r.termination, []).append(r.config.eps)
     if refused:
-        head = f"no blow-up before t_max={t_max}"
+        head = f"no blow-up before t_max={runs[0].config.t_max}"
         stalled = refused.pop("horizon", None)
         reasons = [f"eps={es} ended by {end}" for end, es in refused.items()]
         if stalled:
@@ -336,16 +330,21 @@ def fit_lifespans(t_max: float, eps: Sequence[float], results: Sequence) -> FitR
         else:
             reasons[0] = f"{head}: {reasons[0]}"
         raise RuntimeError("; ".join(reasons))
-    return fit_loglog(eps, [r.T_num for r in results])
+    x = np.log(sweep_eps([r.config.eps for r in runs]))
+    y = np.log([r.T_num for r in runs])
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0.0 else 0.0
+    return FitResult(float(slope), float(intercept), r2, runs)
 
 
 def sweep(cfg: OdeConfig, eps_grid: Sequence[float]) -> FitResult:
     """Run ``cfg`` across ``eps_grid`` (``sweep_eps``) and fit the lifespans
-    (``fit_lifespans``).  Every run's config is built, and so checked, before
-    the first run."""
-    eps = sweep_eps(eps_grid)
-    configs = [replace(cfg, eps=e) for e in eps]
-    return fit_lifespans(cfg.t_max, eps, [integrate(c) for c in configs])
+    (``fit_lifespans``); the fit keeps the runs, in grid order.  Every run's
+    config is built, and so checked, before the first run."""
+    configs = [replace(cfg, eps=e) for e in sweep_eps(eps_grid)]
+    return fit_lifespans([integrate(c) for c in configs])
 
 
 def predicted_slope(p: float, q: float) -> float:

@@ -315,15 +315,16 @@ def _eps_grid(resolved: dict) -> np.ndarray:
 
 
 def _sweep(kind: str, fit: blowup_ode.FitResult, predicted: float | None, **extra):
-    """The payload and files of an ``ode`` or ``pde`` sweep: the fit, ``extra``,
-    the ``predicted`` slope and the fit's relative deviation from it, both
-    null where no power law is predicted (``predicted`` None)."""
+    """The payload and files of an ``ode`` or ``pde`` sweep: the fit, its runs'
+    eps and T_num, ``extra``, the ``predicted`` slope and the fit's relative
+    deviation from it, both null where no power law is predicted (None)."""
     deviation = None if predicted is None else abs(fit.slope - predicted) / abs(predicted)
-    payload = {**asdict(fit), "predicted_slope": predicted, "relative_deviation": deviation, **extra}
-    return payload, {
-        f"{kind}_sweep.csv": (["eps", "T_num"], zip(fit.eps_values, fit.T_values)),
-        f"{kind}_fit.json": payload,
-    }
+    eps, T = fit.eps_values, fit.T_values
+    payload = {"slope": fit.slope, "intercept": fit.intercept, "r_squared": fit.r_squared,
+               "eps_values": eps, "T_values": T, "predicted_slope": predicted,
+               "relative_deviation": deviation, **extra}
+    return payload, {f"{kind}_sweep.csv": (["eps", "T_num"], zip(eps, T)),
+                     f"{kind}_fit.json": payload}
 
 
 # n=2, alpha=0.5, mu=2 wiring: q = n(1-alpha)(p-1)

@@ -57,6 +57,7 @@ series.
 from __future__ import annotations
 
 import math
+import numbers
 from array import array
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -111,8 +112,8 @@ class PdeConfig:
     u0 and u1.  The series are sampled at t = 1, at the first level at or past
     each later time 1 + k sample_dt, and at the level the run ends on unless
     it overflowed; ``sample_dt = inf`` records the first and the last alone.
-    ``snapshot_times`` requests (t, u) profile dumps at the first level
-    reaching each time, at most ``MAX_SNAPSHOTS`` of them.
+    ``snapshot_times``, a tuple of finite times, requests (t, u) profile dumps
+    at the first level reaching each time, at most ``MAX_SNAPSHOTS`` of them.
     """
 
     params: ModelParams
@@ -143,6 +144,13 @@ class PdeConfig:
             raise ValueError(
                 f"t_max must be finite and exceed the initial time 1, got {self.t_max}"
             )
+        times = self.snapshot_times  # a tuple, so that the config hashes
+        if not (isinstance(times, tuple) and all(isinstance(s, numbers.Real) for s in times)):
+            raise ValueError(f"snapshot_times must be a tuple of numbers, got {times!r}")
+        # the pending times are kept sorted, and a NaN would stop every later one
+        bad = [s for s in times if not math.isfinite(s)]
+        if bad:
+            raise ValueError(f"snapshot times must be finite, got {bad}")
         limit = CFL_LIMITS.get(self.params.n)
         if limit is None:
             raise ValueError(f"the radial scheme supports n <= 5, got n={self.params.n}")
@@ -396,10 +404,6 @@ def _check_budget(cfg: PdeConfig, rows: int) -> None:
         raise ValueError(
             f"{len(times)} snapshot times exceed the snapshot budget of {MAX_SNAPSHOTS}"
         )
-    # the pending times are kept sorted, and a NaN would stop every later one
-    bad = [s for s in times if not math.isfinite(s)]
-    if bad:
-        raise ValueError(f"snapshot times must be finite, got {bad}")
 
 
 @_QUIET
@@ -567,7 +571,6 @@ def f_monotone_check(res: PdeResult) -> bool:
 def lifespan_sweep(cfg: PdeConfig, eps_grid: Sequence[float]) -> FitResult:
     """Check ``eps_grid`` (``blowup_ode.sweep_eps``), sweep it as one batch with
     no sample clock (``sample_dt = inf``: each row records its first and last
-    levels alone) and no snapshots, and fit log T against log eps."""
-    eps = sweep_eps(eps_grid)
+    levels alone) and no snapshots, and fit log T against log eps, keeping the runs."""
     batch = replace(cfg, sample_dt=math.inf, snapshot_times=())
-    return fit_lifespans(cfg.t_max, eps, _run_batch(batch, eps))
+    return fit_lifespans(_run_batch(batch, sweep_eps(eps_grid)))

@@ -13,13 +13,21 @@ from flrwave.blowup_ode import (
     OdeConfig,
     convexity_margin,
     fit_lifespans,
-    fit_loglog,
     integrate,
     kato_consistency_check,
     monotone_invariant_check,
     predicted_slope,
     sweep,
 )
+
+
+def stand_in_runs(eps, T, endings=None, t_max=5.0):
+    """What ``fit_lifespans`` reads of a sweep's runs: each one's config (eps
+    and t_max), T_num and ending (default: a threshold blow-up)."""
+    endings = endings or ["threshold"] * len(eps)
+    return [SimpleNamespace(config=SimpleNamespace(eps=e, t_max=t_max), T_num=t,
+                            blew_up=end == "threshold", termination=end)
+            for e, t, end in zip(eps, T, endings)]
 
 
 def autonomous_oracle_lifespan():
@@ -137,7 +145,8 @@ class TestMonotoneInvariant:
 
     def test_empty_trace_rejected(self):
         empty = np.array([])
-        res = blowup_ode.OdeResult(1.0, empty, empty, empty, "solver_failure")
+        cfg = OdeConfig(p=2.0, mu=1.0, q=0.0)
+        res = blowup_ode.OdeResult(1.0, empty, empty, empty, "solver_failure", cfg)
         with pytest.raises(ValueError, match="empty trace"):
             monotone_invariant_check(res, 1.0)
 
@@ -145,20 +154,18 @@ class TestMonotoneInvariant:
 class TestFitting:
     def test_duplicate_eps_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
-            fit_loglog([0.1, 0.1, 0.2, 0.4], [1.0, 1.0, 2.0, 3.0])
-
-    def test_unequal_lengths_rejected(self):
-        with pytest.raises(ValueError, match="differ in length"):
-            fit_loglog([0.1, 0.2, 0.4, 0.8], [1.0, 2.0, 3.0])
+            fit_lifespans(stand_in_runs([0.1, 0.1, 0.2, 0.4], [1.0, 1.0, 2.0, 3.0]))
 
     def test_short_grid_rejected(self):
         with pytest.raises(ValueError):
-            fit_loglog([0.1, 0.2, 0.4], [1.0, 2.0, 3.0])
+            fit_lifespans(stand_in_runs([0.1, 0.2, 0.4], [1.0, 2.0, 3.0]))
 
     def test_exact_power_law_recovered(self):
         eps = [0.01, 0.02, 0.05, 0.1, 0.4]
         T = [3.0 * e**-0.75 for e in eps]
-        fit = fit_loglog(eps, T)
+        runs = stand_in_runs(eps, T)
+        fit = fit_lifespans(runs)
+        assert fit.runs == runs and fit.eps_values == eps and fit.T_values == T
         assert fit.slope == pytest.approx(-0.75, rel=1e-12)
         assert fit.intercept == pytest.approx(math.log(3.0), rel=1e-12)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
@@ -180,13 +187,29 @@ class TestSweep:
 
     def test_refusal_names_each_ending(self):
         endings = ["threshold", "horizon", "overflow", "horizon"]
-        runs = [SimpleNamespace(blew_up=e == "threshold", termination=e, T_num=9.0) for e in endings]
+        runs = stand_in_runs([1.0, 2.0, 3.0, 4.0], [9.0] * 4, endings)
         with pytest.raises(RuntimeError) as refused:
-            fit_lifespans(5.0, [1.0, 2.0, 3.0, 4.0], runs)
+            fit_lifespans(runs)
         assert str(refused.value) == (
             "no blow-up before t_max=5.0 for eps=[2.0, 4.0]; increase the horizon or the "
             "data size; eps=[3.0] ended by overflow"
         )
+
+    def test_keeps_its_runs_bit_for_bit(self):
+        # each run of the fit is the run of its eps alone, in grid order
+        cfg = OdeConfig(p=1.8, mu=2.0, q=0.8)
+        grid = np.geomspace(1e-2, 1e-1, 5).tolist()
+        fit = sweep(cfg, grid)
+        assert len(fit.runs) == len(grid)
+        for e, run in zip(grid, fit.runs):
+            alone = integrate(replace(cfg, eps=e))
+            assert (run.T_num, run.termination, run.config) == (
+                alone.T_num, alone.termination, alone.config
+            )
+            for name in ("t", "F", "dF"):
+                assert getattr(run, name).tobytes() == getattr(alone, name).tobytes(), name
+        assert fit.eps_values == [run.config.eps for run in fit.runs] == grid
+        assert fit.T_values == [run.T_num for run in fit.runs]
 
     def test_kato_consistency_envelope(self):
         cfg = OdeConfig(p=1.8, mu=2.0, q=0.8)

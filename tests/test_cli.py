@@ -15,6 +15,7 @@ import tempfile
 import time
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -607,7 +608,9 @@ def test_pde_sweep_predicts_the_heatlike_slope_below_fujita_alone(tmp_path, monk
     # n = 3, alpha = 0 has Fujita exponent 1 + 2/3; at its float value
     # n(1-alpha)(p-1) rounds below 2, where the hand-wired form predicted a
     # slope of -1.5e15
-    fit = blowup_ode.FitResult(-0.9, 1.0, 1.0, [1.0, 2.0, 3.0, 4.0], [9.0, 5.0, 3.0, 2.0])
+    runs = [SimpleNamespace(config=SimpleNamespace(eps=e), T_num=T)
+            for e, T in zip([1.0, 2.0, 3.0, 4.0], [9.0, 5.0, 3.0, 2.0])]
+    fit = blowup_ode.FitResult(-0.9, 1.0, 1.0, runs)
     monkeypatch.setattr(cli.pde, "lifespan_sweep", lambda cfg, eps_grid: fit)
     out = tmp_path / "p"
     argv = ["pde", "sweep", "--n", "3", "--alpha", "0", "--mu", "0", "--p", repr(p),
@@ -617,6 +620,9 @@ def test_pde_sweep_predicts_the_heatlike_slope_below_fujita_alone(tmp_path, monk
     assert payload["predicted_slope"] == predicted
     deviation = payload["relative_deviation"]
     assert deviation is None if predicted is None else deviation == pytest.approx(0.1)
+    # a CSV row a run, read from the run
+    rows = [f"{run.config.eps!r},{run.T_num!r}" for run in runs]
+    assert (out / "pde_sweep.csv").read_text().splitlines() == ["eps,T_num", *rows]
 
 
 def test_pde_run_refuses_n_above_five(tmp_path, capsys):
@@ -1440,7 +1446,8 @@ def test_handlers_are_pure_and_main_writes_their_files(tmp_path, monkeypatch, ca
     with monkeypatch.context() as patch:
         for name in ("write_text", "write_csv", "write_json", "write_files", "write_manifest"):
             patch.setattr(artifacts, name, refuse_writes)
-        payload, files = leaf.handler({**leaf.keys, **overrides})
+        # resolved as main resolves the config file: snapshot_times as a tuple
+        payload, files = leaf.handler(cli._resolve(leaf, overrides, argparse.Namespace()))
     assert not any(cwd.iterdir())
 
     capsys.readouterr()

@@ -494,6 +494,22 @@ class TestSweep:
         assert abs(fit.slope - (-1.0)) < 0.3
         assert all(b < a for a, b in zip(fit.T_values, fit.T_values[1:]))
 
+    def test_keeps_its_runs_bit_for_bit(self):
+        # each row of the fit is the run of its eps alone with no sample
+        # clock, its first and last samples included, in grid order
+        cfg = replace(BASE, dr=0.05)
+        eps = [0.5, 0.6, 0.7, 0.8]
+        fit = lifespan_sweep(cfg, eps)
+        assert len(fit.runs) == len(eps)
+        for e, row in zip(eps, fit.runs):
+            alone = run(replace(cfg, eps=e, sample_dt=math.inf))
+            assert (row.T_num, row.termination) == (alone.T_num, alone.termination)
+            assert row.t_samples.size == 2
+            for name in SERIES:
+                assert getattr(row, name).tobytes() == getattr(alone, name).tobytes(), name
+        assert fit.eps_values == [row.config.eps for row in fit.runs] == eps
+        assert fit.T_values == [row.T_num for row in fit.runs]
+
     def test_samples_only_at_the_start_and_the_leaves(self, monkeypatch):
         # a sweep has no sample clock: it scans the support once at t = 1
         # and once on each step that rows leave on, and nowhere else
@@ -1063,6 +1079,13 @@ class TestSnapshotBudget:
         for times in ((math.nan, 2.0, 3.0), (2.0, math.nan, 3.0), (2.0, math.inf), (-math.inf,)):
             with pytest.raises(ValueError, match="snapshot times must be finite"):
                 run(replace(cfg, snapshot_times=times))
+
+    @pytest.mark.parametrize("times", [[2.0, 3.0], 1.5, "12", ("2",)])
+    def test_snapshot_times_that_are_not_a_tuple_of_numbers_are_refused(self, times):
+        # a list once built a config whose hash raised TypeError, and 1.5 and
+        # "12" reached the budget check and raised TypeError there
+        with pytest.raises(ValueError, match="snapshot_times must be a tuple of numbers"):
+            replace(BASE, snapshot_times=times)
 
     def test_snapshot_times_at_budget_run(self):
         cfg = replace(BASE, dr=0.05, t_max=1.2)

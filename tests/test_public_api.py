@@ -5,11 +5,14 @@ the fields of such a class).  And each private function, class or method is
 read somewhere in the package outside its own body.  And no function or
 method takes a mode flag, a parameter annotated ``bool`` or defaulting to
 True or False: what a call does follows from its data.  And one function,
-``pde._aligned``, reads memory addresses (``.ctypes``)."""
+``pde._aligned``, reads memory addresses (``.ctypes``).  And the result
+class of each integrator entry holds the config it ran, a ``config`` field
+annotated with the class of the entry's ``cfg``."""
 
 import ast
 import importlib
 import re
+import typing
 from collections import Counter
 from pathlib import Path
 
@@ -74,6 +77,14 @@ def test_traced_functions_stay_public(qualified):
     module_name, name = qualified.split(".")
     module = importlib.import_module(f"flrwave.{module_name}")
     assert name in module.__all__ and callable(getattr(module, name))
+
+
+@pytest.mark.parametrize("qualified", ["blowup_ode.integrate", "pde.run"])
+def test_an_integrators_result_holds_its_config(qualified):
+    # blowup_ode.fit_lifespans reads each run's eps and horizon from its config
+    module_name, name = qualified.split(".")
+    hints = typing.get_type_hints(getattr(importlib.import_module(f"flrwave.{module_name}"), name))
+    assert typing.get_type_hints(hints["return"])["config"] is hints["cfg"]
 
 
 def private_definitions(tree):
