@@ -4,10 +4,10 @@ lifespan scaling fits.
 The ODE is the equality version of the comparison-lemma hypothesis and is
 used as the extremal generator of blow-up trajectories: integrate from t = 1
 with F(1), F'(1) proportional to eps, detect the finite-time blow-up, sweep
-eps, and fit log T against log eps.  For the heatlike wiring
-q = n(1-alpha)(p-1) the fitted slope is expected near
--(p-1)/(2 - n(1-alpha)(p-1)); at q = 2 the lifespan grows superpolynomially
-in 1/eps and log T is convex in log(1/eps).
+eps, and fit log T against log eps.  For the heatlike wiring q = n(1-alpha)(p-1)
+the fitted slope is expected near -(p-1)/(2 - n(1-alpha)(p-1)); at q = 2 the
+lifespan grows superpolynomially in 1/eps and log T is convex in log(1/eps).
+Each check takes what it judges, a run or a sweep's runs, with its config.
 
 The integrator, ``_dopri45``, is the Dormand-Prince 5(4) pair on Python
 floats.  It makes every choice of scipy's ``RK45`` that affects the answer
@@ -58,6 +58,8 @@ __all__ = [
 
 # RK45's floor for the relative tolerance; a smaller rel_tol is refused.
 MIN_REL_TOL = 100 * sys.float_info.epsilon
+# ln of the largest float; exp of anything above it overflows
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -262,16 +264,18 @@ def integrate(cfg: OdeConfig) -> OdeResult:
     return OdeResult(float(t[-1]), t, F, dF, ending, cfg)
 
 
-def monotone_invariant_check(res: OdeResult, mu: float) -> bool:
-    """Verify that t^mu F'(t) is nondecreasing along the trace.
+def monotone_invariant_check(res: OdeResult) -> bool:
+    """Verify that t^mu F'(t), mu = ``res.config.mu``, is nondecreasing along the trace.
 
     The ODE gives (t^mu F')' = t^mu * RHS >= 0, so any decrease beyond a
-    relative 1e-8 per step indicates an integration artifact.
+    relative 1e-8 per step indicates an integration artifact.  Each step is
+    compared divided by t_{k+1}^mu, so t^mu (inf past t 35 at mu 200) is never formed.
     """
     if res.t.size == 0:
         raise ValueError("empty trace")
-    g = res.t**mu * res.dF
-    return bool(np.all(g[1:] >= g[:-1] - 1e-8 * np.abs(g[:-1])))
+    t, dF = res.t, res.dF
+    decay = (t[:-1] / t[1:]) ** res.config.mu
+    return bool(np.all(dF[1:] >= decay * (dF[:-1] - 1e-8 * np.abs(dF[:-1]))))
 
 
 @dataclass
@@ -355,29 +359,36 @@ def predicted_slope(p: float, q: float) -> float:
     return -(p - 1.0) / (2.0 - q)
 
 
-def kato_consistency_check(fit: FitResult, p: float, q: float) -> tuple[bool, list[float]]:
-    """Upper-envelope check T(eps) <= K eps^(-s), s = (p-1)/(2-q).
+def kato_consistency_check(runs: Sequence[OdeResult]) -> tuple[bool, list[float]]:
+    """Upper-envelope check T(eps) <= K eps^(-s), s = (p-1)/(2-q), of ``runs`` of one p and q.
 
     K is calibrated on the largest-eps run (where the inequality is tight by
     construction); the lemma's upper-bound character requires every smaller
     eps to stay below the envelope, up to a margin of -1e-9.  Returns
-    (ok, margins) with margin = K eps^(-s) / T - 1 per run.
+    (ok, margins) with margin = K eps^(-s) / T - 1 per run, in eps order;
+    a margin past the float range is inf.
     """
+    exponents = {(r.config.p, r.config.q) for r in runs}
+    if len(exponents) != 1:
+        raise ValueError(f"the runs must share p and q, got (p, q) in {sorted(exponents)}")
+    [(p, q)] = exponents
     s = -predicted_slope(p, q)
-    pairs = sorted(zip(fit.eps_values, fit.T_values))
+    pairs = sorted((r.config.eps, r.T_num) for r in runs)
     e_max, T_anchor = pairs[-1]
-    K = T_anchor * e_max**s
-    margins = [K * e ** (-s) / T - 1.0 for e, T in pairs]
+    # margin + 1 = (e_max/eps)^s T_anchor/T, formed by its log: at q = 1.995
+    # (s = 400 at p 3) a power of an eps ratio leaves the float range
+    logs = [s * math.log(e_max / e) + math.log(T_anchor / T) for e, T in pairs]
+    margins = [math.expm1(x) if x <= LOG_FLOAT_MAX else math.inf for x in logs]
     return all(m >= -1e-9 for m in margins), margins
 
 
-def convexity_margin(eps_values: Sequence[float], T_values: Sequence[float]) -> float:
-    """Minimum second difference of log T over the uniform log(1/eps) grid.
+def convexity_margin(runs: Sequence[OdeResult]) -> float:
+    """Minimum second difference of log T over the runs' uniform log(1/eps) grid.
 
     A nonnegative (up to tolerance) margin means log T grows convexly in
     log(1/eps), the signature of superpolynomial lifespan growth.
     """
-    pairs = sorted(zip(eps_values, T_values), key=lambda et: -et[0])
+    pairs = sorted(((r.config.eps, r.T_num) for r in runs), key=lambda et: -et[0])
     if len(pairs) < 3:
         raise ValueError("need at least 3 points for second differences")
     x = np.array([math.log(1.0 / e) for e, _ in pairs])

@@ -281,7 +281,7 @@ def _cmd_kato_sequences(r):
         "mu_case": kc.mu_case,
         "B": B,
         "E": E,
-        "envelope_onset_j": kato.detect_envelope_onset(seqs, kc.p, E),
+        "envelope_onset_j": kato.detect_envelope_onset(seqs),
         "truncated": seqs.truncated,
         "states": len(seqs.states),
     }
@@ -341,14 +341,13 @@ ODE_PRESETS = {
 
 
 def _cmd_ode_run(r):
-    cfg = _build(blowup_ode.OdeConfig, r)
-    res = blowup_ode.integrate(cfg)
+    res = blowup_ode.integrate(_build(blowup_ode.OdeConfig, r))
     payload = {
         "blew_up": res.blew_up,
         "T_num": res.T_num,
         "termination": res.termination,
         "steps": int(res.t.size),
-        "monotone_invariant": blowup_ode.monotone_invariant_check(res, cfg.mu),
+        "monotone_invariant": blowup_ode.monotone_invariant_check(res),
     }
     return payload, {
         "ode_trace.csv": (["t", "F", "dF"], zip(res.t.tolist(), res.F.tolist(), res.dF.tolist())),
@@ -359,12 +358,11 @@ def _cmd_ode_run(r):
 def _cmd_ode_sweep(r):
     eps_grid = _eps_grid(r)
     fit = blowup_ode.sweep(_build(blowup_ode.OdeConfig, r, eps=float(eps_grid[0])), eps_grid)
-    p, q = r["p"], r["q"]
-    if q < 2.0:
-        ok, margins = blowup_ode.kato_consistency_check(fit, p, q)
-        return _sweep("ode", fit, blowup_ode.predicted_slope(p, q), kato_envelope_ok=ok,
+    if r["q"] < 2.0:
+        ok, margins = blowup_ode.kato_consistency_check(fit.runs)
+        return _sweep("ode", fit, blowup_ode.predicted_slope(r["p"], r["q"]), kato_envelope_ok=ok,
                       kato_envelope_min_margin=min(margins))
-    margin = blowup_ode.convexity_margin(fit.eps_values, fit.T_values)
+    margin = blowup_ode.convexity_margin(fit.runs)
     return _sweep("ode", fit, None, log_lifespan_convexity_margin=margin)
 
 

@@ -14,7 +14,7 @@ T < exp(C A0^(-(p-1)/(b(p-1)+1))) for mu > 1.  The proof iterates
 
 from b_0 = b, C_0 = A0, with the auxiliary sequence a_j = 2 - (1/2)^j
 entering only the mu > 1 case.  C_j grows doubly exponentially, so all C_j
-arithmetic here lives in log space.
+arithmetic here lives in log space.  Its table keeps the lemma it iterates.
 
 The multiplicative constants C of both lemmas are not derivable at this
 level, so thresholds are reported on an unnormalized scale (C = 1): only the
@@ -136,6 +136,7 @@ class KatoState:
 class KatoSequences:
     states: list[KatoState]
     truncated: bool
+    config: KatoCriticalParams
 
 
 @dataclass(frozen=True)
@@ -242,7 +243,7 @@ def iterate_sequences(kc: KatoCriticalParams, j_max: int) -> KatoSequences:
             truncated = True
             break
         states.append(KatoState(j + 1, b_j, log_c, None if low_mu else a_value(j + 1)))
-    return KatoSequences(states, truncated)
+    return KatoSequences(states, truncated, kc)
 
 
 def envelope_constants(kc: KatoCriticalParams) -> tuple[float, float]:
@@ -306,9 +307,10 @@ def envelope_divergence(kc: KatoCriticalParams, delta: float, horizon: float) ->
     return EnvelopeReport(None, E, B, None, delta, horizon)
 
 
-def detect_envelope_onset(seqs: KatoSequences, p: float, E: float) -> Optional[int]:
-    """Smallest j0 such that log C_j >= (E - 1e-9) p^j for every j >= j0,
-    judged over the available states; None if the tail never settles."""
+def detect_envelope_onset(seqs: KatoSequences) -> Optional[int]:
+    """Smallest j0 such that log C_j >= (E - 1e-9) p^j, p and E of ``seqs.config``,
+    for every available j >= j0; None if the tail never settles."""
+    p, (_, E) = seqs.config.p, envelope_constants(seqs.config)
     onset = 0
     for st in seqs.states:
         if st.log_C_j < (E - 1e-9) * _or_inf(operator.pow, p, st.j):

@@ -172,7 +172,7 @@ def test_criterion_05_kato_machinery():
                             kato.closed_form_b(kc, s.j), rel=1e-10
                         )
                     _, E = kato.envelope_constants(kc)
-                    onset = kato.detect_envelope_onset(seqs, p, E)
+                    onset = kato.detect_envelope_onset(seqs)
                     assert onset is not None
                     for s in seqs.states[onset:]:
                         assert s.log_C_j >= (E - 1e-9) * p**s.j
@@ -201,12 +201,12 @@ def test_criterion_06_ode_heatlike_scaling():
         predicted = blowup_ode.predicted_slope(cfg.p, cfg.q)
         assert abs(fit.slope - predicted) / abs(predicted) < 0.20
         assert fit.r_squared >= 0.99
-        ok, _ = blowup_ode.kato_consistency_check(fit, cfg.p, cfg.q)
+        ok, _ = blowup_ode.kato_consistency_check(fit.runs)
         assert ok
         for eps in eps_grid:
             res = blowup_ode.integrate(replace(cfg, eps=float(eps)))
             assert res.blew_up
-            assert blowup_ode.monotone_invariant_check(res, cfg.mu)
+            assert blowup_ode.monotone_invariant_check(res)
 
 
 def test_criterion_07_ode_critical_case():
@@ -215,9 +215,7 @@ def test_criterion_07_ode_critical_case():
         eps_grid = np.geomspace(0.3, 1.2, 6)
         results = [blowup_ode.integrate(replace(cfg, eps=float(e))) for e in eps_grid]
         assert all(r.blew_up for r in results)
-        margin = blowup_ode.convexity_margin(
-            [float(e) for e in eps_grid], [r.T_num for r in results]
-        )
+        margin = blowup_ode.convexity_margin(results)
         assert margin >= -1e-6
 
 

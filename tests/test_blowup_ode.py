@@ -22,8 +22,9 @@ from flrwave.blowup_ode import (
 
 
 def stand_in_runs(eps, T, endings=None, t_max=5.0):
-    """What ``fit_lifespans`` reads of a sweep's runs: each one's config (eps
-    and t_max), T_num and ending (default: a threshold blow-up)."""
+    """What ``fit_lifespans`` and ``convexity_margin`` read of a sweep's runs:
+    each one's config (eps and t_max), T_num and ending (default: a threshold
+    blow-up)."""
     endings = endings or ["threshold"] * len(eps)
     return [SimpleNamespace(config=SimpleNamespace(eps=e, t_max=t_max), T_num=t,
                             blew_up=end == "threshold", termination=end)
@@ -129,26 +130,35 @@ class TestMonotoneInvariant:
     def test_holds_on_blowup_run(self):
         cfg = OdeConfig(p=1.8, mu=2.0, q=0.8, eps=0.05)
         res = integrate(cfg)
-        assert monotone_invariant_check(res, cfg.mu)
+        assert monotone_invariant_check(res)
 
     def test_fails_on_negated_trace(self):
         cfg = OdeConfig(p=1.8, mu=2.0, q=0.8, eps=0.05)
         res = integrate(cfg)
         res.dF = -res.dF
-        assert not monotone_invariant_check(res, cfg.mu)
+        assert not monotone_invariant_check(res)
 
     def test_reduces_to_plain_monotonicity_without_damping(self):
         cfg = OdeConfig(p=2.0, mu=0.0, q=0.0, A1=1.0, R=0.0, eps=1.0)
         res = integrate(cfg)
-        assert monotone_invariant_check(res, 0.0)
+        assert monotone_invariant_check(res)
         assert np.all(np.diff(res.dF) >= -1e-8 * np.abs(res.dF[:-1]))
+
+    @pytest.mark.parametrize("mu", [200.0, 400.0])
+    def test_holds_where_t_to_the_mu_overflows(self, mu):
+        # t^mu passes the float range at t ~ 35 (mu 200) and ~ 6 (mu 400); the
+        # check once read these blow-ups (T 57.8 and 100.3) as failures, with
+        # numpy's overflow warnings
+        res = integrate(OdeConfig(p=3.0, mu=mu, q=0.8, eps=1.0))
+        assert res.blew_up and mu * math.log(res.T_num) > blowup_ode.LOG_FLOAT_MAX
+        assert monotone_invariant_check(res)
 
     def test_empty_trace_rejected(self):
         empty = np.array([])
         cfg = OdeConfig(p=2.0, mu=1.0, q=0.0)
         res = blowup_ode.OdeResult(1.0, empty, empty, empty, "solver_failure", cfg)
         with pytest.raises(ValueError, match="empty trace"):
-            monotone_invariant_check(res, 1.0)
+            monotone_invariant_check(res)
 
 
 class TestFitting:
@@ -214,25 +224,44 @@ class TestSweep:
     def test_kato_consistency_envelope(self):
         cfg = OdeConfig(p=1.8, mu=2.0, q=0.8)
         fit = sweep(cfg, np.geomspace(1e-2, 1e-1, 5))
-        ok, margins = kato_consistency_check(fit, cfg.p, cfg.q)
+        ok, margins = kato_consistency_check(fit.runs)
         assert ok
         assert len(margins) == 5
         # anchor run is tight by construction
         assert min(abs(m) for m in margins) < 1e-12
 
+    def test_kato_consistency_past_the_float_range(self):
+        # s = 400: (1/0.15)^400 ~ e^759 once overflowed (OverflowError)
+        cfg = OdeConfig(p=3.0, mu=2.0, q=1.995, t_max=1e100)
+        fit = sweep(cfg, np.geomspace(0.15, 1.0, 4))
+        ok, margins = kato_consistency_check(fit.runs)
+        assert ok and margins[0] == math.inf and margins[-1] == 0.0
+        assert all(m >= 0.0 for m in margins)
+
+    @pytest.mark.parametrize("field, value", [("p", 3.0), ("q", 1.2)])
+    def test_kato_consistency_refuses_runs_of_two_exponents(self, field, value):
+        # checked against the envelope of one p and q, a p 1.8 sweep once
+        # passed as a p 3.0 sweep too
+        cfg = OdeConfig(p=1.8, mu=2.0, q=0.8)
+        grid = np.geomspace(1e-2, 1e-1, 4).tolist()
+        runs = [integrate(replace(cfg, eps=e)) for e in grid[:2]]
+        runs += [integrate(replace(cfg, eps=e, **{field: value})) for e in grid[2:]]
+        with pytest.raises(ValueError, match="must share p and q"):
+            kato_consistency_check(runs)
+
 
 class TestConvexity:
     def test_superpolynomial_growth_detected(self):
         y = [math.exp(2.0 / e) for e in (0.5, 0.25, 0.125)]
-        assert convexity_margin([0.5, 0.25, 0.125], y) > 0.0
+        assert convexity_margin(stand_in_runs([0.5, 0.25, 0.125], y)) > 0.0
 
     def test_uniform_grid_required(self):
         with pytest.raises(ValueError, match="uniform"):
-            convexity_margin([0.5, 0.3, 0.1], [1.0, 2.0, 3.0])
+            convexity_margin(stand_in_runs([0.5, 0.3, 0.1], [1.0, 2.0, 3.0]))
 
     def test_needs_three_points(self):
         with pytest.raises(ValueError):
-            convexity_margin([0.5, 0.25], [1.0, 2.0])
+            convexity_margin(stand_in_runs([0.5, 0.25], [1.0, 2.0]))
 
 
 class TestPredictedSlope:

@@ -1382,6 +1382,26 @@ ARTIFACT_SHA256 = {
         "stdout": EMPTY_SHA256,
         "stderr": "1dc57346cdd301b94408122297c3e5e3093d90cdb5a130936103f80d674a44bb",
     },
+    # valid blow-ups whose check once left the float range: t^mu at mu 200
+    # (reported "monotone_invariant": false, after two numpy warnings) and
+    # eps^-400 at q 1.995 (exit 3, "Numerical result out of range"); both
+    # now report true
+    "ode run --mu 200 --p 3 --eps 1": {
+        "exit": 0,
+        "stdout": "09e77b85adfeab018ea587140d4e65132d9d83a6c58ba387b4a858fe4edb4736",
+        "stderr": EMPTY_SHA256,
+        "manifest.json": "67e84321fb86a287ccfa838baf3cd2cda7fd5491524376f440861b0dab3e3e7c",
+        "ode_result.json": "271cf7987f5e5c9f3597f0e760dc8939624a766da5215c360c94888282c6ab78",
+        "ode_trace.csv": "ed5abefb508ad9539f60174dd2085b7a91a754c191f84b4844f74ff809e669a8",
+    },
+    "ode sweep --q 1.995 --p 3 --eps_start 0.15 --eps_stop 1 --eps_count 4 --t_max 1e100": {
+        "exit": 0,
+        "stdout": "fda6227ba00356aeef7cde555177ea11fa690a4a500e4bf767183a14758b30af",
+        "stderr": EMPTY_SHA256,
+        "manifest.json": "9d5ad1f713210b636eaf8b3331d28e9dcb913f8659948e0da213c8082c3be127",
+        "ode_fit.json": "37af755c9f52692a778cea6ba836cc3abbecf25c1966e170dee1993329c4e9a1",
+        "ode_sweep.csv": "47f40561e3c9ee7826928b2fc04968993d24806be7240bb3abf4d8f58d0edabd",
+    },
     "pde run --dr 0.02 --config CONFIG": {
         "exit": 0,
         "stdout": "a6b89a936d2f2adbe1b7299c24e998a25687c3675e186693c06fc7a1d81b211e",

@@ -174,7 +174,7 @@ class TestEnvelopeConstants:
             kc = KatoCriticalParams(p=2.0, b=1.0, mu=mu, A0=0.3, A1=2.0, CR=0.7)
             seqs = iterate_sequences(kc, 30)
             _, E = envelope_constants(kc)
-            onset = detect_envelope_onset(seqs, kc.p, E)
+            onset = detect_envelope_onset(seqs)
             assert onset is not None
             for s in seqs.states[onset:]:
                 assert s.log_C_j >= E * kc.p**s.j - 1e-9 * kc.p**s.j
@@ -257,23 +257,30 @@ class TestEnvelopeDivergence:
         assert len(seqs.states) < 701
 
 
+# a lemma at p = 2 whose envelope constant E is negative (-4.97)
+ONSET = KatoCriticalParams(p=2.0, b=1.0, mu=0.5, A0=1.0)
+
+
 def states(log_C):
-    return KatoSequences([KatoState(j, 1.0, c, None) for j, c in enumerate(log_C)], False)
+    """A table of ``ONSET`` whose log C_j is log_C[j] |E|, E its envelope constant."""
+    _, E = envelope_constants(ONSET)
+    table = [KatoState(j, 1.0, -E * c, None) for j, c in enumerate(log_C)]
+    return KatoSequences(table, False, ONSET)
 
 
 class TestEnvelopeOnsetStates:
-    # with E = -1 and p = 2, state j violates the envelope below -(1 + 1e-9) 2^j
+    # in units of |E|, state j violates the envelope below -(1 + 1e-9/|E|) 2^j
 
     def test_onset_follows_the_last_violating_state(self):
-        assert detect_envelope_onset(states([-1.5, -3.0, 0.0, 0.0]), 2.0, -1.0) == 2
-        assert detect_envelope_onset(states([-1.5, 0.0, -5.0, 0.0]), 2.0, -1.0) == 3
-        assert detect_envelope_onset(states([-1.0, -2.0, -4.0]), 2.0, -1.0) == 0
+        assert detect_envelope_onset(states([-1.5, -3.0, 0.0, 0.0])) == 2
+        assert detect_envelope_onset(states([-1.5, 0.0, -5.0, 0.0])) == 3
+        assert detect_envelope_onset(states([-1.0, -2.0, -4.0])) == 0
 
     def test_violating_last_state_gives_none(self):
-        assert detect_envelope_onset(states([0.0, 0.0, -5.0]), 2.0, -1.0) is None
+        assert detect_envelope_onset(states([0.0, 0.0, -5.0])) is None
 
     def test_no_states_give_none(self):
-        assert detect_envelope_onset(states([]), 2.0, -1.0) is None
+        assert detect_envelope_onset(states([])) is None
 
 
 # magnitudes across the float range, 1e-300 to 1e300
@@ -294,7 +301,7 @@ class TestPastTheFloatRange:
         assert B >= 0.0 and math.isfinite(E)
         seqs = iterate_sequences(kc, 20)
         assert math.isfinite(seqs.states[0].log_C_j)
-        detect_envelope_onset(seqs, p, E)
+        detect_envelope_onset(seqs)
         assert critical_threshold(kc).threshold >= 1.0  # exp of a positive power, or inf
         envelope_divergence(kc, **ENVELOPE)
 

@@ -6,11 +6,14 @@ read somewhere in the package outside its own body.  And no function or
 method takes a mode flag, a parameter annotated ``bool`` or defaulting to
 True or False: what a call does follows from its data.  And one function,
 ``pde._aligned``, reads memory addresses (``.ctypes``).  And the result
-class of each integrator entry holds the config it ran, a ``config`` field
-annotated with the class of the entry's ``cfg``."""
+class of each integrator entry, and of the Kato iteration, holds the config
+it ran, a ``config`` field annotated with the class of the entry's first
+parameter.  And each public check takes one parameter, the object it judges,
+whose config holds the check's other inputs."""
 
 import ast
 import importlib
+import inspect
 import re
 import typing
 from collections import Counter
@@ -79,12 +82,28 @@ def test_traced_functions_stay_public(qualified):
     assert name in module.__all__ and callable(getattr(module, name))
 
 
-@pytest.mark.parametrize("qualified", ["blowup_ode.integrate", "pde.run"])
+@pytest.mark.parametrize("qualified", ["blowup_ode.integrate", "pde.run", "kato.iterate_sequences"])
 def test_an_integrators_result_holds_its_config(qualified):
-    # blowup_ode.fit_lifespans reads each run's eps and horizon from its config
+    # blowup_ode.fit_lifespans and the checks read their inputs from the config
     module_name, name = qualified.split(".")
-    hints = typing.get_type_hints(getattr(importlib.import_module(f"flrwave.{module_name}"), name))
-    assert typing.get_type_hints(hints["return"])["config"] is hints["cfg"]
+    entry = getattr(importlib.import_module(f"flrwave.{module_name}"), name)
+    hints = typing.get_type_hints(entry)
+    first = next(iter(inspect.signature(entry).parameters))
+    assert typing.get_type_hints(hints["return"])["config"] is hints[first]
+
+
+CHECKS = [f"{module_name}.{name}" for module_name in ("blowup_ode", "kato", "pde")
+          for name in importlib.import_module(f"flrwave.{module_name}").__all__
+          if name.endswith("_check") or name in ("convexity_margin", "detect_envelope_onset")]
+
+
+@pytest.mark.parametrize("qualified", CHECKS)
+def test_a_check_takes_only_what_it_judges(qualified):
+    # a constant passed beside the judged object can disagree with the config
+    # it ran: a p 1.8 sweep once passed a check of the envelope for p 3.0
+    module_name, name = qualified.split(".")
+    check = getattr(importlib.import_module(f"flrwave.{module_name}"), name)
+    assert len(inspect.signature(check).parameters) == 1, inspect.signature(check)
 
 
 def private_definitions(tree):
