@@ -8,14 +8,15 @@ Scheme: three-level central differences in time with the damping term
 time-centered (solved for the new level in closed form), second-order central
 differences for the radial Laplacian with a symmetry ghost point at the
 origin, and the nonlinearity evaluated at the current level.  The cached
-per-cell stencil weights fold with four scalars a step into the new level
-k (left u_(i-1) + right u_(i+1)) + c_curr u + c_prev u_prev + |u|^p/lhs (see
-``_Stripes.step``).  The time step tracks the decaying wave speed,
-dt = min(cfl * dr * t^alpha, ``DT_CAP``), the cap keeping the mu/t coefficient
-resolved, and the radial grid is extended lazily to ``MARGIN_CELLS`` cells
-past the light cone r = A(t) + R, A(t) = (t^(1-alpha) - 1)/(1-alpha).  The
-first step is the second-order Taylor start from the equation at t = 1, on
-the same stencil.
+per-cell stencil weights fold into the new level k (left u_(i-1) + right
+u_(i+1)) + c_curr u + c_prev u_prev + |u|^p/lhs (see ``_Stripes.step``), with
+a step's five scalars passed as 0-d views of one buffer of the layout, which
+numpy does not promote anew on each call.  The time step tracks the
+decaying wave speed, dt = min(cfl * dr * t^alpha, ``DT_CAP``), the cap
+keeping the mu/t coefficient resolved, and the radial grid is extended lazily
+to ``MARGIN_CELLS`` cells past the light cone r = A(t) + R, A(t) =
+(t^(1-alpha) - 1)/(1-alpha).  The first step is the second-order Taylor start
+from the equation at t = 1, on the same stencil.
 
 The time steps and the grid do not depend on eps, so one stepping loop
 advances runs as the rows of one (eps x r) array, in place, without threads:
@@ -46,12 +47,12 @@ Each row's samples grow in one packed float64 buffer (``array("d")``, 8 B a
 value), whose five columns its ``PdeResult`` views without a copy.
 A sweep runs with ``sample_dt = inf``: each row records its first level
 and the one it leaves on, if finite, and its other steps only raise the
-source.  A step on which no row leaves and no sample or snapshot is due
-does no per-row bookkeeping.  The checks bundled here verify the
-structural facts a valid run must satisfy: support inside the light cone,
-F positive and nondecreasing, and the quadrature version of the Hoelder
-bound between F and the nonlinear mass, each an array expression over the
-series.
+source.  A quiet step, before t_max with no sample or snapshot due, tests
+one max of the whole level, which NaN fails, against the threshold, and
+builds no per-row sup unless it fails.  The checks bundled here verify the
+structural facts a valid run must satisfy: support inside the light cone, F
+positive and nondecreasing, and the quadrature version of the Hoelder bound
+between F and the nonlinear mass, each an array expression over the series.
 """
 
 from __future__ import annotations
@@ -291,6 +292,10 @@ class _Stripes:
         self.starts = [flat[::stride] for flat in self.flat]
         self.ends = [flat[stride - 1 :: stride] for flat in self.flat]
         self.before = [memory[7 + i * size : 7 + (i + 1) * size] for i in range(3)]
+        # a step's five scalars, passed as 0-d views: a float is promoted each call
+        self.scalars = np.empty(5)
+        self.inv_lhs, self.prev_weight, self.k, self.centre, self.origin = (
+            self.scalars[..., i] for i in range(5))
 
     def laid_out(self, rows: Sequence[int], stride: int) -> "_Stripes":
         """The rows ``rows``, in order, copied into a layout of their own with
@@ -307,20 +312,21 @@ class _Stripes:
         level are consumed.  The neighbour terms that would cross a row's
         ends are dropped, so no value of one row, not even inf or NaN,
         reaches another."""
+        self.scalars[2:] = k, c - 2.0 * k / (self.dr * self.dr), c - k * self.right0
         # The scratch level lies past every time level, so numpy sees no
         # overlap of ``before`` with it and copies nothing.
         near = self.flat[3]
-        np.multiply(self.left, self.before[u], out=near)
+        np.multiply(self.left, self.before[u], near)
         self.starts[3].fill(0.0)
-        np.multiply(self.right_head, self.tail[u], out=self.head[tmp])
+        np.multiply(self.right_head, self.tail[u], self.head[tmp])
         self.ends[tmp].fill(0.0)
-        np.add(near, self.flat[tmp], out=near)
-        np.multiply(near, k, out=near)
+        np.add(near, self.flat[tmp], near)
+        np.multiply(near, self.k, near)
         out = self.flat[out]
-        np.add(out, near, out=out)
-        np.multiply(self.flat[u], c - 2.0 * k / (self.dr * self.dr), out=near)
-        np.multiply(self.starts[u], c - k * self.right0, out=self.starts[3])
-        np.add(out, near, out=out)
+        np.add(out, near, out)
+        np.multiply(self.flat[u], self.centre, near)
+        np.multiply(self.starts[u], self.origin, self.starts[3])
+        np.add(out, near, out)
 
     def step(self, nxt: int, prev: int, curr: int, t: float, dt_old: float, dt_new: float,
              alpha: float, mu: float, width: int) -> None:
@@ -336,13 +342,14 @@ class _Stripes:
         span = dt_old + dt_new
         damp = mu / t
         lhs = 2.0 / (span * dt_new) + damp / span
+        self.scalars[:2] = 1.0 / lhs, (damp / span - 2.0 / (span * dt_old)) / lhs
         out, u_prev = self.flat[nxt], self.flat[prev]
-        np.multiply(out, 1.0 / lhs, out=out)
-        np.multiply(u_prev, (damp / span - 2.0 / (span * dt_old)) / lhs, out=u_prev)
-        np.add(out, u_prev, out=out)
+        np.multiply(out, self.inv_lhs, out)
+        np.multiply(u_prev, self.prev_weight, u_prev)
+        np.add(out, u_prev, out)
         c_curr = (2.0 / (span * dt_new) + 2.0 / (span * dt_old)) / lhs
         self.stencil(nxt, curr, prev, t ** (-2.0 * alpha) / lhs, c_curr)
-        self.grid[nxt][:, width:] = 0.0
+        self.levels[nxt, :, width:] = 0.0
 
 
 def _quadrature(y: np.ndarray, quad: np.ndarray, out=None):
@@ -374,7 +381,7 @@ def _raise_to(a: np.ndarray, p: float) -> None:
     """a **= p in place.  A square is one multiply: the same bits as numpy's
     power ufunc, in under half its time on 1e4-1e5 cells (numpy 2.4, Xeon)."""
     if p == 2.0:
-        np.multiply(a, a, out=a)
+        np.multiply(a, a, a)
     else:
         a **= p
 
@@ -473,31 +480,36 @@ def _run_batch(cfg: PdeConfig, eps_values: Sequence[float]) -> list[PdeResult]:
     t, next_sample = 1.0 + dt, 1.0 + cfg.sample_dt
     t_max, threshold = cfg.t_max, cfg.blowup_threshold
     while True:
-        u = stripes.grid[curr]
-        a = np.abs(u, out=stripes.grid[nxt])  # becomes the source |u|^p
-        sup = a.max(axis=1)
+        u = stripes.grid[curr]  # rebound each step, so no old layout outlives a step
+        a = np.abs(stripes.flat[curr], stripes.flat[nxt])  # becomes the source |u|^p
         sample = t >= next_sample
         while next_sample <= t:
             next_sample += cfg.sample_dt
-        if pending and t >= pending[0]:
-            snapshot(t, u[:, :cells], np.isfinite(sup))  # the max propagates inf and NaN
-        if t < t_max and all(s < threshold for s in sup.tolist()):
-            # a quiet step: no row leaves, and every row is finite (NaN fails <)
-            observe(t, u, a, sup, _ALL if sample else None)
+        due = pending and t >= pending[0]
+        if t < t_max and not (sample or due) and np.maximum.reduce(a) < threshold:
+            # a quiet step: no cell reaches the threshold (NaN propagates, fails <)
+            _raise_to(a, p)
         else:
-            finite = np.isfinite(sup)
-            leave = ~(sup < threshold) | (t >= t_max)  # inf and NaN leave too
-            observe(t, u, a, sup, finite if sample else finite & leave)
-            for i, s in zip(ids[leave].tolist(), sup[leave].tolist()):
-                end = "threshold" if s >= threshold else "horizon"
-                end = end if math.isfinite(s) else "overflow"
-                series = np.frombuffer(samples[i]).reshape(-1, 5).T
-                results[i] = PdeResult(t, end, *series, configs[i], snapshots[i])
-            kept = np.flatnonzero(~leave)
-            ids = ids[kept]
-            if not ids.size:
-                break
-            stripes = stripes.laid_out(kept, stripes.stride)
+            a = stripes.grid[nxt]
+            sup = np.maximum.reduce(a, 1)  # propagates inf and NaN
+            if due:
+                snapshot(t, u[:, :cells], np.isfinite(sup))
+            if t < t_max and np.maximum.reduce(sup) < threshold:
+                observe(t, u, a, sup, _ALL if sample else None)
+            else:
+                finite = np.isfinite(sup)
+                leave = ~(sup < threshold) | (t >= t_max)  # inf and NaN leave too
+                observe(t, u, a, sup, finite if sample else finite & leave)
+                for i, s in zip(ids[leave].tolist(), sup[leave].tolist()):
+                    end = "threshold" if s >= threshold else "horizon"
+                    end = end if math.isfinite(s) else "overflow"
+                    series = np.frombuffer(samples[i]).reshape(-1, 5).T
+                    results[i] = PdeResult(t, end, *series, configs[i], snapshots[i])
+                kept = np.flatnonzero(~leave)
+                ids = ids[kept]
+                if not ids.size:
+                    break
+                stripes = stripes.laid_out(kept, stripes.stride)
 
         dt_new = _next_dt(t, cfg)
         cone = light_cone_radius(t + dt_new, alpha, cfg.R)  # once a step
