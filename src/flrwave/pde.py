@@ -47,12 +47,19 @@ Each row's samples grow in one packed float64 buffer (``array("d")``, 8 B a
 value), whose five columns its ``PdeResult`` views without a copy.
 A sweep runs with ``sample_dt = inf``: each row records its first level
 and the one it leaves on, if finite, and its other steps only raise the
-source.  A quiet step, before t_max with no sample or snapshot due, tests
-one max of the whole level, which NaN fails, against the threshold, and
-builds no per-row sup unless it fails.  The checks bundled here verify the
-structural facts a valid run must satisfy: support inside the light cone, F
-positive and nondecreasing, and the quadrature version of the Hoelder bound
-between F and the nonlinear mass, each an array expression over the series.
+source.  The loop carries upper bounds B and B_prev on sup|u| of the
+current and the previous level, B' = (1 + 1e-12)(B^p/lhs + |c_prev| B_prev
++ (k right0 + max(|c_curr - 2k/dr^2|, |c_curr - k right0|)) B) (see
+``_sup_bound``).  A quiet step, before t_max with no sample or snapshot
+due, scans nothing while B is below the threshold: it builds the source
+straight from u, at p = 2 as u u, the bits of |u| |u|.  Every other step is
+checked: it builds the per-row sup, which NaN propagates through, and sets
+B from it and B_prev from the exact sup|u_prev|.  So a row leaves on the
+step it would leave on if every step were checked.  The checks bundled here
+verify the structural facts a valid run must satisfy: support inside the
+light cone, F positive and nondecreasing, and the quadrature version of the
+Hoelder bound between F and the nonlinear mass, each an array expression
+over the series.
 """
 
 from __future__ import annotations
@@ -307,12 +314,16 @@ class _Stripes:
             fresh.levels[:, new, : self.stride] = self.levels[:, old]
         return fresh
 
-    def stencil(self, out: int, u: int, tmp: int, k: float, c: float) -> None:
+    def stencil(self, out: int, u: int, tmp: int, k: float, c: float) -> float:
         """Add k Lap(u) + c u to level ``out``; level ``tmp`` and the scratch
         level are consumed.  The neighbour terms that would cross a row's
         ends are dropped, so no value of one row, not even inf or NaN,
-        reaches another."""
-        self.scalars[2:] = k, c - 2.0 * k / (self.dr * self.dr), c - k * self.right0
+        reaches another.  Returns, for k >= 0, the gain k right0 +
+        max(|centre|, |origin|), which bounds sup|k Lap(u) + c u| / sup|u|:
+        every cell has |left_i| + |right_i| <= right0 = 2n/dr^2, cell 1 at
+        n = 4 and 5 (where left_1 < 0) too."""
+        centre, origin = c - 2.0 * k / (self.dr * self.dr), c - k * self.right0
+        self.scalars[2:] = k, centre, origin
         # The scratch level lies past every time level, so numpy sees no
         # overlap of ``before`` with it and copies nothing.
         near = self.flat[3]
@@ -327,13 +338,15 @@ class _Stripes:
         np.multiply(self.flat[u], self.centre, near)
         np.multiply(self.starts[u], self.origin, self.starts[3])
         np.add(out, near, out)
+        return k * self.right0 + max(abs(centre), abs(origin))
 
     def step(self, nxt: int, prev: int, curr: int, t: float, dt_old: float, dt_new: float,
-             alpha: float, mu: float, width: int) -> None:
+             alpha: float, mu: float, width: int) -> tuple[float, float, float]:
         """One three-level update centered at time t (level ``curr``) into
         level ``nxt``, which holds the source |u_curr|^p on entry; then every
         cell of it from column ``width`` on is zeroed.  Level ``prev`` is
-        consumed.
+        consumed.  Returns the gains of the source, of u_prev and of u, for
+        ``_sup_bound``: 1/lhs, |c_prev| and the stencil's.
 
         Nonuniform steps use the standard divided-difference form of u_tt;
         the damping term couples the outer levels only, so the new level
@@ -342,14 +355,37 @@ class _Stripes:
         span = dt_old + dt_new
         damp = mu / t
         lhs = 2.0 / (span * dt_new) + damp / span
-        self.scalars[:2] = 1.0 / lhs, (damp / span - 2.0 / (span * dt_old)) / lhs
+        inv_lhs, prev_weight = 1.0 / lhs, (damp / span - 2.0 / (span * dt_old)) / lhs
+        self.scalars[:2] = inv_lhs, prev_weight
         out, u_prev = self.flat[nxt], self.flat[prev]
         np.multiply(out, self.inv_lhs, out)
         np.multiply(u_prev, self.prev_weight, u_prev)
         np.add(out, u_prev, out)
         c_curr = (2.0 / (span * dt_new) + 2.0 / (span * dt_old)) / lhs
-        self.stencil(nxt, curr, prev, t ** (-2.0 * alpha) / lhs, c_curr)
+        gain = self.stencil(nxt, curr, prev, t ** (-2.0 * alpha) / lhs, c_curr)
         self.levels[nxt, :, width:] = 0.0
+        return inv_lhs, abs(prev_weight), gain
+
+
+def _sup_bound(gains: tuple[float, float, float], b: float, b_prev: float, p: float,
+               right0: float) -> float:
+    """An upper bound on sup|u| of the level a step (``_Stripes.step``, with
+    its ``gains`` and ``right0``) makes, given bounds ``b`` on sup|u| of its
+    current level and ``b_prev`` on its previous one.  The new level is at
+    most gains . (b^p, b_prev, b) exactly; the factor 1 + 1e-12 covers the
+    rounding of the step's few operations, numpy's power among them.  The
+    step also forms the neighbour sum before k scales it, up to right0 b,
+    and the source, up to b^p: where either comes within a factor 4 of the
+    float range, the bound is inf.  A NaN bound gives inf or NaN, which
+    fails the threshold test as inf does."""
+    try:
+        source = b**p
+    except OverflowError:  # Python's float power raises where numpy's gives inf
+        return math.inf
+    if not 4.0 * max(source, right0 * b) < math.inf:
+        return math.inf
+    g_source, g_prev, g_curr = gains
+    return (1.0 + 1e-12) * (g_source * source + g_prev * b_prev + g_curr * b)
 
 
 def _quadrature(y: np.ndarray, quad: np.ndarray, out=None):
@@ -479,22 +515,26 @@ def _run_batch(cfg: PdeConfig, eps_values: Sequence[float]) -> list[PdeResult]:
     prev, curr, nxt = 0, 1, 2
     t, next_sample = 1.0 + dt, 1.0 + cfg.sample_dt
     t_max, threshold = cfg.t_max, cfg.blowup_threshold
+    bound = bound_prev = math.inf  # upper bounds on sup|u| of levels curr and prev
     while True:
-        u = stripes.grid[curr]  # rebound each step, so no old layout outlives a step
-        a = np.abs(stripes.flat[curr], stripes.flat[nxt])  # becomes the source |u|^p
         sample = t >= next_sample
         while next_sample <= t:
             next_sample += cfg.sample_dt
         due = pending and t >= pending[0]
-        if t < t_max and not (sample or due) and np.maximum.reduce(a) < threshold:
-            # a quiet step: no cell reaches the threshold (NaN propagates, fails <)
-            _raise_to(a, p)
+        if t < t_max and not (sample or due) and bound < threshold:
+            # a quiet step under the bound: no cell can reach the threshold
+            if p == 2.0:  # |u|^2 as u u, the same bits
+                np.multiply(stripes.flat[curr], stripes.flat[curr], stripes.flat[nxt])
+            else:
+                _raise_to(np.abs(stripes.flat[curr], stripes.flat[nxt]), p)
         else:
-            a = stripes.grid[nxt]
+            u = stripes.grid[curr]
+            a = np.abs(u, stripes.grid[nxt])  # becomes the source |u|^p
             sup = np.maximum.reduce(a, 1)  # propagates inf and NaN
+            top = np.maximum.reduce(sup)
             if due:
                 snapshot(t, u[:, :cells], np.isfinite(sup))
-            if t < t_max and np.maximum.reduce(sup) < threshold:
+            if t < t_max and top < threshold:
                 observe(t, u, a, sup, _ALL if sample else None)
             else:
                 finite = np.isfinite(sup)
@@ -510,6 +550,15 @@ def _run_batch(cfg: PdeConfig, eps_values: Sequence[float]) -> list[PdeResult]:
                 if not ids.size:
                     break
                 stripes = stripes.laid_out(kept, stripes.stride)
+                top = np.maximum.reduce(sup[kept])
+            # the exact sups of the rows kept, u_prev's through the scratch
+            # level: a stale bound on u_prev would fail the next step's test,
+            # and every other step would be checked
+            bound = float(top)
+            bound_prev = float(np.maximum.reduce(np.abs(stripes.flat[prev], stripes.flat[3])))
+            # nothing bound here outlives the step: u and a view a layout that
+            # a grid growth may replace before the next check
+            del u, a, sup
 
         dt_new = _next_dt(t, cfg)
         cone = light_cone_radius(t + dt_new, alpha, cfg.R)  # once a step
@@ -524,7 +573,8 @@ def _run_batch(cfg: PdeConfig, eps_values: Sequence[float]) -> list[PdeResult]:
         # deletes the mass that the stencil has just moved across its edge,
         # so F drains there.
         width = int(math.floor((cone + dr) / dr)) + 1
-        stripes.step(nxt, prev, curr, t, dt, dt_new, alpha, mu, width)
+        gains = stripes.step(nxt, prev, curr, t, dt, dt_new, alpha, mu, width)
+        bound, bound_prev = _sup_bound(gains, bound, bound_prev, p, stripes.right0), bound
         t, dt = t + dt_new, dt_new
         prev, curr, nxt = curr, nxt, prev
 

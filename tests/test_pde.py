@@ -23,6 +23,7 @@ from flrwave.pde import (
     _raise_to,
     _run_batch,
     _Stripes,
+    _sup_bound,
     _weights,
     ball_volume,
     bump3,
@@ -621,7 +622,7 @@ class TestBatch:
     @settings(derandomize=True, database=None, max_examples=8, deadline=None)
     @given(st.lists(st.floats(0.2, 0.8), min_size=1, max_size=3))
     @example([0.2, 0.5, 0.8])  # the first row to cross is the level's last, and in
-    # the sweep no sample is due then: only the quiet step's whole-level max sees it
+    # the sweep no sample is due then: only the carried bound failing makes that step a check
     def test_row_is_bit_identical_to_its_own_run(self, eps_values):
         # so a row never depends on which other eps share its batch; the
         # eps = 0 row stays exactly zero, so nothing leaks between stripes
@@ -638,6 +639,24 @@ class TestBatch:
         zero = rows[0]
         assert len(zero.snapshots) == len(snapshot_times)
         assert not np.any(zero.sup_series) and not np.any(zero.support_series)
+
+    @settings(derandomize=True, database=None, max_examples=12, deadline=None)
+    @given(n=st.integers(2, 5), p=st.sampled_from([1.5, 2.0, 3.0]),
+           eps=st.floats(0.05, 1.0), share=st.floats(0.0, 1.0), huge=st.booleans())
+    @example(n=2, p=3.0, eps=0.5, share=0.0, huge=True)  # b^3 overflows, the field not
+    @example(n=2, p=3.0, eps=1e200, share=0.0, huge=True)  # the field overflows
+    def test_a_sweep_row_ends_as_its_run_checked_at_every_step(self, n, p, eps, share, huge):
+        # a quiet step is skipped only under a proven bound, so the step a row
+        # leaves on is checked as it is in a run that samples every step.  The
+        # threshold is log-uniform in [2 eps, 1e8], or 1e300 at p = 3, where
+        # the bound's b^p leaves the float range
+        threshold = 1e300 if huge and p == 3.0 else 2.0 * eps * (5e7 / eps) ** share
+        cfg = replace(BASE, params=ModelParams(n, 0.5, 2.0), p=p, eps=eps, dr=0.05,
+                      t_max=8.0, blowup_threshold=threshold)
+        first_dt = _next_dt(1.0, cfg)  # every later step is longer
+        every = run(replace(cfg, sample_dt=first_dt / 2.0))
+        (swept,) = _run_batch(replace(cfg, sample_dt=math.inf), [eps])
+        assert_same_sweep_row(swept, every)
 
     def test_overflowing_row_leaves_its_neighbour_alone(self):
         cfg = replace(BASE, p=3.0, dr=0.05, t_max=2.0, blowup_threshold=1e300)
@@ -894,18 +913,35 @@ class TestStripeViews:
     def test_no_layout_outlives_the_step_after_it_is_replaced(self, monkeypatch):
         # a sweep leaves a row, then grows its grid: when a layout is built,
         # only the first one's levels (the start's u0 views them) and the one
-        # it is laid out from may still be alive
-        alive, counts = [], []
-        init = _Stripes.__init__
+        # it is laid out from may still be alive.  At eps 1e-30 the bound
+        # stays under the threshold for some 80 steps, and the grid grows
+        # twice with no check between: a view bound on the check before must
+        # not hold on to the first of them
+        alive, counts, checks = [], [], []
+        init, raise_to = _Stripes.__init__, pde._raise_to
+        checked = 0
 
         def record(s, rows, stride, dr, n):
             init(s, rows, stride, dr, n)
             counts.append(sum(ref() is not None for ref in alive))
             alive.append(weakref.ref(s.levels.base))
+            checks.append(checked)
+
+        def counted(a, p):  # at p = 2 a check alone raises the source through it
+            nonlocal checked
+            checked += 1
+            raise_to(a, p)
 
         monkeypatch.setattr(_Stripes, "__init__", record)
-        rows = _run_batch(replace(BASE, dr=0.05, t_max=20.0, sample_dt=math.inf), [0.05, 2.0])
+        monkeypatch.setattr(pde, "_raise_to", counted)
+        cfg = replace(BASE, dr=0.05, t_max=20.0, sample_dt=math.inf)
+        rows = _run_batch(cfg, [0.05, 2.0])
         assert [r.termination for r in rows] == ["horizon", "threshold"]
+        assert len(counts) > 3 and max(counts) <= 2
+        alive.clear(), counts.clear(), checks.clear()
+        (row,) = _run_batch(cfg, [1e-30])
+        assert row.termination == "horizon"
+        assert any(a == b for a, b in zip(checks[1:], checks[2:]))  # two growths, no check
         assert len(counts) > 3 and max(counts) <= 2
 
     def test_every_pass_stores_on_a_cache_line(self, monkeypatch):
@@ -962,6 +998,48 @@ class TestStripeViews:
         finally:
             tracemalloc.stop()
         assert peak < s.flat[0].nbytes / 8
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(n=st.integers(2, 5), p=st.sampled_from([1.5, 2.0, 3.0]), alpha=st.floats(0.0, 0.9),
+           mu=st.floats(0.0, 4.0), t=st.floats(1.0, 50.0), dr=st.floats(0.005, 0.2),
+           shares=st.tuples(st.floats(0.05, 0.99), st.floats(0.05, 0.99)),
+           rows=st.integers(1, 3), cells=st.integers(3, 40), scale=st.floats(-3.0, 3.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_a_step_stays_under_the_carried_bound(
+        self, n, p, alpha, mu, t, dr, shares, rows, cells, scale, seed
+    ):
+        # random levels of sup around 10^scale, stepped 6 times at CFL-sized
+        # steps: each new level's exact sup is at most the bound from the
+        # exact sups of the two before it, and a bound carried from looser
+        # ones is looser still
+        rng = np.random.default_rng(seed)
+        fields = 10.0**scale * rng.uniform(-1.0, 1.0, (2, rows, cells))
+        s = stripes([*fields, np.abs(fields[1]) ** p], dr, n, _pitch(cells))
+        dt_old, dt_new = (share * CFL_LIMITS[n] * dr * t**alpha for share in shares)
+        prev, curr, nxt = 0, 1, 2
+        exact = [float(np.max(np.abs(level))) for level in s.levels[:2]]
+        carried = exact[-1], exact[-2]
+        for _ in range(6):
+            with np.errstate(over="ignore"):  # p = 3 at 10^3 overflows in a few steps
+                gains = s.step(nxt, prev, curr, t, dt_old, dt_new, alpha, mu, cells)
+                _raise_to(np.abs(s.levels[nxt], s.levels[prev]), p)  # the next source
+            bound = _sup_bound(gains, exact[-1], exact[-2], p, s.right0)
+            carried = _sup_bound(gains, *carried, p, s.right0), carried[0]
+            exact.append(float(np.max(np.abs(s.levels[nxt]))))
+            assert exact[-1] <= bound <= carried[0]
+            t, dt_old = t + dt_new, dt_new
+            prev, curr, nxt = curr, nxt, prev
+
+    def test_the_bound_leaves_the_float_range_as_inf(self):
+        # b^p raises OverflowError in Python, where numpy's power gives inf;
+        # the step's neighbour sum, up to right0 b, and its source, up to
+        # b^p, overflow within a factor 4 of the float range
+        gains = (1e-3, 1.0, 2.0)
+        assert _sup_bound(gains, 1e200, 0.0, 3.0, 1.0) == math.inf
+        assert _sup_bound(gains, 1e300, 0.0, 1.01, 1e9) == math.inf
+        assert _sup_bound(gains, 1e154, 0.0, 2.0, 1.0) == math.inf
+        assert not _sup_bound(gains, 1.0, math.nan, 2.0, 1.0) < 1e8
+        assert _sup_bound(gains, 1.0, 1.0, 2.0, 1.0) > 1e-3 + 1.0 + 2.0
 
     @pytest.mark.parametrize("poison", [math.nan, math.inf])
     @pytest.mark.parametrize("n", [2, 5])
