@@ -9,16 +9,29 @@ time-centered (solved for the new level in closed form), second-order central
 differences for the radial Laplacian with a symmetry ghost point at the
 origin, and the nonlinearity evaluated at the current level.  The cached
 per-cell stencil weights fold into the new level k (left u_(i-1) + right
-u_(i+1)) + c_curr u + c_prev u_prev + |u|^p/lhs (see ``_Stripes.step``), with
-a step's five scalars passed as 0-d views of one buffer of the layout, which
-numpy does not promote anew on each call.  The time step tracks the
-decaying wave speed, dt = min(cfl * dr * t^alpha, ``DT_CAP``), the cap
-keeping the mu/t coefficient resolved, and the radial grid is extended lazily
-to ``MARGIN_CELLS`` cells past the light cone r = A(t) + R, A(t) =
-(t^(1-alpha) - 1)/(1-alpha).  The first step is the second-order Taylor start
-from the equation at t = 1, on the same stencil.
+u_(i+1)) + c_curr u + c_prev u_prev + |u|^p/lhs (see ``_Stripes.step``).  The
+time step tracks the decaying wave speed, dt = min(cfl * dr * t^alpha,
+``DT_CAP``), the cap keeping the mu/t coefficient resolved, and the radial
+grid is extended lazily to ``MARGIN_CELLS`` cells past the light cone r =
+A(t) + R, A(t) = (t^(1-alpha) - 1)/(1-alpha).  The first step is the
+second-order Taylor start from the equation at t = 1, on the same stencil.
 
-The time steps and the grid do not depend on eps, so one stepping loop
+A step's numbers other than the field itself do not depend on the field,
+so a schedule (``_schedule``) makes them ``_BLOCK`` = 256 steps at a time:
+the time recurrence and the powers t^alpha, t^(-2 alpha) and (t +
+dt)^(1-alpha) in Python floats, whose ``**`` is the C library's pow
+(numpy's power loop rounds differently on AVX-512 and AVX2), and from
+those, by numpy over the block, each step's cone cut, grid cells, five
+scalars (1/lhs, the u_prev weight, k, the centre and the origin weights)
+and three bound gains, the bits of the same float operations taken one
+step at a time.  A run holds the block it steps through and, while it is
+built, the next, never an array over its steps.  ``_Stripes.step`` does no
+float arithmetic: it copies its five scalars into a buffer of the layout,
+which the passes read as 0-d views (numpy promotes a float anew on each
+call), and reads its operands from one tuple per rotation of the levels,
+bound when the layout is built.
+
+The time steps and the grid do not depend on eps either, so one stepping loop
 advances runs as the rows of one (eps x r) array, in place, without threads:
 ``lifespan_sweep`` is one batch and ``run`` a batch of one.  The rows lie end
 to end with a zero-padded pitch a little wider than the grid, so that each
@@ -52,13 +65,16 @@ current and the previous level, B' = (1 + 1e-12)(B^p/lhs + |c_prev| B_prev
 + (k right0 + max(|c_curr - 2k/dr^2|, |c_curr - k right0|)) B) (see
 ``_sup_bound``).  A quiet step, before t_max with no sample or snapshot
 due, scans nothing while B is below the threshold: it builds the source
-straight from u, at p = 2 as u u, the bits of |u| |u|.  Every other step is
-checked: it builds the per-row sup, which NaN propagates through, and sets
-B from it and B_prev from the exact sup|u_prev|.  So a row leaves on the
-step it would leave on if every step were checked.  The checks bundled here
-verify the structural facts a valid run must satisfy: support inside the
-light cone, F positive and nondecreasing, and the quadrature version of the
-Hoelder bound between F and the nonlinear mass, each an array expression
+straight from u, at p = 2 as u u, the bits of |u| |u|.  The loop takes the
+steps before the grid outgrows the pitch in one inner loop, whose quiet
+steps are a source, a step and a bound each, with one test of t against
+the first sample, snapshot or t_max to come and one of B.  Every other
+step is checked: it builds the per-row sup, which NaN propagates through,
+and sets B from it and B_prev from the exact sup|u_prev|.  So a row leaves on
+the step it would leave on if every step were checked.  The checks bundled
+here verify the structural facts a valid run must satisfy: support inside
+the light cone, F positive and nondecreasing, and the quadrature version of
+the Hoelder bound between F and the nonlinear mass, each an array expression
 over the series.
 """
 
@@ -67,6 +83,7 @@ from __future__ import annotations
 import math
 import numbers
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -110,6 +127,12 @@ CFL_LIMITS = {2: 0.9089, 3: 0.8164, 4: 0.7446, 5: 0.688}
 # the stepping, its start and the Hoelder check silence numpy's warnings.
 _QUIET = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 _ALL = slice(None)  # every row of the batch
+# Steps a block of the step schedule (``_schedule``) holds: its few tens of KB
+# are all the memory a run spends on its steps, however many it takes.
+_BLOCK = 256
+# Cells at the end of a sampled row that the support scan reads first: the
+# cone cut leaves its support some MARGIN_CELLS + 1 cells before the end.
+_WINDOW = 16
 
 
 @dataclass(frozen=True)
@@ -264,21 +287,19 @@ def _aligned(size: int) -> np.ndarray:
 class _Stripes:
     """Three time levels and one scratch level (level 3) in one C-contiguous
     (4, rows, stride) array, each level's rows end to end and each row's
-    field zero past its last cell; the trapezoid weights of one row; and the
-    views a step reads, which write into the levels: per level the grid, its
-    flat array, that less its last cell (``head``) or its first (``tail``),
-    the first and the last cell of each row (``starts``, ``ends``) and the
-    flat array read one double early (``before``, u[i-1]); and the neighbour
-    weights, repeated once a row in one aligned buffer, ``left`` whole and
-    ``right_head`` less its last double.  A layout allocates its own zeroed
-    levels, one ``_aligned`` buffer with level 0 one cache line in, so that
-    ``before`` reads level 0's guard double from the line ahead of it; no
-    value there reaches a row.  A layout is never edited: the start builds
-    one at a ``_pitch``, and ``laid_out``, the one way rows are copied,
-    builds the next when rows leave or the grid outgrows the pitch.  So the
-    levels, every row and both weight tiles start on a 64-byte cache line,
-    every full-length pass of a step stores on one, and only its shifted
-    reads, u[i-1] and u[i+1], start off one."""
+    field zero past its last cell; the trapezoid weights of one row; and, per
+    rotation of the time levels, the views a step reads and writes
+    (``rotations``).  A layout allocates its own zeroed levels, one
+    ``_aligned`` buffer with level 0 one cache line in, so that u[i-1], the
+    flat level read one double early (``before``), reads level 0's guard
+    double from the line ahead of it; no value there reaches a row.  The
+    neighbour weights are repeated once a row in one aligned buffer.  A
+    layout is never edited: the start builds one at a ``_pitch``, and
+    ``laid_out``, the one way rows are copied, builds the next when rows
+    leave or the grid outgrows the pitch.  So the levels, every row and both
+    weight tiles start on a 64-byte cache line, every full-length pass of a
+    step stores on one, and only its shifted reads, u[i-1] and u[i+1],
+    start off one."""
 
     def __init__(self, rows: int, stride: int, dr: float, n: int):
         if stride < 3:
@@ -291,18 +312,20 @@ class _Stripes:
         self.right0 = float(right[0])  # the origin's centre weight
         tiles = _aligned(2 * size).reshape(2, rows, stride)
         tiles[0], tiles[1] = left, right
-        self.left, self.right_head = tiles[0].reshape(-1), tiles[1].reshape(-1)[:-1]
         self.grid = list(levels)
-        self.flat = [grid.reshape(size) for grid in self.grid]
-        self.head = [flat[:-1] for flat in self.flat]
-        self.tail = [flat[1:] for flat in self.flat]
-        self.starts = [flat[::stride] for flat in self.flat]
-        self.ends = [flat[stride - 1 :: stride] for flat in self.flat]
+        self.flat = flat = [grid.reshape(size) for grid in self.grid]
         self.before = [memory[7 + i * size : 7 + (i + 1) * size] for i in range(3)]
         # a step's five scalars, passed as 0-d views: a float is promoted each call
-        self.scalars = np.empty(5)
-        self.inv_lhs, self.prev_weight, self.k, self.centre, self.origin = (
-            self.scalars[..., i] for i in range(5))
+        scalars = np.empty(5)
+        shared = (memoryview(scalars), *(scalars[..., i] for i in range(5)),
+                  tiles[0].reshape(-1), tiles[1].reshape(-1)[:-1], flat[3], flat[3][::stride])
+        # per value of ``prev``: the new level, u_prev (consumed as the scratch
+        # of u[i+1]), u and its views, and the new level's grid for the cut
+        self.rotations = [
+            (*shared, flat[nxt], flat[prev], flat[prev][:-1], flat[prev][stride - 1 :: stride],
+             flat[curr], self.before[curr], flat[curr][1:], flat[curr][::stride], self.grid[nxt])
+            for prev, curr, nxt in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+        ]
 
     def laid_out(self, rows: Sequence[int], stride: int) -> "_Stripes":
         """The rows ``rows``, in order, copied into a layout of their own with
@@ -314,70 +337,76 @@ class _Stripes:
             fresh.levels[:, new, : self.stride] = self.levels[:, old]
         return fresh
 
-    def stencil(self, out: int, u: int, tmp: int, k: float, c: float) -> float:
-        """Add k Lap(u) + c u to level ``out``; level ``tmp`` and the scratch
-        level are consumed.  The neighbour terms that would cross a row's
-        ends are dropped, so no value of one row, not even inf or NaN,
-        reaches another.  Returns, for k >= 0, the gain k right0 +
-        max(|centre|, |origin|), which bounds sup|k Lap(u) + c u| / sup|u|:
-        every cell has |left_i| + |right_i| <= right0 = 2n/dr^2, cell 1 at
-        n = 4 and 5 (where left_1 < 0) too."""
-        centre, origin = c - 2.0 * k / (self.dr * self.dr), c - k * self.right0
-        self.scalars[2:] = k, centre, origin
+    def step(self, prev: int, scalars, width: int) -> None:
+        """Set level ``nxt`` = ``(prev + 2) % 3``, which holds the source
+        |u|^p on entry, to inv_lhs nxt + c_prev u_prev + k (left u[i-1] +
+        right u[i+1]) + c u, with u level ``(prev + 1) % 3`` and u_prev level
+        ``prev``, which is consumed, as is the scratch level; then zero every
+        cell of it from column ``width`` on.  ``scalars``, a buffer of 5
+        doubles, holds inv_lhs, c_prev, k, the centre weight c - 2k/dr^2 and
+        the origin's, c - k right0 (``_scalars``).  The neighbour terms that
+        would cross a row's ends are dropped, so no value of one row, not
+        even inf or NaN, reaches another.  The one place of the update's
+        ufunc sequence; it does no float arithmetic of its own."""
+        (buffer, inv_lhs, prev_weight, k, centre, origin, left, right_head, near, near_starts,
+         out, u_prev, head, ends, u, before, tail, starts, new) = self.rotations[prev]
+        multiply, add = np.multiply, np.add
+        buffer[:] = scalars
+        multiply(out, inv_lhs, out)
+        multiply(u_prev, prev_weight, u_prev)
+        add(out, u_prev, out)
         # The scratch level lies past every time level, so numpy sees no
         # overlap of ``before`` with it and copies nothing.
-        near = self.flat[3]
-        np.multiply(self.left, self.before[u], near)
-        self.starts[3].fill(0.0)
-        np.multiply(self.right_head, self.tail[u], self.head[tmp])
-        self.ends[tmp].fill(0.0)
-        np.add(near, self.flat[tmp], near)
-        np.multiply(near, self.k, near)
-        out = self.flat[out]
-        np.add(out, near, out)
-        np.multiply(self.flat[u], self.centre, near)
-        np.multiply(self.starts[u], self.origin, self.starts[3])
-        np.add(out, near, out)
-        return k * self.right0 + max(abs(centre), abs(origin))
-
-    def step(self, nxt: int, prev: int, curr: int, t: float, dt_old: float, dt_new: float,
-             alpha: float, mu: float, width: int) -> tuple[float, float, float]:
-        """One three-level update centered at time t (level ``curr``) into
-        level ``nxt``, which holds the source |u_curr|^p on entry; then every
-        cell of it from column ``width`` on is zeroed.  Level ``prev`` is
-        consumed.  Returns the gains of the source, of u_prev and of u, for
-        ``_sup_bound``: 1/lhs, |c_prev| and the stencil's.
-
-        Nonuniform steps use the standard divided-difference form of u_tt;
-        the damping term couples the outer levels only, so the new level
-        solves in closed form, k (left u_(i-1) + right u_(i+1)) + c_curr u +
-        c_prev u_prev + |u|^p/lhs."""
-        span = dt_old + dt_new
-        damp = mu / t
-        lhs = 2.0 / (span * dt_new) + damp / span
-        inv_lhs, prev_weight = 1.0 / lhs, (damp / span - 2.0 / (span * dt_old)) / lhs
-        self.scalars[:2] = inv_lhs, prev_weight
-        out, u_prev = self.flat[nxt], self.flat[prev]
-        np.multiply(out, self.inv_lhs, out)
-        np.multiply(u_prev, self.prev_weight, u_prev)
-        np.add(out, u_prev, out)
-        c_curr = (2.0 / (span * dt_new) + 2.0 / (span * dt_old)) / lhs
-        gain = self.stencil(nxt, curr, prev, t ** (-2.0 * alpha) / lhs, c_curr)
-        self.levels[nxt, :, width:] = 0.0
-        return inv_lhs, abs(prev_weight), gain
+        multiply(left, before, near)
+        near_starts.fill(0.0)
+        multiply(right_head, tail, head)
+        ends.fill(0.0)
+        add(near, u_prev, near)
+        multiply(near, k, near)
+        add(out, near, out)
+        multiply(u, centre, near)
+        multiply(starts, origin, near_starts)
+        add(out, near, out)
+        new[:, width:].fill(0.0)
 
 
-def _sup_bound(gains: tuple[float, float, float], b: float, b_prev: float, p: float,
+def _scalars(inv_lhs, prev_weight, k, c, dr: float, right0: float) -> np.ndarray:
+    """A step's five scalars (``_Stripes.step``) for the weights ``inv_lhs``,
+    ``prev_weight``, k and c, then its three gains for ``_sup_bound``:
+    inv_lhs, |prev_weight| and, for k >= 0, k right0 + max(|centre|,
+    |origin|), which bounds sup|k Lap(u) + c u| / sup|u|: every cell has
+    |left_i| + |right_i| <= right0 = 2n/dr^2, cell 1 at n = 4 and 5 (where
+    left_1 < 0) too.  Elementwise, on floats or on arrays of one shape,
+    stacked along a new last axis."""
+    centre, origin = c - 2.0 * k / (dr * dr), c - k * right0
+    gain = k * right0 + np.maximum(abs(centre), abs(origin))
+    return np.stack([inv_lhs, prev_weight, k, centre, origin, inv_lhs, abs(prev_weight), gain], -1)
+
+
+def _coefficients(t, dt_old, dt_new, t_pow, mu: float, dr: float, right0: float) -> np.ndarray:
+    """``_scalars`` of the steps centred at t from steps dt_old and dt_new,
+    with t_pow = t^(-2 alpha).  Nonuniform steps use the standard
+    divided-difference form of u_tt; the damping term couples the outer
+    levels only, so the new level solves in closed form, k (left u_(i-1) +
+    right u_(i+1)) + c_curr u + c_prev u_prev + |u|^p/lhs."""
+    span = dt_old + dt_new
+    damp = mu / t
+    lhs = 2.0 / (span * dt_new) + damp / span
+    return _scalars(1.0 / lhs, (damp / span - 2.0 / (span * dt_old)) / lhs, t_pow / lhs,
+                    (2.0 / (span * dt_new) + 2.0 / (span * dt_old)) / lhs, dr, right0)
+
+
+def _sup_bound(gains: Sequence[float], b: float, b_prev: float, p: float,
                right0: float) -> float:
     """An upper bound on sup|u| of the level a step (``_Stripes.step``, with
-    its ``gains`` and ``right0``) makes, given bounds ``b`` on sup|u| of its
-    current level and ``b_prev`` on its previous one.  The new level is at
-    most gains . (b^p, b_prev, b) exactly; the factor 1 + 1e-12 covers the
-    rounding of the step's few operations, numpy's power among them.  The
-    step also forms the neighbour sum before k scales it, up to right0 b,
-    and the source, up to b^p: where either comes within a factor 4 of the
-    float range, the bound is inf.  A NaN bound gives inf or NaN, which
-    fails the threshold test as inf does."""
+    its ``gains`` from ``_scalars`` and ``right0``) makes, given bounds ``b``
+    on sup|u| of its current level and ``b_prev`` on its previous one.  The
+    new level is at most gains . (b^p, b_prev, b) exactly; the factor 1 +
+    1e-12 covers the rounding of the step's few operations, numpy's power
+    among them.  The step also forms the neighbour sum before k scales it,
+    up to right0 b, and the source, up to b^p: where either comes within a
+    factor 4 of the float range, the bound is inf.  A NaN bound gives inf or
+    NaN, which fails the threshold test as inf does."""
     try:
         source = b**p
     except OverflowError:  # Python's float power raises where numpy's gives inf
@@ -395,22 +424,64 @@ def _quadrature(y: np.ndarray, quad: np.ndarray, out=None):
 
 
 def _last_above(a: np.ndarray, floor, dr: float) -> np.ndarray:
-    """Largest r_i with a_i > floor along the last axis, 0 where none is."""
-    above = a > floor
-    last = above.shape[-1] - 1 - np.argmax(above[..., ::-1], axis=-1)
-    return np.where(above.any(axis=-1), last * dr, 0.0)
+    """Largest r_i with a_i > floor along the last axis, 0 where none is.
+    It scans the last ``_WINDOW`` cells of each row first, where the cone
+    cut leaves the support of a sampled level, and the whole rows only when
+    one of them has no cell above there."""
+    above = a[..., : -_WINDOW - 1 : -1] > floor  # last cell first
+    found = np.logical_or.reduce(above, -1)
+    if not np.logical_and.reduce(found, None):
+        above = a[..., ::-1] > floor
+        found = np.logical_or.reduce(above, -1)
+    return np.where(found, (a.shape[-1] - 1 - above.argmax(-1)) * dr, 0.0)
 
 
 def _next_dt(t: float, cfg: PdeConfig) -> float:
     return min(cfg.cfl * cfg.dr * t**cfg.params.alpha, DT_CAP)
 
 
-def _cells(cone: float, dr: float):
+def _cells(cone, dr: float):
     """Grid points r_i = i*dr that cover a light cone of radius ``cone`` plus
-    ``MARGIN_CELLS``; a non-finite count passes through for ``_check_budget``
-    to refuse."""
-    cells = (cone + MARGIN_CELLS * dr) / dr
-    return math.ceil(cells) + 1 if math.isfinite(cells) else cells
+    ``MARGIN_CELLS``, as floats, elementwise; a non-finite count passes
+    through for ``_check_budget`` to refuse."""
+    return np.ceil((cone + MARGIN_CELLS * dr) / dr) + 1.0
+
+
+def _schedule(cfg: PdeConfig, right0: float):
+    """Blocks of ``_BLOCK`` steps after the Taylor start, each the numbers of
+    its steps that do not depend on the field: their centre times t, the grid
+    cells after each (``cells[j + 1]``; ``cells[0]``, those before the
+    block), their cone cuts ``width``, their ``_coefficients`` as one flat
+    float64 memoryview (step j's five scalars at 8 j, then its three gains)
+    and the gains again as lists of floats.  The recurrence t + min(cfl dr
+    t^alpha, ``DT_CAP``) and the powers t^alpha, t^(-2 alpha) and (t +
+    dt)^(1-alpha) are Python floats: numpy's power loop rounds differently on
+    AVX-512 and AVX2.  The rest is numpy arithmetic over the block, with the
+    bits of the same float operations taken one step at a time."""
+    alpha, exponent, dr = cfg.params.alpha, -2.0 * cfg.params.alpha, cfg.dr
+    dt = _next_dt(1.0, cfg)
+    t, cells = 1.0 + dt, int(_cells(light_cone_radius(1.0, alpha, cfg.R), dr))
+    while True:
+        steps = array("d")  # per step t, dt_old, dt_new, t^(-2 alpha) and its cone
+        for _ in range(_BLOCK):
+            step = _next_dt(t, cfg)
+            cone = light_cone_radius(t + step, alpha, cfg.R)
+            steps.extend((t, dt, step, t**exponent, cone))
+            t, dt = t + step, step
+        times, olds, news, powers, cone = np.frombuffer(steps).reshape(-1, 5).T
+        reach = np.maximum.accumulate(np.maximum(_cells(cone, dr), cells)).astype(int).tolist()
+        # Domain-of-dependence enforcement: the exact solution vanishes beyond
+        # A(t) + R, while the explicit stencil transports ~1e-4-relative tails
+        # at grid speed (faster than the decaying physical speed).  Zeroing
+        # strictly beyond the cone plus a one-cell buffer removes the spurious
+        # tail, and the padding is zeroed too.  The cut is a sink: it also
+        # deletes the mass that the stencil has just moved across its edge,
+        # so F drains there.
+        widths = (np.floor((cone + dr) / dr) + 1.0).astype(int).tolist()
+        table = _coefficients(times, olds, news, powers, cfg.params.mu, dr, right0)
+        gains = table[:, 5:].tolist()
+        yield times.tolist(), [cells, *reach], widths, memoryview(table.reshape(-1)), gains
+        cells = reach[-1]
 
 
 def _raise_to(a: np.ndarray, p: float) -> None:
@@ -458,7 +529,7 @@ def _run_batch(cfg: PdeConfig, eps_values: Sequence[float]) -> list[PdeResult]:
     configs = [replace(cfg, eps=float(e)) for e in eps_values]  # each row's data is valid
     eps = [c.eps for c in configs]
     _check_budget(cfg, len(eps))
-    cells = _cells(light_cone_radius(1.0, alpha, cfg.R), dr)
+    cells = int(_cells(light_cone_radius(1.0, alpha, cfg.R), dr))
 
     ids = np.arange(len(eps))  # input position of each row still in the batch
     # per row, its samples (t, sup, F, lp, support) end to end, 8 B a value
@@ -503,82 +574,91 @@ def _run_batch(cfg: PdeConfig, eps_values: Sequence[float]) -> list[PdeResult]:
     snapshot(1.0, u0, _ALL)
     # The Taylor start from the equation at t = 1, where t^(-2 alpha) = 1, with
     # u_t(1) = u0: u0 + dt u0 + dt^2/2 (Lap u0 - mu u0 + |u0|^p), on level 1
-    # with levels 2 and 3 as scratch.  u0 vanishes on the margin, so Lap u0,
-    # and with it the padding, is zero past the grid.
+    # (zero, as is level 2, which the step consumes) with level 3 as scratch.
+    # u0 vanishes on the margin, so Lap u0, and with it the padding, is zero
+    # past the grid.
     dt = _next_dt(1.0, cfg)
-    stripes.stencil(1, 0, 2, 1.0, 0.0)
+    right0 = stripes.right0
+    stripes.step(2, _scalars(1.0, 0.0, 1.0, 0.0, dr, right0)[:5], stripes.stride)
     start = stripes.grid[1][:, :cells]
     start -= mu * u0
     start += a
     start *= 0.5 * dt * dt
     start += u0 + dt * u0
-    prev, curr, nxt = 0, 1, 2
-    t, next_sample = 1.0 + dt, 1.0 + cfg.sample_dt
+    blocks = _schedule(cfg, right0)
+    times, reach, widths, table, gains = next(blocks)
+    i, prev, curr, nxt = 0, 0, 1, 2
+    next_sample = 1.0 + cfg.sample_dt
     t_max, threshold = cfg.t_max, cfg.blowup_threshold
+    horizon = min(t_max, next_sample, *pending[:1])  # the first sample, snapshot or t_max
     bound = bound_prev = math.inf  # upper bounds on sup|u| of levels curr and prev
+    flat, multiply = stripes.flat, np.multiply
     while True:
-        sample = t >= next_sample
-        while next_sample <= t:
-            next_sample += cfg.sample_dt
-        due = pending and t >= pending[0]
-        if t < t_max and not (sample or due) and bound < threshold:
-            # a quiet step under the bound: no cell can reach the threshold
-            if p == 2.0:  # |u|^2 as u u, the same bits
-                np.multiply(stripes.flat[curr], stripes.flat[curr], stripes.flat[nxt])
+        # One loop takes the block's steps until the grid outgrows the pitch;
+        # a quiet step, before ``horizon`` and under the bound, is a source, a
+        # step and a bound.  A step at or past t_max is the last: it needs no
+        # wider grid.
+        stop = bisect_left(reach, stripes.stride, 1) - 1
+        if stop < len(times) and times[stop] >= t_max:
+            stop = len(times)
+        for i in range(i, stop):
+            t = times[i]
+            if t < horizon and bound < threshold:
+                # a quiet step under the bound: no cell can reach the threshold
+                if p == 2.0:  # |u|^2 as u u, the same bits
+                    multiply(flat[curr], flat[curr], flat[nxt])
+                else:
+                    _raise_to(np.abs(flat[curr], flat[nxt]), p)
             else:
-                _raise_to(np.abs(stripes.flat[curr], stripes.flat[nxt]), p)
-        else:
-            u = stripes.grid[curr]
-            a = np.abs(u, stripes.grid[nxt])  # becomes the source |u|^p
-            sup = np.maximum.reduce(a, 1)  # propagates inf and NaN
-            top = np.maximum.reduce(sup)
-            if due:
-                snapshot(t, u[:, :cells], np.isfinite(sup))
-            if t < t_max and top < threshold:
-                observe(t, u, a, sup, _ALL if sample else None)
-            else:
-                finite = np.isfinite(sup)
-                leave = ~(sup < threshold) | (t >= t_max)  # inf and NaN leave too
-                observe(t, u, a, sup, finite if sample else finite & leave)
-                for i, s in zip(ids[leave].tolist(), sup[leave].tolist()):
-                    end = "threshold" if s >= threshold else "horizon"
-                    end = end if math.isfinite(s) else "overflow"
-                    series = np.frombuffer(samples[i]).reshape(-1, 5).T
-                    results[i] = PdeResult(t, end, *series, configs[i], snapshots[i])
-                kept = np.flatnonzero(~leave)
-                ids = ids[kept]
-                if not ids.size:
-                    break
-                stripes = stripes.laid_out(kept, stripes.stride)
-                top = np.maximum.reduce(sup[kept])
-            # the exact sups of the rows kept, u_prev's through the scratch
-            # level: a stale bound on u_prev would fail the next step's test,
-            # and every other step would be checked
-            bound = float(top)
-            bound_prev = float(np.maximum.reduce(np.abs(stripes.flat[prev], stripes.flat[3])))
-            # nothing bound here outlives the step: u and a view a layout that
-            # a grid growth may replace before the next check
-            del u, a, sup
-
-        dt_new = _next_dt(t, cfg)
-        cone = light_cone_radius(t + dt_new, alpha, cfg.R)  # once a step
-        cells = max(cells, _cells(cone, dr))
-        if cells >= stripes.stride:
-            stripes = stripes.laid_out(range(ids.size), _pitch(cells))
-        # Domain-of-dependence enforcement: the exact solution vanishes beyond
-        # A(t) + R, while the explicit stencil transports ~1e-4-relative tails
-        # at grid speed (faster than the decaying physical speed).  Zeroing
-        # strictly beyond the cone plus a one-cell buffer removes the spurious
-        # tail, and the padding is zeroed too.  The cut is a sink: it also
-        # deletes the mass that the stencil has just moved across its edge,
-        # so F drains there.
-        width = int(math.floor((cone + dr) / dr)) + 1
-        gains = stripes.step(nxt, prev, curr, t, dt, dt_new, alpha, mu, width)
-        bound, bound_prev = _sup_bound(gains, bound, bound_prev, p, stripes.right0), bound
-        t, dt = t + dt_new, dt_new
-        prev, curr, nxt = curr, nxt, prev
-
-    return results
+                sample = t >= next_sample
+                while next_sample <= t:
+                    next_sample += cfg.sample_dt
+                due = pending and t >= pending[0]
+                cells = reach[i]
+                u = stripes.grid[curr]
+                a = np.abs(u, stripes.grid[nxt])  # becomes the source |u|^p
+                sup = np.maximum.reduce(a, 1)  # propagates inf and NaN
+                top = np.maximum.reduce(sup)
+                if due:
+                    snapshot(t, u[:, :cells], np.isfinite(sup))
+                if t < t_max and top < threshold:
+                    observe(t, u, a, sup, _ALL if sample else None)
+                else:
+                    finite = np.isfinite(sup)
+                    leave = ~(sup < threshold) | (t >= t_max)  # inf and NaN leave too
+                    observe(t, u, a, sup, finite if sample else finite & leave)
+                    for row, s in zip(ids[leave].tolist(), sup[leave].tolist()):
+                        end = "threshold" if s >= threshold else "horizon"
+                        end = end if math.isfinite(s) else "overflow"
+                        series = np.frombuffer(samples[row]).reshape(-1, 5).T
+                        results[row] = PdeResult(t, end, *series, configs[row], snapshots[row])
+                    kept = np.flatnonzero(~leave)
+                    ids = ids[kept]
+                    if not ids.size:
+                        return results
+                    stripes = stripes.laid_out(kept, stripes.stride)
+                    flat = stripes.flat
+                    top = np.maximum.reduce(sup[kept])
+                # the exact sups of the rows kept, u_prev's through the scratch
+                # level: a stale bound on u_prev would fail the next step's test,
+                # and every other step would be checked
+                bound = float(top)
+                bound_prev = float(np.maximum.reduce(np.abs(flat[prev], flat[3])))
+                horizon = min(t_max, next_sample, *pending[:1])
+                # nothing bound here outlives the step: u and a view a layout that
+                # a grid growth may replace before the next check
+                del u, a, sup
+            stripes.step(prev, table[8 * i : 8 * i + 5], widths[i])
+            bound, bound_prev = _sup_bound(gains[i], bound, bound_prev, p, right0), bound
+            prev, curr, nxt = curr, nxt, prev
+        i = stop
+        if i == len(times):
+            times, reach, widths, table, gains = next(blocks)
+            i = 0
+        else:  # lay the rows out wider before step i: its source, or its check,
+            # reads and writes the same bits in either layout
+            stripes = stripes.laid_out(range(ids.size), _pitch(reach[i + 1]))
+            flat = stripes.flat
 
 
 def run(cfg: PdeConfig) -> PdeResult:

@@ -6,7 +6,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from flrwave import blowup_ode, pde
@@ -16,12 +16,15 @@ from flrwave.pde import (
     SUPPORT_REL_TOL,
     PdeConfig,
     PdeResult,
+    _coefficients,
     _last_above,
     _next_dt,
     _pitch,
     _quadrature,
     _raise_to,
     _run_batch,
+    _scalars,
+    _schedule,
     _Stripes,
     _sup_bound,
     _weights,
@@ -52,6 +55,13 @@ def integral_abs_p(u, dr, n, p):
     return integral_dx(np.abs(np.asarray(u, dtype=float)) ** p, dr, n)
 
 
+def drawn_before(digest):
+    """``hypothesis.seed`` for the examples a derandomized test drew while
+    its body hashed to ``digest`` (hex), so that a test whose body only
+    moved to a new signature checks what it checked before."""
+    return seed(int(digest, 16))
+
+
 BASE = PdeConfig(
     params=ModelParams(2, 0.5, 2.0), p=2.0, eps=0.5, R=1.0, dr=1.0 / 50.0, t_max=50.0
 )
@@ -70,17 +80,30 @@ def stripes(fields, dr, n, stride=None):
     return s
 
 
+def coefficients(s, t, dt_old, dt_new, alpha, mu):
+    """The five scalars and the three gains of a step of ``s`` centred at t,
+    by the step schedule's formulas."""
+    return _coefficients(t, dt_old, dt_new, t ** (-2.0 * alpha), mu, s.dr, s.right0)
+
+
+def stencil(s, k, c):
+    """The scalars of a step of ``s`` that adds k Lap(u) + c u to its new
+    level: the new level times 1, plus 0 times the finite level it consumes."""
+    return _scalars(1.0, 0.0, k, c, s.dr, s.right0)[:5]
+
+
 def laplacian(u, dr, n):
-    """Lap u through the solver's stencil, each row zero past its last cell."""
+    """Lap u through the solver's stencil, each row zero past its last cell:
+    a step from level 0 into level 1, both other levels zero."""
     s = stripes([u], dr, n)
-    s.stencil(1, 0, 2, 1.0, 0.0)
+    s.step(2, stencil(s, 1.0, 0.0), s.stride)
     return s.grid[1].reshape(np.shape(u))
 
 
 def update(u_prev, u_curr, t, dt_old, dt_new, dr, n, alpha, mu, source):
     """The solver's new level from u_prev, u_curr and the source |u_curr|^p."""
     s = stripes([u_prev, u_curr, source], dr, n)
-    s.step(2, 0, 1, t, dt_old, dt_new, alpha, mu, s.stride)
+    s.step(0, coefficients(s, t, dt_old, dt_new, alpha, mu)[:5], s.stride)
     return s.grid[2].reshape(np.shape(u_curr))
 
 
@@ -222,9 +245,28 @@ def support_rows(draw):
     return a
 
 
+def row_with(cells):
+    """One row of 2 ``pde._WINDOW`` + 8 zeros with ``cells`` ({index: value})
+    set; negative indices count from its end."""
+    a = np.zeros((1, 2 * pde._WINDOW + 8))
+    for i, value in cells.items():
+        a[0, i] = value
+    return a
+
+
+INSIDE, BEFORE = -3, -pde._WINDOW - 1  # a cell in the scan's window, the last before it
+
+
 class TestSupportScan:
+    # the scan reads a row's last pde._WINDOW cells first: a hit there, a
+    # last hit before them, a NaN among them over a hit before, and rows of
+    # each kind in one batch
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(a=support_rows(), floor=st.sampled_from([0.0, 1e-12, 0.3, math.nan]))
+    @example(a=row_with({3: 1.0, INSIDE: 0.5}), floor=0.0)
+    @example(a=row_with({3: 1.0, BEFORE: 0.5}), floor=0.0)
+    @example(a=row_with({3: 1.0, INSIDE: math.nan, -1: math.nan}), floor=1e-12)
+    @example(a=np.vstack([row_with({-1: 2.0}), row_with({5: 2.0}), row_with({})]), floor=0.3)
     def test_last_above_matches_a_full_scan(self, a, floor):
         floors = np.full(a.shape[0], floor)
         got = _last_above(a, floors[:, None], 0.01)
@@ -342,6 +384,8 @@ class TestScheme:
     @settings(derandomize=True, database=None, max_examples=20, deadline=None)
     @given(n=st.integers(2, 5), alpha=st.floats(0.0, 0.9), mu=st.floats(0.0, 5.0),
            share=st.floats(0.1, 0.99))
+    @drawn_before("42d11d01268d14965bd799dff54b7100f0dacd8dae0dc70c6"
+                  "2070843fb34bb620981d0c29a9e493ed37e952453736fe8")
     def test_manufactured_solution_converges_at_second_order(self, n, alpha, mu, share):
         # u = (2 + sin t)(1 - r^2)^6 on r < 1 solves the equation with the
         # forcing f = g'' h - t^(-2 alpha) g Lap h + (mu/t) g' h as its source;
@@ -365,7 +409,7 @@ class TestScheme:
                 np.multiply(h, mu / t * math.cos(t) - math.sin(t), out=source)
                 source -= t ** (-2.0 * alpha) * (2.0 + math.sin(t)) * lap_h
                 dt_new = _next_dt(t, cfg)
-                s.step(nxt, prev, curr, t, dt, dt_new, alpha, mu, r.size)
+                s.step(prev, coefficients(s, t, dt, dt_new, alpha, mu)[:5], r.size)
                 t, dt = t + dt_new, dt_new
                 prev, curr, nxt = curr, nxt, prev
             exact = (2.0 + math.sin(t)) * h
@@ -783,6 +827,8 @@ class TestFoldedStencil:
         pad=st.integers(1, 8),
         seed=st.integers(0, 2**32 - 1),
     )
+    @drawn_before("e0822827187d39affd658f9765099b583a0c67bbdcf02e271"
+                  "0aa0198632840e2721ed46b9865266de982e8942c66a593")
     def test_three_row_stripe(self, n, alpha, mu, t, dr, cfl_old, cfl_new, cells, pad, seed):
         # rows laid end to end with zero padding, as the stepping loop holds them
         rows, stride = 3, cells + pad
@@ -793,10 +839,10 @@ class TestFoldedStencil:
         scale = float(np.max(np.abs([u_prev, u_curr])))
 
         s = stripes([u_curr], dr, n, stride)
-        s.stencil(1, 0, 2, 1.0, 0.0)
+        s.step(2, stencil(s, 1.0, 0.0), s.stride)
         lap = s.grid[1]
         s = stripes([u_prev, u_curr, source], dr, n, stride)
-        s.step(2, 0, 1, t, dt_old, dt_new, alpha, mu, cells)
+        s.step(0, coefficients(s, t, dt_old, dt_new, alpha, mu)[:5], cells)
         out = s.grid[2]
         unpadded = laplacian(u_curr, dr, n)  # rows of stride = cells
         for i in range(rows):
@@ -815,9 +861,106 @@ class TestFoldedStencil:
         assert np.all(out[:, cells:] == 0.0)
         width = int(rng.integers(0, cells + 1))
         s = stripes([u_prev, u_curr, source], dr, n, stride)
-        s.step(2, 0, 1, t, dt_old, dt_new, alpha, mu, width)
+        s.step(0, coefficients(s, t, dt_old, dt_new, alpha, mu)[:5], width)
         assert np.array_equal(s.grid[2][:, :width], out[:, :width])
         assert np.all(s.grid[2][:, width:] == 0.0)
+
+
+def steps_one_at_a_time(cfg, right0, count):
+    """The first ``count`` steps after the Taylor start as the stepping loop
+    took them before the step schedule, one at a time in Python floats:
+    (t, dt_old, dt_new, cells after the step, width, the five scalars and
+    the three gains)."""
+    alpha, mu, dr = cfg.params.alpha, cfg.params.mu, cfg.dr
+
+    def next_dt(t):
+        return min(cfg.cfl * dr * t**alpha, pde.DT_CAP)
+
+    def cells_over(cone):
+        return math.ceil((cone + pde.MARGIN_CELLS * dr) / dr) + 1
+
+    dt = next_dt(1.0)
+    t, cells = 1.0 + dt, cells_over(light_cone_radius(1.0, alpha, cfg.R))
+    steps = []
+    for _ in range(count):
+        dt_new = next_dt(t)
+        cone = light_cone_radius(t + dt_new, alpha, cfg.R)
+        cells = max(cells, cells_over(cone))
+        width = int(math.floor((cone + dr) / dr)) + 1
+        span = dt + dt_new
+        damp = mu / t
+        lhs = 2.0 / (span * dt_new) + damp / span
+        inv_lhs, prev_weight = 1.0 / lhs, (damp / span - 2.0 / (span * dt)) / lhs
+        c_curr = (2.0 / (span * dt_new) + 2.0 / (span * dt)) / lhs
+        k = t ** (-2.0 * alpha) / lhs
+        centre, origin = c_curr - 2.0 * k / (dr * dr), c_curr - k * right0
+        gain = k * right0 + max(abs(centre), abs(origin))
+        steps.append((t, dt, dt_new, cells, width, [inv_lhs, prev_weight, k, centre, origin],
+                      [inv_lhs, abs(prev_weight), gain]))
+        t, dt = t + dt_new, dt_new
+    return steps
+
+
+class TestSchedule:
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @given(n=st.integers(2, 5), alpha=st.floats(0.0, 0.95), mu=st.floats(0.0, 5.0),
+           share=st.floats(0.01, 0.99), dr=st.floats(0.005, 0.2))
+    @example(n=2, alpha=0.5, mu=2.0, share=0.99, dr=0.2)  # DT_CAP binds from the first step
+    @example(n=5, alpha=0.95, mu=0.0, share=0.5, dr=0.05)  # and from t ~ 6.4 on
+    def test_matches_the_per_step_formulas(self, n, alpha, mu, share, dr):
+        # every number of the first 2 blocks and a few steps of the third,
+        # from the first step after the Taylor start on, is the one the step
+        # by step float arithmetic gives, exactly
+        cfg = PdeConfig(params=ModelParams(n, alpha, mu), p=2.0, eps=0.5, dr=dr,
+                        cfl=share * CFL_LIMITS[n])
+        right0 = _Stripes(1, 8, dr, n).right0
+        want = steps_one_at_a_time(cfg, right0, 2 * pde._BLOCK + 3)
+        got, blocks, cells = [], _schedule(cfg, right0), want[0][3]
+        while len(got) < len(want):
+            times, reach, widths, table, gains = next(blocks)
+            assert len(times) == len(widths) == len(gains) == len(reach) - 1 == pde._BLOCK
+            assert reach[0] == cells or not got  # the cells carried into the block
+            cells = reach[-1]
+            rows = np.asarray(table).reshape(-1, 8).tolist()
+            assert gains == [row[5:] for row in rows]
+            got += zip(times, reach[1:], widths, (row[:5] for row in rows), gains)
+        for (t, dt_old, dt_new, *numbers), (t_got, *numbers_got), t_next in zip(
+            want, got, [t for t, *_ in got[1:]]
+        ):
+            assert t_got == t and t_next == t + dt_new
+            assert numbers_got == numbers
+        capped = [dt_new == pde.DT_CAP for _, _, dt_new, *_ in want]
+        assert capped == sorted(capped)  # once dt reaches the cap it stays there
+
+    def test_a_run_holds_one_block_of_it(self):
+        # a run's memory besides its layout is the block of the schedule it
+        # steps through and the one built after it, however many steps it
+        # takes: at alpha 0.95 DT_CAP sets the step from t ~ 5 on while the
+        # light cone grows by a few cells, so 16x the horizon is ~16x the
+        # steps (1,026 and 16,026), where a record of 8 B a step would add
+        # 120 KB
+        cfg = replace(BASE, params=ModelParams(2, 0.95, 2.0), p=3.0, eps=1e-3, dr=0.05,
+                      sample_dt=math.inf)
+        right0 = _Stripes(1, 8, cfg.dr, 2).right0
+        tracemalloc.start()
+        try:
+            block = next(_schedule(cfg, right0))
+            size = tracemalloc.get_traced_memory()[0]
+            steps = len(block[0])
+            del block
+            peaks, layouts = [], []
+            for t_max in (100.0, 1600.0):
+                tracemalloc.reset_peak()
+                (row,) = _run_batch(replace(cfg, t_max=t_max), [cfg.eps])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                assert row.termination == "horizon"
+                stride = _pitch(int(pde._cells(light_cone_radius(t_max, 0.95, cfg.R), cfg.dr)))
+                layouts.append(2 * 10 * stride * 8)  # two layouts of 4 levels, 2 tiles and more
+        finally:
+            tracemalloc.stop()
+        assert steps == pde._BLOCK and size < 80_000
+        assert peaks[1] - peaks[0] < size / 4
+        assert peaks[1] < layouts[1] + 3 * size
 
 
 def levels_at(offset, rows, stride, dr, n):
@@ -852,8 +995,8 @@ class TestStripeViews:
     @staticmethod
     def step(s, cells):
         assert all(np.shares_memory(flat, grid) for flat, grid in zip(s.flat, s.grid))
-        s.step(2, 0, 1, 3.0, 0.02, 0.021, 0.5, 2.0, cells)
-        s.stencil(0, 2, 1, 1.0, 0.5)  # and the stencil alone, on the new level
+        s.step(0, coefficients(s, 3.0, 0.02, 0.021, 0.5, 2.0)[:5], cells)
+        s.step(1, stencil(s, 1.0, 0.5), s.stride)  # and the stencil alone, on the new level
         return s.levels[:3]
 
     @pytest.mark.parametrize("n", [2, 5])
@@ -989,10 +1132,11 @@ class TestStripeViews:
         s = _Stripes(1, _pitch(cells), dr, 3)
         s.levels[:3, 0, :cells] = np.random.default_rng(0).uniform(-1.0, 1.0, (3, cells))
         prev, curr, nxt = 0, 1, 2
+        steps = [coefficients(s, 3.0 + i * 4e-4, 4e-4, 4e-4, 0.5, 2.0)[:5] for i in range(50)]
         tracemalloc.start()
         try:
-            for i in range(50):
-                s.step(nxt, prev, curr, 3.0 + i * 4e-4, 4e-4, 4e-4, 0.5, 2.0, cells)
+            for scalars in steps:
+                s.step(prev, scalars, cells)
                 prev, curr, nxt = curr, nxt, prev
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -1005,6 +1149,8 @@ class TestStripeViews:
            shares=st.tuples(st.floats(0.05, 0.99), st.floats(0.05, 0.99)),
            rows=st.integers(1, 3), cells=st.integers(3, 40), scale=st.floats(-3.0, 3.0),
            seed=st.integers(0, 2**32 - 1))
+    @drawn_before("f50853fe3e7fc600881cade9b06de833024078d586ffaa1b7"
+                  "1f5c6b7a94c4321c70f204ddb0c192b8592f990fc699a79")
     def test_a_step_stays_under_the_carried_bound(
         self, n, p, alpha, mu, t, dr, shares, rows, cells, scale, seed
     ):
@@ -1020,8 +1166,10 @@ class TestStripeViews:
         exact = [float(np.max(np.abs(level))) for level in s.levels[:2]]
         carried = exact[-1], exact[-2]
         for _ in range(6):
+            scalars = coefficients(s, t, dt_old, dt_new, alpha, mu)
+            gains = scalars[5:].tolist()  # floats, as the schedule gives them
             with np.errstate(over="ignore"):  # p = 3 at 10^3 overflows in a few steps
-                gains = s.step(nxt, prev, curr, t, dt_old, dt_new, alpha, mu, cells)
+                s.step(prev, scalars[:5], cells)
                 _raise_to(np.abs(s.levels[nxt], s.levels[prev]), p)  # the next source
             bound = _sup_bound(gains, exact[-1], exact[-2], p, s.right0)
             carried = _sup_bound(gains, *carried, p, s.right0), carried[0]
@@ -1057,8 +1205,9 @@ class TestStripeViews:
             s.before[0][0] = value  # the guard
             s.flat[0][-1] = value  # the last cell of level 0, the level before u = 1
             with np.errstate(invalid="ignore"):  # 0 x inf, as a run meets it
-                s.step(2, 0, 1, 3.0, 0.02, 0.021, 0.5, 2.0, cells)  # a stencil at u = 1
-                s.stencil(1, 0, 2, 1.0, 0.5)  # and one at u = 0
+                # a stencil at u = 1, and one at u = 0
+                s.step(0, coefficients(s, 3.0, 0.02, 0.021, 0.5, 2.0)[:5], cells)
+                s.step(2, stencil(s, 1.0, 0.5), s.stride)
             return s.levels[:3]
 
         assert np.array_equal(stepped(poison), stepped(0.0))
@@ -1109,7 +1258,7 @@ class TestEnergyLaw:
                 if t >= 6.0:
                     return np.array(energies)
                 s.grid[nxt].fill(0.0)  # no source
-                s.step(nxt, prev, curr, t, dt, dt, 0.0, mu, r.size)
+                s.step(prev, coefficients(s, t, dt, dt, 0.0, mu)[:5], r.size)
                 t += dt
                 prev, curr, nxt = curr, nxt, prev
 
